@@ -17,7 +17,7 @@ SHM_SPEEDUP ?= Transport/Fig5/N=20/tcp:Transport/Fig5/N=20/shm:3
 STATICCHECK_MOD := honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_MOD := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: all vet build test race fuzz-smoke farm-soak transport-matrix federation-matrix fleet-matrix shm-smoke fleet-smoke bench-json bench-gate bench-adaptive staticcheck govulncheck cosim-lint lint lint-fix-check ci
+.PHONY: all vet build test race fuzz-smoke farm-soak transport-matrix federation-matrix fleet-matrix shm-smoke fleet-smoke bench-json bench-gate bench-adaptive bench-selftest staticcheck govulncheck cosim-lint lint lint-fix-check ci
 
 all: build
 
@@ -90,8 +90,8 @@ shm-smoke:
 bench-json:
 	$(GO) run ./cmd/cosim-bench -runs $(BENCH_RUNS) -v -out BENCH_cosim.json
 
-# bench-gate fails when any Fig.5, Farm, Adaptive, Transport, or
-# Federation benchmark regressed >25% vs the committed baseline — in wall clock
+# bench-gate fails when any Kernel, Fig.5, Farm, Fleet, Adaptive, Transport,
+# or Federation benchmark regressed >25% vs the committed baseline — in wall clock
 # (ns_per_op) or in steady-state allocation rate (allocs_per_quantum) —
 # or when the shm transport no longer clears its speedup floor over tcp
 # on the fresh run. Skips cleanly when no baseline is committed.
@@ -103,6 +103,12 @@ bench-gate: bench-json
 bench-adaptive:
 	$(GO) test -run 'TestAdaptive' -v .
 	$(GO) run ./cmd/cosim-experiments -fig 5a -quick
+
+# bench-selftest vets and tests the repository benchmark (bench/, its own
+# module, see bench/README.md): metric tables against BENCHMARK.json, every
+# metric emitted traced and untraced, the layer split summing to wall time.
+bench-selftest:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 staticcheck:
 	$(GO) run $(STATICCHECK_MOD) ./...
@@ -136,4 +142,4 @@ lint: cosim-lint
 		echo "lint: govulncheck unavailable (offline); skipped"; \
 	fi
 
-ci: vet build race fuzz-smoke farm-soak bench-adaptive lint
+ci: vet build race fuzz-smoke farm-soak bench-adaptive bench-selftest lint

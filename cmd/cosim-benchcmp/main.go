@@ -66,7 +66,7 @@ func load(path string) (map[string]benchEntry, *benchFile, error) {
 func main() {
 	baseline := flag.String("baseline", "BENCH_baseline.json", "committed baseline file")
 	current := flag.String("current", "BENCH_cosim.json", "freshly generated file")
-	prefix := flag.String("prefix", "Fig5/,Farm/,Fleet/,Adaptive/,Transport/,Federation/", "only gate benchmarks whose name has one of these comma-separated prefixes (empty = all)")
+	prefix := flag.String("prefix", "Kernel/,Fig5/,Farm/,Fleet/,Adaptive/,Transport/,Federation/", "only gate benchmarks whose name has one of these comma-separated prefixes (empty = all)")
 	threshold := flag.Float64("threshold", 1.25, "fail when current/baseline ns/op exceeds this ratio")
 	allocsThreshold := flag.Float64("allocs-threshold", 1.25, "fail when current/baseline allocs_per_quantum exceeds this ratio")
 	speedup := flag.String("speedup", "", "comma-separated slow:fast:minRatio assertions over the current file (fail unless fast is minRatio× faster than slow with allocs no worse)")

@@ -7,43 +7,8 @@ import (
 	"repro/internal/sim"
 )
 
-// BenchmarkKernelClockOnly measures the bare cost of one clock cycle
-// through the evaluate/update machinery (two edges, no user processes).
-func BenchmarkKernelClockOnly(b *testing.B) {
-	s := NewSimulator("b")
-	clk := s.NewClock("clk", sim.NS(10))
-	if err := s.Elaborate(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	if err := s.RunCycles(clk, uint64(b.N)); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(s.Stats().Deltas)/float64(b.N), "deltas/cycle")
-}
-
-// BenchmarkKernelMethodFanout measures cycles with k methods sensitive to
-// the clock, the dominant pattern in the router testbench.
-func BenchmarkKernelMethodFanout(b *testing.B) {
-	for _, k := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("methods=%d", k), func(b *testing.B) {
-			s := NewSimulator("b")
-			clk := s.NewClock("clk", sim.NS(10))
-			ctr := 0
-			for i := 0; i < k; i++ {
-				s.Method(fmt.Sprintf("m%d", i), func() { ctr++ }, clk.Posedge()).DontInitialize()
-			}
-			if err := s.Elaborate(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			if err := s.RunCycles(clk, uint64(b.N)); err != nil {
-				b.Fatal(err)
-			}
-			_ = ctr
-		})
-	}
-}
+// The bare clock cycle and the posedge method fan-out are gated in the
+// Kernel/ family of cmd/cosim-bench; these cover the other kernel paths.
 
 // BenchmarkKernelSignalChain measures a delta-cascade: a write rippling
 // through an 8-stage combinational chain each cycle.

@@ -315,20 +315,14 @@ func (s *Simulator) advanceToNext(limit sim.Time) bool {
 	}
 	s.now = next
 	s.stats.TimeSteps++
+	// Callbacks may schedule further events at this same instant; they
+	// pop here too, after everything already queued for it.
 	for {
-		at, fn, ok := s.timed.Pop()
-		if !ok || at != next {
-			if ok {
-				// Should not happen: Pop never returns earlier than
-				// NextTime. Reschedule defensively.
-				s.timed.Schedule(at, fn)
-			}
+		fn, ok := s.timed.PopAt(next)
+		if !ok {
 			break
 		}
 		fn()
-		if s.timed.NextTime() != next {
-			break
-		}
 	}
 	return true
 }

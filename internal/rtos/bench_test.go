@@ -2,16 +2,8 @@ package rtos
 
 import "testing"
 
-// BenchmarkAdvanceIdle measures the cost of pure virtual-time advance with
-// nothing runnable — the floor every co-simulation quantum pays.
-func BenchmarkAdvanceIdle(b *testing.B) {
-	k := NewKernel(DefaultConfig())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Advance(1000) // 10 ticks
-	}
-	b.ReportMetric(float64(k.Cycles())/float64(b.N), "cycles/op")
-}
+// The idle-quantum and interrupt-dispatch floors are gated in the Kernel/
+// family of cmd/cosim-bench; these cover the thread paths.
 
 // BenchmarkAdvanceBusyThread measures a quantum spent charging one thread.
 func BenchmarkAdvanceBusyThread(b *testing.B) {
@@ -54,19 +46,4 @@ func BenchmarkContextSwitchPingPong(b *testing.B) {
 	}
 	b.StopTimer()
 	k.Shutdown()
-}
-
-// BenchmarkInterruptDispatch measures the ISR+DSR path.
-func BenchmarkInterruptDispatch(b *testing.B) {
-	k := NewKernel(DefaultConfig())
-	served := 0
-	k.AttachInterrupt(1, nil, func() { served++ })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.PostIRQ(1)
-		k.Advance(100)
-	}
-	if served != b.N {
-		b.Fatalf("served %d of %d", served, b.N)
-	}
 }

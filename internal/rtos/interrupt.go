@@ -1,6 +1,9 @@
 package rtos
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // NumIRQs is the size of the board's interrupt vector.
 const NumIRQs = 32
@@ -19,8 +22,13 @@ type irqLine struct {
 	dsr       func()
 }
 
+// interruptController mirrors the per-line pending/enabled flags in two
+// bitmasks (bit n ⇔ line n), so finding the next deliverable vector is one
+// AND and a trailing-zero count instead of a scan of the vector table.
 type interruptController struct {
 	lines   [NumIRQs]irqLine
+	pend    uint32 // bit n ⇔ lines[n].pending
+	enab    uint32 // bit n ⇔ lines[n].enabled
 	dsrq    []*irqLine
 	dsrHead int // consumed prefix of dsrq; backing array reused once drained
 }
@@ -31,27 +39,29 @@ func (ic *interruptController) init() {
 	}
 }
 
-func (ic *interruptController) pendingEnabled() bool {
-	for i := range ic.lines {
-		l := &ic.lines[i]
-		if l.pending && l.enabled {
-			return true
-		}
-	}
-	return false
-}
+func (ic *interruptController) pendingEnabled() bool { return ic.pend&ic.enab != 0 }
 
 // nextPending claims the lowest-numbered pending+enabled line (hardware
 // priority by vector number) and clears its pending latch.
 func (ic *interruptController) nextPending() *irqLine {
-	for i := range ic.lines {
-		l := &ic.lines[i]
-		if l.pending && l.enabled {
-			l.pending = false
-			return l
-		}
+	m := ic.pend & ic.enab
+	if m == 0 {
+		return nil
 	}
-	return nil
+	n := bits.TrailingZeros32(m)
+	ic.pend &^= 1 << n
+	l := &ic.lines[n]
+	l.pending = false
+	return l
+}
+
+func (ic *interruptController) setEnabled(irq int, on bool) {
+	ic.lines[irq].enabled = on
+	if on {
+		ic.enab |= 1 << irq
+	} else {
+		ic.enab &^= 1 << irq
+	}
 }
 
 func (ic *interruptController) queueDSR(l *irqLine) {
@@ -83,43 +93,57 @@ func (ic *interruptController) nextDSR() *irqLine {
 	return l
 }
 
+// checkIRQ panics with a named cause on a vector outside the table, so a
+// wiring error never degrades into a silent no-op on the masks.
+func checkIRQ(irq int) {
+	if irq < 0 || irq >= NumIRQs {
+		panic(fmt.Sprintf("rtos: IRQ %d out of range", irq))
+	}
+}
+
 // AttachInterrupt installs the ISR/DSR pair for a vector and enables it.
 // The ISR returns true to request DSR execution (eCos CYG_ISR_CALL_DSR).
 // Either handler may be nil: a nil ISR defaults to requesting the DSR; a
 // nil DSR is simply skipped.
 func (k *Kernel) AttachInterrupt(irq int, isr func() bool, dsr func()) {
-	if irq < 0 || irq >= NumIRQs {
-		panic(fmt.Sprintf("rtos: IRQ %d out of range", irq))
-	}
+	checkIRQ(irq)
 	l := &k.irq.lines[irq]
 	if l.attached {
 		panic(fmt.Sprintf("rtos: IRQ %d already attached", irq))
 	}
 	l.attached = true
-	l.enabled = true
 	l.isr = isr
 	l.dsr = dsr
+	k.irq.setEnabled(irq, true)
 }
 
 // MaskInterrupt disables delivery for a vector (pending requests are held).
-func (k *Kernel) MaskInterrupt(irq int) { k.irq.lines[irq].enabled = false }
+func (k *Kernel) MaskInterrupt(irq int) {
+	checkIRQ(irq)
+	k.irq.setEnabled(irq, false)
+}
 
 // UnmaskInterrupt re-enables delivery.
-func (k *Kernel) UnmaskInterrupt(irq int) { k.irq.lines[irq].enabled = true }
+func (k *Kernel) UnmaskInterrupt(irq int) {
+	checkIRQ(irq)
+	k.irq.setEnabled(irq, true)
+}
 
 // PostIRQ latches an interrupt request on the vector. It is dispatched at
 // the next safe point inside Advance (quantum start, tick boundary, or
 // thread yield). Posting an unattached vector is a board wiring error.
 func (k *Kernel) PostIRQ(irq int) {
-	if irq < 0 || irq >= NumIRQs {
-		panic(fmt.Sprintf("rtos: IRQ %d out of range", irq))
-	}
+	checkIRQ(irq)
 	l := &k.irq.lines[irq]
 	if !l.attached {
 		panic(fmt.Sprintf("rtos: IRQ %d posted but no handler attached", irq))
 	}
 	l.pending = true
+	k.irq.pend |= 1 << irq
 }
 
 // IRQPending reports whether the vector is latched (for tests/diagnostics).
-func (k *Kernel) IRQPending(irq int) bool { return k.irq.lines[irq].pending }
+func (k *Kernel) IRQPending(irq int) bool {
+	checkIRQ(irq)
+	return k.irq.lines[irq].pending
+}

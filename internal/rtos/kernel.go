@@ -24,6 +24,7 @@ package rtos
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sim"
 )
@@ -116,6 +117,9 @@ type Kernel struct {
 	lastRun *Thread // for context-switch accounting
 	runq    [NumPriorities][]*Thread
 	threads []*Thread
+	// readyMask has bit p set exactly when runq[p] is non-empty, so the
+	// scheduler visits only occupied priority levels.
+	readyMask uint32
 
 	budgetLeft  uint64
 	needResched bool
@@ -196,9 +200,27 @@ func (k *Kernel) ready(t *Thread) {
 		return
 	}
 	t.state = ThreadReady
-	k.runq[t.prio] = append(k.runq[t.prio], t)
+	k.enqueue(t)
 	if k.current != nil && t.prio < k.current.prio {
 		k.needResched = true
+	}
+}
+
+// enqueue appends t to the tail of its priority's run queue.
+func (k *Kernel) enqueue(t *Thread) {
+	k.runq[t.prio] = append(k.runq[t.prio], t)
+	k.readyMask |= 1 << t.prio
+}
+
+// dequeue removes the i-th entry of priority p's run queue, preserving the
+// FIFO order of the rest.
+func (k *Kernel) dequeue(p, i int) {
+	q := k.runq[p]
+	copy(q[i:], q[i+1:])
+	q[len(q)-1] = nil
+	k.runq[p] = q[:len(q)-1]
+	if len(q) == 1 {
+		k.readyMask &^= 1 << p
 	}
 }
 
@@ -207,15 +229,13 @@ func (k *Kernel) ready(t *Thread) {
 // thread, channel thread and systemc thread keep running; everything else
 // is frozen).
 func (k *Kernel) pickNext() *Thread {
-	for p := 0; p < NumPriorities; p++ {
-		q := k.runq[p]
-		for i, t := range q {
+	for m := k.readyMask; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros32(m)
+		for i, t := range k.runq[p] {
 			if k.state == StateIdle && !t.comm {
 				continue
 			}
-			copy(q[i:], q[i+1:])
-			q[len(q)-1] = nil
-			k.runq[p] = q[:len(q)-1]
+			k.dequeue(p, i)
 			return t
 		}
 	}

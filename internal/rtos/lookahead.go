@@ -33,13 +33,8 @@ func (k *Kernel) RegisterWakeSource(fn func() uint64) {
 // of how the intervening virtual time is partitioned into quanta, which
 // is what makes the bound safe to elongate over.
 func (k *Kernel) NextEventBound() uint64 {
-	if k.interruptsPending() || k.current != nil {
+	if k.interruptsPending() || k.current != nil || k.readyMask != 0 {
 		return 0
-	}
-	for p := range k.runq {
-		if len(k.runq[p]) > 0 {
-			return 0
-		}
 	}
 	bound := uint64(WakeNever)
 	if at, ok := k.alarms.peek(); ok {

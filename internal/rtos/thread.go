@@ -191,15 +191,12 @@ func (k *Kernel) SetPriority(t *Thread, prio int) {
 	if t.prio == prio {
 		return
 	}
-	// Remove from its current run queue if enqueued.
-	q := k.runq[t.prio]
-	for i, x := range q {
+	// Re-queue at the tail of the new level if enqueued.
+	for i, x := range k.runq[t.prio] {
 		if x == t {
-			copy(q[i:], q[i+1:])
-			q[len(q)-1] = nil
-			k.runq[t.prio] = q[:len(q)-1]
+			k.dequeue(t.prio, i)
 			t.prio = prio
-			k.runq[prio] = append(k.runq[prio], t)
+			k.enqueue(t)
 			return
 		}
 	}

@@ -1,0 +1,6 @@
+//go:build !race
+
+package sim
+
+// Without the race detector the zero-allocation gates are exact.
+const raceAllocSlack = 0.0

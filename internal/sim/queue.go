@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // EventFunc is a callback executed when the simulation reaches the time an
 // event was scheduled for.
 type EventFunc func()
@@ -12,12 +10,21 @@ type EventFunc func()
 // the queue's freelist once popped; gen distinguishes the current
 // incarnation from stale Handles that still point at the same record.
 type scheduledEvent struct {
-	at    Time
-	seq   uint64
-	fn    EventFunc
-	index int    // heap bookkeeping
-	dead  bool   // cancelled in place; skipped on pop
-	gen   uint32 // incremented on recycle; stale Handles mismatch
+	at   Time
+	seq  uint64
+	fn   EventFunc
+	dead bool   // cancelled in place; skipped on pop
+	gen  uint32 // incremented on recycle; stale Handles mismatch
+}
+
+// before is the queue's total order: by time, then by schedule sequence.
+// seq is unique per queue, so no two events compare equal and every
+// correct heap pops the same sequence.
+func (a *scheduledEvent) before(b *scheduledEvent) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // Handle identifies a scheduled event so it can be cancelled. A Handle
@@ -28,38 +35,11 @@ type Handle struct {
 	gen uint32
 }
 
-// Valid reports whether the handle refers to a still-pending event.
+// Valid reports whether the handle refers to a still-pending event. A
+// record's generation is bumped the moment it leaves the heap, so a
+// matching generation means the event is still queued.
 func (h Handle) Valid() bool {
-	return h.ev != nil && h.ev.gen == h.gen && !h.ev.dead && h.ev.index >= 0
-}
-
-type eventHeap []*scheduledEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*scheduledEvent)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+	return h.ev != nil && h.ev.gen == h.gen && !h.ev.dead
 }
 
 // Queue is a deterministic timed event queue: events pop in non-decreasing
@@ -67,7 +47,7 @@ func (h *eventHeap) Pop() any {
 // they were scheduled. Queue is not safe for concurrent use; simulation
 // kernels own it from a single goroutine.
 type Queue struct {
-	h      eventHeap
+	h      []*scheduledEvent // binary min-heap under before
 	seq    uint64
 	popped uint64
 	free   []*scheduledEvent // recycled records; bounded by peak outstanding events
@@ -118,7 +98,8 @@ func (q *Queue) Schedule(at Time, fn EventFunc) Handle {
 	ev := q.get()
 	ev.at, ev.seq, ev.fn = at, q.seq, fn
 	q.seq++
-	heap.Push(&q.h, ev)
+	q.h = append(q.h, ev)
+	q.up(len(q.h) - 1)
 	return Handle{ev: ev, gen: ev.gen}
 }
 
@@ -149,19 +130,83 @@ func (q *Queue) Pop() (at Time, fn EventFunc, ok bool) {
 	if len(q.h) == 0 {
 		return 0, nil, false
 	}
-	ev := heap.Pop(&q.h).(*scheduledEvent)
-	q.popped++
-	at, fn = ev.at, ev.fn
-	q.recycle(ev)
-	return at, fn, true
+	at = q.h[0].at
+	return at, q.take(), true
+}
+
+// PopAt removes and returns the earliest live event's callback only if it
+// is scheduled exactly at t. ok is false when the queue is empty or its
+// earliest event lies later — the loop condition of a kernel draining one
+// simulated instant, without a separate NextTime peek per callback.
+func (q *Queue) PopAt(t Time) (fn EventFunc, ok bool) {
+	q.skipDead()
+	if len(q.h) == 0 || q.h[0].at != t {
+		return nil, false
+	}
+	return q.take(), true
 }
 
 // Popped returns the number of events executed so far; exposed for
 // simulator statistics.
 func (q *Queue) Popped() uint64 { return q.popped }
 
+// take pops the (live) root, recycles its record and returns its callback.
+func (q *Queue) take() EventFunc {
+	ev := q.popRoot()
+	q.popped++
+	fn := ev.fn
+	q.recycle(ev)
+	return fn
+}
+
 func (q *Queue) skipDead() {
 	for len(q.h) > 0 && q.h[0].dead {
-		q.recycle(heap.Pop(&q.h).(*scheduledEvent))
+		q.recycle(q.popRoot())
 	}
+}
+
+// up restores heap order after appending at index i by sifting the new
+// event toward the root.
+func (q *Queue) up(i int) {
+	h := q.h
+	ev := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+}
+
+// popRoot removes the root and re-sifts the last element down from it.
+func (q *Queue) popRoot() *scheduledEvent {
+	h := q.h
+	n := len(h) - 1
+	root, last := h[0], h[n]
+	h[n] = nil
+	h = h[:n]
+	q.h = h
+	if n == 0 {
+		return root
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return root
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -109,44 +108,93 @@ func TestQueuePopCountsStats(t *testing.T) {
 	}
 }
 
-// Property: regardless of insertion order, pops come out sorted by time and,
-// within a time, by insertion sequence.
+// Property: any interleaving of Schedule, Cancel, Pop and PopAt — over a
+// handful of timestamps, so most events tie — pops exactly what a model
+// that sorts the live events by (at, seq) predicts. Each program byte is
+// one operation; its high bits pick the kind and its low bits the operand.
 func TestQueuePopMonotonicProperty(t *testing.T) {
-	f := func(times []uint16) bool {
+	type entry struct {
+		at   Time
+		seq  int
+		live bool
+		h    Handle
+	}
+	f := func(program []byte) bool {
 		q := NewQueue()
-		type stamp struct {
-			at  Time
-			seq int
-		}
-		for i, v := range times {
-			q.Schedule(Time(v), func() {})
-			_ = i
-		}
-		var popped []Time
-		for {
-			at, _, ok := q.Pop()
-			if !ok {
-				break
+		var model []*entry // index = schedule sequence = event id
+		fired := -1
+		earliest := func() *entry {
+			var best *entry
+			for _, e := range model {
+				if e.live && (best == nil || e.at < best.at || (e.at == best.at && e.seq < best.seq)) {
+					best = e
+				}
 			}
-			popped = append(popped, at)
+			return best
 		}
-		if len(popped) != len(times) {
-			return false
+		// popped checks one Pop/PopAt outcome against the model's choice.
+		popped := func(want *entry, at Time, fn EventFunc, ok bool) bool {
+			if want == nil {
+				return !ok
+			}
+			if !ok || at != want.at {
+				return false
+			}
+			fn()
+			want.live = false
+			return fired == want.seq && !want.h.Valid()
 		}
-		sorted := make([]Time, len(times))
-		for i, v := range times {
-			sorted[i] = Time(v)
-		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		for i := range popped {
-			if popped[i] != sorted[i] {
+		for _, b := range program {
+			arg := int(b & 0x3f)
+			switch b >> 6 {
+			case 0, 1: // Schedule at one of four instants
+				e := &entry{at: Time(arg % 4), seq: len(model), live: true}
+				id := e.seq
+				e.h = q.Schedule(e.at, func() { fired = id })
+				model = append(model, e)
+			case 2: // Cancel any handle ever issued, stale ones included
+				if len(model) == 0 {
+					continue
+				}
+				e := model[arg%len(model)]
+				if q.Cancel(e.h) != e.live {
+					return false
+				}
+				e.live = false
+			case 3:
+				want := earliest()
+				if arg%2 == 0 {
+					at, fn, ok := q.Pop()
+					if !popped(want, at, fn, ok) {
+						return false
+					}
+					continue
+				}
+				// PopAt an instant that is the head's, or one that is not.
+				at := Time(arg / 2 % 4)
+				if want != nil && want.at != at {
+					want = nil
+				}
+				fn, ok := q.PopAt(at)
+				if !popped(want, at, fn, ok) {
+					return false
+				}
+			}
+			live := 0
+			for _, e := range model {
+				if e.live {
+					live++
+				}
+			}
+			head := earliest()
+			if q.Len() != live || (head == nil) != (q.NextTime() == MaxTime) ||
+				(head != nil && q.NextTime() != head.at) {
 				return false
 			}
 		}
-		_ = stamp{}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
