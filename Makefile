@@ -54,13 +54,12 @@ transport-matrix:
 	$(GO) test -race -run 'TransportMatrix|TestCoSimEndToEnd|ReportedKind|MultiRunReports' . ./internal/router/
 	$(GO) test -race -run 'Shm|UDS' ./internal/cosim/ ./internal/farm/
 
-# federation-matrix proves the N-party hierarchical time manager: K=2
-# federations bit-identical to the pairwise engine (same sync/elision
-# counts) across every transport, multi-board and pulse-device
-# topologies deterministic, and the manager's lookahead edge cases —
-# all under the race detector.
+# federation-matrix proves the N-party time manager behind every
+# router.Run: runs bit-identical to a pairwise DriverSimulate reference
+# across every transport, multi-board and pulse-device topologies
+# deterministic, and the manager's edge cases — all under -race.
 federation-matrix:
-	$(GO) test -race -run 'TestFederation|TestRunDispatchesFederation|TestMultiBoard' ./internal/router/
+	$(GO) test -race -run 'TestFederation|TestRunDispatchesFederation|TestMultiBoard|TestMultiRunReports' ./internal/router/
 	$(GO) test -race -run 'TestFarmRunsFederatedSessions' ./internal/farm/
 	$(GO) test -race ./internal/cosim/federation/
 

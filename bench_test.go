@@ -222,7 +222,8 @@ func BenchmarkAblationMultiBoard(b *testing.B) {
 	b.Run("boards=2", func(b *testing.B) {
 		var acc float64
 		for i := 0; i < b.N; i++ {
-			res, err := router.RunCoSimMulti(mkCfg(), 2)
+			res, err := router.RunFederation(context.Background(), router.FederationConfig{Boards: 2},
+				router.WithConfig(mkCfg()), router.WithTransport(router.TransportInProc))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -150,12 +150,10 @@ func benches() []bench {
 				rc.TB.Period = 10000
 			}))
 	}
-	// Federation family: the same miniature workload driven by the
-	// hierarchical time manager instead of the pairwise driver loop.
-	// K=2 measures the manager's overhead on a topology the pairwise
-	// engine could also run (it must stay bit-identical, so the delta is
-	// pure scheduling cost); Boards=2 and Pulse=2 track the genuinely
-	// N-party schedules the old loop could not express.
+	// Federation family: the same miniature workload with explicit
+	// topologies. K=2 spells out the one-board federation every plain
+	// Run executes (the same engine as the Fig6/ points); Boards=2 and
+	// Pulse=2 track the genuinely N-party schedules.
 	out = append(out, cosimBench("Federation/K=2", 200, 1000, func(rc *router.RunConfig) {
 		rc.Federation = &router.FederationConfig{Boards: 1}
 	}))

@@ -40,7 +40,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dual, err := router.RunCoSimMulti(base, 2)
+	dual, err := router.RunFederation(context.Background(), router.FederationConfig{Boards: 2},
+		router.WithConfig(base), router.WithTransport(router.TransportInProc))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -118,10 +118,11 @@ type LookaheadSink interface {
 // the pairwise DriverStats accounting (SyncEvents / SyncsElided /
 // LastBoardCy) implements it so the time manager's boundary decisions
 // land in the same counters the pairwise path fills — the bit-identity
-// checks compare them directly.
+// checks compare them directly. The manager calls it once, when the run
+// ends, with its rendezvous and elision counts and the slowest board
+// cycle acknowledged at the last rendezvous.
 type SyncRecorder interface {
-	RecordSync(peerCycle uint64)
-	RecordElision()
+	RecordSchedule(syncs, elided, lastPeerCycle uint64)
 }
 
 // BoardClock is an optional Federate capability: a federate fronting a

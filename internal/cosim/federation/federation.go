@@ -29,6 +29,7 @@ package federation
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/cosim"
 	"repro/internal/hdlsim"
@@ -86,7 +87,7 @@ type Config struct {
 // Validate rejects incoherent federations up front.
 func (c Config) Validate() error {
 	if len(c.Parties) < 2 {
-		return fmt.Errorf("federation: invalid Config: %d parties — a federation needs at least two (use router.Run for a plain pairwise session)", len(c.Parties))
+		return fmt.Errorf("federation: invalid Config: %d parties — a federation needs at least two (one device engine and one board is the smallest topology)", len(c.Parties))
 	}
 	if c.TSync == 0 {
 		return fmt.Errorf("federation: invalid Config: TSync is 0, so the manager would never grant virtual time; set a quantum ≥ 1")
@@ -127,28 +128,13 @@ func (c Config) Validate() error {
 				return fmt.Errorf("federation: invalid Config: links %d and %d route overlapping windows from party %d", j, i, l.From)
 			}
 			for _, a := range l.IRQs {
-				for _, b := range o.IRQs {
-					if a == b {
-						return fmt.Errorf("federation: invalid Config: links %d and %d both route IRQ %d from party %d", j, i, a, l.From)
-					}
+				if slices.Contains(o.IRQs, a) {
+					return fmt.Errorf("federation: invalid Config: links %d and %d both route IRQ %d from party %d", j, i, a, l.From)
 				}
 			}
 		}
 	}
 	return nil
-}
-
-// PartyStats counts one party's share of the federation schedule.
-type PartyStats struct {
-	Name string
-	// Syncs counts rendezvous the party took part in; Elided counts
-	// quantum boundaries skipped by adaptive elongation.
-	Syncs, Elided uint64
-	// EventsIn/EventsOut count routed events delivered to / collected
-	// from the party.
-	EventsIn, EventsOut uint64
-	// Reached is the party's final local time.
-	Reached cosim.SimTime
 }
 
 // Stats aggregates one federation run.
@@ -158,19 +144,39 @@ type Stats struct {
 	// Quanta counts TSync boundaries passed; Syncs counts rendezvous;
 	// Elided counts boundaries skipped by adaptive elongation
 	// (Quanta = Syncs + Elided when the horizon is quantum-aligned).
+	// Every party takes part in every rendezvous and every elision.
 	Quanta, Syncs, Elided uint64
-	Parties               []PartyStats
+}
+
+// member is one party with its optional capabilities resolved once, so
+// the boundary loop makes no type assertions, and with the events routed
+// to it awaiting delivery.
+type member struct {
+	idx   int
+	fed   cosim.Federate
+	name  string
+	inbox []cosim.FedMsg
+	split cosim.SplitStepper  // granted parties overlapping their grants
+	sink  cosim.LookaheadSink // granted parties forwarding the promise
+	clock cosim.BoardClock    // granted parties reporting board time
 }
 
 // TimeManager is the hierarchical coordinator: it owns the federation's
 // virtual clock and drives every federate from a single goroutine in a
 // deterministic order.
 type TimeManager struct {
-	cfg   Config
-	eager []int // party indices in config order
-	lazy  []int
-	inbox [][]cosim.FedMsg
-	stats Stats
+	cfg     Config
+	parties []member
+	eager   []*member // in config order
+	lazy    []*member
+	recs    []cosim.SyncRecorder // the eager parties' recorders
+	// peer is the granted parties' minimum lookahead. They are frozen
+	// between rendezvous, so it is folded once per rendezvous.
+	peer uint64
+	// peerCycle is the slowest board cycle acknowledged at the last
+	// rendezvous, for the recorders.
+	peerCycle uint64
+	stats     Stats
 }
 
 // New validates the configuration and builds a manager.
@@ -178,14 +184,20 @@ func New(cfg Config) (*TimeManager, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	tm := &TimeManager{cfg: cfg, inbox: make([][]cosim.FedMsg, len(cfg.Parties))}
-	tm.stats.Parties = make([]PartyStats, len(cfg.Parties))
+	tm := &TimeManager{cfg: cfg, parties: make([]member, len(cfg.Parties))}
 	for i, p := range cfg.Parties {
-		tm.stats.Parties[i].Name = p.Fed.Name()
-		if p.Eager {
-			tm.eager = append(tm.eager, i)
-		} else {
-			tm.lazy = append(tm.lazy, i)
+		m := &tm.parties[i]
+		m.idx, m.fed, m.name = i, p.Fed, p.Fed.Name()
+		m.split, _ = p.Fed.(cosim.SplitStepper)
+		m.sink, _ = p.Fed.(cosim.LookaheadSink)
+		m.clock, _ = p.Fed.(cosim.BoardClock)
+		if !p.Eager {
+			tm.lazy = append(tm.lazy, m)
+			continue
+		}
+		tm.eager = append(tm.eager, m)
+		if rec, ok := p.Fed.(cosim.SyncRecorder); ok {
+			tm.recs = append(tm.recs, rec)
 		}
 	}
 	return tm, nil
@@ -194,175 +206,144 @@ func New(cfg Config) (*TimeManager, error) {
 // Stats returns the schedule counters (complete after Run returns).
 func (tm *TimeManager) Stats() Stats { return tm.stats }
 
+// covers reports whether l routes m: by line for interrupts, by address
+// window for data.
+func (l Link) covers(m cosim.FedMsg) bool {
+	if m.Kind == cosim.FedInt {
+		return slices.Contains(l.IRQs, m.IRQ)
+	}
+	return l.Size > 0 && m.Addr >= l.Base && m.Addr < l.Base+l.Size
+}
+
 // route distributes the events src emitted to their destinations'
-// inboxes, by address window for data kinds and by line for interrupts.
-func (tm *TimeManager) route(src int, out []cosim.FedMsg) error {
-	tm.stats.Parties[src].EventsOut += uint64(len(out))
+// inboxes along the first link from src that covers each.
+func (tm *TimeManager) route(src *member, out []cosim.FedMsg) error {
 	for _, m := range out {
 		dst := -1
-		if m.Kind == cosim.FedInt {
-			for _, l := range tm.cfg.Links {
-				if l.From != src {
-					continue
-				}
-				for _, irq := range l.IRQs {
-					if irq == m.IRQ {
-						dst = l.To
-						break
-					}
-				}
-				if dst >= 0 {
-					break
-				}
-			}
-			if dst < 0 {
-				return fmt.Errorf("federation: no link routes IRQ %d from party %q", m.IRQ, tm.stats.Parties[src].Name)
-			}
-		} else {
-			for _, l := range tm.cfg.Links {
-				if l.From == src && l.Size > 0 && m.Addr >= l.Base && m.Addr < l.Base+l.Size {
-					dst = l.To
-					break
-				}
-			}
-			if dst < 0 {
-				return fmt.Errorf("federation: no link window covers address %#x from party %q", m.Addr, tm.stats.Parties[src].Name)
+		for _, l := range tm.cfg.Links {
+			if l.From == src.idx && l.covers(m) {
+				dst = l.To
+				break
 			}
 		}
-		tm.inbox[dst] = append(tm.inbox[dst], m)
+		switch {
+		case dst >= 0:
+			tm.parties[dst].inbox = append(tm.parties[dst].inbox, m)
+		case m.Kind == cosim.FedInt:
+			return fmt.Errorf("federation: no link routes IRQ %d from party %q", m.IRQ, src.name)
+		default:
+			return fmt.Errorf("federation: no link window covers address %#x from party %q", m.Addr, src.name)
+		}
 	}
 	return nil
 }
 
-// deliver hands party i its pending inbox (and routes anything it had
+// deliver hands m its pending inbox (and routes anything it had
 // buffered, normally nothing at delivery points).
-func (tm *TimeManager) deliver(i int) error {
-	in := tm.inbox[i]
-	tm.stats.Parties[i].EventsIn += uint64(len(in))
-	out, err := tm.cfg.Parties[i].Fed.Exchange(in)
-	tm.inbox[i] = tm.inbox[i][:0]
+func (tm *TimeManager) deliver(m *member) error {
+	out, err := m.fed.Exchange(m.inbox)
+	m.inbox = m.inbox[:0]
 	if err != nil {
-		return fmt.Errorf("federation: party %q exchange: %w", tm.stats.Parties[i].Name, err)
+		return fmt.Errorf("federation: party %q exchange: %w", m.name, err)
 	}
-	return tm.route(i, out)
+	return tm.route(m, out)
 }
 
-// collect routes the events party i emitted during its last step.
-func (tm *TimeManager) collect(i int) error {
-	out, err := tm.cfg.Parties[i].Fed.Exchange(nil)
+// collect routes the events m emitted during its last step.
+func (tm *TimeManager) collect(m *member) error {
+	out, err := m.fed.Exchange(nil)
 	if err != nil {
-		return fmt.Errorf("federation: party %q exchange: %w", tm.stats.Parties[i].Name, err)
+		return fmt.Errorf("federation: party %q exchange: %w", m.name, err)
 	}
-	return tm.route(i, out)
+	if len(out) == 0 {
+		return nil
+	}
+	return tm.route(m, out)
 }
 
-// lazyTrafficPending reports whether any routed event awaits delivery to
-// a granted party — the a-posteriori check that forces a rendezvous at
-// the next boundary whatever the lookahead promises said.
-func (tm *TimeManager) lazyTrafficPending() bool {
-	for _, i := range tm.lazy {
-		if len(tm.inbox[i]) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// minLookaheadExcept folds the parties' promises, skipping index skip
-// (-1 skips none) and restricting to the given index set.
-func (tm *TimeManager) minLookahead(set []int, skip int) uint64 {
+// minLookahead folds the promises of the parties in set, skipping skip
+// (nil skips none).
+func minLookahead(set []*member, skip *member) uint64 {
 	min := uint64(hdlsim.UnboundedLookahead)
-	for _, i := range set {
-		if i == skip {
+	for _, m := range set {
+		if m == skip {
 			continue
 		}
-		if la := tm.cfg.Parties[i].Fed.Lookahead(); la < min {
+		if la := m.fed.Lookahead(); la < min {
 			min = la
 		}
 	}
 	return min
 }
 
-// grantLookahead is the promise carried to granted party j: the minimum
-// over every other party.
-func (tm *TimeManager) grantLookahead(j int) uint64 {
-	la := tm.minLookahead(tm.eager, j)
-	if l2 := tm.minLookahead(tm.lazy, j); l2 < la {
-		la = l2
+// elide decides a quantum boundary with acc ticks accumulated since the
+// last grant: hdlsim.ElideBoundary over the granted parties' promise
+// (the peer) and the eager parties' minimum lookahead (the local model).
+// Any event routed to a granted party — the a-posteriori traffic check —
+// or a stopping run forces the rendezvous before the eager promises are
+// folded.
+func (tm *TimeManager) elide(acc, maxQ uint64, stopping bool) bool {
+	if stopping {
+		return false
 	}
-	return la
-}
-
-// eagerStopped reports whether any clock-driving party halted itself.
-func (tm *TimeManager) eagerStopped() bool {
-	for _, i := range tm.eager {
-		if tm.cfg.Parties[i].Fed.Done() {
-			return true
+	for _, m := range tm.lazy {
+		if len(m.inbox) > 0 {
+			return false
 		}
 	}
-	return false
+	local := uint64(hdlsim.UnboundedLookahead)
+	for _, m := range tm.eager {
+		if la := m.fed.Lookahead(); la < local {
+			local = la
+		}
+	}
+	return hdlsim.ElideBoundary(acc, tm.cfg.TSync, maxQ, tm.peer, local, false, false)
 }
 
 // rendezvous grants every granted party the federation time up to until,
-// overlapping wire parties' quanta (grants first, acknowledgements
-// second, the MultiHWEndpoint schedule), routes the collected traffic,
-// and folds the slowest board clock into the eager parties' stats.
+// overlapping wire parties' quanta (all grants first, acknowledgements
+// second), routes the collected traffic, and records the slowest board
+// clock. Lookahead is negotiated only in adaptive runs, as in the
+// pairwise driver.
 func (tm *TimeManager) rendezvous(until cosim.SimTime) error {
-	for _, j := range tm.lazy {
-		f := tm.cfg.Parties[j].Fed
-		if ls, ok := f.(cosim.LookaheadSink); ok {
-			ls.SetGrantLookahead(tm.grantLookahead(j))
+	adaptive := tm.cfg.Adaptive
+	for _, m := range tm.lazy {
+		if adaptive && m.sink != nil {
+			// The promise carried to m: the minimum over every other party.
+			m.sink.SetGrantLookahead(min(minLookahead(tm.eager, nil), minLookahead(tm.lazy, m)))
 		}
-		if err := tm.deliver(j); err != nil {
+		if err := tm.deliver(m); err != nil {
 			return err
 		}
-		if ss, ok := f.(cosim.SplitStepper); ok {
-			if err := ss.BeginStep(until); err != nil {
-				return fmt.Errorf("federation: party %q grant: %w", tm.stats.Parties[j].Name, err)
+		if m.split != nil {
+			if err := m.split.BeginStep(until); err != nil {
+				return fmt.Errorf("federation: party %q grant: %w", m.name, err)
 			}
 		}
 	}
 	peerCycle := uint64(until)
 	haveClock := false
-	for _, j := range tm.lazy {
-		f := tm.cfg.Parties[j].Fed
-		if _, err := f.Step(until); err != nil {
-			return fmt.Errorf("federation: party %q step: %w", tm.stats.Parties[j].Name, err)
+	for _, m := range tm.lazy {
+		if _, err := m.fed.Step(until); err != nil {
+			return fmt.Errorf("federation: party %q step: %w", m.name, err)
 		}
-		if err := tm.collect(j); err != nil {
+		if err := tm.collect(m); err != nil {
 			return err
 		}
-		tm.stats.Parties[j].Syncs++
-		tm.stats.Parties[j].Reached = until
-		if bc, ok := f.(cosim.BoardClock); ok {
-			cy, _ := bc.BoardTime()
+		if m.clock != nil {
+			cy, _ := m.clock.BoardTime()
 			if !haveClock || cy < peerCycle {
 				peerCycle = cy
 			}
 			haveClock = true
 		}
 	}
-	for _, i := range tm.eager {
-		if sr, ok := tm.cfg.Parties[i].Fed.(cosim.SyncRecorder); ok {
-			sr.RecordSync(peerCycle)
-		}
-		tm.stats.Parties[i].Syncs++
-	}
+	tm.peerCycle = peerCycle
 	tm.stats.Syncs++
+	if adaptive {
+		tm.peer = minLookahead(tm.lazy, nil)
+	}
 	return nil
-}
-
-// recordElision books an elided boundary on every party.
-func (tm *TimeManager) recordElision() {
-	for i := range tm.stats.Parties {
-		tm.stats.Parties[i].Elided++
-	}
-	for _, i := range tm.eager {
-		if sr, ok := tm.cfg.Parties[i].Fed.(cosim.SyncRecorder); ok {
-			sr.RecordElision()
-		}
-	}
-	tm.stats.Elided++
 }
 
 // Run executes the federation to its horizon (or until a clock-driving
@@ -371,35 +352,49 @@ func (tm *TimeManager) recordElision() {
 // parties step every TSync quantum, boundaries are elided under the
 // shared hdlsim.ElideBoundary predicate, granted parties advance in one
 // piece at each rendezvous, and a final partial grant settles any
-// remainder. Cancelling ctx stops the run at the next quantum boundary
-// with the context's cause.
+// remainder. Cancelling ctx stops the run at the next rendezvous — at
+// most the elongation cap (MaxQuantum) away — with the context's cause.
 func (tm *TimeManager) Run(ctx context.Context) (Stats, error) {
 	tsync := cosim.SimTime(tm.cfg.TSync)
 	maxQ := hdlsim.EffectiveMaxQuantum(tm.cfg.TSync, tm.cfg.MaxQuantum)
 	horizon := cosim.SimTime(tm.cfg.Horizon)
+	adaptive, stopEarly := tm.cfg.Adaptive, tm.cfg.StopEarly
+	var canceled <-chan struct{} // nil never fires
+	if ctx != nil {
+		canceled = ctx.Done()
+	}
 	var cur, granted, boundary cosim.SimTime
-	for cur < horizon && !tm.eagerStopped() {
-		if ctx != nil && ctx.Err() != nil {
-			return tm.finishStats(cur), fmt.Errorf("federation: run canceled: %w", context.Cause(ctx))
-		}
+	if adaptive {
+		tm.peer = minLookahead(tm.lazy, nil)
+	}
+	stopped := false // any clock-driving party halted itself
+	for _, m := range tm.eager {
+		stopped = stopped || m.fed.Done()
+	}
+	for cur < horizon && !stopped {
 		target := cur + tsync
 		if target > horizon {
 			target = horizon
 		}
 		reached := target
-		for _, i := range tm.eager {
-			if err := tm.deliver(i); err != nil {
-				return tm.finishStats(cur), err
+		for _, m := range tm.eager {
+			if len(m.inbox) > 0 {
+				if err := tm.deliver(m); err != nil {
+					return tm.finishStats(cur), err
+				}
 			}
-			r, err := tm.cfg.Parties[i].Fed.Step(target)
+			r, err := m.fed.Step(target)
 			if err != nil {
-				return tm.finishStats(cur), fmt.Errorf("federation: party %q step: %w", tm.stats.Parties[i].Name, err)
+				return tm.finishStats(cur), fmt.Errorf("federation: party %q step: %w", m.name, err)
 			}
-			if err := tm.collect(i); err != nil {
+			if err := tm.collect(m); err != nil {
 				return tm.finishStats(cur), err
 			}
 			if r < reached {
 				reached = r
+			}
+			if m.fed.Done() {
+				stopped = true
 			}
 		}
 		cur = reached
@@ -410,14 +405,16 @@ func (tm *TimeManager) Run(ctx context.Context) (Stats, error) {
 		}
 		if cur-boundary >= tsync {
 			tm.stats.Quanta++
-			acc := uint64(cur - granted)
-			stopping := tm.cfg.StopEarly != nil && tm.cfg.StopEarly()
-			if tm.cfg.Adaptive && hdlsim.ElideBoundary(acc, tm.cfg.TSync, maxQ,
-				tm.minLookahead(tm.lazy, -1), tm.minLookahead(tm.eager, -1),
-				tm.lazyTrafficPending(), stopping) {
+			stopping := stopEarly != nil && stopEarly()
+			if adaptive && tm.elide(uint64(cur-granted), maxQ, stopping) {
 				boundary = cur
-				tm.recordElision()
+				tm.stats.Elided++
 			} else {
+				select {
+				case <-canceled:
+					return tm.finishStats(cur), fmt.Errorf("federation: run canceled: %w", context.Cause(ctx))
+				default:
+				}
 				if err := tm.rendezvous(cur); err != nil {
 					return tm.finishStats(cur), err
 				}
@@ -435,19 +432,21 @@ func (tm *TimeManager) Run(ctx context.Context) (Stats, error) {
 		granted = cur
 	}
 	var firstErr error
-	for i, p := range tm.cfg.Parties {
-		if err := p.Fed.Finish(cur); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("federation: party %q finish: %w", tm.stats.Parties[i].Name, err)
+	for i := range tm.parties {
+		m := &tm.parties[i]
+		if err := m.fed.Finish(cur); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("federation: party %q finish: %w", m.name, err)
 		}
 	}
 	return tm.finishStats(cur), firstErr
 }
 
-// finishStats stamps the final clock into the stats snapshot.
+// finishStats stamps the final clock into the stats snapshot and hands
+// the schedule to the recorders.
 func (tm *TimeManager) finishStats(now cosim.SimTime) Stats {
 	tm.stats.Now = now
-	for _, i := range tm.eager {
-		tm.stats.Parties[i].Reached = now
+	for _, r := range tm.recs {
+		r.RecordSchedule(tm.stats.Syncs, tm.stats.Elided, tm.peerCycle)
 	}
 	return tm.stats
 }

@@ -234,6 +234,84 @@ func TestEagerHaltMidQuantum(t *testing.T) {
 	}
 }
 
+// TestEagerHaltAtBoundary: a clock-driving party stopping exactly at a
+// quantum boundary still gets that boundary's rendezvous, and no party
+// is stepped past the halt.
+func TestEagerHaltAtBoundary(t *testing.T) {
+	const tsync = 100
+	dev := &fakeParty{name: "dev", la: cosim.UnboundedLookahead, tsync: tsync, halt: 3 * tsync}
+	brd := &fakeParty{name: "board", la: cosim.UnboundedLookahead}
+	tm, err := New(Config{
+		Parties: []Party{{Fed: dev, Eager: true}, {Fed: brd}},
+		Links:   []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
+		TSync:   tsync, Horizon: 10 * tsync,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := tm.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Now != 3*tsync || st.Syncs != 3 {
+		t.Fatalf("ended at %d after %d syncs, want %d after 3", st.Now, st.Syncs, 3*tsync)
+	}
+	if dev.steps != 3 || brd.steps != 3 || brd.cur != 3*tsync {
+		t.Fatalf("steps dev %d board %d (board at %d), want 3/3 at %d", dev.steps, brd.steps, brd.cur, 3*tsync)
+	}
+}
+
+// recordingParty is a fakeParty keeping the pairwise schedule counters.
+type recordingParty struct {
+	fakeParty
+	syncs, elided, lastPeer uint64
+	calls                   int
+}
+
+func (f *recordingParty) RecordSchedule(syncs, elided, lastPeerCycle uint64) {
+	f.syncs, f.elided, f.lastPeer = syncs, elided, lastPeerCycle
+	f.calls++
+}
+
+// clockParty is a fakeParty fronting a board at a fixed cycle.
+type clockParty struct {
+	fakeParty
+	cycle uint64
+}
+
+func (f *clockParty) BoardTime() (cycle, swTick uint64) { return f.cycle, 0 }
+
+// TestRecorderGetsSchedule: an eager SyncRecorder receives the run's
+// rendezvous and elision counts once, at the end, with the slowest board
+// cycle of the last rendezvous.
+func TestRecorderGetsSchedule(t *testing.T) {
+	const tsync, quanta = 100, 8
+	dev := &recordingParty{fakeParty: fakeParty{name: "dev", la: cosim.UnboundedLookahead, tsync: tsync, emitEvery: 4, addr: 0x100}}
+	fast := &clockParty{fakeParty: fakeParty{name: "fast", la: cosim.UnboundedLookahead}, cycle: 9000}
+	slow := &clockParty{fakeParty: fakeParty{name: "slow", la: cosim.UnboundedLookahead}, cycle: 700}
+	tm, err := New(Config{
+		Parties: []Party{{Fed: dev, Eager: true}, {Fed: fast}, {Fed: slow}},
+		Links:   []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}},
+		TSync:   tsync, Horizon: quanta * tsync, Adaptive: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := tm.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Syncs == 0 || st.Elided == 0 {
+		t.Fatalf("schedule %d syncs / %d elided; want both kinds of boundary", st.Syncs, st.Elided)
+	}
+	if dev.calls != 1 || dev.syncs != st.Syncs || dev.elided != st.Elided {
+		t.Fatalf("recorder got %d/%d in %d calls, manager counted %d/%d", dev.syncs, dev.elided, dev.calls, st.Syncs, st.Elided)
+	}
+	if dev.lastPeer != slow.cycle {
+		t.Fatalf("recorded board cycle %d, want the slowest board's %d", dev.lastPeer, slow.cycle)
+	}
+}
+
 // TestUnroutedEventFails: an emitted event no link covers is a topology
 // bug and must fail the run loudly, not vanish.
 func TestUnroutedEventFails(t *testing.T) {

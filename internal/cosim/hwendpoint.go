@@ -166,19 +166,23 @@ func (ep *HWEndpoint) Sync(ticks, hwCycle uint64) (uint64, error) {
 	if err := ep.sendGrant(ticks, hwCycle); err != nil {
 		return 0, err
 	}
-	if ep.mode == SyncPipelined {
-		// Pipelined: keep one grant in flight; on the first sync there is
-		// nothing to wait for yet.
-		if ep.outstanding <= 1 {
-			return ep.lastBoardCycle, nil
-		}
-	}
-	if ep.outstanding > 0 {
-		if err := ep.consumeAck(); err != nil {
-			return 0, err
-		}
+	if err := ep.awaitAck(); err != nil {
+		return 0, err
 	}
 	return ep.lastBoardCycle, nil
+}
+
+// awaitAck completes a rendezvous whose grant is out. Pipelined mode
+// keeps one grant in flight, so on the first sync there is nothing to
+// wait for yet.
+func (ep *HWEndpoint) awaitAck() error {
+	if ep.mode == SyncPipelined && ep.outstanding <= 1 {
+		return nil
+	}
+	if ep.outstanding > 0 {
+		return ep.consumeAck()
+	}
+	return nil
 }
 
 // consumeAck blocks for one TimeAck and drains the DATA messages it

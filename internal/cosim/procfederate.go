@@ -36,10 +36,6 @@ func NewProcFederate(name string, ep *HWEndpoint) *ProcFederate {
 // Name implements Federate.
 func (f *ProcFederate) Name() string { return f.name }
 
-// Endpoint returns the underlying grant-side endpoint (metrics, board
-// time, observation).
-func (f *ProcFederate) Endpoint() *HWEndpoint { return f.ep }
-
 // Exchange implements Federate: inbound events are forwarded on the wire
 // immediately (the grant that follows carries their drain counts), and
 // the DATA traffic announced by the last acknowledgement is returned.
@@ -79,7 +75,7 @@ func (f *ProcFederate) Exchange(in []FedMsg) ([]FedMsg, error) {
 
 // BeginStep implements SplitStepper: it sends the CLOCK grant without
 // waiting, so the manager can launch all remote parties' quanta before
-// collecting any acknowledgement (the MultiHWEndpoint overlap).
+// collecting any acknowledgement, overlapping the boards' quanta.
 func (f *ProcFederate) BeginStep(until SimTime) error {
 	if until < f.cur {
 		return fmt.Errorf("cosim: %s: step backwards (%d < %d)", f.name, until, f.cur)
@@ -102,15 +98,7 @@ func (f *ProcFederate) Step(until SimTime) (SimTime, error) {
 	}
 	f.begun = false
 	f.cur = until
-	if f.ep.mode == SyncPipelined && f.ep.outstanding <= 1 {
-		return f.cur, nil
-	}
-	if f.ep.outstanding > 0 {
-		if err := f.ep.consumeAck(); err != nil {
-			return f.cur, err
-		}
-	}
-	return f.cur, nil
+	return until, f.ep.awaitAck()
 }
 
 // Lookahead implements Federate: the remote party's promise from its
@@ -131,9 +119,6 @@ func (f *ProcFederate) Finish(at SimTime) error { return f.ep.Finish(uint64(at))
 
 // BoardTime implements BoardClock.
 func (f *ProcFederate) BoardTime() (cycle, swTick uint64) { return f.ep.BoardTime() }
-
-// Metrics returns the link counters (valid after the run).
-func (f *ProcFederate) Metrics() *Metrics { return f.ep.Metrics() }
 
 var _ Federate = (*ProcFederate)(nil)
 var _ SplitStepper = (*ProcFederate)(nil)

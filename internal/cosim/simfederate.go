@@ -52,6 +52,10 @@ func (f *SimFederate) Step(until SimTime) (SimTime, error) {
 // the kernel emitted since the last call is returned. The returned slice
 // is reused by the next Exchange — route it before calling again.
 func (f *SimFederate) Exchange(in []FedMsg) ([]FedMsg, error) {
+	if len(in) == 0 && len(f.ep.out) == 0 {
+		// Nothing to deliver or collect (most boundaries).
+		return nil, nil
+	}
 	if f.ep.polled {
 		// The kernel consumed the previous delivery synchronously inside
 		// its Step, so the backing array is free to reuse.
@@ -84,15 +88,10 @@ func (f *SimFederate) Done() bool { return f.d.Stopped() }
 // Finish implements Federate; the kernel needs no shutdown handshake.
 func (f *SimFederate) Finish(at SimTime) error { return nil }
 
-// TrafficPending reports whether the kernel emitted traffic not yet
-// collected by Exchange — the manager's a-posteriori elision check.
-func (f *SimFederate) TrafficPending() bool { return len(f.ep.out) > 0 }
-
-// RecordSync implements SyncRecorder.
-func (f *SimFederate) RecordSync(peerCycle uint64) { f.d.RecordSync(peerCycle) }
-
-// RecordElision implements SyncRecorder.
-func (f *SimFederate) RecordElision() { f.d.RecordElision() }
+// RecordSchedule implements SyncRecorder.
+func (f *SimFederate) RecordSchedule(syncs, elided, lastPeerCycle uint64) {
+	f.d.RecordSchedule(syncs, elided, lastPeerCycle)
+}
 
 // Stats returns the pairwise-compatible driver counters.
 func (f *SimFederate) Stats() hdlsim.DriverStats { return f.d.Stats() }

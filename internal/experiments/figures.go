@@ -457,7 +457,8 @@ func AblationMultiBoard(opt Options) (*Table, error) {
 	t.Append(1, fmt.Sprintf("%.3f", single.Accuracy), single.Router.DroppedFull,
 		fmt.Sprint(single.App.Delivered))
 	for _, boards := range []int{2, 4} {
-		res, err := router.RunCoSimMulti(mkCfg(), boards)
+		res, err := router.RunFederation(context.Background(), router.FederationConfig{Boards: boards},
+			router.WithConfig(mkCfg()), router.WithTransport(router.TransportInProc))
 		if err != nil {
 			return nil, err
 		}

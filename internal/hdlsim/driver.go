@@ -399,23 +399,19 @@ func (d *Driver) Cycles() uint64 { return d.st.Cycles }
 // Stats returns the driver-loop counters accumulated so far. SyncEvents,
 // SyncsElided and LastBoardCy belong to the synchronization policy, so
 // when a Driver is stepped externally they stay zero until the
-// coordinator records them with RecordSync/RecordElision.
+// coordinator records them with RecordSchedule.
 func (d *Driver) Stats() DriverStats { return d.st }
 
 // InterruptLookahead evaluates the model's lookahead oracle (see
 // SetInterruptLookahead).
 func (d *Driver) InterruptLookahead() uint64 { return d.s.interruptLookahead() }
 
-// RecordSync accounts one CLOCK rendezvous performed by an external
-// coordinator on this kernel's behalf.
-func (d *Driver) RecordSync(boardCycle uint64) {
-	d.st.SyncEvents++
-	d.st.LastBoardCy = boardCycle
+// RecordSchedule records the synchronization an external coordinator
+// performed on this kernel's behalf: syncs rendezvous, elided skipped
+// boundaries, and the board cycle acknowledged at the last rendezvous.
+func (d *Driver) RecordSchedule(syncs, elided, lastBoardCy uint64) {
+	d.st.SyncEvents, d.st.SyncsElided, d.st.LastBoardCy = syncs, elided, lastBoardCy
 }
-
-// RecordElision accounts one TSync boundary an external coordinator
-// elided.
-func (d *Driver) RecordElision() { d.st.SyncsElided++ }
 
 // EffectiveMaxQuantum resolves a DriverConfig.MaxQuantum value against
 // its TSync: 0 defaults to 64×TSync (saturating), and the result is
@@ -544,7 +540,8 @@ func (s *Simulator) DriverSimulate(clk *Clock, ep DriverEndpoint, cfg DriverConf
 				if err != nil {
 					return d.st, err
 				}
-				d.RecordSync(bc)
+				d.st.SyncEvents++
+				d.st.LastBoardCy = bc
 				pending, sinceSync = 0, 0
 				if cfg.StopEarly != nil && cfg.StopEarly() {
 					break
@@ -560,7 +557,8 @@ func (s *Simulator) DriverSimulate(clk *Clock, ep DriverEndpoint, cfg DriverConf
 		if err != nil {
 			return d.st, err
 		}
-		d.RecordSync(bc)
+		d.st.SyncEvents++
+		d.st.LastBoardCy = bc
 	}
 	return d.st, ep.Finish(d.st.Cycles)
 }

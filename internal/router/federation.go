@@ -32,7 +32,7 @@ func PulseIRQ(p int) uint8 { return uint8(PulseIRQ0 + p) }
 // testbench: one router HDL kernel serving Boards virtual boards (one
 // checksum engine each), plus optional auxiliary pulse-device kernels —
 // all coordinated by the hierarchical time manager
-// (internal/cosim/federation) instead of the fixed pairwise loop.
+// (internal/cosim/federation). A run without one is FederationConfig{Boards: 1}.
 type FederationConfig struct {
 	// Boards is the number of board parties; board i serves checksum
 	// engine i through its own link. Must be ≥ 1.
@@ -71,6 +71,13 @@ func (fc FederationConfig) Validate() error {
 		return fmt.Errorf("router: invalid FederationConfig: LinkStack configured but InProcBoards leaves no wire links to stack it on")
 	}
 	return nil
+}
+
+// MultiRunResult extends RunResult with per-board application statistics.
+type MultiRunResult struct {
+	RunResult
+	Apps        []AppStats
+	BoardCycles []uint64
 }
 
 // FederationResult extends the multi-board result with the federation
@@ -122,37 +129,46 @@ func newPulseDevice(p int, period uint64, clockPeriod sim.Time) *pulseDevice {
 	return d
 }
 
-// runFederation executes a federated topology; it is the N-party
-// analogue of runOnTransports. The router kernel (and any pulse kernels)
-// become eager cosim.SimFederate parties; each board becomes a granted
-// party — in-process (board.Federate) or behind its own transport stack
-// (cosim.ProcFederate) — and the time manager owns the quantum clock.
-// Cancelling ctx tears the wire stacks down and stops the manager at the
-// next boundary; the context's cause becomes the returned error.
-func runFederation(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult, err error) {
-	fc := *rc.Federation
+// run executes one co-simulation under the federation time manager; it
+// is the engine behind Run and RunFederation. The router kernel (and any
+// pulse kernels) become eager cosim.SimFederate parties; each board
+// becomes a granted party — in-process (board.Federate) or behind its
+// own transport stack (cosim.ProcFederate) — and the manager owns the
+// quantum clock. A nil rc.Federation is the one-wire-board topology,
+// whose link may be the caller's tr. Cancelling ctx tears the wire
+// stacks down and stops the manager at its next rendezvous; the
+// context's cause becomes the returned error.
+func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult, err error) {
+	fc := FederationConfig{Boards: 1}
+	if rc.Federation != nil {
+		fc = *rc.Federation
+	}
 	res = FederationResult{MultiRunResult: MultiRunResult{RunResult: RunResult{TSync: rc.TSync, TransportKind: rc.Transport, Mode: rc.Mode}}}
 	if fc.InProcBoards {
 		res.TransportKind = TransportInProc
 	}
-	if err := fc.Validate(); err != nil {
+	if err := validateRun(rc, fc, tr); err != nil {
 		closeBoth(tr)
 		return res, err
 	}
-	if err := rc.Validate(); err != nil {
-		closeBoth(tr)
+	bases, err := openLinks(rc.Transport, fc, tr)
+	if err != nil {
 		return res, err
 	}
-	if tr.HW != nil && (fc.Boards != 1 || fc.InProcBoards) {
-		closeBoth(tr)
-		return res, fmt.Errorf("router: caller-provided Transports fit exactly one wire board link; this federation has %d (InProcBoards=%v)", fc.Boards, fc.InProcBoards)
+	if len(bases) > 0 {
+		if k, ok := baseTransportKind(bases[0].HW); ok {
+			// Report the transport actually carrying frames: a caller's
+			// link (a farm mux, a test's in-process pair) may differ
+			// from rc.Transport.
+			res.TransportKind = k
+		}
 	}
 	if fc.PulsePeriod == 0 {
 		fc.PulsePeriod = 4 * rc.TSync
 	}
 	if rc.Obs != nil {
-		// The same run-level counters runOnTransports keeps, so a farm or
-		// dashboard sees federated runs in the usual series.
+		// Handles are resolved once up front; a run starts and finishes
+		// exactly once, so none of these belong on a struct.
 		started := rc.Obs.Counter("router_runs_started_total")
 		started.Inc()
 		active := rc.Obs.Gauge("router_active_runs")
@@ -179,11 +195,32 @@ func runFederation(ctx context.Context, rc RunConfig, tr Transports) (res Federa
 		}()
 	}
 
+	// Wire boards each get their base pair's decorator stack and a
+	// goroutine; stacking hands the pair to closers, so bases[wired:]
+	// are the pairs nothing owns yet.
+	var closers []func() error
+	boardDone := make(chan error, fc.Boards)
+	wired := 0
+	closeAll := func() {
+		for _, c := range closers {
+			c()
+		}
+	}
+	abort := func() {
+		closeAll()
+		for _, b := range bases[wired:] {
+			closeBoth(b)
+		}
+		for j := 0; j < wired; j++ {
+			<-boardDone
+		}
+	}
+
 	rc.TB.Engines = fc.Boards
 	tb := BuildTestbench(rc.TB)
 	hwFed, err := cosim.NewSimFederate("hw", tb.Sim, tb.Clk)
 	if err != nil {
-		closeBoth(tr)
+		abort()
 		return res, err
 	}
 
@@ -196,35 +233,20 @@ func runFederation(ctx context.Context, rc RunConfig, tr Transports) (res Federa
 		pd := newPulseDevice(p, fc.PulsePeriod, rc.TB.ClockPeriod)
 		pf, perr := cosim.NewSimFederate(fmt.Sprintf("pulse%d", p), pd.sim, pd.clk)
 		if perr != nil {
-			closeBoth(tr)
+			abort()
 			return res, perr
 		}
 		pulses = append(pulses, pd)
 		parties = append(parties, federation.Party{Fed: pf, Eager: true})
 	}
 
-	// Board parties, one per checksum engine. Wire boards each get their
-	// own base transport pair, decorator stack and goroutine; in-process
-	// boards run as federates on the manager's goroutine.
+	// Board parties, one per checksum engine; in-process boards run as
+	// federates on the manager's goroutine.
 	var sides []*BoardSide
-	var procFeds []*cosim.ProcFederate
-	var boardFeds []*board.Federate
-	var closers []func() error
+	var clocks []cosim.BoardClock
+	var ep0 *cosim.HWEndpoint // board 0's wire endpoint and hw-side stack
+	var hwTop cosim.Transport
 	pulseSeen := make([]uint64, fc.PulseDevices)
-	boardDone := make(chan error, fc.Boards)
-	wired := 0
-	closeAll := func() {
-		for _, c := range closers {
-			c()
-		}
-	}
-	abort := func() {
-		closeAll()
-		closeBoth(tr)
-		for j := 0; j < wired; j++ {
-			<-boardDone
-		}
-	}
 	for i := 0; i < fc.Boards; i++ {
 		acfg := rc.AppCfg
 		acfg.Engine = i
@@ -255,48 +277,36 @@ func runFederation(ctx context.Context, rc RunConfig, tr Transports) (res Federa
 		name := fmt.Sprintf("board%d", i)
 		if fc.InProcBoards {
 			bf := board.NewFederate(name, bs.Board)
-			boardFeds = append(boardFeds, bf)
+			clocks = append(clocks, bf)
 			parties = append(parties, federation.Party{Fed: bf})
 		} else {
-			hwBase, boardBase := tr.HW, tr.Board
-			tr = Transports{} // consumed
-			if hwBase == nil {
-				var derr error
-				switch rc.Transport {
-				case TransportTCP:
-					hwBase, boardBase, derr = dialSelf()
-				case TransportUDS:
-					hwBase, boardBase, derr = dialSelfUDS()
-				case TransportShm:
-					hwBase, boardBase, derr = cosim.NewShmPair(cosim.ShmConfig{})
-				default:
-					hwBase, boardBase = cosim.NewInProcPair(4096)
-				}
-				if derr != nil {
-					abort()
-					return res, derr
-				}
-			}
-			if k, ok := baseTransportKind(hwBase); ok && i == 0 {
-				res.TransportKind = k
-			}
 			stack := rc.stack().With(fc.LinkStack...)
-			hwT, hwClose := cosim.BuildStack(hwBase, stack)
-			boardT, boardClose := cosim.BuildStack(boardBase, stack.Peer())
+			hwT, hwClose := cosim.BuildStack(bases[i].HW, stack)
+			boardT, boardClose := cosim.BuildStack(bases[i].Board, stack.Peer())
 			closers = append(closers, hwClose, boardClose)
 			if rc.Trace != nil {
 				hwT = cosim.NewTraceTransport(hwT, rc.Trace)
 				boardT = cosim.NewTraceTransport(boardT, rc.Trace)
 			}
 			ep := cosim.NewHWEndpoint(hwT, rc.Mode)
+			if i == 0 {
+				ep0, hwTop = ep, hwT
+			}
 			bep := cosim.NewBoardEndpoint(boardT)
 			if rc.Obs != nil {
-				ep.ObserveAs(rc.Obs, name)
-				bep.ObserveAs(rc.Obs, name+":board")
+				// One board keeps the classic side="hw"/"board" series;
+				// several label each link by its federate name.
+				if fc.Boards == 1 {
+					ep.Observe(rc.Obs)
+					bep.Observe(rc.Obs)
+				} else {
+					ep.ObserveAs(rc.Obs, name)
+					bep.ObserveAs(rc.Obs, name+":board")
+				}
 			}
 			bs.Dev.Attach(bep)
 			pf := cosim.NewProcFederate(name, ep)
-			procFeds = append(procFeds, pf)
+			clocks = append(clocks, pf)
 			parties = append(parties, federation.Party{Fed: pf})
 			go func(bs *BoardSide) { boardDone <- bs.Board.Run(bep) }(bs)
 			wired++
@@ -378,12 +388,7 @@ func runFederation(ctx context.Context, rc RunConfig, tr Transports) (res Federa
 		res.Apps = append(res.Apps, st)
 		overruns += st.Overruns
 		mboxDrops += st.MboxDrops
-		var cy, sw uint64
-		if fc.InProcBoards {
-			cy, sw = boardFeds[i].BoardTime()
-		} else {
-			cy, sw = procFeds[i].BoardTime()
-		}
+		cy, sw := clocks[i].BoardTime()
 		res.BoardCycles = append(res.BoardCycles, cy)
 		if i == 0 {
 			res.RunResult.BoardCycles, res.BoardSWTicks = cy, sw
@@ -391,8 +396,9 @@ func runFederation(ctx context.Context, rc RunConfig, tr Transports) (res Federa
 			res.Board = bs.Board.Stats()
 		}
 	}
-	if len(procFeds) > 0 {
-		res.Link = *procFeds[0].Metrics()
+	if ep0 != nil {
+		res.Link = *ep0.Metrics()
+		res.Batch = cosim.BatchStatsOf(hwTop)
 	}
 	for _, pd := range pulses {
 		res.PulseSent = append(res.PulseSent, pd.count)
@@ -405,14 +411,56 @@ func runFederation(ctx context.Context, rc RunConfig, tr Transports) (res Federa
 	return res, nil
 }
 
-// RunFederation is the federated entry point: Run with a WithFederation
-// option, returning the extended FederationResult. Options are applied
-// to DefaultRunConfig as in Run; fc supplies the topology.
+// validateRun rejects an incoherent run before anything is built.
+func validateRun(rc RunConfig, fc FederationConfig, tr Transports) error {
+	if (tr.HW == nil) != (tr.Board == nil) {
+		return errHalfTransports
+	}
+	if err := fc.Validate(); err != nil {
+		return err
+	}
+	if err := rc.Validate(); err != nil {
+		return err
+	}
+	if tr.HW != nil && (fc.Boards != 1 || fc.InProcBoards) {
+		return fmt.Errorf("router: caller-provided Transports fit exactly one wire board link; this federation has %d (InProcBoards=%v)", fc.Boards, fc.InProcBoards)
+	}
+	return nil
+}
+
+// openLinks opens the base transport pair of every wire board before
+// anything is built, so a link failure costs nothing: board 0 uses the
+// caller's tr when given, the others self-dial per kind. It returns nil
+// for in-process boards and closes every pair it opened on failure.
+func openLinks(kind TransportKind, fc FederationConfig, tr Transports) ([]Transports, error) {
+	if fc.InProcBoards {
+		return nil, nil
+	}
+	bases := make([]Transports, fc.Boards)
+	bases[0] = tr
+	for i := range bases {
+		if bases[i].HW != nil {
+			continue
+		}
+		var err error
+		if bases[i].HW, bases[i].Board, err = dialPair(kind); err != nil {
+			for _, b := range bases {
+				closeBoth(b)
+			}
+			return nil, err
+		}
+	}
+	return bases, nil
+}
+
+// RunFederation is Run with the topology fc, returning the extended
+// FederationResult. Options are applied to DefaultRunConfig as in Run;
+// every link is self-dialed per the configured TransportKind.
 func RunFederation(ctx context.Context, fc FederationConfig, opts ...Option) (FederationResult, error) {
 	rc := DefaultRunConfig()
 	for _, o := range opts {
 		o(&rc)
 	}
 	rc.Federation = &fc
-	return runFederation(ctx, rc, Transports{})
+	return run(ctx, rc, Transports{})
 }

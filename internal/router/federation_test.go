@@ -3,8 +3,10 @@ package router
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/cosim"
+	"repro/internal/hdlsim"
 )
 
 // fedTransports lists the transport kinds the federation matrix covers
@@ -17,58 +19,178 @@ func fedTransports() []TransportKind {
 	return kinds
 }
 
-// TestFederationPairwiseBitIdentity is the K=2 acceptance gate of the
-// time-manager redesign: a one-board federation must replicate the
-// pairwise run exactly — same virtual-time fingerprint AND the same
-// rendezvous schedule (SyncEvents + SyncsElided) — on every transport,
-// with and without adaptive elongation.
+// pairwiseReference runs rc the way the paper's driver_simulate does,
+// outside the federation manager: hdlsim.DriverSimulate over an
+// HWEndpoint on the test goroutine, the board behind a BoardEndpoint on
+// a second one, over a fresh link of rc.Transport with rc's decorator
+// stack. It is the independent reference router.Run must reproduce.
+func pairwiseReference(t *testing.T, rc RunConfig) RunResult {
+	t.Helper()
+	tb := BuildTestbench(rc.TB)
+	bs, err := BuildBoardSide(rc.BoardCfg, rc.AppCfg)
+	if err != nil {
+		t.Fatalf("pairwise board: %v", err)
+	}
+	hwBase, boardBase, err := dialPair(rc.Transport)
+	if err != nil {
+		t.Fatalf("pairwise link: %v", err)
+	}
+	stack := rc.stack()
+	hwT, hwClose := cosim.BuildStack(hwBase, stack)
+	boardT, boardClose := cosim.BuildStack(boardBase, stack.Peer())
+	defer hwClose()
+	defer boardClose()
+	hw := cosim.NewHWEndpoint(hwT, rc.Mode)
+	bep := cosim.NewBoardEndpoint(boardT)
+	bs.Dev.Attach(bep)
+	boardDone := make(chan error, 1)
+	go func() { boardDone <- bs.Board.Run(bep) }()
+	st, err := tb.Sim.DriverSimulate(tb.Clk, hw, hdlsim.DriverConfig{
+		TSync:       rc.TSync,
+		TotalCycles: rc.budget(),
+		StopEarly:   tb.Finished,
+		Adaptive:    rc.Adaptive,
+		MaxQuantum:  rc.MaxQuantum,
+	})
+	if err != nil {
+		hwT.Close()
+		<-boardDone
+		t.Fatalf("pairwise hw side: %v", err)
+	}
+	if err := <-boardDone; err != nil {
+		t.Fatalf("pairwise board side: %v", err)
+	}
+	res := RunResult{
+		HW:        st,
+		Router:    tb.Router.Stats(),
+		Consumers: tb.ConsumerTotals(),
+		App:       bs.App.Stats(),
+		Board:     bs.Board.Stats(),
+		Link:      *hw.Metrics(),
+		Batch:     cosim.BatchStatsOf(hwT),
+		Generated: tb.Generated(),
+		SimCycles: st.Cycles,
+	}
+	res.BoardCycles, res.BoardSWTicks = hw.BoardTime()
+	return res
+}
+
+// linkCounters strips the wall-clock fields from a link's metrics.
+func linkCounters(m cosim.Metrics) cosim.Metrics {
+	m.SyncWait, m.WallStart, m.Wall = 0, time.Time{}, 0
+	return m
+}
+
+// TestFederationPairwiseBitIdentity is the engine-equivalence gate:
+// router.Run, which runs every topology under the federation time
+// manager, must reproduce the paper's pairwise DriverSimulate loop
+// exactly — every DriverStats field (so the same rendezvous schedule),
+// the router, application and board counters, the link counters and
+// the batch counters — on every transport, in plain, adaptive,
+// pipelined and batch+session configurations.
 func TestFederationPairwiseBitIdentity(t *testing.T) {
+	modes := []struct {
+		name  string
+		setup func(*RunConfig)
+	}{
+		{"", func(*RunConfig) {}},
+		{"adaptive", func(rc *RunConfig) {
+			rc.Adaptive = true
+			// Sparser traffic leaves quiet boundaries for the
+			// negotiation to elide; the busy default never does.
+			rc.TB.Period = 2000
+		}},
+		{"pipelined", func(rc *RunConfig) { rc.Mode = cosim.SyncPipelined }},
+		{"batch-session", func(rc *RunConfig) {
+			rc.Adaptive = true
+			rc.TB.Period = 2000
+			rc.Batch = true
+			sc := cosim.DefaultSessionConfig()
+			// No chaos: keep wall-clock retransmission out of the link
+			// counters on a slow (-race) host.
+			sc.RetransmitTimeout = time.Minute
+			rc.Resilience = &sc
+		}},
+	}
 	for _, kind := range fedTransports() {
-		for _, adaptive := range []bool{false, true} {
+		for _, mode := range modes {
 			name := kind.String()
-			if adaptive {
-				name += "/adaptive"
+			if mode.name != "" {
+				name += "/" + mode.name
 			}
 			t.Run(name, func(t *testing.T) {
 				rc := DefaultRunConfig()
 				rc.TB = smallTB()
 				rc.TSync = 200
 				rc.Transport = kind
-				rc.Adaptive = adaptive
-				if adaptive {
-					// Sparser traffic leaves quiet boundaries for the
-					// negotiation to elide; the busy default never does.
-					rc.TB.Period = 2000
+				mode.setup(&rc)
+
+				ref := pairwiseReference(t, rc)
+				got, err := Run(context.Background(), Transports{}, WithConfig(rc))
+				if err != nil {
+					t.Fatalf("Run: %v", err)
 				}
 
-				pair, err := Run(context.Background(), Transports{}, WithConfig(rc))
-				if err != nil {
-					t.Fatalf("pairwise: %v", err)
+				if got.HW != ref.HW {
+					t.Errorf("DriverStats diverged:\npair %+v\nrun  %+v", ref.HW, got.HW)
 				}
-				fed, err := RunFederation(context.Background(), FederationConfig{Boards: 1}, WithConfig(rc))
-				if err != nil {
-					t.Fatalf("federation: %v", err)
+				if got.Router != ref.Router || got.Consumers != ref.Consumers {
+					t.Errorf("router counters diverged:\npair %+v %+v\nrun  %+v %+v", ref.Router, ref.Consumers, got.Router, got.Consumers)
 				}
-
-				if got, want := fingerprint(fed.RunResult), fingerprint(pair); got != want {
-					t.Errorf("virtual-time fingerprint diverged:\npair %+v\nfed  %+v", want, got)
+				if got.App != ref.App || got.Board != ref.Board {
+					t.Errorf("board counters diverged:\npair %+v %+v\nrun  %+v %+v", ref.App, ref.Board, got.App, got.Board)
 				}
-				if fed.HW.SyncEvents != pair.HW.SyncEvents {
-					t.Errorf("SyncEvents: pair %d, federation %d", pair.HW.SyncEvents, fed.HW.SyncEvents)
+				if linkCounters(got.Link) != linkCounters(ref.Link) {
+					t.Errorf("link counters diverged:\npair %+v\nrun  %+v", linkCounters(ref.Link), linkCounters(got.Link))
 				}
-				if fed.HW.SyncsElided != pair.HW.SyncsElided {
-					t.Errorf("SyncsElided: pair %d, federation %d", pair.HW.SyncsElided, fed.HW.SyncsElided)
+				if got.Batch != ref.Batch {
+					t.Errorf("batch counters diverged: pair %+v, run %+v", ref.Batch, got.Batch)
 				}
-				if adaptive && fed.HW.SyncsElided == 0 {
-					t.Error("adaptive federation elided nothing — the negotiation is not reaching the manager")
+				if got.Generated != ref.Generated || got.SimCycles != ref.SimCycles ||
+					got.BoardCycles != ref.BoardCycles || got.BoardSWTicks != ref.BoardSWTicks {
+					t.Errorf("clocks diverged: pair %d/%d/%d/%d, run %d/%d/%d/%d",
+						ref.Generated, ref.SimCycles, ref.BoardCycles, ref.BoardSWTicks,
+						got.Generated, got.SimCycles, got.BoardCycles, got.BoardSWTicks)
 				}
-				if fed.TransportKind != kind {
-					t.Errorf("reported transport %v, want %v", fed.TransportKind, kind)
+				if rc.Adaptive && got.HW.SyncsElided == 0 {
+					t.Error("adaptive run elided nothing — the negotiation is not reaching the manager")
 				}
-				if fed.Conservation != nil {
-					t.Errorf("conservation: %v", fed.Conservation)
+				if rc.Batch && got.Batch.Flushes == 0 {
+					t.Error("batched run coalesced nothing")
+				}
+				if got.TransportKind != kind {
+					t.Errorf("reported transport %v, want %v", got.TransportKind, kind)
+				}
+				if got.Conservation != nil {
+					t.Errorf("conservation: %v", got.Conservation)
 				}
 			})
+		}
+	}
+}
+
+// TestFederationReportsBatchStats: every run reports board 0's hw-side
+// coalescing counters, whatever its topology, and a one-board
+// federation reports exactly what Run does.
+func TestFederationReportsBatchStats(t *testing.T) {
+	rc := DefaultRunConfig()
+	rc.TB = smallTB()
+	rc.TSync = 1000
+	rc.Batch = true
+	plain, err := Run(context.Background(), Transports{}, WithConfig(rc))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for _, boards := range []int{1, 2} {
+		res, err := RunFederation(context.Background(), FederationConfig{Boards: boards}, WithConfig(rc))
+		if err != nil {
+			t.Fatalf("Boards=%d: %v", boards, err)
+		}
+		if res.Batch.Flushes == 0 {
+			t.Errorf("Boards=%d: batched run reported no flushes: %+v", boards, res.Batch)
+		}
+		if boards == 1 && res.Batch != plain.Batch {
+			t.Errorf("Boards=1: batch counters %+v, Run reported %+v", res.Batch, plain.Batch)
 		}
 	}
 }
@@ -239,5 +361,96 @@ func TestRunDispatchesFederation(t *testing.T) {
 	if fingerprint(direct) != fingerprint(viaOption) {
 		t.Errorf("WithFederation result diverged from pairwise:\npair %+v\nfed  %+v",
 			fingerprint(direct), fingerprint(viaOption))
+	}
+}
+
+// TestMultiBoardCoSimSplitsLoad: two boards, each serving one checksum
+// engine through its own link, split the verification load evenly.
+func TestMultiBoardCoSimSplitsLoad(t *testing.T) {
+	rc := DefaultRunConfig()
+	rc.TB = smallTB()
+	rc.TSync = 200
+	res, err := RunFederation(context.Background(), FederationConfig{Boards: 2}, WithConfig(rc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Conservation != nil {
+		t.Fatal(res.Conservation)
+	}
+	if res.Accuracy != 1.0 {
+		t.Fatalf("dual-board accuracy %.3f (router %+v)", res.Accuracy, res.Router)
+	}
+	if len(res.Apps) != 2 {
+		t.Fatalf("%d app stats", len(res.Apps))
+	}
+	total := res.Apps[0].Delivered + res.Apps[1].Delivered
+	if total != res.Generated {
+		t.Fatalf("boards delivered %d of %d", total, res.Generated)
+	}
+	// Round-robin assignment: the split is even.
+	if res.Apps[0].Delivered != res.Apps[1].Delivered {
+		t.Fatalf("uneven split: %d vs %d", res.Apps[0].Delivered, res.Apps[1].Delivered)
+	}
+	// Both boards advanced the same virtual time (same grants).
+	if res.BoardCycles[0] != res.BoardCycles[1] || res.BoardCycles[0] == 0 {
+		t.Fatalf("board times %v", res.BoardCycles)
+	}
+}
+
+// TestMultiBoardMatchesSingleBoardAccuracy: with the verification load
+// halved per board, the dual-board setup must be at least as accurate as
+// a single board at the same Tsync.
+func TestMultiBoardMatchesSingleBoardAccuracy(t *testing.T) {
+	mk := func(boards int, tsync uint64) float64 {
+		rc := DefaultRunConfig()
+		rc.TSync = tsync
+		var acc float64
+		if boards == 1 {
+			res, err := Run(context.Background(), Transports{}, WithConfig(rc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc = res.Accuracy
+		} else {
+			res, err := RunFederation(context.Background(), FederationConfig{Boards: boards}, WithConfig(rc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc = res.Accuracy
+		}
+		return acc
+	}
+	for _, ts := range []uint64{2000, 8000} {
+		single := mk(1, ts)
+		dual := mk(2, ts)
+		if dual < single-0.01 {
+			t.Fatalf("Tsync=%d: dual-board accuracy %.3f below single %.3f", ts, dual, single)
+		}
+	}
+}
+
+// TestMultiBoardOneBoardDegeneratesToSingle: a one-board federation is
+// the topology Run executes by default.
+func TestMultiBoardOneBoardDegeneratesToSingle(t *testing.T) {
+	rc := DefaultRunConfig()
+	rc.TB = smallTB()
+	rc.TSync = 300
+	single, err := Run(context.Background(), Transports{}, WithConfig(rc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, err := RunFederation(context.Background(), FederationConfig{Boards: 1}, WithConfig(rc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.Router != multi.Router {
+		t.Fatalf("1-board multi differs from single:\n%+v\n%+v", single.Router, multi.Router)
+	}
+}
+
+// TestMultiBoardValidation: a federation without boards is rejected.
+func TestMultiBoardValidation(t *testing.T) {
+	if _, err := RunFederation(context.Background(), FederationConfig{Boards: 0}); err == nil {
+		t.Fatal("0 boards accepted")
 	}
 }

@@ -77,8 +77,9 @@ func WithStackOptions(opts ...cosim.StackOption) Option {
 	}
 }
 
-// WithFederation routes the run through the hierarchical time manager
-// (internal/cosim/federation) with the given N-party topology. All other
+// WithFederation sets the run's N-party topology under the hierarchical
+// time manager (internal/cosim/federation); without it a run has one
+// wire board, FederationConfig{Boards: 1}. All other
 // options keep their meaning — TSync, Adaptive/MaxQuantum, Mode,
 // Transport, the stack fields and Obs apply to every wire board link —
 // except TB.Engines, which is forced to the board count. Run then
@@ -109,14 +110,16 @@ func WithBoardConfig(bc board.Config) Option { return func(c *RunConfig) { c.Boa
 func WithAppConfig(ac AppConfig) Option { return func(c *RunConfig) { c.AppCfg = ac } }
 
 // Run is the co-simulation entry point: it executes the full paper
-// testbench — the HDL side under DriverSimulate on the calling goroutine,
-// the virtual board on a second goroutine — configured by applying opts
-// to DefaultRunConfig.
+// testbench configured by applying opts to DefaultRunConfig. The router
+// HDL kernel and the virtual board(s) run under the federation time
+// manager on the calling goroutine; each wire board's endpoint runs on
+// its own goroutine. Without WithFederation the topology is one device
+// engine and one wire board.
 //
-// tr supplies the base transports. The zero value establishes a private
-// link per the configured TransportKind; a populated pair (e.g. routed
-// through a farm's shared listener) is owned by Run — both transports are
-// closed by the time it returns.
+// tr supplies the base transports of that one board link. The zero
+// value establishes a private link per the configured TransportKind; a
+// populated pair (e.g. routed through a farm's shared listener) is owned
+// by Run — both transports are closed by the time it returns.
 //
 // Cancelling ctx tears the link down, which unblocks both sides; Run then
 // returns the context's cause as its error.
@@ -125,43 +128,8 @@ func Run(ctx context.Context, tr Transports, opts ...Option) (RunResult, error) 
 	for _, o := range opts {
 		o(&rc)
 	}
-	res := RunResult{TSync: rc.TSync, TransportKind: rc.Transport, Mode: rc.Mode}
-	if (tr.HW == nil) != (tr.Board == nil) {
-		closeBoth(tr)
-		return res, errHalfTransports
-	}
-	if rc.Federation != nil {
-		fres, err := runFederation(ctx, rc, tr)
-		return fres.RunResult, err
-	}
-	if tr.HW == nil {
-		if err := rc.Validate(); err != nil {
-			return res, err
-		}
-		switch rc.Transport {
-		case TransportTCP:
-			var err error
-			tr.HW, tr.Board, err = dialSelf()
-			if err != nil {
-				return res, err
-			}
-		case TransportUDS:
-			var err error
-			tr.HW, tr.Board, err = dialSelfUDS()
-			if err != nil {
-				return res, err
-			}
-		case TransportShm:
-			var err error
-			tr.HW, tr.Board, err = cosim.NewShmPair(cosim.ShmConfig{})
-			if err != nil {
-				return res, err
-			}
-		default:
-			tr.HW, tr.Board = cosim.NewInProcPair(4096)
-		}
-	}
-	return runOnTransports(ctx, rc, tr.HW, tr.Board)
+	res, err := run(ctx, rc, tr)
+	return res.RunResult, err
 }
 
 func closeBoth(tr Transports) {

@@ -1,7 +1,6 @@
 package router
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -115,9 +114,9 @@ type RunConfig struct {
 	// Trace, when non-nil, logs every protocol message of both sides (see
 	// cosim.TraceTransport).
 	Trace io.Writer
-	// Federation, when non-nil, routes the run through the hierarchical
-	// time manager with the given N-party topology (see WithFederation);
-	// nil keeps the pairwise fast path.
+	// Federation is the run's N-party topology (see WithFederation); nil
+	// means FederationConfig{Boards: 1}, one device engine and one wire
+	// board. Every topology runs under the same time manager.
 	Federation *FederationConfig
 }
 
@@ -220,35 +219,41 @@ func (rc RunConfig) stack() cosim.StackConfig {
 	return cosim.StackConfig{Delay: rc.LinkDelay, Chaos: rc.Chaos, Session: rc.Resilience, Batch: rc.Batch}
 }
 
-// dialSelf establishes a private loopback TCP link between the two sides
-// of one run: listen, accept on a helper goroutine, dial. Every path
-// joins the accept goroutine and closes whatever it produced, so a
-// failed dial can never leak an accepted transport.
-func dialSelf() (hwT, boardT cosim.Transport, err error) {
-	ln, err := cosim.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		return nil, nil, err
+// dialPair establishes a private link of the given kind between the two
+// sides of one run. The socket kinds listen on a private address, accept
+// on a helper goroutine and dial (see acceptAndDial); a Unix socket lives
+// in a fresh temp directory that is removed once both sides connected.
+func dialPair(kind TransportKind) (hwT, boardT cosim.Transport, err error) {
+	switch kind {
+	case TransportTCP:
+		ln, err := cosim.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			return nil, nil, err
+		}
+		return acceptAndDial(ln)
+	case TransportUDS:
+		dir, err := os.MkdirTemp("", "cosim-uds-*")
+		if err != nil {
+			return nil, nil, err
+		}
+		defer os.RemoveAll(dir)
+		ln, err := cosim.ListenUDS(filepath.Join(dir, "s"))
+		if err != nil {
+			return nil, nil, err
+		}
+		return acceptAndDial(ln)
+	case TransportShm:
+		return cosim.NewShmPair(cosim.ShmConfig{})
+	default:
+		hwT, boardT = cosim.NewInProcPair(4096)
+		return hwT, boardT, nil
 	}
-	return acceptAndDial(ln)
-}
-
-// dialSelfUDS is dialSelf over a private Unix-domain socket in a fresh
-// temp directory; the socket file is removed once both sides connected.
-func dialSelfUDS() (hwT, boardT cosim.Transport, err error) {
-	dir, err := os.MkdirTemp("", "cosim-uds-*")
-	if err != nil {
-		return nil, nil, err
-	}
-	defer os.RemoveAll(dir)
-	ln, err := cosim.ListenUDS(filepath.Join(dir, "s"))
-	if err != nil {
-		return nil, nil, err
-	}
-	return acceptAndDial(ln)
 }
 
 // acceptAndDial completes a self-dialed link over an open listener, which
-// it always closes before returning.
+// it always closes before returning. Every path joins the accept
+// goroutine and closes whatever it produced, so a failed dial can never
+// leak an accepted transport.
 func acceptAndDial(ln *cosim.Listener) (hwT, boardT cosim.Transport, err error) {
 	defer ln.Close()
 	type accepted struct {
@@ -276,141 +281,6 @@ func acceptAndDial(ln *cosim.Listener) (hwT, boardT cosim.Transport, err error) 
 		return nil, nil, a.err
 	}
 	return a.tr, boardT, nil
-}
-
-// runOnTransports is the core of every Run entry point: it executes the
-// testbench over the given base transports — the HDL side under
-// DriverSimulate on the calling goroutine, the virtual board on a second
-// goroutine. It takes ownership of both transports (they are closed by
-// the time it returns) and stacks the config's decorator layers
-// (LinkDelay, Chaos, Resilience, Batch) on each side with
-// cosim.BuildStack. Cancelling ctx tears the stacks down, unblocking
-// both sides; the context's cause becomes the returned error.
-func runOnTransports(ctx context.Context, rc RunConfig, hwBase, boardBase cosim.Transport) (result RunResult, err error) {
-	res := RunResult{TSync: rc.TSync, TransportKind: rc.Transport, Mode: rc.Mode}
-	// Report the transport actually carrying frames, not the configured
-	// default: caller-provided transports (a farm mux link, a test's
-	// in-process pair) may differ from rc.Transport.
-	if k, ok := baseTransportKind(hwBase); ok {
-		res.TransportKind = k
-	}
-	if err := rc.Validate(); err != nil {
-		hwBase.Close()
-		boardBase.Close()
-		return res, err
-	}
-	if rc.Obs != nil {
-		// Handles are resolved once up front; a run starts and finishes
-		// exactly once, so none of these belong on a struct.
-		started := rc.Obs.Counter("router_runs_started_total")
-		started.Inc()
-		active := rc.Obs.Gauge("router_active_runs")
-		active.Add(1)
-		failed := rc.Obs.Counter("router_runs_failed_total")
-		completed := rc.Obs.Counter("router_runs_completed_total")
-		lastAccuracy := rc.Obs.Gauge("router_last_accuracy_pct")
-		lastWall := rc.Obs.Gauge("router_last_wall_seconds")
-		lastGenerated := rc.Obs.Gauge("router_last_generated_packets")
-		lastSyncEvents := rc.Obs.Gauge("router_last_sync_events")
-		lastTSync := rc.Obs.Gauge("router_last_tsync")
-		defer func() {
-			active.Add(-1)
-			if err != nil {
-				failed.Inc()
-				return
-			}
-			completed.Inc()
-			lastAccuracy.Set(100 * result.Accuracy)
-			lastWall.Set(result.Wall.Seconds())
-			lastGenerated.Set(float64(result.Generated))
-			lastSyncEvents.Set(float64(result.HW.SyncEvents))
-			lastTSync.Set(float64(result.TSync))
-		}()
-	}
-	tb := BuildTestbench(rc.TB)
-	bs, err := BuildBoardSide(rc.BoardCfg, rc.AppCfg)
-	if err != nil {
-		hwBase.Close()
-		boardBase.Close()
-		return res, err
-	}
-
-	stack := rc.stack()
-	hwT, hwClose := cosim.BuildStack(hwBase, stack)
-	boardT, boardClose := cosim.BuildStack(boardBase, stack.Peer())
-	defer hwClose()
-	defer boardClose()
-	if rc.Trace != nil {
-		hwT = cosim.NewTraceTransport(hwT, rc.Trace)
-		boardT = cosim.NewTraceTransport(boardT, rc.Trace)
-	}
-
-	// Context cancellation tears both stacks down, which unblocks any
-	// side waiting on the link with ErrClosed; the cause is reported as
-	// the run error below.
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			hwClose()
-			boardClose()
-		case <-watchDone:
-		}
-	}()
-	defer func() {
-		if err != nil && ctx.Err() != nil {
-			err = fmt.Errorf("router: run canceled: %w", context.Cause(ctx))
-		}
-	}()
-
-	hw := cosim.NewHWEndpoint(hwT, rc.Mode)
-	bep := cosim.NewBoardEndpoint(boardT)
-	if rc.Obs != nil {
-		hw.Observe(rc.Obs)
-		bep.Observe(rc.Obs)
-	}
-	bs.Dev.Attach(bep)
-
-	boardDone := make(chan error, 1)
-	go func() { boardDone <- bs.Board.Run(bep) }()
-
-	start := time.Now()
-	hwStats, err := tb.Sim.DriverSimulate(tb.Clk, hw, hdlsim.DriverConfig{
-		TSync:       rc.TSync,
-		TotalCycles: rc.budget(),
-		StopEarly:   tb.Finished,
-		Adaptive:    rc.Adaptive,
-		MaxQuantum:  rc.MaxQuantum,
-	})
-	res.Wall = time.Since(start)
-	if err != nil {
-		hwT.Close()
-		<-boardDone
-		return res, fmt.Errorf("router: hw side: %w", err)
-	}
-	if err := <-boardDone; err != nil {
-		return res, fmt.Errorf("router: board side: %w", err)
-	}
-
-	res.HW = hwStats
-	res.Router = tb.Router.Stats()
-	res.Consumers = tb.ConsumerTotals()
-	res.App = bs.App.Stats()
-	res.Board = bs.Board.Stats()
-	res.Link = *hw.Metrics()
-	res.Batch = cosim.BatchStatsOf(hwT)
-	res.Generated = tb.Generated()
-	res.SimCycles = hwStats.Cycles
-	res.BoardCycles, res.BoardSWTicks = hw.BoardTime()
-	if res.Generated > 0 {
-		res.Accuracy = float64(res.Router.Forwarded) / float64(res.Generated)
-	}
-	res.Conservation = tb.CheckConservation(res.App.Overruns, res.App.MboxDrops)
-	return res, nil
 }
 
 // RunLoopback executes the same HDL workload against the instant local

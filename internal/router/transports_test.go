@@ -62,20 +62,31 @@ func TestReportedKindReflectsActualTransport(t *testing.T) {
 	}
 }
 
-// TestMultiRunReportsInProc is the regression test for the multirun
-// mislabeling bug: RunCoSimMulti only ever wires in-process pairs, yet it
-// used to echo rc.Transport into the result.
+// TestMultiRunReportsInProc is the regression test for the multi-board
+// mislabeling bug: a federated run used to echo a stale rc.Transport into
+// its result. The reported kind must name the links actually wired —
+// in-process boards have none, and an explicit WithTransport wins over
+// the config it follows.
 func TestMultiRunReportsInProc(t *testing.T) {
 	rc := DefaultRunConfig()
 	rc.TB = smallTB()
 	rc.TSync = 200
 	rc.Transport = TransportTCP // must not leak into the result
-	res, err := RunCoSimMulti(rc, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TransportKind != TransportInProc {
-		t.Fatalf("multi-run TransportKind = %v, want inproc", res.TransportKind)
+	for name, run := range map[string]func() (FederationResult, error){
+		"inprocBoards": func() (FederationResult, error) {
+			return RunFederation(context.Background(), FederationConfig{Boards: 2, InProcBoards: true}, WithConfig(rc))
+		},
+		"withTransport": func() (FederationResult, error) {
+			return RunFederation(context.Background(), FederationConfig{Boards: 2}, WithConfig(rc), WithTransport(TransportInProc))
+		},
+	} {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.TransportKind != TransportInProc {
+			t.Fatalf("%s: multi-board TransportKind = %v, want inproc", name, res.TransportKind)
+		}
 	}
 }
 
