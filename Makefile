@@ -40,6 +40,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cosim/ -run '^$$' -fuzz '^FuzzMsgRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cosim/ -run '^$$' -fuzz '^FuzzBatchRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cosim/ -run '^$$' -fuzz '^FuzzShmRing$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/farm/ -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME)
 
 # farm-soak repeats the multi-session farm suite under the race detector
 # — the concurrency gate for the session manager and the mux listener.
@@ -57,11 +58,13 @@ transport-matrix:
 # federation-matrix proves the N-party time manager behind every
 # router.Run: runs bit-identical to a pairwise DriverSimulate reference
 # across every transport, multi-board and pulse-device topologies
-# deterministic, and the manager's edge cases — all under -race.
+# deterministic, the manager's edge cases, and the quantum schedule both
+# engines share against its independent reference — all under -race.
 federation-matrix:
 	$(GO) test -race -run 'TestFederation|TestRunDispatchesFederation|TestMultiBoard|TestMultiRunReports' ./internal/router/
 	$(GO) test -race -run 'TestFarmRunsFederatedSessions' ./internal/farm/
 	$(GO) test -race ./internal/cosim/federation/
+	$(GO) test -race -run 'Schedule|Driver' ./internal/hdlsim/
 
 # fleet-matrix proves the multi-host control plane under the race
 # detector: M sessions placed across K in-process hosts bit-identical to

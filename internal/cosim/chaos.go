@@ -33,6 +33,20 @@ type Scenario struct {
 	Profile [NumChannels]FaultProfile
 }
 
+// Validate rejects a probability outside [0,1] (NaN included), naming
+// the channel and the field.
+func (sc Scenario) Validate() error {
+	fields := [...]string{"Drop", "Duplicate", "Reorder", "Corrupt", "Truncate", "Delay"}
+	for ch, p := range sc.Profile {
+		for i, v := range [...]float64{p.Drop, p.Duplicate, p.Reorder, p.Corrupt, p.Truncate, p.Delay} {
+			if !(v >= 0 && v <= 1) {
+				return fmt.Errorf("cosim: invalid Scenario: %s channel %s probability %v is outside [0,1]", Channel(ch), fields[i], v)
+			}
+		}
+	}
+	return nil
+}
+
 // UniformScenario applies the same profile to all three channels.
 func UniformScenario(seed int64, p FaultProfile) Scenario {
 	sc := Scenario{Seed: seed}

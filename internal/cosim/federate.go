@@ -114,21 +114,10 @@ type LookaheadSink interface {
 	SetGrantLookahead(ticks uint64)
 }
 
-// SyncRecorder is an optional Federate capability: a federate that keeps
-// the pairwise DriverStats accounting (SyncEvents / SyncsElided /
-// LastBoardCy) implements it so the time manager's boundary decisions
-// land in the same counters the pairwise path fills — the bit-identity
-// checks compare them directly. The manager calls it once, when the run
-// ends, with its rendezvous and elision counts and the slowest board
-// cycle acknowledged at the last rendezvous.
-type SyncRecorder interface {
-	RecordSchedule(syncs, elided, lastPeerCycle uint64)
-}
-
 // BoardClock is an optional Federate capability: a federate fronting a
 // board-side kernel reports the board's local cycle and software tick
 // from its most recent acknowledgement, so the manager can fold the
-// slowest board time into the pairwise-compatible stats.
+// slowest board time into its Stats.
 type BoardClock interface {
 	BoardTime() (cycle, swTick uint64)
 }

@@ -11,13 +11,14 @@
 //     cosim.ProcFederate) freeze between rendezvous and advance in one
 //     piece when the federation grants accumulated time.
 //
-// Quantum boundaries may be elided exactly as in the pairwise adaptive
-// path: the decision is hdlsim.ElideBoundary with the peer lookahead
-// generalized to the minimum over all granted parties and the local
-// lookahead to the minimum over all eager parties, plus the a-posteriori
-// no-routed-traffic check. A K=2 federation therefore makes bit-identical
-// elision decisions — and, through cosim.ProcFederate, byte-identical
-// wire traffic — to the pairwise path.
+// The schedule itself is hdlsim.RunSchedule, the loop DriverSimulate
+// runs too: the manager is its QuantumParty, with the peer lookahead
+// generalized to the minimum over all granted parties, the local
+// lookahead to the minimum over all eager parties, and the a-posteriori
+// traffic check to any event routed to a granted party. A K=2
+// federation therefore makes bit-identical elision decisions — and,
+// through cosim.ProcFederate, byte-identical wire traffic — to the
+// pairwise path.
 //
 // Events are exchanged only at boundaries and routed by explicit links
 // (address windows for data, line numbers for interrupts), so the whole
@@ -61,27 +62,16 @@ type Link struct {
 }
 
 // Config describes a federation: its parties, the event-routing
-// topology, and the quantum clock. Validate rejects incoherent
+// topology, and the quantum schedule. Validate rejects incoherent
 // configurations with actionable errors, like router.RunConfig.Validate.
 type Config struct {
 	Parties []Party
 	Links   []Link
-	// TSync is the base quantum in grant ticks.
-	TSync uint64
-	// Horizon bounds the run in grant ticks.
-	Horizon uint64
-	// Adaptive enables lookahead-negotiated quantum elongation across
-	// the whole federation (see hdlsim.ElideBoundary); a single party
-	// reporting cosim.NoLookahead pins the federation to plain TSync
-	// stepping.
-	Adaptive bool
-	// MaxQuantum caps the elongated quantum when Adaptive is set; 0
-	// means 64×TSync.
-	MaxQuantum uint64
-	// StopEarly, when non-nil, is consulted at every rendezvous; a true
-	// return ends the run at that boundary (the pairwise
-	// DriverConfig.StopEarly contract).
-	StopEarly func() bool
+	// DriverConfig is the schedule, in grant ticks: TotalCycles is the
+	// run's horizon and StopEarly is polled at every boundary. With
+	// Adaptive set, a single party reporting cosim.NoLookahead pins the
+	// whole federation to plain TSync stepping.
+	hdlsim.DriverConfig
 }
 
 // Validate rejects incoherent federations up front.
@@ -89,11 +79,11 @@ func (c Config) Validate() error {
 	if len(c.Parties) < 2 {
 		return fmt.Errorf("federation: invalid Config: %d parties — a federation needs at least two (one device engine and one board is the smallest topology)", len(c.Parties))
 	}
-	if c.TSync == 0 {
-		return fmt.Errorf("federation: invalid Config: TSync is 0, so the manager would never grant virtual time; set a quantum ≥ 1")
+	if err := c.DriverConfig.Validate(); err != nil {
+		return fmt.Errorf("federation: invalid Config: %w", err)
 	}
-	if c.Horizon == 0 {
-		return fmt.Errorf("federation: invalid Config: Horizon is 0, so the run would end before any quantum; set the tick budget")
+	if c.TotalCycles == 0 {
+		return fmt.Errorf("federation: invalid Config: TotalCycles is 0, so the run would end before any quantum; set the tick budget")
 	}
 	seen := make(map[string]int, len(c.Parties))
 	for i, p := range c.Parties {
@@ -137,15 +127,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats aggregates one federation run.
+// Stats aggregates one federation run: the schedule's counters, which
+// every party shares (each takes part in every rendezvous and every
+// elision), and the slowest board cycle acknowledged at the last
+// rendezvous (the final grant time when no party reports a board clock).
 type Stats struct {
-	// Now is the federation's final virtual time.
-	Now cosim.SimTime
-	// Quanta counts TSync boundaries passed; Syncs counts rendezvous;
-	// Elided counts boundaries skipped by adaptive elongation
-	// (Quanta = Syncs + Elided when the horizon is quantum-aligned).
-	// Every party takes part in every rendezvous and every elision.
-	Quanta, Syncs, Elided uint64
+	hdlsim.ScheduleStats
+	LastBoardCy uint64
 }
 
 // member is one party with its optional capabilities resolved once, so
@@ -161,22 +149,20 @@ type member struct {
 	clock cosim.BoardClock    // granted parties reporting board time
 }
 
-// TimeManager is the hierarchical coordinator: it owns the federation's
-// virtual clock and drives every federate from a single goroutine in a
-// deterministic order.
+// TimeManager is the hierarchical coordinator: it drives every federate
+// from a single goroutine, in a deterministic order, on the quantum
+// clock of hdlsim.RunSchedule.
 type TimeManager struct {
 	cfg     Config
 	parties []member
 	eager   []*member // in config order
 	lazy    []*member
-	recs    []cosim.SyncRecorder // the eager parties' recorders
 	// peer is the granted parties' minimum lookahead. They are frozen
 	// between rendezvous, so it is folded once per rendezvous.
-	peer uint64
-	// peerCycle is the slowest board cycle acknowledged at the last
-	// rendezvous, for the recorders.
-	peerCycle uint64
-	stats     Stats
+	peer        uint64
+	lastBoardCy uint64 // see Stats
+	ctx         context.Context
+	canceled    <-chan struct{} // ctx.Done(), resolved once per run
 }
 
 // New validates the configuration and builds a manager.
@@ -191,20 +177,14 @@ func New(cfg Config) (*TimeManager, error) {
 		m.split, _ = p.Fed.(cosim.SplitStepper)
 		m.sink, _ = p.Fed.(cosim.LookaheadSink)
 		m.clock, _ = p.Fed.(cosim.BoardClock)
-		if !p.Eager {
+		if p.Eager {
+			tm.eager = append(tm.eager, m)
+		} else {
 			tm.lazy = append(tm.lazy, m)
-			continue
-		}
-		tm.eager = append(tm.eager, m)
-		if rec, ok := p.Fed.(cosim.SyncRecorder); ok {
-			tm.recs = append(tm.recs, rec)
 		}
 	}
 	return tm, nil
 }
-
-// Stats returns the schedule counters (complete after Run returns).
-func (tm *TimeManager) Stats() Stats { return tm.stats }
 
 // covers reports whether l routes m: by line for interrupts, by address
 // window for data.
@@ -276,36 +256,88 @@ func minLookahead(set []*member, skip *member) uint64 {
 	return min
 }
 
-// elide decides a quantum boundary with acc ticks accumulated since the
-// last grant: hdlsim.ElideBoundary over the granted parties' promise
-// (the peer) and the eager parties' minimum lookahead (the local model).
-// Any event routed to a granted party — the a-posteriori traffic check —
-// or a stopping run forces the rendezvous before the eager promises are
-// folded.
-func (tm *TimeManager) elide(acc, maxQ uint64, stopping bool) bool {
-	if stopping {
-		return false
+// Run executes the federation under hdlsim.RunSchedule — to the horizon
+// (TotalCycles), until a clock-driving party halts, or until StopEarly
+// fires — and finishes every party. Cancelling ctx stops the run at the
+// next rendezvous, at most the elongation cap (MaxQuantum) away, with
+// the context's cause.
+func (tm *TimeManager) Run(ctx context.Context) (Stats, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	for _, m := range tm.lazy {
-		if len(m.inbox) > 0 {
-			return false
+	tm.ctx, tm.canceled = ctx, ctx.Done()
+	if tm.cfg.Adaptive {
+		tm.peer = minLookahead(tm.lazy, nil)
+	}
+	sched, err := hdlsim.RunSchedule(tm.cfg.DriverConfig, (*schedule)(tm))
+	st := Stats{ScheduleStats: sched, LastBoardCy: tm.lastBoardCy}
+	if err != nil {
+		return st, err
+	}
+	for i := range tm.parties {
+		m := &tm.parties[i]
+		if ferr := m.fed.Finish(cosim.SimTime(sched.Now)); ferr != nil && err == nil {
+			err = fmt.Errorf("federation: party %q finish: %w", m.name, ferr)
 		}
 	}
-	local := uint64(hdlsim.UnboundedLookahead)
-	for _, m := range tm.eager {
-		if la := m.fed.Lookahead(); la < local {
-			local = la
-		}
-	}
-	return hdlsim.ElideBoundary(acc, tm.cfg.TSync, maxQ, tm.peer, local, false, false)
+	return st, err
 }
 
-// rendezvous grants every granted party the federation time up to until,
+// schedule is the manager seen as the hdlsim.QuantumParty its Run drives.
+type schedule TimeManager
+
+// Advance steps every eager party to until (each first receives what was
+// routed to it) and routes what they emitted; the federation reaches the
+// slowest of them.
+func (s *schedule) Advance(until uint64) (uint64, bool, error) {
+	tm := (*TimeManager)(s)
+	reached, halted := cosim.SimTime(until), false
+	for _, m := range tm.eager {
+		if len(m.inbox) > 0 {
+			if err := tm.deliver(m); err != nil {
+				return 0, false, err
+			}
+		}
+		r, err := m.fed.Step(cosim.SimTime(until))
+		if err != nil {
+			return 0, false, fmt.Errorf("federation: party %q step: %w", m.name, err)
+		}
+		if err := tm.collect(m); err != nil {
+			return 0, false, err
+		}
+		reached = min(reached, r)
+		halted = halted || m.fed.Done()
+	}
+	return uint64(reached), halted, nil
+}
+
+// Boundary reports traffic when an event waits for a granted party —
+// before the eager promises are folded — and otherwise the granted
+// parties' promise (the peer) and the eager parties' minimum (the local
+// model).
+func (s *schedule) Boundary() (bool, uint64, uint64) {
+	tm := (*TimeManager)(s)
+	for _, m := range tm.lazy {
+		if len(m.inbox) > 0 {
+			return true, 0, 0
+		}
+	}
+	return false, tm.peer, minLookahead(tm.eager, nil)
+}
+
+// Rendezvous grants every granted party the federation time up to now,
 // overlapping wire parties' quanta (all grants first, acknowledgements
 // second), routes the collected traffic, and records the slowest board
 // clock. Lookahead is negotiated only in adaptive runs, as in the
 // pairwise driver.
-func (tm *TimeManager) rendezvous(until cosim.SimTime) error {
+func (s *schedule) Rendezvous(acc, now uint64) error {
+	tm := (*TimeManager)(s)
+	select {
+	case <-tm.canceled:
+		return fmt.Errorf("federation: run canceled: %w", context.Cause(tm.ctx))
+	default:
+	}
+	until := cosim.SimTime(now)
 	adaptive := tm.cfg.Adaptive
 	for _, m := range tm.lazy {
 		if adaptive && m.sink != nil {
@@ -321,7 +353,7 @@ func (tm *TimeManager) rendezvous(until cosim.SimTime) error {
 			}
 		}
 	}
-	peerCycle := uint64(until)
+	boardCy := now
 	haveClock := false
 	for _, m := range tm.lazy {
 		if _, err := m.fed.Step(until); err != nil {
@@ -332,121 +364,15 @@ func (tm *TimeManager) rendezvous(until cosim.SimTime) error {
 		}
 		if m.clock != nil {
 			cy, _ := m.clock.BoardTime()
-			if !haveClock || cy < peerCycle {
-				peerCycle = cy
+			if !haveClock || cy < boardCy {
+				boardCy = cy
 			}
 			haveClock = true
 		}
 	}
-	tm.peerCycle = peerCycle
-	tm.stats.Syncs++
+	tm.lastBoardCy = boardCy
 	if adaptive {
 		tm.peer = minLookahead(tm.lazy, nil)
 	}
 	return nil
-}
-
-// Run executes the federation to its horizon (or until a clock-driving
-// party halts, or StopEarly fires at a rendezvous) and finishes every
-// party. It generalizes the pairwise DriverSimulate schedule: eager
-// parties step every TSync quantum, boundaries are elided under the
-// shared hdlsim.ElideBoundary predicate, granted parties advance in one
-// piece at each rendezvous, and a final partial grant settles any
-// remainder. Cancelling ctx stops the run at the next rendezvous — at
-// most the elongation cap (MaxQuantum) away — with the context's cause.
-func (tm *TimeManager) Run(ctx context.Context) (Stats, error) {
-	tsync := cosim.SimTime(tm.cfg.TSync)
-	maxQ := hdlsim.EffectiveMaxQuantum(tm.cfg.TSync, tm.cfg.MaxQuantum)
-	horizon := cosim.SimTime(tm.cfg.Horizon)
-	adaptive, stopEarly := tm.cfg.Adaptive, tm.cfg.StopEarly
-	var canceled <-chan struct{} // nil never fires
-	if ctx != nil {
-		canceled = ctx.Done()
-	}
-	var cur, granted, boundary cosim.SimTime
-	if adaptive {
-		tm.peer = minLookahead(tm.lazy, nil)
-	}
-	stopped := false // any clock-driving party halted itself
-	for _, m := range tm.eager {
-		stopped = stopped || m.fed.Done()
-	}
-	for cur < horizon && !stopped {
-		target := cur + tsync
-		if target > horizon {
-			target = horizon
-		}
-		reached := target
-		for _, m := range tm.eager {
-			if len(m.inbox) > 0 {
-				if err := tm.deliver(m); err != nil {
-					return tm.finishStats(cur), err
-				}
-			}
-			r, err := m.fed.Step(target)
-			if err != nil {
-				return tm.finishStats(cur), fmt.Errorf("federation: party %q step: %w", m.name, err)
-			}
-			if err := tm.collect(m); err != nil {
-				return tm.finishStats(cur), err
-			}
-			if r < reached {
-				reached = r
-			}
-			if m.fed.Done() {
-				stopped = true
-			}
-		}
-		cur = reached
-		if cur < target {
-			// A clock-driving party halted mid-quantum; the final
-			// partial grant below settles the remainder.
-			break
-		}
-		if cur-boundary >= tsync {
-			tm.stats.Quanta++
-			stopping := stopEarly != nil && stopEarly()
-			if adaptive && tm.elide(uint64(cur-granted), maxQ, stopping) {
-				boundary = cur
-				tm.stats.Elided++
-			} else {
-				select {
-				case <-canceled:
-					return tm.finishStats(cur), fmt.Errorf("federation: run canceled: %w", context.Cause(ctx))
-				default:
-				}
-				if err := tm.rendezvous(cur); err != nil {
-					return tm.finishStats(cur), err
-				}
-				granted, boundary = cur, cur
-				if stopping {
-					break
-				}
-			}
-		}
-	}
-	if cur > granted {
-		if err := tm.rendezvous(cur); err != nil {
-			return tm.finishStats(cur), err
-		}
-		granted = cur
-	}
-	var firstErr error
-	for i := range tm.parties {
-		m := &tm.parties[i]
-		if err := m.fed.Finish(cur); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("federation: party %q finish: %w", m.name, err)
-		}
-	}
-	return tm.finishStats(cur), firstErr
-}
-
-// finishStats stamps the final clock into the stats snapshot and hands
-// the schedule to the recorders.
-func (tm *TimeManager) finishStats(now cosim.SimTime) Stats {
-	tm.stats.Now = now
-	for _, r := range tm.recs {
-		r.RecordSchedule(tm.stats.Syncs, tm.stats.Elided, tm.peerCycle)
-	}
-	return tm.stats
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cosim"
+	"repro/internal/hdlsim"
 )
 
 // fakeParty is a scripted federate for manager unit tests: an eager
@@ -85,9 +86,9 @@ func TestZeroLookaheadForcesPlainStepping(t *testing.T) {
 			{name: "b2", la: lazyLA2},
 		}
 		tm, err := New(Config{
-			Parties: []Party{{Fed: ps[0], Eager: true}, {Fed: ps[1]}, {Fed: ps[2]}},
-			Links:   []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}, {From: 0, To: 2, Base: 0x200, Size: 0x10}},
-			TSync:   tsync, Horizon: quanta * tsync, Adaptive: true,
+			Parties:      []Party{{Fed: ps[0], Eager: true}, {Fed: ps[1]}, {Fed: ps[2]}},
+			Links:        []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}, {From: 0, To: 2, Base: 0x200, Size: 0x10}},
+			DriverConfig: hdlsim.DriverConfig{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -144,7 +145,7 @@ func TestSlowPartyCannotReorderEvents(t *testing.T) {
 			{From: 0, To: 1, Base: 0x100, Size: 0x10},
 			{From: 0, To: 2, Base: 0x200, Size: 0x10},
 		},
-		TSync: tsync, Horizon: quanta * tsync, Adaptive: true,
+		DriverConfig: hdlsim.DriverConfig{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,9 +188,9 @@ func TestTrafficForcesRendezvous(t *testing.T) {
 	producer := &fakeParty{name: "producer", la: cosim.UnboundedLookahead, tsync: tsync, emitEvery: 4, addr: 0x100}
 	consumer := &fakeParty{name: "consumer", la: cosim.UnboundedLookahead}
 	tm, err := New(Config{
-		Parties: []Party{{Fed: producer, Eager: true}, {Fed: consumer}},
-		Links:   []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}},
-		TSync:   tsync, Horizon: quanta * tsync, Adaptive: true,
+		Parties:      []Party{{Fed: producer, Eager: true}, {Fed: consumer}},
+		Links:        []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}},
+		DriverConfig: hdlsim.DriverConfig{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -215,9 +216,9 @@ func TestEagerHaltMidQuantum(t *testing.T) {
 	dev := &fakeParty{name: "dev", la: cosim.UnboundedLookahead, tsync: tsync, halt: 250}
 	brd := &fakeParty{name: "board", la: cosim.UnboundedLookahead}
 	tm, err := New(Config{
-		Parties: []Party{{Fed: dev, Eager: true}, {Fed: brd}},
-		Links:   []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
-		TSync:   tsync, Horizon: 10 * tsync,
+		Parties:      []Party{{Fed: dev, Eager: true}, {Fed: brd}},
+		Links:        []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
+		DriverConfig: hdlsim.DriverConfig{TSync: tsync, TotalCycles: 10 * tsync},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,9 +243,9 @@ func TestEagerHaltAtBoundary(t *testing.T) {
 	dev := &fakeParty{name: "dev", la: cosim.UnboundedLookahead, tsync: tsync, halt: 3 * tsync}
 	brd := &fakeParty{name: "board", la: cosim.UnboundedLookahead}
 	tm, err := New(Config{
-		Parties: []Party{{Fed: dev, Eager: true}, {Fed: brd}},
-		Links:   []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
-		TSync:   tsync, Horizon: 10 * tsync,
+		Parties:      []Party{{Fed: dev, Eager: true}, {Fed: brd}},
+		Links:        []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
+		DriverConfig: hdlsim.DriverConfig{TSync: tsync, TotalCycles: 10 * tsync},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,18 +262,6 @@ func TestEagerHaltAtBoundary(t *testing.T) {
 	}
 }
 
-// recordingParty is a fakeParty keeping the pairwise schedule counters.
-type recordingParty struct {
-	fakeParty
-	syncs, elided, lastPeer uint64
-	calls                   int
-}
-
-func (f *recordingParty) RecordSchedule(syncs, elided, lastPeerCycle uint64) {
-	f.syncs, f.elided, f.lastPeer = syncs, elided, lastPeerCycle
-	f.calls++
-}
-
 // clockParty is a fakeParty fronting a board at a fixed cycle.
 type clockParty struct {
 	fakeParty
@@ -281,18 +270,18 @@ type clockParty struct {
 
 func (f *clockParty) BoardTime() (cycle, swTick uint64) { return f.cycle, 0 }
 
-// TestRecorderGetsSchedule: an eager SyncRecorder receives the run's
-// rendezvous and elision counts once, at the end, with the slowest board
-// cycle of the last rendezvous.
-func TestRecorderGetsSchedule(t *testing.T) {
+// TestStatsReportSlowestBoard: the run's stats carry the slowest board
+// cycle acknowledged at the last rendezvous, which router.Run reports as
+// the pairwise DriverStats.LastBoardCy.
+func TestStatsReportSlowestBoard(t *testing.T) {
 	const tsync, quanta = 100, 8
-	dev := &recordingParty{fakeParty: fakeParty{name: "dev", la: cosim.UnboundedLookahead, tsync: tsync, emitEvery: 4, addr: 0x100}}
+	dev := &fakeParty{name: "dev", la: cosim.UnboundedLookahead, tsync: tsync, emitEvery: 4, addr: 0x100}
 	fast := &clockParty{fakeParty: fakeParty{name: "fast", la: cosim.UnboundedLookahead}, cycle: 9000}
 	slow := &clockParty{fakeParty: fakeParty{name: "slow", la: cosim.UnboundedLookahead}, cycle: 700}
 	tm, err := New(Config{
-		Parties: []Party{{Fed: dev, Eager: true}, {Fed: fast}, {Fed: slow}},
-		Links:   []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}},
-		TSync:   tsync, Horizon: quanta * tsync, Adaptive: true,
+		Parties:      []Party{{Fed: dev, Eager: true}, {Fed: fast}, {Fed: slow}},
+		Links:        []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}},
+		DriverConfig: hdlsim.DriverConfig{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -304,11 +293,8 @@ func TestRecorderGetsSchedule(t *testing.T) {
 	if st.Syncs == 0 || st.Elided == 0 {
 		t.Fatalf("schedule %d syncs / %d elided; want both kinds of boundary", st.Syncs, st.Elided)
 	}
-	if dev.calls != 1 || dev.syncs != st.Syncs || dev.elided != st.Elided {
-		t.Fatalf("recorder got %d/%d in %d calls, manager counted %d/%d", dev.syncs, dev.elided, dev.calls, st.Syncs, st.Elided)
-	}
-	if dev.lastPeer != slow.cycle {
-		t.Fatalf("recorded board cycle %d, want the slowest board's %d", dev.lastPeer, slow.cycle)
+	if st.LastBoardCy != slow.cycle {
+		t.Fatalf("stats report board cycle %d, want the slowest board's %d", st.LastBoardCy, slow.cycle)
 	}
 }
 
@@ -318,9 +304,9 @@ func TestUnroutedEventFails(t *testing.T) {
 	producer := &fakeParty{name: "producer", la: cosim.UnboundedLookahead, tsync: 100, emitEvery: 1, addr: 0x900}
 	consumer := &fakeParty{name: "consumer", la: cosim.UnboundedLookahead}
 	tm, err := New(Config{
-		Parties: []Party{{Fed: producer, Eager: true}, {Fed: consumer}},
-		Links:   []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}}, // 0x900 not covered
-		TSync:   100, Horizon: 1000,
+		Parties:      []Party{{Fed: producer, Eager: true}, {Fed: consumer}},
+		Links:        []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}}, // 0x900 not covered
+		DriverConfig: hdlsim.DriverConfig{TSync: 100, TotalCycles: 1000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,9 +323,9 @@ func TestConfigValidate(t *testing.T) {
 		a := &fakeParty{name: "a"}
 		b := &fakeParty{name: "b"}
 		return Config{
-			Parties: []Party{{Fed: a, Eager: true}, {Fed: b}},
-			Links:   []Link{{From: 0, To: 1, Base: 0, Size: 0x10, IRQs: []uint8{3}}},
-			TSync:   100, Horizon: 1000,
+			Parties:      []Party{{Fed: a, Eager: true}, {Fed: b}},
+			Links:        []Link{{From: 0, To: 1, Base: 0, Size: 0x10, IRQs: []uint8{3}}},
+			DriverConfig: hdlsim.DriverConfig{TSync: 100, TotalCycles: 1000},
 		}
 	}
 	if err := ok().Validate(); err != nil {
@@ -351,7 +337,7 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"one party", func(c *Config) { c.Parties = c.Parties[:1] }},
 		{"zero tsync", func(c *Config) { c.TSync = 0 }},
-		{"zero horizon", func(c *Config) { c.Horizon = 0 }},
+		{"zero horizon", func(c *Config) { c.TotalCycles = 0 }},
 		{"nil federate", func(c *Config) { c.Parties[1].Fed = nil }},
 		{"duplicate name", func(c *Config) { c.Parties[1].Fed = &fakeParty{name: "a"} }},
 		{"link out of range", func(c *Config) { c.Links[0].To = 7 }},

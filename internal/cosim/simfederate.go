@@ -18,7 +18,6 @@ type SimFederate struct {
 	name string
 	d    *hdlsim.Driver
 	ep   *fedBufEndpoint
-	cur  SimTime
 }
 
 // NewSimFederate elaborates the simulator and wraps it as a federate.
@@ -38,13 +37,8 @@ func (f *SimFederate) Name() string { return f.name }
 // Step implements Federate: it runs the kernel cycle by cycle up to
 // until, stopping early if the simulation halts itself.
 func (f *SimFederate) Step(until SimTime) (SimTime, error) {
-	for f.cur < until && !f.d.Stopped() {
-		if err := f.d.Cycle(); err != nil {
-			return f.cur, err
-		}
-		f.cur++
-	}
-	return f.cur, nil
+	reached, _, err := f.d.Advance(uint64(until))
+	return SimTime(reached), err
 }
 
 // Exchange implements Federate: inbound events land in the kernel's
@@ -88,12 +82,8 @@ func (f *SimFederate) Done() bool { return f.d.Stopped() }
 // Finish implements Federate; the kernel needs no shutdown handshake.
 func (f *SimFederate) Finish(at SimTime) error { return nil }
 
-// RecordSchedule implements SyncRecorder.
-func (f *SimFederate) RecordSchedule(syncs, elided, lastPeerCycle uint64) {
-	f.d.RecordSchedule(syncs, elided, lastPeerCycle)
-}
-
-// Stats returns the pairwise-compatible driver counters.
+// Stats returns the kernel's driver-loop counters; the schedule counters
+// (SyncEvents, SyncsElided, LastBoardCy) are the time manager's Stats.
 func (f *SimFederate) Stats() hdlsim.DriverStats { return f.d.Stats() }
 
 // fedBufEndpoint is the in-memory hdlsim.DriverEndpoint behind a
@@ -141,4 +131,3 @@ func (ep *fedBufEndpoint) Finish(hwCycle uint64) error { return nil }
 
 var _ hdlsim.DriverEndpoint = (*fedBufEndpoint)(nil)
 var _ Federate = (*SimFederate)(nil)
-var _ SyncRecorder = (*SimFederate)(nil)

@@ -3,7 +3,9 @@ package farm
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/cosim"
@@ -271,15 +273,23 @@ func (s SessionSpec) RunConfig() (router.RunConfig, error) {
 	return rc, nil
 }
 
+// ErrTrailingData rejects a spec document with anything but whitespace
+// after its JSON object.
+var ErrTrailingData = errors.New("farm: parsing SessionSpec: trailing data after the spec object")
+
 // ParseSpec decodes one SessionSpec from JSON, rejecting unknown fields
-// — a typo in a hand-written spec file should fail submission, not
-// silently run the default workload.
+// and trailing data — a typo or a concatenated second spec in a
+// hand-written spec file should fail submission, not silently run the
+// default or the first workload.
 func ParseSpec(data []byte) (SessionSpec, error) {
 	var s SessionSpec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return s, fmt.Errorf("farm: parsing SessionSpec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return SessionSpec{}, ErrTrailingData
 	}
 	return s, nil
 }

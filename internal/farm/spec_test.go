@@ -3,6 +3,7 @@ package farm
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -90,6 +91,8 @@ func TestSpecValidation(t *testing.T) {
 		{"negative delay", SessionSpec{LinkDelayUS: -1}, "negative"},
 		{"chaos without resilience", SessionSpec{Chaos: &ChaosSpec{Seed: 1, Drop: 0.1}}, "Chaos without Resilience"},
 		{"adaptive pipelined", SessionSpec{Adaptive: true, Mode: "pipelined"}, "Adaptive with SyncPipelined"},
+		{"chaos probability above 1", SessionSpec{Chaos: &ChaosSpec{Seed: 1, Drop: 1.5}, Resilience: &ResilienceSpec{}}, "DATA channel Drop probability 1.5"},
+		{"chaos probability negative", SessionSpec{Chaos: &ChaosSpec{Seed: 1, Delay: -0.5}, Resilience: &ResilienceSpec{}}, "DATA channel Delay probability -0.5"},
 	}
 	for _, tc := range cases {
 		if _, err := tc.spec.RunConfig(); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -150,6 +153,47 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"tysnc": 100}`)); err == nil {
 		t.Fatal("misspelled field accepted")
+	}
+}
+
+// specCorpus holds hand-written spec documents, valid and invalid; the
+// parsing tests check them and FuzzParseSpec starts from them.
+var specCorpus = []struct {
+	name, doc string
+	ok        bool
+	err       error // the named error, when there is one
+}{
+	{"empty object", `{}`, true, nil},
+	{"trailing whitespace", "{\"tsync\": 100}\n\t\r ", true, nil},
+	{"full", `{"tenant":"acme","transport":"tcp","tsync":500,"mode":"pipelined","batch":true,` +
+		`"max_cycles":123456,"link_delay_us":200,"chaos":{"seed":7,"drop":0.01,"corrupt":0.02,"max_delay_us":1500},` +
+		`"resilience":{"retransmit_timeout_ms":10,"heartbeat_miss":5},"tb":{"packets_per_port":3,"period":700,"seed":9,"err_rate":0.25},` +
+		`"board":{"cycles_per_grant_tick":50},"app":{"timing":"annotated","mailbox_cap":8}}`, true, nil},
+	{"adaptive", `{"transport":"uds","tsync":321,"adaptive":true,"max_quantum":4096}`, true, nil},
+	{"out-of-range chaos parses", `{"chaos":{"seed":1,"drop":1.5},"resilience":{}}`, true, nil},
+	{"unknown field", `{"tysnc": 100}`, false, nil},
+	{"truncated", `{"tsync":`, false, nil},
+	{"not an object", `[1,2]`, false, nil},
+	{"second object", `{"tsync":100}{"tsync":1}`, false, ErrTrailingData},
+	{"trailing junk", `{"tsync":100} junk`, false, ErrTrailingData},
+	{"trailing array", `{"tsync":100}[]`, false, ErrTrailingData},
+	{"trailing number", "{}\n1", false, ErrTrailingData},
+}
+
+// TestParseSpecCorpus: a spec document is one JSON object and nothing
+// but whitespace after it; concatenated specs and trailing bytes fail
+// with ErrTrailingData instead of parsing as the first spec.
+func TestParseSpecCorpus(t *testing.T) {
+	for _, tc := range specCorpus {
+		_, err := ParseSpec([]byte(tc.doc))
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case tc.err != nil && !errors.Is(err, tc.err):
+			t.Errorf("%s: error %v, want %v", tc.name, err, tc.err)
+		}
 	}
 }
 

@@ -318,22 +318,22 @@ func (s *Simulator) findDriverOut(addr uint32) *DriverOut {
 
 // Driver is the per-cycle core of the modified simulation loop, exported
 // so external coordinators (the federation time manager) can drive a
-// kernel quantum-by-quantum with exactly the cycle semantics of
-// DriverSimulate: per cycle it (1) checks the DATA port and performs the
-// required read/write actions, (2) accomplishes a standard simulation
-// cycle, and (3) checks the interrupt signals. Synchronization policy —
-// when to rendezvous, when to elide a boundary — is the caller's job;
-// DriverSimulate is the canonical single-link policy loop on top.
+// kernel with exactly the cycle semantics of DriverSimulate: per cycle
+// it (1) checks the DATA port and performs the required read/write
+// actions, (2) accomplishes a standard simulation cycle, and (3) checks
+// the interrupt signals. It is DriverSimulate's QuantumParty: Advance
+// steps the kernel, Boundary and Rendezvous talk to the board through
+// the endpoint. When to rendezvous belongs to RunSchedule.
 type Driver struct {
 	s   *Simulator
 	clk *Clock
 	ep  DriverEndpoint
+	aep AdaptiveEndpoint // set when the run negotiates lookahead
 	st  DriverStats
 }
 
-// NewDriver elaborates the design and returns a stepper over it. The
-// endpoint only needs PollData/SendData/SendInterrupt; Sync and Finish
-// are never invoked by Cycle.
+// NewDriver elaborates the design and returns a stepper over it. Advance
+// only needs the endpoint's PollData/SendData/SendInterrupt.
 func (s *Simulator) NewDriver(clk *Clock, ep DriverEndpoint) (*Driver, error) {
 	if err := s.Elaborate(); err != nil {
 		return nil, err
@@ -341,9 +341,40 @@ func (s *Simulator) NewDriver(clk *Clock, ep DriverEndpoint) (*Driver, error) {
 	return &Driver{s: s, clk: clk, ep: ep}, nil
 }
 
-// Cycle performs one driver-loop iteration: route inbound DATA, run one
+// Advance runs driver-loop cycles until the cycle count reaches until or
+// the simulation stops itself (sc_stop, reported as halted).
+func (d *Driver) Advance(until uint64) (reached uint64, halted bool, err error) {
+	for d.st.Cycles < until && !d.s.stopped {
+		if err := d.cycle(); err != nil {
+			return d.st.Cycles, d.s.stopped, err
+		}
+	}
+	return d.st.Cycles, d.s.stopped, nil
+}
+
+// Boundary reports the endpoint's pending traffic and the board's
+// lookahead promise, then the model's interrupt lookahead.
+func (d *Driver) Boundary() (traffic bool, peer, local uint64) {
+	return d.aep.TrafficPending(), d.aep.PeerLookahead(), d.s.interruptLookahead()
+}
+
+// Rendezvous performs the CLOCK-port sync, granting the board acc ticks
+// at cycle now (carrying the model's lookahead in adaptive runs).
+func (d *Driver) Rendezvous(acc, now uint64) error {
+	if d.aep != nil {
+		d.aep.SetLocalLookahead(d.s.interruptLookahead())
+	}
+	bc, err := d.ep.Sync(acc, now)
+	if err != nil {
+		return err
+	}
+	d.st.LastBoardCy = bc
+	return nil
+}
+
+// cycle performs one driver-loop iteration: route inbound DATA, run one
 // clock cycle, scan interrupt lines, and flush posted driver_out writes.
-func (d *Driver) Cycle() error {
+func (d *Driver) cycle() error {
 	// (1) Check for the presence of data on DATA_PORT.
 	for _, m := range d.ep.PollData() {
 		d.st.DataIn++
@@ -393,93 +424,14 @@ func (d *Driver) Cycle() error {
 // Stopped reports whether the simulator ended the run (sc_stop).
 func (d *Driver) Stopped() bool { return d.s.stopped }
 
-// Cycles returns the number of cycles stepped so far.
-func (d *Driver) Cycles() uint64 { return d.st.Cycles }
-
 // Stats returns the driver-loop counters accumulated so far. SyncEvents,
-// SyncsElided and LastBoardCy belong to the synchronization policy, so
-// when a Driver is stepped externally they stay zero until the
-// coordinator records them with RecordSchedule.
+// SyncsElided and LastBoardCy belong to the schedule: only DriverSimulate
+// fills them; a Driver stepped by another coordinator leaves them zero.
 func (d *Driver) Stats() DriverStats { return d.st }
 
 // InterruptLookahead evaluates the model's lookahead oracle (see
 // SetInterruptLookahead).
 func (d *Driver) InterruptLookahead() uint64 { return d.s.interruptLookahead() }
-
-// RecordSchedule records the synchronization an external coordinator
-// performed on this kernel's behalf: syncs rendezvous, elided skipped
-// boundaries, and the board cycle acknowledged at the last rendezvous.
-func (d *Driver) RecordSchedule(syncs, elided, lastBoardCy uint64) {
-	d.st.SyncEvents, d.st.SyncsElided, d.st.LastBoardCy = syncs, elided, lastBoardCy
-}
-
-// EffectiveMaxQuantum resolves a DriverConfig.MaxQuantum value against
-// its TSync: 0 defaults to 64×TSync (saturating), and the result is
-// clamped up to at least TSync. The federation time manager applies the
-// same resolution so elongation caps agree bit-for-bit with
-// DriverSimulate.
-func EffectiveMaxQuantum(tsync, maxQuantum uint64) uint64 {
-	maxQ := maxQuantum
-	if maxQ == 0 {
-		maxQ = tsync * defaultMaxQuantumFactor
-		if maxQ/defaultMaxQuantumFactor != tsync { // overflow
-			maxQ = UnboundedLookahead
-		}
-	}
-	if maxQ < tsync {
-		maxQ = tsync
-	}
-	return maxQ
-}
-
-// ElideBoundary is the conservative-elision predicate shared by
-// DriverSimulate and the federation time manager: a TSync boundary may
-// be skipped exactly when (a) no traffic was sent since the last grant —
-// the a-posteriori check that guarantees bit-identical results even when
-// a lookahead promise was wrong, (b) the accumulated grant acc stays
-// within the cap with room for one more quantum, (c) acc is strictly
-// inside the peer's promised lookahead (strict, because an event exactly
-// at the boundary must see its own rendezvous), (d) the local model does
-// not expect to interrupt within the next quantum, and (e) the run is
-// not stopping at this boundary.
-func ElideBoundary(acc, tsync, maxQ, peerLookahead, localLookahead uint64, trafficPending, stopping bool) bool {
-	return !trafficPending &&
-		acc <= maxQ-tsync &&
-		acc < peerLookahead &&
-		localLookahead >= tsync &&
-		!stopping
-}
-
-// DriverConfig parameterizes DriverSimulate.
-type DriverConfig struct {
-	// TSync is the synchronization interval in clock cycles: one CLOCK-port
-	// rendezvous is performed every TSync cycles. TSync == 1 is lockstep.
-	// TSync ≥ TotalCycles degenerates to a single grant (the paper's
-	// "simulation without synchronization" normalizer).
-	TSync uint64
-	// TotalCycles bounds the co-simulation length.
-	TotalCycles uint64
-	// StopEarly, if non-nil, is polled at every sync boundary; returning
-	// true ends the co-simulation before TotalCycles. It must be a pure
-	// predicate of simulation state: with Adaptive set it is also polled
-	// at elided boundaries so the run ends at the same cycle it would
-	// have without elongation.
-	StopEarly func() bool
-	// Adaptive enables lookahead-negotiated quantum elongation: a TSync
-	// boundary is skipped (no CLOCK rendezvous) when no traffic was sent
-	// since the last grant, the accumulated grant stays strictly inside
-	// the board's promised lookahead, and the device model does not
-	// expect to interrupt within the next TSync cycles. Requires an
-	// endpoint implementing AdaptiveEndpoint; silently ignored otherwise.
-	// Elongated runs produce bit-identical simulated-time results.
-	Adaptive bool
-	// MaxQuantum caps the accumulated elongated quantum in clock cycles.
-	// 0 means 64×TSync. It is clamped up to at least TSync.
-	MaxQuantum uint64
-}
-
-// defaultMaxQuantumFactor scales TSync into the default MaxQuantum cap.
-const defaultMaxQuantumFactor = 64
 
 // DriverStats reports what DriverSimulate did.
 type DriverStats struct {
@@ -498,67 +450,21 @@ type DriverStats struct {
 // (2) accomplishes a standard simulation cycle, and (3) checks the
 // interrupt signals, sending an INT-port packet when one is active; every
 // cfg.TSync cycles it performs the CLOCK-port synchronization rendezvous
-// that grants the board its next slice of virtual ticks.
+// that grants the board its next slice of virtual ticks. The schedule is
+// RunSchedule's.
 func (s *Simulator) DriverSimulate(clk *Clock, ep DriverEndpoint, cfg DriverConfig) (DriverStats, error) {
-	if cfg.TSync == 0 {
-		return DriverStats{}, fmt.Errorf("hdlsim: DriverSimulate requires TSync ≥ 1")
-	}
 	d, err := s.NewDriver(clk, ep)
 	if err != nil {
 		return DriverStats{}, err
 	}
-	aep, adaptive := ep.(AdaptiveEndpoint)
-	adaptive = adaptive && cfg.Adaptive
-	maxQ := EffectiveMaxQuantum(cfg.TSync, cfg.MaxQuantum)
-	// pending accumulates the ticks of boundaries elided by adaptive
-	// elongation; they are granted in one piece at the next rendezvous.
-	pending := uint64(0)
-	sinceSync := uint64(0)
-	for d.st.Cycles < cfg.TotalCycles && !s.stopped {
-		if err := d.Cycle(); err != nil {
-			return d.st, err
-		}
-		sinceSync++
-		// CLOCK-port synchronization every TSync cycles. With adaptive
-		// elongation a boundary may be elided (see ElideBoundary): the
-		// ticks accumulate in `pending` and are granted in one piece
-		// later.
-		if sinceSync >= cfg.TSync {
-			acc := pending + sinceSync
-			elide := adaptive && ElideBoundary(acc, cfg.TSync, maxQ,
-				aep.PeerLookahead(), s.interruptLookahead(),
-				aep.TrafficPending(), cfg.StopEarly != nil && cfg.StopEarly())
-			if elide {
-				pending = acc
-				sinceSync = 0
-				d.st.SyncsElided++
-			} else {
-				if adaptive {
-					aep.SetLocalLookahead(s.interruptLookahead())
-				}
-				bc, err := ep.Sync(acc, d.st.Cycles)
-				if err != nil {
-					return d.st, err
-				}
-				d.st.SyncEvents++
-				d.st.LastBoardCy = bc
-				pending, sinceSync = 0, 0
-				if cfg.StopEarly != nil && cfg.StopEarly() {
-					break
-				}
-			}
-		}
+	if aep, ok := ep.(AdaptiveEndpoint); ok && cfg.Adaptive {
+		d.aep = aep
 	}
-	if pending+sinceSync > 0 {
-		if adaptive {
-			aep.SetLocalLookahead(s.interruptLookahead())
-		}
-		bc, err := ep.Sync(pending+sinceSync, d.st.Cycles)
-		if err != nil {
-			return d.st, err
-		}
-		d.st.SyncEvents++
-		d.st.LastBoardCy = bc
+	cfg.Adaptive = d.aep != nil
+	st, err := RunSchedule(cfg, d)
+	d.st.SyncEvents, d.st.SyncsElided = st.Syncs, st.Elided
+	if err != nil {
+		return d.st, err
 	}
 	return d.st, ep.Finish(d.st.Cycles)
 }

@@ -1,0 +1,234 @@
+package hdlsim
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// grant is one rendezvous: acc ticks granted at time now.
+type grant struct{ acc, now uint64 }
+
+// scriptedSide is a scripted clock-driving side and its peer: it halts
+// itself at halt (0 = never), reports per-boundary elision inputs
+// indexed by boundary number (time / tsync), and records every grant.
+// Its StopEarly fires from time stopAt (0 = never): on the device's own
+// clock, or — with boardFlag — once a rendezvous at or after stopAt has
+// run, like a board-side "finished" flag.
+type scriptedSide struct {
+	tsync, halt, stopAt uint64
+	boardFlag           bool
+	traffic             []bool
+	peer, local         []uint64
+
+	cur    uint64
+	board  bool
+	grants []grant
+	polls  int
+}
+
+func (f *scriptedSide) stopped() bool { return f.halt != 0 && f.cur >= f.halt }
+
+func (f *scriptedSide) boundary() int {
+	return int(f.cur/f.tsync) % len(f.traffic)
+}
+
+// bind returns cfg with StopEarly bound to this side (nil if it never
+// stops early).
+func (f *scriptedSide) bind(cfg DriverConfig) DriverConfig {
+	if f.stopAt != 0 {
+		cfg.StopEarly = f.stopEarly
+	}
+	return cfg
+}
+
+func (f *scriptedSide) stopEarly() bool {
+	f.polls++
+	if f.boardFlag {
+		return f.board
+	}
+	return f.cur >= f.stopAt
+}
+
+func (f *scriptedSide) rendezvous(acc uint64) {
+	f.grants = append(f.grants, grant{acc, f.cur})
+	if f.stopAt != 0 && f.cur >= f.stopAt {
+		f.board = true
+	}
+}
+
+// Advance, Boundary and Rendezvous make the side a QuantumParty.
+func (f *scriptedSide) Advance(until uint64) (uint64, bool, error) {
+	if f.halt != 0 && until > f.halt {
+		until = f.halt
+	}
+	f.cur = max(f.cur, until)
+	return f.cur, f.stopped(), nil
+}
+
+func (f *scriptedSide) Boundary() (bool, uint64, uint64) {
+	k := f.boundary()
+	return f.traffic[k], f.peer[k], f.local[k]
+}
+
+func (f *scriptedSide) Rendezvous(acc, now uint64) error {
+	if now != f.cur {
+		return fmt.Errorf("rendezvous at %d, clock-driving side at %d", now, f.cur)
+	}
+	f.rendezvous(acc)
+	return nil
+}
+
+// referenceSchedule is DriverSimulate's loop as it stood before the
+// schedule was shared with the federation manager, cycle by cycle, with
+// its own copy of the cap resolution and the elision predicate. It is
+// the independent reference RunSchedule must reproduce.
+func referenceSchedule(cfg DriverConfig, f *scriptedSide) (quanta, syncs, elided uint64) {
+	maxQ := cfg.MaxQuantum
+	if maxQ == 0 {
+		maxQ = cfg.TSync * 64
+		if maxQ/64 != cfg.TSync {
+			maxQ = UnboundedLookahead
+		}
+	}
+	if maxQ < cfg.TSync {
+		maxQ = cfg.TSync
+	}
+	pending, sinceSync := uint64(0), uint64(0)
+	for f.cur < cfg.TotalCycles && !f.stopped() {
+		f.cur++
+		sinceSync++
+		if sinceSync >= cfg.TSync {
+			quanta++
+			acc := pending + sinceSync
+			k := f.boundary()
+			stopping := cfg.StopEarly != nil && cfg.StopEarly()
+			elide := cfg.Adaptive && !f.traffic[k] && acc <= maxQ-cfg.TSync &&
+				acc < f.peer[k] && f.local[k] >= cfg.TSync && !stopping
+			if elide {
+				pending = acc
+				sinceSync = 0
+				elided++
+			} else {
+				f.rendezvous(acc)
+				syncs++
+				pending, sinceSync = 0, 0
+				if cfg.StopEarly != nil && cfg.StopEarly() {
+					break
+				}
+			}
+		}
+	}
+	if pending+sinceSync > 0 {
+		f.rendezvous(pending + sinceSync)
+		syncs++
+	}
+	return quanta, syncs, elided
+}
+
+// drawSchedule draws one random schedule and its script: quantum-aligned
+// and ragged horizons, default, tiny and explicit caps, lookaheads on
+// and around quantum multiples (where the strict peer comparison
+// matters), sparse traffic, halts and StopEarly at random points. side
+// builds a fresh copy of the scripted side for each run.
+func drawSchedule(rng *rand.Rand) (cfg DriverConfig, side func() *scriptedSide) {
+	tsync := uint64(1 + rng.Intn(8))
+	quanta := uint64(rng.Intn(80))
+	horizon := quanta * tsync
+	if rng.Intn(2) == 0 {
+		horizon += uint64(rng.Intn(int(tsync)))
+	}
+	cfg = DriverConfig{TSync: tsync, TotalCycles: horizon, Adaptive: rng.Intn(3) != 0}
+	switch rng.Intn(3) {
+	case 1:
+		cfg.MaxQuantum = uint64(rng.Intn(int(8 * tsync)))
+	case 2:
+		cfg.MaxQuantum = UnboundedLookahead
+	}
+	n := int(quanta) + 1
+	traffic := make([]bool, n)
+	peer := make([]uint64, n)
+	local := make([]uint64, n)
+	for k := range traffic {
+		traffic[k] = rng.Intn(5) == 0
+		switch rng.Intn(4) {
+		case 0:
+			peer[k] = UnboundedLookahead
+		case 1:
+			peer[k] = uint64(rng.Intn(int(12 * tsync)))
+		default:
+			peer[k] = uint64(rng.Intn(12)) * tsync
+		}
+		local[k] = UnboundedLookahead
+		if rng.Intn(3) != 0 {
+			local[k] = tsync - 1 + uint64(rng.Intn(2))
+		}
+	}
+	var halt, stopAt uint64
+	if horizon > 0 && rng.Intn(3) == 0 {
+		halt = 1 + uint64(rng.Int63n(int64(horizon)))
+		if rng.Intn(2) == 0 {
+			halt = (halt + tsync - 1) / tsync * tsync // at a boundary
+		}
+	}
+	if horizon > 0 && rng.Intn(2) == 0 {
+		stopAt = 1 + uint64(rng.Int63n(int64(horizon)))
+	}
+	boardFlag := rng.Intn(2) == 0
+	return cfg, func() *scriptedSide {
+		return &scriptedSide{tsync: tsync, halt: halt, stopAt: stopAt, boardFlag: boardFlag,
+			traffic: traffic, peer: peer, local: local}
+	}
+}
+
+// TestScheduleMatchesDriverReference is the property test behind the
+// shared schedule: over seeded random TSync, horizons, caps, adaptive
+// on and off, scripted lookaheads and traffic, halts and StopEarly,
+// RunSchedule grants exactly what the pre-sharing DriverSimulate loop
+// granted, with the same counters and final time, and polls StopEarly
+// exactly once per boundary.
+func TestScheduleMatchesDriverReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var elided, halted, stopped uint64
+	for i := 0; i < 4000; i++ {
+		cfg, side := drawSchedule(rng)
+		ref, got := side(), side()
+		desc := fmt.Sprintf("%+v halt=%d stopAt=%d boardFlag=%v", cfg, got.halt, got.stopAt, got.boardFlag)
+		q, s, e := referenceSchedule(ref.bind(cfg), ref)
+		st, err := RunSchedule(got.bind(cfg), got)
+		if err != nil {
+			t.Fatalf("case %d (%s): %v", i, desc, err)
+		}
+		if !slices.Equal(got.grants, ref.grants) {
+			t.Fatalf("case %d (%s): grants\n got %v\nwant %v", i, desc, got.grants, ref.grants)
+		}
+		if st.Quanta != q || st.Syncs != s || st.Elided != e {
+			t.Fatalf("case %d (%s): quanta/syncs/elided %d/%d/%d, reference %d/%d/%d", i, desc, st.Quanta, st.Syncs, st.Elided, q, s, e)
+		}
+		if st.Now != ref.cur || got.cur != ref.cur {
+			t.Fatalf("case %d (%s): final time %d (side %d), reference %d", i, desc, st.Now, got.cur, ref.cur)
+		}
+		if got.stopAt != 0 && uint64(got.polls) != st.Quanta {
+			t.Fatalf("case %d (%s): StopEarly polled %d times at %d boundaries", i, desc, got.polls, st.Quanta)
+		}
+		elided += e
+		if ref.stopped() && ref.cur < cfg.TotalCycles {
+			halted++
+		}
+		if got.stopAt != 0 && ref.cur < cfg.TotalCycles && !ref.stopped() {
+			stopped++
+		}
+	}
+	if elided == 0 || halted == 0 || stopped == 0 {
+		t.Fatalf("draws never exercised elision (%d), halts (%d) or StopEarly (%d)", elided, halted, stopped)
+	}
+}
+
+// TestScheduleRejectsZeroTSync: the one TSync check, shared by
+// DriverSimulate and the federation manager.
+func TestScheduleRejectsZeroTSync(t *testing.T) {
+	if _, err := RunSchedule(DriverConfig{TotalCycles: 10}, &scriptedSide{tsync: 1}); err == nil {
+		t.Fatal("TSync=0 accepted")
+	}
+}

@@ -326,13 +326,15 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 	}
 
 	mgr, err := federation.New(federation.Config{
-		Parties:    parties,
-		Links:      links,
-		TSync:      rc.TSync,
-		Horizon:    rc.budget(),
-		Adaptive:   rc.Adaptive,
-		MaxQuantum: rc.MaxQuantum,
-		StopEarly:  tb.Finished,
+		Parties: parties,
+		Links:   links,
+		DriverConfig: hdlsim.DriverConfig{
+			TSync:       rc.TSync,
+			TotalCycles: rc.budget(),
+			Adaptive:    rc.Adaptive,
+			MaxQuantum:  rc.MaxQuantum,
+			StopEarly:   tb.Finished,
+		},
 	})
 	if err != nil {
 		abort()
@@ -378,6 +380,7 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 	}
 
 	res.HW = hwFed.Stats()
+	res.HW.SyncEvents, res.HW.SyncsElided, res.HW.LastBoardCy = fedStats.Syncs, fedStats.Elided, fedStats.LastBoardCy
 	res.Router = tb.Router.Stats()
 	res.Consumers = tb.ConsumerTotals()
 	res.Generated = tb.Generated()

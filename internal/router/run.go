@@ -184,6 +184,11 @@ func (rc RunConfig) Validate() error {
 	if rc.Chaos != nil && rc.Resilience == nil {
 		return fmt.Errorf("router: invalid RunConfig: Chaos without Resilience — injected faults would corrupt the protocol mid-run; set Resilience (e.g. cosim.DefaultSessionConfig()) or drop Chaos")
 	}
+	if rc.Chaos != nil {
+		if err := rc.Chaos.Validate(); err != nil {
+			return fmt.Errorf("router: invalid RunConfig: Chaos: %w", err)
+		}
+	}
 	if rc.Adaptive && rc.Mode == cosim.SyncPipelined {
 		return fmt.Errorf("router: invalid RunConfig: Adaptive with SyncPipelined — the pipelined acknowledgement describes a quantum that is already granted, so its lookahead promise is stale; use SyncAlternating or drop Adaptive")
 	}

@@ -90,3 +90,46 @@ func TestRunClosesTransportsOnInvalidConfig(t *testing.T) {
 		t.Fatalf("board transport not closed after rejection: %v", err)
 	}
 }
+
+// TestRunConfigValidateChaosProbabilities: every fault probability must
+// lie in [0,1] — NaN included — and the error names the channel and the
+// field, so a bad spec fails up front instead of after the session layer
+// has spent its redials.
+func TestRunConfigValidateChaosProbabilities(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*cosim.FaultProfile, float64)
+	}{
+		{"Drop", func(p *cosim.FaultProfile, v float64) { p.Drop = v }},
+		{"Duplicate", func(p *cosim.FaultProfile, v float64) { p.Duplicate = v }},
+		{"Reorder", func(p *cosim.FaultProfile, v float64) { p.Reorder = v }},
+		{"Corrupt", func(p *cosim.FaultProfile, v float64) { p.Corrupt = v }},
+		{"Truncate", func(p *cosim.FaultProfile, v float64) { p.Truncate = v }},
+		{"Delay", func(p *cosim.FaultProfile, v float64) { p.Delay = v }},
+	}
+	for _, f := range fields {
+		for ch := cosim.ChanData; int(ch) < cosim.NumChannels; ch++ {
+			for _, v := range []float64{-0.1, 1.5, math.Inf(1), math.NaN(), 0, 1} {
+				rc := DefaultRunConfig()
+				sc := cosim.Scenario{Seed: 1}
+				f.set(&sc.Profile[ch], v)
+				sess := cosim.DefaultSessionConfig()
+				rc.Chaos, rc.Resilience = &sc, &sess
+				err := rc.Validate()
+				if v == 0 || v == 1 {
+					if err != nil {
+						t.Errorf("%s %s=%v rejected: %v", ch, f.name, v, err)
+					}
+					continue
+				}
+				if err == nil {
+					t.Errorf("%s %s=%v accepted", ch, f.name, v)
+					continue
+				}
+				if msg := err.Error(); !strings.Contains(msg, ch.String()+" channel "+f.name) {
+					t.Errorf("%s %s=%v: error %q does not name the channel and field", ch, f.name, v, msg)
+				}
+			}
+		}
+	}
+}
