@@ -60,10 +60,11 @@ transport-matrix:
 # across every transport, multi-board and pulse-device topologies
 # deterministic, topologies bounded by the board's interrupt vector,
 # federations submitted as specs through the farm and the fleet equal to
-# their direct runs, the manager's edge cases, and the quantum schedule
-# both engines share against its independent reference — all under -race.
+# their direct runs, the manager's edge cases (cancellation of elongated
+# runs included), and the quantum schedule both engines share against its
+# independent reference — all under -race.
 federation-matrix:
-	$(GO) test -race -run 'TestFederation|TestRunDispatchesFederation|TestMultiBoard|TestMultiRunReports' ./internal/router/
+	$(GO) test -race -run 'TestFederation|TestRunDispatchesFederation|TestMultiBoard|TestMultiRunReports|TestRunContextCancellation' ./internal/router/
 	$(GO) test -race -run 'TestFarmRunsFederatedSessions|TestSpec' ./internal/farm/
 	$(GO) test -race -run 'TestFleetFederatedSpec' ./internal/fleet/
 	$(GO) test -race ./internal/cosim/federation/

@@ -259,8 +259,9 @@ func minLookahead(set []*member, skip *member) uint64 {
 // Run executes the federation under hdlsim.RunSchedule — to the horizon
 // (TotalCycles), until a clock-driving party halts, or until StopEarly
 // fires — and finishes every party. Cancelling ctx stops the run at the
-// next rendezvous, at most the elongation cap (MaxQuantum) away, with
-// the context's cause.
+// next TSync boundary, elided or not, with the context's cause: an
+// adaptive run checks it where it would elide and takes the rendezvous
+// instead.
 func (tm *TimeManager) Run(ctx context.Context) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -311,12 +312,18 @@ func (s *schedule) Advance(until uint64) (uint64, bool, error) {
 	return uint64(reached), halted, nil
 }
 
-// Boundary reports traffic when an event waits for a granted party —
-// before the eager promises are folded — and otherwise the granted
-// parties' promise (the peer) and the eager parties' minimum (the local
-// model).
+// Boundary reports traffic when the run is cancelled, which forces the
+// rendezvous that returns the cause, or when an event waits for a
+// granted party — both before the eager promises are folded — and
+// otherwise the granted parties' promise (the peer) and the eager
+// parties' minimum (the local model).
 func (s *schedule) Boundary() (bool, uint64, uint64) {
 	tm := (*TimeManager)(s)
+	select {
+	case <-tm.canceled:
+		return true, 0, 0
+	default:
+	}
 	for _, m := range tm.lazy {
 		if len(m.inbox) > 0 {
 			return true, 0, 0

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -25,6 +26,10 @@ type fakeParty struct {
 	seq       uint32
 	out       []cosim.FedMsg
 
+	// cancel, when set, is called by the Step that reaches cancelAt.
+	cancel   context.CancelFunc
+	cancelAt cosim.SimTime
+
 	// consumer record (lazy parties)
 	got      []uint32
 	gotAt    []cosim.SimTime
@@ -47,6 +52,9 @@ func (f *fakeParty) Step(until cosim.SimTime) (cosim.SimTime, error) {
 	}
 	f.cur = until
 	f.steps++
+	if f.cancel != nil && until >= f.cancelAt {
+		f.cancel()
+	}
 	return until, nil
 }
 
@@ -177,6 +185,37 @@ func TestSlowPartyCannotReorderEvents(t *testing.T) {
 	}
 	if !consumer.finished || !producer.finished || !slow.finished {
 		t.Fatal("not every party was finished")
+	}
+}
+
+// TestCancelStopsElongatedRun: an uncapped adaptive run whose every
+// promise is unbounded would elide every boundary up to its horizon, so
+// the manager must notice cancellation at elided boundaries too. The
+// clock-driving party cancels mid-quantum; the run fails with the cause
+// at the next boundary, within one TSync of the cancel.
+func TestCancelStopsElongatedRun(t *testing.T) {
+	const tsync, cancelAt = 100, 12_345
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	dev := &fakeParty{name: "dev", la: cosim.UnboundedLookahead, tsync: tsync, cancel: cancel, cancelAt: cancelAt}
+	brd := &fakeParty{name: "board", la: cosim.UnboundedLookahead}
+	tm, err := New(Config{
+		Parties:      []Party{{Fed: dev, Eager: true}, {Fed: brd}},
+		Links:        []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
+		DriverConfig: hdlsim.DriverConfig{TSync: tsync, TotalCycles: 1_000_000 * tsync, Adaptive: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := tm.Run(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run error %v, want one wrapping context.Canceled", err)
+	}
+	if st.Now < cancelAt || st.Now > cancelAt+tsync {
+		t.Fatalf("run stopped at %d, want within one TSync (%d) after the cancel at %d", st.Now, tsync, cancelAt)
+	}
+	if brd.steps != 0 {
+		t.Fatalf("granted party stepped %d times; the only rendezvous came after the cancel and must grant nothing", brd.steps)
 	}
 }
 

@@ -42,7 +42,8 @@ type SessionSpec struct {
 	// "pipelined".
 	Mode string `json:"mode,omitempty"`
 	// Adaptive enables lookahead-negotiated quantum elongation;
-	// MaxQuantum caps the elongated quantum (0 = 64×TSync).
+	// MaxQuantum caps the elongated quantum (0 = no cap; a nonzero cap
+	// needs Adaptive and must be at least TSync).
 	Adaptive   bool   `json:"adaptive,omitempty"`
 	MaxQuantum uint64 `json:"max_quantum,omitempty"`
 	// Batch enables wire-frame coalescing (one MTBatch per channel flush).

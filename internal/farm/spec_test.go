@@ -95,6 +95,8 @@ func TestSpecValidation(t *testing.T) {
 		{"negative delay", SessionSpec{LinkDelayUS: -1}, "negative"},
 		{"chaos without resilience", SessionSpec{Chaos: &ChaosSpec{Seed: 1, Drop: 0.1}}, "Chaos without Resilience"},
 		{"adaptive pipelined", SessionSpec{Adaptive: true, Mode: "pipelined"}, "Adaptive with SyncPipelined"},
+		{"max quantum without adaptive", SessionSpec{MaxQuantum: 4096}, "MaxQuantum 4096 without Adaptive"},
+		{"max quantum below tsync", SessionSpec{TSync: 500, Adaptive: true, MaxQuantum: 499}, "MaxQuantum 499 is below TSync 500"},
 		{"chaos probability above 1", SessionSpec{Chaos: &ChaosSpec{Seed: 1, Drop: 1.5}, Resilience: &ResilienceSpec{}}, "DATA channel Drop probability 1.5"},
 		{"chaos probability negative", SessionSpec{Chaos: &ChaosSpec{Seed: 1, Delay: -0.5}, Resilience: &ResilienceSpec{}}, "DATA channel Delay probability -0.5"},
 		{"federation without boards", SessionSpec{Federation: &router.FederationConfig{Boards: 0}}, "at least one board"},
@@ -183,6 +185,8 @@ var specCorpus = []struct {
 		`"board":{"cycles_per_grant_tick":50},"app":{"timing":"annotated","mailbox_cap":8}}`, true, nil},
 	{"adaptive", `{"transport":"uds","tsync":321,"adaptive":true,"max_quantum":4096}`, true, nil},
 	{"out-of-range chaos parses", `{"chaos":{"seed":1,"drop":1.5},"resilience":{}}`, true, nil},
+	{"max quantum without adaptive parses", `{"max_quantum":4096}`, true, nil},
+	{"max quantum below tsync parses", `{"tsync":500,"adaptive":true,"max_quantum":499}`, true, nil},
 	{"unknown field", `{"tysnc": 100}`, false, nil},
 	{"truncated", `{"tsync":`, false, nil},
 	{"not an object", `[1,2]`, false, nil},

@@ -31,7 +31,9 @@ type DriverConfig struct {
 	// simulated-time results.
 	Adaptive bool
 	// MaxQuantum caps the accumulated elongated quantum in clock cycles.
-	// 0 means 64×TSync. It is clamped up to at least TSync.
+	// 0 means no cap: a quiet stretch elongates until traffic or a
+	// lookahead promise forces a rendezvous. A value below TSync is
+	// clamped up to TSync.
 	MaxQuantum uint64
 }
 
@@ -42,9 +44,6 @@ func (c DriverConfig) Validate() error {
 	}
 	return nil
 }
-
-// defaultMaxQuantumFactor scales TSync into the default MaxQuantum cap.
-const defaultMaxQuantumFactor = 64
 
 // QuantumParty is what RunSchedule drives: the clock-driving side of a
 // run together with the peers it grants time to. DriverSimulate adapts
@@ -66,6 +65,37 @@ type QuantumParty interface {
 	Rendezvous(acc, now uint64) error
 }
 
+// SyncReason says why RunSchedule performed a rendezvous. The first
+// four are elideBoundary's verdicts, in the order it checks them.
+type SyncReason uint8
+
+const (
+	// SyncTraffic: traffic was sent since the last grant.
+	SyncTraffic SyncReason = iota
+	// SyncCap: one more quantum would pass the MaxQuantum cap.
+	SyncCap
+	// SyncPeer: the accumulated grant reached the peers' lookahead.
+	SyncPeer
+	// SyncLocal: the local model may interrupt within the next quantum.
+	SyncLocal
+	// SyncStopping: the boundary was elidable, but StopEarly fired.
+	SyncStopping
+	// SyncPlain: a non-adaptive run rendezvouses at every boundary.
+	SyncPlain
+	// SyncFinal: the partial grant that settles the end of the run.
+	SyncFinal
+	// NumSyncReasons sizes ScheduleStats.SyncsBy.
+	NumSyncReasons
+)
+
+// syncElide is elideBoundary's verdict that a boundary may be skipped.
+const syncElide = NumSyncReasons
+
+var syncReasonNames = [NumSyncReasons]string{"traffic", "cap", "peer", "local", "stopping", "plain", "final"}
+
+// String returns the reason's metric label.
+func (r SyncReason) String() string { return syncReasonNames[r] }
+
 // ScheduleStats counts what RunSchedule did.
 type ScheduleStats struct {
 	// Now is the final virtual time.
@@ -75,6 +105,8 @@ type ScheduleStats struct {
 	// by adaptive elongation (Quanta = Syncs + Elided when the run ends
 	// on a boundary).
 	Quanta, Syncs, Elided uint64
+	// SyncsBy splits Syncs by the reason each rendezvous happened.
+	SyncsBy [NumSyncReasons]uint64
 }
 
 // RunSchedule is the paper's driver_simulate schedule: advance the
@@ -109,15 +141,15 @@ func RunSchedule(cfg DriverConfig, p QuantumParty) (ScheduleStats, error) {
 		if full {
 			st.Quanta++
 			acc := st.Now - granted
-			elide := false
+			why := SyncPlain
 			if cfg.Adaptive {
 				traffic, peer, local := p.Boundary()
-				elide = elideBoundary(acc, cfg.TSync, maxQ, peer, local, traffic)
+				why = elideBoundary(acc, cfg.TSync, maxQ, peer, local, traffic)
 			}
 			// One StopEarly poll per boundary (see DriverConfig): before
 			// the decision when the boundary is elidable, else after the
 			// rendezvous.
-			if elide && !stop() {
+			if why == syncElide && !stop() {
 				st.Elided++
 			} else {
 				if err := p.Rendezvous(acc, st.Now); err != nil {
@@ -125,7 +157,12 @@ func RunSchedule(cfg DriverConfig, p QuantumParty) (ScheduleStats, error) {
 				}
 				st.Syncs++
 				granted = st.Now
-				if elide || stop() {
+				if why == syncElide {
+					st.SyncsBy[SyncStopping]++
+					break
+				}
+				st.SyncsBy[why]++
+				if stop() {
 					break
 				}
 			}
@@ -139,38 +176,43 @@ func RunSchedule(cfg DriverConfig, p QuantumParty) (ScheduleStats, error) {
 			return st, err
 		}
 		st.Syncs++
+		st.SyncsBy[SyncFinal]++
 	}
 	return st, nil
 }
 
 // effectiveMaxQuantum resolves a DriverConfig.MaxQuantum value against
-// its TSync: 0 defaults to 64×TSync (saturating), and the result is
-// clamped up to at least TSync.
+// its TSync: 0 means UnboundedLookahead, and the result is clamped up to
+// at least TSync.
 func effectiveMaxQuantum(tsync, maxQuantum uint64) uint64 {
-	maxQ := maxQuantum
-	if maxQ == 0 {
-		maxQ = tsync * defaultMaxQuantumFactor
-		if maxQ/defaultMaxQuantumFactor != tsync { // overflow
-			maxQ = UnboundedLookahead
-		}
+	switch {
+	case maxQuantum == 0:
+		return UnboundedLookahead
+	case maxQuantum < tsync:
+		return tsync
 	}
-	if maxQ < tsync {
-		maxQ = tsync
-	}
-	return maxQ
+	return maxQuantum
 }
 
 // elideBoundary is the conservative-elision predicate: a TSync boundary
-// may be skipped exactly when (a) no traffic was sent since the last
-// grant — the a-posteriori check that guarantees bit-identical results
-// even when a lookahead promise was wrong, (b) the accumulated grant acc
-// stays within the cap with room for one more quantum, (c) acc is
-// strictly inside the peer's promised lookahead (strict, because an
-// event exactly at the boundary must see its own rendezvous), and (d)
-// the local model does not expect to interrupt within the next quantum.
-func elideBoundary(acc, tsync, maxQ, peerLookahead, localLookahead uint64, trafficPending bool) bool {
-	return !trafficPending &&
-		acc <= maxQ-tsync &&
-		acc < peerLookahead &&
-		localLookahead >= tsync
+// may be skipped (syncElide) exactly when (a) no traffic was sent since
+// the last grant — the a-posteriori check that guarantees bit-identical
+// results even when a lookahead promise was wrong, (b) the accumulated
+// grant acc stays within the cap with room for one more quantum, (c)
+// acc is strictly inside the peer's promised lookahead (strict, because
+// an event exactly at the boundary must see its own rendezvous), and
+// (d) the local model does not expect to interrupt within the next
+// quantum. Otherwise it returns the first condition that failed.
+func elideBoundary(acc, tsync, maxQ, peerLookahead, localLookahead uint64, trafficPending bool) SyncReason {
+	switch {
+	case trafficPending:
+		return SyncTraffic
+	case acc > maxQ-tsync:
+		return SyncCap
+	case acc >= peerLookahead:
+		return SyncPeer
+	case localLookahead < tsync:
+		return SyncLocal
+	}
+	return syncElide
 }

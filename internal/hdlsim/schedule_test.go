@@ -82,37 +82,56 @@ func (f *scriptedSide) Rendezvous(acc, now uint64) error {
 
 // referenceSchedule is DriverSimulate's loop as it stood before the
 // schedule was shared with the federation manager, cycle by cycle, with
-// its own copy of the cap resolution and the elision predicate. It is
-// the independent reference RunSchedule must reproduce.
-func referenceSchedule(cfg DriverConfig, f *scriptedSide) (quanta, syncs, elided uint64) {
+// its own copy of the cap resolution (0 = no cap) and the elision
+// predicate, each conjunct tagged with the reason its failure reports.
+// It is the independent reference RunSchedule must reproduce.
+func referenceSchedule(cfg DriverConfig, f *scriptedSide) (st ScheduleStats) {
 	maxQ := cfg.MaxQuantum
 	if maxQ == 0 {
-		maxQ = cfg.TSync * 64
-		if maxQ/64 != cfg.TSync {
-			maxQ = UnboundedLookahead
-		}
+		maxQ = UnboundedLookahead
 	}
 	if maxQ < cfg.TSync {
 		maxQ = cfg.TSync
+	}
+	sync := func(acc uint64, why SyncReason) {
+		f.rendezvous(acc)
+		st.Syncs++
+		st.SyncsBy[why]++
 	}
 	pending, sinceSync := uint64(0), uint64(0)
 	for f.cur < cfg.TotalCycles && !f.stopped() {
 		f.cur++
 		sinceSync++
 		if sinceSync >= cfg.TSync {
-			quanta++
+			st.Quanta++
 			acc := pending + sinceSync
 			k := f.boundary()
 			stopping := cfg.StopEarly != nil && cfg.StopEarly()
-			elide := cfg.Adaptive && !f.traffic[k] && acc <= maxQ-cfg.TSync &&
-				acc < f.peer[k] && f.local[k] >= cfg.TSync && !stopping
+			// The conditions for eliding, in the order their reasons rank.
+			conds := []struct {
+				ok  bool
+				why SyncReason
+			}{
+				{cfg.Adaptive, SyncPlain},
+				{!f.traffic[k], SyncTraffic},
+				{acc <= maxQ-cfg.TSync, SyncCap},
+				{acc < f.peer[k], SyncPeer},
+				{f.local[k] >= cfg.TSync, SyncLocal},
+				{!stopping, SyncStopping},
+			}
+			elide, why := true, SyncReason(0)
+			for _, c := range conds {
+				if !c.ok {
+					elide, why = false, c.why
+					break
+				}
+			}
 			if elide {
 				pending = acc
 				sinceSync = 0
-				elided++
+				st.Elided++
 			} else {
-				f.rendezvous(acc)
-				syncs++
+				sync(acc, why)
 				pending, sinceSync = 0, 0
 				if cfg.StopEarly != nil && cfg.StopEarly() {
 					break
@@ -121,28 +140,38 @@ func referenceSchedule(cfg DriverConfig, f *scriptedSide) (quanta, syncs, elided
 		}
 	}
 	if pending+sinceSync > 0 {
-		f.rendezvous(pending + sinceSync)
-		syncs++
+		sync(pending+sinceSync, SyncFinal)
 	}
-	return quanta, syncs, elided
+	st.Now = f.cur
+	return st
 }
 
 // drawSchedule draws one random schedule and its script: quantum-aligned
 // and ragged horizons, default, tiny and explicit caps, lookaheads on
 // and around quantum multiples (where the strict peer comparison
-// matters), sparse traffic, halts and StopEarly at random points. side
-// builds a fresh copy of the scripted side for each run.
+// matters), sparse traffic, halts and StopEarly at random points. One
+// draw in four is a long quiet adaptive run — hundreds of quanta, no
+// traffic, unbounded promises — so only a cap, StopEarly or a halt can
+// force a rendezvous before the end. side builds a fresh copy of the
+// scripted side for each run.
 func drawSchedule(rng *rand.Rand) (cfg DriverConfig, side func() *scriptedSide) {
+	quiet := rng.Intn(4) == 0
 	tsync := uint64(1 + rng.Intn(8))
 	quanta := uint64(rng.Intn(80))
+	if quiet {
+		quanta = 100 + uint64(rng.Intn(400))
+	}
 	horizon := quanta * tsync
 	if rng.Intn(2) == 0 {
 		horizon += uint64(rng.Intn(int(tsync)))
 	}
-	cfg = DriverConfig{TSync: tsync, TotalCycles: horizon, Adaptive: rng.Intn(3) != 0}
+	cfg = DriverConfig{TSync: tsync, TotalCycles: horizon, Adaptive: quiet || rng.Intn(3) != 0}
 	switch rng.Intn(3) {
 	case 1:
 		cfg.MaxQuantum = uint64(rng.Intn(int(8 * tsync)))
+		if quiet {
+			cfg.MaxQuantum = uint64(rng.Intn(int(80 * tsync)))
+		}
 	case 2:
 		cfg.MaxQuantum = UnboundedLookahead
 	}
@@ -151,6 +180,10 @@ func drawSchedule(rng *rand.Rand) (cfg DriverConfig, side func() *scriptedSide) 
 	peer := make([]uint64, n)
 	local := make([]uint64, n)
 	for k := range traffic {
+		if quiet {
+			peer[k], local[k] = UnboundedLookahead, UnboundedLookahead
+			continue
+		}
 		traffic[k] = rng.Intn(5) == 0
 		switch rng.Intn(4) {
 		case 0:
@@ -186,16 +219,19 @@ func drawSchedule(rng *rand.Rand) (cfg DriverConfig, side func() *scriptedSide) 
 // shared schedule: over seeded random TSync, horizons, caps, adaptive
 // on and off, scripted lookaheads and traffic, halts and StopEarly,
 // RunSchedule grants exactly what the pre-sharing DriverSimulate loop
-// granted, with the same counters and final time, and polls StopEarly
-// exactly once per boundary.
+// granted, with the same counters — the per-reason sync counts
+// included — and final time, and polls StopEarly exactly once per
+// boundary. Every reason occurs, and an uncapped quiet run elongates
+// past 64×TSync, the cap that used to be the default.
 func TestScheduleMatchesDriverReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	var elided, halted, stopped uint64
+	var elided, halted, stopped, longGrants uint64
+	var byReason [NumSyncReasons]uint64
 	for i := 0; i < 4000; i++ {
 		cfg, side := drawSchedule(rng)
 		ref, got := side(), side()
 		desc := fmt.Sprintf("%+v halt=%d stopAt=%d boardFlag=%v", cfg, got.halt, got.stopAt, got.boardFlag)
-		q, s, e := referenceSchedule(ref.bind(cfg), ref)
+		want := referenceSchedule(ref.bind(cfg), ref)
 		st, err := RunSchedule(got.bind(cfg), got)
 		if err != nil {
 			t.Fatalf("case %d (%s): %v", i, desc, err)
@@ -203,16 +239,32 @@ func TestScheduleMatchesDriverReference(t *testing.T) {
 		if !slices.Equal(got.grants, ref.grants) {
 			t.Fatalf("case %d (%s): grants\n got %v\nwant %v", i, desc, got.grants, ref.grants)
 		}
-		if st.Quanta != q || st.Syncs != s || st.Elided != e {
-			t.Fatalf("case %d (%s): quanta/syncs/elided %d/%d/%d, reference %d/%d/%d", i, desc, st.Quanta, st.Syncs, st.Elided, q, s, e)
+		if st.Quanta != want.Quanta || st.Syncs != want.Syncs || st.Elided != want.Elided {
+			t.Fatalf("case %d (%s): quanta/syncs/elided %d/%d/%d, reference %d/%d/%d", i, desc, st.Quanta, st.Syncs, st.Elided, want.Quanta, want.Syncs, want.Elided)
 		}
-		if st.Now != ref.cur || got.cur != ref.cur {
+		if st.Now != want.Now || got.cur != ref.cur {
 			t.Fatalf("case %d (%s): final time %d (side %d), reference %d", i, desc, st.Now, got.cur, ref.cur)
+		}
+		sum := uint64(0)
+		for _, n := range st.SyncsBy {
+			sum += n
+		}
+		if sum != st.Syncs {
+			t.Fatalf("case %d (%s): SyncsBy %v sums to %d, Syncs %d", i, desc, st.SyncsBy, sum, st.Syncs)
+		}
+		if st.SyncsBy != want.SyncsBy {
+			t.Fatalf("case %d (%s): SyncsBy %v, reference %v", i, desc, st.SyncsBy, want.SyncsBy)
 		}
 		if got.stopAt != 0 && uint64(got.polls) != st.Quanta {
 			t.Fatalf("case %d (%s): StopEarly polled %d times at %d boundaries", i, desc, got.polls, st.Quanta)
 		}
-		elided += e
+		elided += st.Elided
+		for r, n := range st.SyncsBy {
+			byReason[r] += n
+		}
+		if cfg.MaxQuantum == 0 && slices.ContainsFunc(got.grants, func(g grant) bool { return g.acc > 64*cfg.TSync }) {
+			longGrants++
+		}
 		if ref.stopped() && ref.cur < cfg.TotalCycles {
 			halted++
 		}
@@ -220,8 +272,13 @@ func TestScheduleMatchesDriverReference(t *testing.T) {
 			stopped++
 		}
 	}
-	if elided == 0 || halted == 0 || stopped == 0 {
-		t.Fatalf("draws never exercised elision (%d), halts (%d) or StopEarly (%d)", elided, halted, stopped)
+	if elided == 0 || halted == 0 || stopped == 0 || longGrants == 0 {
+		t.Fatalf("draws never exercised elision (%d), halts (%d), StopEarly (%d) or uncapped elongation past 64×TSync (%d)", elided, halted, stopped, longGrants)
+	}
+	for r, n := range byReason {
+		if n == 0 {
+			t.Fatalf("no draw synced for reason %v (counts %v)", SyncReason(r), byReason)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cosim"
 	"repro/internal/cosim/federation"
 	"repro/internal/hdlsim"
+	"repro/internal/obs"
 	"repro/internal/rtos"
 	"repro/internal/sim"
 )
@@ -187,7 +188,18 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 		lastGenerated := rc.Obs.Gauge("router_last_generated_packets")
 		lastSyncEvents := rc.Obs.Gauge("router_last_sync_events")
 		lastTSync := rc.Obs.Gauge("router_last_tsync")
+		syncs := func(r hdlsim.SyncReason) *obs.Counter {
+			return rc.Obs.Counter(obs.Name("cosim_boundary_sync_total", "reason", r.String()))
+		}
+		// The array type makes a reason without a handle a compile error.
+		var syncsBy [hdlsim.NumSyncReasons]*obs.Counter = [...]*obs.Counter{
+			syncs(hdlsim.SyncTraffic), syncs(hdlsim.SyncCap), syncs(hdlsim.SyncPeer), syncs(hdlsim.SyncLocal),
+			syncs(hdlsim.SyncStopping), syncs(hdlsim.SyncPlain), syncs(hdlsim.SyncFinal),
+		}
 		defer func() {
+			for r, n := range res.Fed.SyncsBy {
+				syncsBy[r].Add(n)
+			}
 			active.Add(-1)
 			if err != nil {
 				failed.Inc()

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cosim"
 	"repro/internal/hdlsim"
+	"repro/internal/obs"
 )
 
 // fedTransports lists the transport kinds the federation matrix covers
@@ -192,6 +193,48 @@ func TestFederationReportsBatchStats(t *testing.T) {
 		}
 		if boards == 1 && res.Batch != plain.Batch {
 			t.Errorf("Boards=1: batch counters %+v, Run reported %+v", res.Batch, plain.Batch)
+		}
+	}
+}
+
+// TestFederationCountsSyncReasons: every rendezvous of a run is counted
+// under one reason, in res.Fed.SyncsBy and in the registry's
+// cosim_boundary_sync_total{reason=} series, which accumulate across
+// the runs sharing it. A plain run syncs only at boundaries ("plain")
+// and its end; an adaptive one never reports "plain".
+func TestFederationCountsSyncReasons(t *testing.T) {
+	reg := obs.NewRegistry()
+	var total [hdlsim.NumSyncReasons]uint64
+	for _, adaptive := range []bool{false, true} {
+		rc := DefaultRunConfig()
+		rc.TB = smallTB()
+		rc.TSync = 10
+		rc.Adaptive = adaptive
+		rc.Obs = reg
+		res, err := RunFederation(context.Background(), FederationConfig{Boards: 1}, WithConfig(rc))
+		if err != nil {
+			t.Fatalf("adaptive=%v: %v", adaptive, err)
+		}
+		by := res.Fed.SyncsBy
+		sum := uint64(0)
+		for r, n := range by {
+			sum += n
+			total[r] += n
+		}
+		if sum != res.HW.SyncEvents {
+			t.Errorf("adaptive=%v: SyncsBy %v sums to %d, SyncEvents %d", adaptive, by, sum, res.HW.SyncEvents)
+		}
+		if adaptive && (by[hdlsim.SyncPlain] != 0 || by[hdlsim.SyncTraffic] == 0) {
+			t.Errorf("adaptive run: SyncsBy %v, want traffic syncs and no plain ones", by)
+		}
+		if !adaptive && by[hdlsim.SyncPlain]+by[hdlsim.SyncFinal] != sum {
+			t.Errorf("plain run: SyncsBy %v, want only plain and final syncs", by)
+		}
+	}
+	for r, want := range total {
+		name := obs.Name("cosim_boundary_sync_total", "reason", hdlsim.SyncReason(r).String())
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
 }

@@ -103,8 +103,10 @@ type RunConfig struct {
 	// with SyncPipelined (the pipelined acknowledgement is a quantum
 	// stale, so its promise cannot be trusted).
 	Adaptive bool
-	// MaxQuantum caps the elongated quantum in clock cycles when Adaptive
-	// is set; 0 means 64×TSync.
+	// MaxQuantum caps the elongated quantum in clock cycles; 0 means no
+	// cap, so a quiet stretch elongates until traffic or a lookahead
+	// promise forces a rendezvous. A nonzero value needs Adaptive and
+	// must be at least TSync.
 	MaxQuantum uint64
 	// Batch enables wire-frame coalescing on both sides (see
 	// cosim.BatchTransport): a quantum's DATA/INT messages ride in one
@@ -194,6 +196,12 @@ func (rc RunConfig) Validate() error {
 	}
 	if rc.Adaptive && rc.Mode == cosim.SyncPipelined {
 		return fmt.Errorf("router: invalid RunConfig: Adaptive with SyncPipelined — the pipelined acknowledgement describes a quantum that is already granted, so its lookahead promise is stale; use SyncAlternating or drop Adaptive")
+	}
+	if rc.MaxQuantum != 0 && !rc.Adaptive {
+		return fmt.Errorf("router: invalid RunConfig: MaxQuantum %d without Adaptive — only adaptive runs elongate quanta, so the cap would do nothing; set Adaptive or leave MaxQuantum 0", rc.MaxQuantum)
+	}
+	if rc.MaxQuantum != 0 && rc.MaxQuantum < rc.TSync {
+		return fmt.Errorf("router: invalid RunConfig: MaxQuantum %d is below TSync %d — no quantum can be shorter than TSync; set MaxQuantum ≥ TSync, or 0 for no cap", rc.MaxQuantum, rc.TSync)
 	}
 	// Bound the quantum arithmetic. The derived cycle budget is
 	// WorkCycles + 8×TSync + slack, and the board multiplies every

@@ -64,13 +64,26 @@ func TestRunRejectsHalfTransports(t *testing.T) {
 }
 
 // TestRunContextCancellation: cancelling the context mid-run tears the
-// link down, unblocks both sides, and reports the context's cause.
+// link down, unblocks both sides, and reports the context's cause — on
+// a plain in-process run and on an uncapped adaptive run over TCP with
+// batching and the session layer, where most boundaries are elided.
 func TestRunContextCancellation(t *testing.T) {
 	rc := DefaultRunConfig()
 	rc.TB.PacketsPerPort = 10000 // far more work than the test allows to finish
 	rc.TSync = 50
 	rc.MaxCycles = 1 << 40
+	t.Run("plain", func(t *testing.T) { assertCancels(t, rc) })
 
+	sess := cosim.DefaultSessionConfig()
+	rc.Transport = TransportTCP
+	rc.Adaptive, rc.Batch, rc.Resilience = true, true, &sess
+	t.Run("adaptive-tcp-batch-session", func(t *testing.T) { assertCancels(t, rc) })
+}
+
+// assertCancels runs rc, cancels it 5 ms in, and expects the run to
+// return the context's cause promptly.
+func assertCancels(t *testing.T, rc RunConfig) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(5 * time.Millisecond)

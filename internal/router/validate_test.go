@@ -32,6 +32,13 @@ func TestRunConfigValidate(t *testing.T) {
 			rc.Adaptive = true
 			rc.Mode = cosim.SyncPipelined
 		}, "Adaptive with SyncPipelined"},
+		// A cap without Adaptive did nothing, and one below TSync was
+		// quietly raised to TSync; both are now errors naming the field.
+		{"max quantum without adaptive", func(rc *RunConfig) { rc.MaxQuantum = 64 * rc.TSync }, "MaxQuantum"},
+		{"max quantum below tsync", func(rc *RunConfig) {
+			rc.Adaptive = true
+			rc.MaxQuantum = rc.TSync - 1
+		}, "MaxQuantum"},
 		// A TSync huge enough to wrap the derived budget (WorkCycles +
 		// 8×TSync + slack) used to be accepted and silently truncated the
 		// run; it must be an explicit, actionable error.
@@ -68,6 +75,15 @@ func TestRunConfigValidate(t *testing.T) {
 				t.Fatal("Run accepted an invalid config")
 			}
 		})
+	}
+
+	// A cap of exactly TSync, or none, is coherent on an adaptive run.
+	for _, maxQ := range []uint64{0, ok.TSync} {
+		rc := DefaultRunConfig()
+		rc.Adaptive, rc.MaxQuantum = true, maxQ
+		if err := rc.Validate(); err != nil {
+			t.Fatalf("adaptive MaxQuantum %d rejected: %v", maxQ, err)
+		}
 	}
 
 	// Chaos paired with resilience is coherent.
