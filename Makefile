@@ -42,11 +42,13 @@ fuzz-smoke:
 	$(GO) test ./internal/cosim/ -run '^$$' -fuzz '^FuzzShmRing$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/farm/ -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME)
 
-# farm-soak repeats the multi-session farm suite under the race detector
-# — the concurrency gate for the session manager and the mux listener.
+# farm-soak repeats the multi-session farm suite, the resilient session
+# layer and the concurrent pool hammer under the race detector — the
+# concurrency gate for the session manager, the mux listener and the
+# session transport's write-through path.
 # FARM_SOAK_COUNT=10 is the nightly deep-soak sizing.
 farm-soak:
-	$(GO) test ./internal/farm/ ./internal/cosim/ -race -count=$(FARM_SOAK_COUNT) -run 'Farm|Mux'
+	$(GO) test ./internal/farm/ ./internal/cosim/ -race -count=$(FARM_SOAK_COUNT) -run 'Farm|Mux|Session|PoolHammer'
 
 # transport-matrix proves every transport kind produces bit-identical
 # simulations: the root determinism matrix plus the per-transport

@@ -235,11 +235,15 @@ func (c *ChaosTransport) recvTimeout(ch Channel, d time.Duration) (Msg, error) {
 }
 
 // Close implements Transport, flushing any frame still held by a reorder
-// fault so the stream's tail is not lost.
+// fault so the stream's tail is not lost. A lane whose Send is in
+// progress is skipped: that Send may be blocked on a full link, and
+// closing the inner transport is what unblocks it.
 func (c *ChaosTransport) Close() error {
 	for ch := range c.lanes {
 		l := &c.lanes[ch]
-		l.mu.Lock()
+		if !l.mu.TryLock() {
+			continue
+		}
 		if l.held != nil {
 			_ = c.inner.Send(Channel(ch), *l.held)
 			l.held = nil

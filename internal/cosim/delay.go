@@ -10,9 +10,11 @@ import "time"
 // curves, while preserving their shape, compress by roughly the ratio of
 // the two link latencies.
 //
-// The delay is charged on the sender, which also models the sender-side
-// socket/syscall cost the paper attributes to "the increased cost of
-// communication".
+// The delay is charged on the sender's goroutine, which also models the
+// sender-side socket/syscall cost the paper attributes to "the increased
+// cost of communication". A SessionTransport above writes through, so
+// its user's Send pays the delay too; only acks, nacks, heartbeats and
+// re-sends pay it on the session's control writer.
 type DelayTransport struct {
 	inner Transport
 	delay time.Duration

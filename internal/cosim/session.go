@@ -41,6 +41,29 @@ type SessionConfig struct {
 	RedialBackoffMax time.Duration
 }
 
+// Validate rejects a negative tuning field, naming it. Zero is not an
+// error: it selects the default.
+func (c SessionConfig) Validate() error {
+	fields := [...]struct {
+		name     string
+		negative bool
+		value    any
+	}{
+		{"AckEvery", c.AckEvery < 0, c.AckEvery},
+		{"RetransmitTimeout", c.RetransmitTimeout < 0, c.RetransmitTimeout},
+		{"HeartbeatInterval", c.HeartbeatInterval < 0, c.HeartbeatInterval},
+		{"HeartbeatMiss", c.HeartbeatMiss < 0, c.HeartbeatMiss},
+		{"MaxRedials", c.MaxRedials < 0, c.MaxRedials},
+		{"RedialBackoff", c.RedialBackoff < 0, c.RedialBackoff},
+	}
+	for _, f := range fields {
+		if f.negative {
+			return fmt.Errorf("cosim: invalid SessionConfig: %s %v is negative; use 0 for the default", f.name, f.value)
+		}
+	}
+	return nil
+}
+
 // DefaultSessionConfig returns the default resilience tuning.
 func DefaultSessionConfig() SessionConfig {
 	return SessionConfig{
@@ -120,33 +143,29 @@ type pendingEnv struct {
 
 type sessionSendState struct {
 	nextSeq uint64
-	// maxSent is the highest envelope sequence the write loop has put on
-	// the inner transport (mu-guarded). Envelopes above it are still in
-	// the outbox: the nack and RTO paths must not snapshot-retransmit
-	// them — a snapshot overtaking its unsent original lets the peer ack
-	// the sequence and recycle the original's body while that original
-	// still awaits encoding in the outbox, an aliasing race. (The redial
-	// replay is exempt: the down write loop drops dequeued originals
-	// unencoded, so the replay copy is the only one that reaches a wire.)
-	maxSent uint64
 	unacked []pendingEnv
 	// bodyFree recycles envelope body buffers (mu-guarded, like unacked).
 	// A body is taken at Send, lives in unacked while retransmittable, and
 	// returns here when the cumulative ack prunes its envelope. The first
-	// transmission may alias the buffer (outbox, in-process peer), but the
-	// ack that triggers recycling can only arrive after the peer has
-	// finished reading it — and after the write loop finished encoding it,
-	// since only sent-once envelopes are ever retransmitted (maxSent) — so
-	// reuse cannot race those readers; retransmit paths snapshot their own
-	// copies (see queueRetransmit callers).
+	// transmission may alias the buffer (an in-process peer reads it), but
+	// the ack that triggers recycling can only arrive after the peer has
+	// finished reading it, so reuse cannot race that reader; retransmits
+	// and replays send their own snapshots (see writeControl).
 	bodyFree [][]byte
+	// resendFrom, when nonzero, is the lowest sequence number a nack
+	// asked to have re-sent; replay marks every unacked envelope for
+	// re-sending on a new link. Both wait for the control writer.
+	resendFrom uint64
+	replay     bool
 }
 
 type sessionRecvState struct {
 	lastDelivered uint64
 	sinceAck      int
+	ackOwed       uint64    // sequence number a cumulative ack is due for, 0 if none
+	nackOwed      uint64    // sequence number a nack is due for, 0 if none
 	lastNacked    uint64    // last sequence number a nack asked for
-	nackedAt      time.Time // when it was sent (suppresses nack storms)
+	nackedAt      time.Time // when it was asked for (suppresses nack storms)
 }
 
 type failEvent struct {
@@ -161,6 +180,14 @@ type failEvent struct {
 // top of it observe an unbroken FIFO stream per channel even when the
 // link beneath drops, duplicates, reorders, or corrupts frames — which
 // is what keeps the virtual-tick protocol deterministic across faults.
+//
+// Send writes through: the envelope reaches the inner transport on the
+// caller's goroutine, so a blocking link (or a DelayTransport beneath)
+// is charged to the sender. Acks, nacks, heartbeats, retransmits and the
+// post-reconnect replay are written by one control-writer goroutine;
+// the read loops and the supervisor only record what they owe, so a full
+// link can never block them. A live session runs five goroutines: three
+// read loops, the supervisor and the control writer.
 type SessionTransport struct {
 	cfg SessionConfig
 
@@ -168,28 +195,27 @@ type SessionTransport struct {
 	// metrics, set by the endpoint's Observe walk via setObserveSide.
 	obsSide string
 
+	// wmu serializes the writes on each channel of the inner transport.
+	// Send holds it across its envelope's write and the control writer
+	// across every retransmit, so an envelope is always on the wire
+	// before a retransmit can copy it. Lock order: wmu before mu.
+	wmu [numChannels]sync.Mutex
+
 	mu           sync.Mutex
 	inner        Transport
 	gen          int
 	reconnecting bool
 	send         [numChannels]sessionSendState
 	recvSt       [numChannels]sessionRecvState
+	hbOwed       uint64 // heartbeat sequence number due on CLOCK, 0 if none
 	injuredBase  uint64 // chaos injuries accumulated from replaced inners
 
 	inbox [numChannels]chan Msg
-	// outbox decouples every sender (readLoop acks/nacks, RTO and nack
-	// retransmits, user Sends) from the inner transport: one writer
-	// goroutine per channel performs the actual inner.Send, so a read
-	// loop can never block on a full link — the deadlock where both
-	// peers' readers wait for each other's writer to drain.
-	outbox [numChannels]chan Msg
+	wake  chan struct{} // control work is owed (capacity 1)
 
-	closed    chan struct{} // user called Close
-	done      chan struct{} // terminal failure or close
-	closeOnce sync.Once
-	failOnce  sync.Once
-	errMu     sync.Mutex
-	err       error
+	done     chan struct{} // terminal failure or close
+	failOnce sync.Once
+	err      error // the terminal error: written once, before done closes
 
 	failc    chan failEvent
 	lastRecv atomic.Int64 // unix nanos of last frame from the peer
@@ -220,80 +246,61 @@ func NewSessionTransport(inner Transport, cfg SessionConfig) *SessionTransport {
 		cfg.RedialBackoff = def.RedialBackoff
 	}
 	if cfg.RedialBackoffMax < cfg.RedialBackoff {
-		cfg.RedialBackoffMax = def.RedialBackoffMax
-		if cfg.RedialBackoffMax < cfg.RedialBackoff {
-			cfg.RedialBackoffMax = cfg.RedialBackoff
-		}
+		cfg.RedialBackoffMax = max(def.RedialBackoffMax, cfg.RedialBackoff)
 	}
 	s := &SessionTransport{
-		cfg:    cfg,
-		inner:  inner,
-		closed: make(chan struct{}),
-		done:   make(chan struct{}),
-		failc:  make(chan failEvent, 2*int(numChannels)),
+		cfg:   cfg,
+		inner: inner,
+		wake:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
+		failc: make(chan failEvent, 2*int(numChannels)),
 	}
 	for i := range s.inbox {
 		s.inbox[i] = make(chan Msg, tcpInboxDepth)
-		s.outbox[i] = make(chan Msg, tcpInboxDepth)
 	}
 	s.lastRecv.Store(time.Now().UnixNano()) //cosim:wallclock -- liveness stamp feeds the host-side heartbeat supervisor
 	for ch := Channel(0); ch < numChannels; ch++ {
 		go s.readLoop(0, inner, ch)
-		go s.writeLoop(ch)
 	}
 	go s.supervise()
-	go s.rtoLoop()
-	if cfg.HeartbeatInterval > 0 {
-		go s.heartbeatLoop()
-	}
+	go s.controlWriter()
 	return s
 }
 
-// NewReconnectTransport dials the initial link via dial and wraps it in a
-// session that redials (with capped exponential backoff) and replays
-// unacked frames whenever the link fails.
-func NewReconnectTransport(dial func() (Transport, error), cfg SessionConfig) (*SessionTransport, error) {
-	tr, err := dial()
-	if err != nil {
-		return nil, err
-	}
-	cfg.Redial = dial
-	return NewSessionTransport(tr, cfg), nil
-}
-
-func (s *SessionTransport) fail(err error) {
+// fail ends the session with err. It closes the inner transport, which
+// unblocks a Send stuck on a full link and ends the read loops, so no
+// session goroutine outlives a terminal failure. Only the first call has
+// effect; it returns the inner transport's Close error.
+func (s *SessionTransport) fail(err error) (cerr error) {
 	s.failOnce.Do(func() {
-		s.errMu.Lock()
 		s.err = err
-		s.errMu.Unlock()
 		close(s.done)
+		s.mu.Lock()
+		inner := s.inner
+		s.mu.Unlock()
+		cerr = inner.Close()
 	})
-}
-
-func (s *SessionTransport) sessionErr() error {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	if s.err != nil {
-		return s.err
-	}
-	return ErrClosed
+	return cerr
 }
 
 // Send implements Transport: it wraps m in a sequenced, CRC-protected
-// envelope, buffers it for retransmission, and queues it on the current
-// inner link. While the link is down and a Redial is configured, Send
-// succeeds immediately — the frame is replayed after reconnection. An
-// inner-transport write error without a Redial fails the session and is
-// reported by the next operation.
+// envelope, buffers it for retransmission, and writes it to the current
+// inner link on the caller's goroutine. While the link is down and a
+// Redial is configured, Send succeeds without writing — the frame is
+// replayed after reconnection. A write error without a Redial fails the
+// session, and a terminal failure while Send is blocked on a full link
+// makes it return the session error.
 func (s *SessionTransport) Send(ch Channel, m Msg) error {
 	if ch >= numChannels {
 		return fmt.Errorf("cosim: invalid channel %d", ch)
 	}
 	select {
 	case <-s.done:
-		return s.sessionErr()
+		return s.err
 	default:
 	}
+	s.wmu[ch].Lock()
+	defer s.wmu[ch].Unlock()
 	s.mu.Lock()
 	st := &s.send[ch]
 	var body []byte
@@ -311,85 +318,50 @@ func (s *SessionTransport) Send(ch Channel, m Msg) error {
 	st.nextSeq++
 	env := Msg{Type: MTSessionData, Seq: st.nextSeq, Crc: sessionCRC(st.nextSeq, body), Raw: body}
 	st.unacked = append(st.unacked, pendingEnv{env: env, sentAt: time.Now()}) //cosim:wallclock -- RTO clock: retransmission timing is host-side link recovery
+	inner, gen := s.inner, s.gen
+	down := s.reconnecting || st.replay
 	s.mu.Unlock()
 	// The payload is copied into the envelope body, so a pooled message
 	// (e.g. a batch flush) can be released here — the session is its
 	// terminal consumer.
 	m.Release()
-	select {
-	case s.outbox[ch] <- env:
-	case <-s.done:
-		return s.sessionErr()
+	if down {
+		return nil // the replay on the new link carries it
+	}
+	if err := inner.Send(ch, env); err != nil {
+		return s.writeFailed(gen, err)
 	}
 	return nil
 }
 
-// sendControl best-effort queues an unsequenced control frame. A full
-// outbox drops it: loss is covered by the retransmission timeout.
-func (s *SessionTransport) sendControl(ch Channel, m Msg) {
+// writeFailed handles an inner write error on link generation gen and
+// returns what Send reports: the session error once the session has
+// ended, nil when the supervisor will redial and replay.
+func (s *SessionTransport) writeFailed(gen int, err error) error {
 	select {
-	case s.outbox[ch] <- m:
+	case <-s.done:
+		return s.err // the session ended (and closed the link) under the write
 	default:
 	}
-}
-
-// queueRetransmit best-effort queues an envelope re-send, returning
-// whether it was queued.
-func (s *SessionTransport) queueRetransmit(ch Channel, env Msg) bool {
-	select {
-	case s.outbox[ch] <- env:
-		s.retransmits.Add(1)
-		return true
-	default:
-		return false // backpressure: the RTO will try again
+	if s.cfg.Redial == nil {
+		s.fail(err)
+		return s.err
 	}
-}
-
-// writeLoop is the only goroutine that writes channel ch of the inner
-// transport. Keeping writes off the read loops guarantees the session
-// always drains its peer, so a full link can slow frames down but never
-// deadlock the rendezvous.
-func (s *SessionTransport) writeLoop(ch Channel) {
-	for {
-		var m Msg
-		select {
-		case <-s.done:
-			return
-		case m = <-s.outbox[ch]:
-		}
-		s.mu.Lock()
-		inner := s.inner
-		gen := s.gen
-		down := s.reconnecting
-		s.mu.Unlock()
-		if down {
-			continue // envelopes sit in unacked and are replayed on reconnect
-		}
-		isEnv, seq := m.Type == MTSessionData, m.Seq
-		if err := inner.Send(ch, m); err != nil {
-			if s.cfg.Redial == nil {
-				s.fail(err)
-				return
-			}
-			s.notifyFail(gen, err)
-		} else if isEnv {
-			// Record the wire high-water mark so the nack/RTO paths know
-			// which envelopes have actually been sent once (see
-			// sessionSendState.maxSent). Read m's fields before the send:
-			// a base transport releases pooled payloads, and the peer may
-			// ack the instant the frame is published.
-			s.mu.Lock()
-			if st := &s.send[ch]; seq > st.maxSent {
-				st.maxSent = seq
-			}
-			s.mu.Unlock()
-		}
-	}
+	s.notifyFail(gen, err)
+	return nil
 }
 
 func (s *SessionTransport) notifyFail(gen int, err error) {
 	select {
 	case s.failc <- failEvent{gen: gen, err: err}:
+	default:
+	}
+}
+
+// wakeWriter tells the control writer that control work is owed.
+func (s *SessionTransport) wakeWriter() {
+	select {
+	case s.wake <- struct{}{}:
 	default:
 	}
 }
@@ -407,20 +379,16 @@ func (s *SessionTransport) readLoop(gen int, tr Transport, ch Channel) {
 			if !s.handleData(ch, m) {
 				return
 			}
-		case MTSessionAck:
-			if validControl(m) {
+		case MTSessionAck, MTSessionNack:
+			switch {
+			case !validControl(m):
+				s.crcDropped.Add(1) // loss is safe: the RTO re-sends
+			case m.Type == MTSessionAck:
 				s.handleAck(ch, m.Seq)
-			} else {
-				s.crcDropped.Add(1) // loss is safe: the RTO re-acks
+			default:
+				s.handleNack(ch, m.Seq)
 			}
 			m.Release() // control frame: a corrupt one may carry stray payloads
-		case MTSessionNack:
-			if validControl(m) {
-				s.handleNack(ch, m.Seq)
-			} else {
-				s.crcDropped.Add(1)
-			}
-			m.Release()
 		case MTHeartbeat:
 			// Liveness only; lastRecv updated above.
 			m.Release()
@@ -449,8 +417,9 @@ func (s *SessionTransport) maybeNack(ch Channel) {
 	}
 	rs.lastNacked = next
 	rs.nackedAt = now
+	rs.nackOwed = next
 	s.mu.Unlock()
-	s.sendControl(ch, controlMsg(MTSessionNack, next))
+	s.wakeWriter()
 }
 
 // handleData processes one envelope; it reports false when the session
@@ -484,15 +453,20 @@ func (s *SessionTransport) handleData(ch Channel, env Msg) bool {
 		}
 		s.deliver(ch, inner)
 		if ackDue {
-			s.sendControl(ch, controlMsg(MTSessionAck, env.Seq))
+			// Only now, and only up to this envelope: the ack lets the
+			// peer recycle the body just read.
+			s.mu.Lock()
+			rs.ackOwed = max(rs.ackOwed, env.Seq)
+			s.mu.Unlock()
+			s.wakeWriter()
 		}
 	case env.Seq <= rs.lastDelivered:
-		last := rs.lastDelivered
+		// Refresh the peer's ack state so it can prune its buffer.
+		rs.ackOwed = max(rs.ackOwed, rs.lastDelivered)
 		s.mu.Unlock()
 		env.Release()
 		s.dupsDropped.Add(1)
-		// Refresh the peer's ack state so it can prune its buffer.
-		s.sendControl(ch, controlMsg(MTSessionAck, last))
+		s.wakeWriter()
 	default:
 		s.mu.Unlock()
 		env.Release()
@@ -525,32 +499,12 @@ func (s *SessionTransport) handleAck(ch Channel, upTo uint64) {
 func (s *SessionTransport) handleNack(ch Channel, from uint64) {
 	s.mu.Lock()
 	st := &s.send[ch]
-	now := time.Now() //cosim:wallclock -- RTO clock: retransmission timing is host-side link recovery
-	var resend []Msg
-	for i := range st.unacked {
-		if st.unacked[i].env.Seq > st.maxSent {
-			// Not yet on the wire: the original is still queued in the
-			// outbox and will arrive in order; a snapshot here could
-			// overtake it and let an ack recycle its live body.
-			break
-		}
-		if st.unacked[i].env.Seq >= from {
-			st.unacked[i].sentAt = now
-			env := st.unacked[i].env
-			// Snapshot the body while it is still live: a racing ack may
-			// recycle the original buffer before the outbox drains this
-			// copy. Retransmits are the fault path, so the copy is cheap
-			// relative to what it heals.
-			env.Raw = append([]byte(nil), env.Raw...)
-			resend = append(resend, env)
-		}
+	from = max(from, 1) // sequence numbers start at 1
+	if st.resendFrom == 0 || from < st.resendFrom {
+		st.resendFrom = from
 	}
 	s.mu.Unlock()
-	for _, env := range resend {
-		if !s.queueRetransmit(ch, env) {
-			break // outbox full; keep FIFO order and let the RTO retry
-		}
-	}
+	s.wakeWriter()
 }
 
 func (s *SessionTransport) deliver(ch Channel, m Msg) {
@@ -560,186 +514,240 @@ func (s *SessionTransport) deliver(ch Channel, m Msg) {
 	}
 }
 
-// rtoLoop re-sends unacked envelopes whose oldest member is older than
-// the retransmission timeout (Go-Back-N).
-func (s *SessionTransport) rtoLoop() {
-	period := s.cfg.RetransmitTimeout / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	t := time.NewTicker(period) //cosim:wallclock -- RTO scan ticker is host-side link recovery
+// controlWriter is the only session goroutine that writes the inner
+// transport. Each wake writes, per channel, what the read loops and the
+// supervisor owe — one heartbeat, one cumulative ack, one nack — then
+// any nack, replay or retransmission-timeout (Go-Back-N) re-sends. Its
+// ticker is the retransmission timer.
+func (s *SessionTransport) controlWriter() {
+	t := time.NewTicker(max(s.cfg.RetransmitTimeout/4, time.Millisecond)) //cosim:wallclock -- RTO scan ticker is host-side link recovery
 	defer t.Stop()
 	for {
 		select {
 		case <-s.done:
 			return
+		case <-s.wake:
 		case <-t.C:
 		}
 		now := time.Now() //cosim:wallclock -- RTO clock: retransmission timing is host-side link recovery
-		for ch := Channel(0); ch < numChannels; ch++ {
-			s.mu.Lock()
-			st := &s.send[ch]
-			var resend []Msg
-			if len(st.unacked) > 0 && now.Sub(st.unacked[0].sentAt) >= s.cfg.RetransmitTimeout {
-				for i := range st.unacked {
-					if st.unacked[i].env.Seq > st.maxSent {
-						break // still in the outbox; see handleNack
-					}
-					st.unacked[i].sentAt = now
-					env := st.unacked[i].env
-					env.Raw = append([]byte(nil), env.Raw...) // see handleNack
-					resend = append(resend, env)
-				}
-			}
-			s.mu.Unlock()
-			for _, env := range resend {
-				if !s.queueRetransmit(ch, env) {
-					break
-				}
+		// Peek without the write locks: a Send blocked on one channel's
+		// full link must not hold up the other channels' acks.
+		var due [numChannels]bool
+		s.mu.Lock()
+		for ch := range due {
+			due[ch] = s.owes(Channel(ch), now)
+		}
+		s.mu.Unlock()
+		for ch, d := range due {
+			if d {
+				s.writeControl(Channel(ch), now)
 			}
 		}
 	}
 }
 
-// heartbeatLoop emits CLOCK heartbeats and watches for peer silence.
-func (s *SessionTransport) heartbeatLoop() {
-	iv := s.cfg.HeartbeatInterval
-	t := time.NewTicker(iv) //cosim:wallclock -- heartbeat ticker is host-side liveness detection
-	defer t.Stop()
-	var n uint64
+// owes reports whether channel ch has control work due (mu held).
+func (s *SessionTransport) owes(ch Channel, now time.Time) bool {
+	st, rs := &s.send[ch], &s.recvSt[ch]
+	return !s.reconnecting && (rs.ackOwed != 0 || rs.nackOwed != 0 || st.replay || st.resendFrom != 0 ||
+		(ch == ChanClock && s.hbOwed != 0) ||
+		(len(st.unacked) > 0 && now.Sub(st.unacked[0].sentAt) >= s.cfg.RetransmitTimeout))
+}
+
+// writeControl writes channel ch's owed control frames and re-sends
+// under its write lock.
+func (s *SessionTransport) writeControl(ch Channel, now time.Time) {
+	s.wmu[ch].Lock()
+	defer s.wmu[ch].Unlock()
+	s.mu.Lock()
+	if s.reconnecting {
+		s.mu.Unlock()
+		return // owed work waits for the new link
+	}
+	inner, gen := s.inner, s.gen
+	st, rs := &s.send[ch], &s.recvSt[ch]
+	var buf [3]Msg
+	out := buf[:0]
+	if ch == ChanClock && s.hbOwed != 0 {
+		out = append(out, controlMsg(MTHeartbeat, s.hbOwed))
+		s.hbOwed = 0
+	}
+	if rs.ackOwed != 0 {
+		out = append(out, controlMsg(MTSessionAck, rs.ackOwed))
+		rs.ackOwed = 0
+	}
+	if rs.nackOwed != 0 {
+		out = append(out, controlMsg(MTSessionNack, rs.nackOwed))
+		rs.nackOwed = 0
+	}
+	from := st.resendFrom // re-send unacked envelopes from this sequence on
+	if st.replay || (len(st.unacked) > 0 && now.Sub(st.unacked[0].sentAt) >= s.cfg.RetransmitTimeout) {
+		from = 1
+	}
+	st.resendFrom, st.replay = 0, false
+	for i := 0; from != 0 && i < len(st.unacked); i++ {
+		if st.unacked[i].env.Seq >= from {
+			st.unacked[i].sentAt = now
+			env := st.unacked[i].env
+			// Send a snapshot: an in-process peer reads the body after
+			// the write returns, and an ack racing the original may
+			// recycle the original's buffer meanwhile. Re-sends are the
+			// fault path, so the copy is cheap relative to what it heals.
+			env.Raw = append([]byte(nil), env.Raw...)
+			out = append(out, env)
+		}
+	}
+	s.mu.Unlock()
+	for _, m := range out {
+		if err := inner.Send(ch, m); err != nil {
+			s.writeFailed(gen, err)
+			return
+		}
+		switch m.Type {
+		case MTHeartbeat:
+			s.hbSent.Add(1)
+		case MTSessionData:
+			s.retransmits.Add(1)
+		}
+	}
+}
+
+// supervise owns failure handling and liveness. Without a Redial the
+// first inner failure is terminal; with one it reconnects. With
+// heartbeats on, each interval it owes the peer a heartbeat and declares
+// the peer dead after HeartbeatMiss silent intervals.
+func (s *SessionTransport) supervise() {
+	var beat <-chan time.Time
+	if iv := s.cfg.HeartbeatInterval; iv > 0 {
+		t := time.NewTicker(iv) //cosim:wallclock -- heartbeat ticker is host-side liveness detection
+		defer t.Stop()
+		beat = t.C
+	}
+	var beats uint64
 	for {
+		var err error
 		select {
 		case <-s.done:
 			return
-		case <-t.C:
-		}
-		n++
-		s.sendControl(ChanClock, controlMsg(MTHeartbeat, n))
-		s.hbSent.Add(1)
-		silent := time.Since(time.Unix(0, s.lastRecv.Load())) //cosim:wallclock -- heartbeat silence window is host-side liveness detection
-		if silent <= iv {
-			continue
-		}
-		s.hbMissed.Add(1)
-		if silent <= time.Duration(s.cfg.HeartbeatMiss)*iv {
-			continue
-		}
-		s.mu.Lock()
-		gen := s.gen
-		reconnecting := s.reconnecting
-		redial := s.cfg.Redial != nil
-		s.mu.Unlock()
-		if reconnecting {
-			continue
-		}
-		if !redial {
-			s.fail(ErrPeerDead)
-			return
-		}
-		s.notifyFail(gen, ErrPeerDead)
-		// Re-arm; the supervisor resets lastRecv after reconnecting.
-		s.lastRecv.Store(time.Now().UnixNano()) //cosim:wallclock -- liveness stamp feeds the host-side heartbeat supervisor
-	}
-}
-
-// supervise owns inner-transport failure handling: without a Redial the
-// first failure is terminal; with one it closes the dead link, redials
-// with capped exponential backoff, replays every unacked envelope, and
-// restarts the reader goroutines.
-func (s *SessionTransport) supervise() {
-	for {
-		var ev failEvent
-		select {
-		case <-s.closed:
-			return
-		case ev = <-s.failc:
-		}
-		s.mu.Lock()
-		if ev.gen != s.gen {
+		case ev := <-s.failc:
+			s.mu.Lock()
+			stale := ev.gen != s.gen
 			s.mu.Unlock()
-			continue // stale report from a replaced transport
+			if stale {
+				continue // report from a replaced transport
+			}
+			err = ev.err
+		case <-beat:
+			beats++
+			s.mu.Lock()
+			s.hbOwed = beats
+			s.mu.Unlock()
+			s.wakeWriter()
+			if err = s.peerSilence(); err == nil {
+				continue
+			}
 		}
 		if s.cfg.Redial == nil {
-			s.mu.Unlock()
-			s.fail(ev.err)
+			s.fail(err)
 			return
 		}
-		s.gen++
-		gen := s.gen
-		s.reconnecting = true
-		old := s.inner
-		if cs, ok := old.(chaosStatser); ok {
-			s.injuredBase += cs.ChaosStats().Injured()
-		}
-		s.mu.Unlock()
-		old.Close()
-
-		backoff := s.cfg.RedialBackoff
-		var tr Transport
-		attempts := 0
-		for tr == nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-			}
-			t2, err := s.cfg.Redial()
-			if err == nil {
-				tr = t2
-				break
-			}
-			attempts++
-			if attempts >= s.cfg.MaxRedials {
-				s.fail(fmt.Errorf("cosim: redial failed after %d attempts: %w", attempts, err))
-				return
-			}
-			select {
-			case <-s.closed:
-				return
-			case <-time.After(backoff): //cosim:wallclock -- redial backoff paces host reconnection attempts
-			}
-			backoff *= 2
-			if backoff > s.cfg.RedialBackoffMax {
-				backoff = s.cfg.RedialBackoffMax
-			}
-		}
-		select {
-		case <-s.closed:
-			tr.Close()
+		if !s.reconnect() {
 			return
-		default:
-		}
-
-		s.mu.Lock()
-		s.inner = tr
-		s.reconnecting = false
-		now := time.Now() //cosim:wallclock -- RTO clock: retransmission timing is host-side link recovery
-		var replay [numChannels][]Msg
-		for ch := range s.send {
-			st := &s.send[ch]
-			for i := range st.unacked {
-				st.unacked[i].sentAt = now
-				env := st.unacked[i].env
-				env.Raw = append([]byte(nil), env.Raw...) // see handleNack
-				replay[ch] = append(replay[ch], env)
-			}
-		}
-		s.mu.Unlock()
-		s.lastRecv.Store(now.UnixNano())
-		s.reconnects.Add(1)
-		for ch := Channel(0); ch < numChannels; ch++ {
-			for _, env := range replay[ch] {
-				if !s.queueRetransmit(ch, env) {
-					break // the RTO replays the rest once the queue drains
-				}
-			}
-			go s.readLoop(gen, tr, ch)
 		}
 	}
+}
+
+// peerSilence counts a missed heartbeat interval when the peer has been
+// silent for one, and returns ErrPeerDead after HeartbeatMiss of them.
+func (s *SessionTransport) peerSilence() error {
+	iv := s.cfg.HeartbeatInterval
+	silent := time.Since(time.Unix(0, s.lastRecv.Load())) //cosim:wallclock -- heartbeat silence window is host-side liveness detection
+	if silent <= iv {
+		return nil
+	}
+	s.hbMissed.Add(1)
+	if silent <= time.Duration(s.cfg.HeartbeatMiss)*iv {
+		return nil
+	}
+	return ErrPeerDead
+}
+
+// reconnect closes the dead link, redials with capped exponential
+// backoff, restarts the read loops on the new link and has the control
+// writer replay every unacked envelope there. It reports false when the
+// session has ended.
+func (s *SessionTransport) reconnect() bool {
+	s.mu.Lock()
+	s.gen++
+	gen := s.gen
+	s.reconnecting = true
+	old := s.inner
+	if cs, ok := old.(chaosStatser); ok {
+		s.injuredBase += cs.ChaosStats().Injured()
+	}
+	s.mu.Unlock()
+	old.Close()
+
+	backoff := s.cfg.RedialBackoff
+	var tr Transport
+	for attempts := 1; tr == nil; attempts++ {
+		select {
+		case <-s.done:
+			return false
+		default:
+		}
+		t2, err := s.cfg.Redial()
+		if err == nil {
+			tr = t2
+			break
+		}
+		if attempts >= s.cfg.MaxRedials {
+			s.fail(fmt.Errorf("cosim: redial failed after %d attempts: %w", attempts, err))
+			return false
+		}
+		select {
+		case <-s.done:
+			return false
+		case <-time.After(backoff): //cosim:wallclock -- redial backoff paces host reconnection attempts
+		}
+		backoff = min(2*backoff, s.cfg.RedialBackoffMax)
+	}
+
+	s.mu.Lock()
+	select {
+	case <-s.done:
+		s.mu.Unlock()
+		tr.Close()
+		return false
+	default:
+	}
+	s.inner = tr
+	s.reconnecting = false
+	for ch := range s.send {
+		s.send[ch].replay = true
+	}
+	s.mu.Unlock()
+	s.lastRecv.Store(time.Now().UnixNano()) //cosim:wallclock -- liveness stamp feeds the host-side heartbeat supervisor
+	s.reconnects.Add(1)
+	for ch := Channel(0); ch < numChannels; ch++ {
+		go s.readLoop(gen, tr, ch)
+	}
+	s.wakeWriter()
+	return true
 }
 
 // Recv implements Transport.
-func (s *SessionTransport) Recv(ch Channel) (Msg, error) {
+func (s *SessionTransport) Recv(ch Channel) (Msg, error) { return s.recv(ch, nil) }
+
+func (s *SessionTransport) recvTimeout(ch Channel, d time.Duration) (Msg, error) {
+	timer := time.NewTimer(d) //cosim:wallclock -- receive timeout bounds host I/O, not simulated time
+	defer timer.Stop()
+	return s.recv(ch, timer.C)
+}
+
+// recv takes the next delivered message on ch, failing with ErrTimeout
+// when timeout fires (a nil timeout never does).
+func (s *SessionTransport) recv(ch Channel, timeout <-chan time.Time) (Msg, error) {
 	if ch >= numChannels {
 		return Msg{}, fmt.Errorf("cosim: invalid channel %d", ch)
 	}
@@ -752,28 +760,9 @@ func (s *SessionTransport) Recv(ch Channel) (Msg, error) {
 		case m := <-s.inbox[ch]:
 			return m, nil
 		default:
-			return Msg{}, s.sessionErr()
+			return Msg{}, s.err
 		}
-	}
-}
-
-func (s *SessionTransport) recvTimeout(ch Channel, d time.Duration) (Msg, error) {
-	if ch >= numChannels {
-		return Msg{}, fmt.Errorf("cosim: invalid channel %d", ch)
-	}
-	timer := time.NewTimer(d) //cosim:wallclock -- receive timeout bounds host I/O, not simulated time
-	defer timer.Stop()
-	select {
-	case m := <-s.inbox[ch]:
-		return m, nil
-	case <-s.done:
-		select {
-		case m := <-s.inbox[ch]:
-			return m, nil
-		default:
-			return Msg{}, s.sessionErr()
-		}
-	case <-timer.C:
+	case <-timeout:
 		return Msg{}, ErrTimeout
 	}
 }
@@ -789,7 +778,7 @@ func (s *SessionTransport) TryRecv(ch Channel) (Msg, bool, error) {
 	default:
 		select {
 		case <-s.done:
-			return Msg{}, false, s.sessionErr()
+			return Msg{}, false, s.err
 		default:
 			return Msg{}, false, nil
 		}
@@ -797,14 +786,7 @@ func (s *SessionTransport) TryRecv(ch Channel) (Msg, bool, error) {
 }
 
 // Close implements Transport.
-func (s *SessionTransport) Close() error {
-	s.closeOnce.Do(func() { close(s.closed) })
-	s.fail(ErrClosed)
-	s.mu.Lock()
-	inner := s.inner
-	s.mu.Unlock()
-	return inner.Close()
-}
+func (s *SessionTransport) Close() error { return s.fail(ErrClosed) }
 
 // LinkStats implements linkStatser: a snapshot of the session's
 // resilience counters, including chaos injuries from the layer below.

@@ -2,7 +2,10 @@ package cosim
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -293,4 +296,203 @@ func TestSessionTCPReconnectMidRun(t *testing.T) {
 	if link.Retransmits+boardS.LinkStats().Retransmits == 0 {
 		t.Fatal("reconnect replayed nothing")
 	}
+}
+
+// TestSessionBidirectionalBulk: sessions on both sides of a four-deep
+// link stream 2×tcpInboxDepth frames each way on every channel at once,
+// so both users spend most of the run blocked on a full link. Read loops
+// never write — they only record the acks they owe — so neither side's
+// reader can block on a full link while its peer's reader waits for it,
+// and every frame arrives, in order, before the deadline.
+func TestSessionBidirectionalBulk(t *testing.T) {
+	a, b := NewInProcPair(4)
+	sa := NewSessionTransport(a, DefaultSessionConfig())
+	sb := NewSessionTransport(b, DefaultSessionConfig())
+	defer sa.Close()
+	defer sb.Close()
+
+	const n = 2 * tcpInboxDepth
+	errs := make(chan error, 4*int(numChannels))
+	var wg sync.WaitGroup
+	for dir, p := range [2][2]*SessionTransport{{sa, sb}, {sb, sa}} {
+		from, to := p[0], p[1]
+		for ch := Channel(0); ch < numChannels; ch++ {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < n; i++ {
+					if err := from.Send(ch, Msg{Type: MTDataWrite, Addr: uint32(i)}); err != nil {
+						errs <- fmt.Errorf("direction %d %v send %d: %w", dir, ch, i, err)
+						return
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for i := 0; i < n; i++ {
+					m, err := RecvTimeout(to, ch, 30*time.Second)
+					if err != nil {
+						errs <- fmt.Errorf("direction %d %v recv %d: %w", dir, ch, i, err)
+						return
+					}
+					if m.Addr != uint32(i) {
+						errs <- fmt.Errorf("direction %d %v frame %d arrived as %d", dir, ch, i, m.Addr)
+						return
+					}
+					m.Release()
+				}
+			}()
+		}
+	}
+	finished := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	select {
+	case <-finished:
+	case <-time.After(60 * time.Second):
+		t.Fatal("bidirectional bulk transfer deadlocked")
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestSessionFailureUnblocksSend: Send writes on the caller's goroutine,
+// so against a peer that never reads it blocks inside the inner
+// transport. The heartbeat watchdog's terminal failure closes that
+// transport, and the blocked Send returns ErrPeerDead — also with a
+// chaos layer beneath, whose Close must not wait for the blocked Send.
+func TestSessionFailureUnblocksSend(t *testing.T) {
+	for _, chaos := range []bool{false, true} {
+		t.Run(fmt.Sprintf("chaos=%v", chaos), func(t *testing.T) {
+			a, _ := NewInProcPair(1)
+			if chaos {
+				a = NewChaosTransport(a, UniformScenario(1, FaultProfile{}))
+			}
+			cfg := DefaultSessionConfig()
+			cfg.HeartbeatInterval = 5 * time.Millisecond
+			// 100 ms of silence: ample time for the first envelope to
+			// fill the link and the second to block before the failure.
+			cfg.HeartbeatMiss = 20
+			s := NewSessionTransport(a, cfg)
+			defer s.Close()
+
+			type result struct {
+				sent int
+				err  error
+			}
+			res := make(chan result, 1)
+			go func() {
+				for i := 0; ; i++ {
+					if err := s.Send(ChanData, Msg{Type: MTDataWrite, Addr: uint32(i)}); err != nil {
+						res <- result{i, err}
+						return
+					}
+				}
+			}()
+			// The bound leaves room for a loaded race-detector run.
+			const bound = 2 * time.Second
+			select {
+			case r := <-res:
+				if !errors.Is(r.err, ErrPeerDead) {
+					t.Fatalf("blocked Send returned %v, want ErrPeerDead", r.err)
+				}
+				// The first envelope fills the one-slot link, so the
+				// second is the one that blocked and was released by the
+				// failure.
+				if r.sent != 1 {
+					t.Fatalf("Send failed after %d envelopes, want 1", r.sent)
+				}
+			case <-time.After(bound):
+				t.Fatalf("Send still blocked %v after the peer went silent", bound)
+			}
+			if ls := s.LinkStats(); ls.HeartbeatsMissed == 0 {
+				t.Fatalf("peer declared dead without counting missed heartbeats: %+v", ls)
+			}
+		})
+	}
+}
+
+// sessionGoroutines counts the goroutines running a SessionTransport
+// method (the frames above each stack's "created by" line).
+func sessionGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		for _, line := range strings.Split(g, "\n") {
+			if strings.HasPrefix(line, "created by ") {
+				break
+			}
+			if strings.Contains(line, ".(*SessionTransport).") {
+				count++
+				break
+			}
+		}
+	}
+	return count
+}
+
+// waitSessionGoroutines polls until exactly want session goroutines run
+// (goroutines start and exit asynchronously).
+func waitSessionGoroutines(t *testing.T, want int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := sessionGoroutines()
+		if got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d session goroutines, want %d", when, got, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSessionGoroutineAccounting: a live session side runs exactly five
+// goroutines — three read loops, the supervisor and the control writer —
+// whether heartbeats are on or off, and none survives Close or a
+// terminal failure (which needs no Close).
+func TestSessionGoroutineAccounting(t *testing.T) {
+	waitSessionGoroutines(t, 0, "before the test")
+	for _, hb := range []time.Duration{0, 5 * time.Millisecond} {
+		cfg := DefaultSessionConfig()
+		cfg.HeartbeatInterval = hb
+		cfg.HeartbeatMiss = 1000 // a scheduling stall must not kill the live pair
+		sa, sb := sessionPair(cfg, nil)
+		if err := sa.Send(ChanData, Msg{Type: MTDataWrite}); err != nil {
+			t.Fatal(err)
+		}
+		m := recvOne(t, sb, ChanData)
+		m.Release()
+		waitSessionGoroutines(t, 2*5, fmt.Sprintf("live pair, heartbeat %v", hb))
+		time.Sleep(20 * time.Millisecond) // several heartbeat intervals
+		if got := sessionGoroutines(); got != 2*5 {
+			t.Fatalf("heartbeat %v: %d session goroutines after running a while, want %d", hb, got, 2*5)
+		}
+		sa.Close()
+		sb.Close()
+		waitSessionGoroutines(t, 0, fmt.Sprintf("after Close, heartbeat %v", hb))
+	}
+
+	a, _ := NewInProcPair(64)
+	cfg := DefaultSessionConfig()
+	cfg.HeartbeatInterval = 5 * time.Millisecond
+	s := NewSessionTransport(a, cfg)
+	if _, err := RecvTimeout(s, ChanClock, 5*time.Second); !errors.Is(err, ErrPeerDead) {
+		t.Fatalf("err = %v, want ErrPeerDead", err)
+	}
+	waitSessionGoroutines(t, 0, "after a terminal failure without Close")
+	s.Close()
 }

@@ -86,7 +86,8 @@ type ChaosSpec struct {
 }
 
 // ResilienceSpec tunes the session layer. Zero fields keep the
-// cosim.DefaultSessionConfig value.
+// cosim.DefaultSessionConfig value; negative ones fail lowering (see
+// cosim.SessionConfig.Validate).
 type ResilienceSpec struct {
 	AckEvery            int   `json:"ack_every,omitempty"`
 	RetransmitTimeoutMS int64 `json:"retransmit_timeout_ms,omitempty"`

@@ -102,6 +102,12 @@ func TestSpecValidation(t *testing.T) {
 		{"federation without boards", SessionSpec{Federation: &router.FederationConfig{Boards: 0}}, "at least one board"},
 		{"federation past the engine IRQs", SessionSpec{Federation: &router.FederationConfig{Boards: 28}}, router.ErrIRQRange.Error()},
 		{"federation past the pulse IRQs", SessionSpec{Federation: &router.FederationConfig{Boards: 1, PulseDevices: 17}}, router.ErrIRQRange.Error()},
+		{"negative retransmit timeout", SessionSpec{Resilience: &ResilienceSpec{RetransmitTimeoutMS: -5}}, "RetransmitTimeout -5ms is negative"},
+		{"negative ack cadence", SessionSpec{Resilience: &ResilienceSpec{AckEvery: -1}}, "AckEvery -1 is negative"},
+		{"negative heartbeat interval", SessionSpec{Resilience: &ResilienceSpec{HeartbeatIntervalMS: -1}}, "HeartbeatInterval -1ms is negative"},
+		{"negative heartbeat miss", SessionSpec{Resilience: &ResilienceSpec{HeartbeatMiss: -1}}, "HeartbeatMiss -1 is negative"},
+		{"negative max redials", SessionSpec{Resilience: &ResilienceSpec{MaxRedials: -1}}, "MaxRedials -1 is negative"},
+		{"negative redial backoff", SessionSpec{Resilience: &ResilienceSpec{RedialBackoffMS: -1}}, "RedialBackoff -1ms is negative"},
 	}
 	for _, tc := range cases {
 		if _, err := tc.spec.RunConfig(); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -198,6 +204,8 @@ var specCorpus = []struct {
 	{"federation without boards parses", `{"federation":{"boards":0}}`, true, nil},
 	{"federation past the engine IRQs parses", `{"federation":{"boards":28}}`, true, nil},
 	{"federation past the pulse IRQs parses", `{"federation":{"boards":1,"pulse_devices":17}}`, true, nil},
+	{"negative retransmit timeout parses; lowering rejects", `{"resilience":{"retransmit_timeout_ms":-5}}`, true, nil},
+	{"negative heartbeat miss parses; lowering rejects", `{"resilience":{"heartbeat_interval_ms":5,"heartbeat_miss":-1}}`, true, nil},
 	{"unknown federation field", `{"federation":{"boards":1,"link_stack":[]}}`, false, nil},
 	{"app engine is not a spec field", `{"app":{"engine":3}}`, false, nil},
 }

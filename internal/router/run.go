@@ -189,6 +189,11 @@ func (rc RunConfig) Validate() error {
 	if rc.Chaos != nil && rc.Resilience == nil {
 		return fmt.Errorf("router: invalid RunConfig: Chaos without Resilience — injected faults would corrupt the protocol mid-run; set Resilience (e.g. cosim.DefaultSessionConfig()) or drop Chaos")
 	}
+	if rc.Resilience != nil {
+		if err := rc.Resilience.Validate(); err != nil {
+			return fmt.Errorf("router: invalid RunConfig: Resilience: %w", err)
+		}
+	}
 	if rc.Chaos != nil {
 		if err := rc.Chaos.Validate(); err != nil {
 			return fmt.Errorf("router: invalid RunConfig: Chaos: %w", err)

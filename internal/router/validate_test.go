@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cosim"
 )
@@ -58,6 +59,20 @@ func TestRunConfigValidate(t *testing.T) {
 		{"federation past the interrupt vector", func(rc *RunConfig) {
 			rc.Federation = &FederationConfig{Boards: 28}
 		}, "interrupt line"},
+		// Negative session tuning used to be replaced by the defaults
+		// without a word; each is now an error naming the field.
+		{"negative ack cadence", func(rc *RunConfig) { rc.Resilience = &cosim.SessionConfig{AckEvery: -1} }, "AckEvery"},
+		{"negative retransmit timeout", func(rc *RunConfig) {
+			rc.Resilience = &cosim.SessionConfig{RetransmitTimeout: -5 * time.Millisecond}
+		}, "RetransmitTimeout -5ms"},
+		{"negative heartbeat interval", func(rc *RunConfig) {
+			rc.Resilience = &cosim.SessionConfig{HeartbeatInterval: -time.Millisecond}
+		}, "HeartbeatInterval"},
+		{"negative heartbeat miss", func(rc *RunConfig) { rc.Resilience = &cosim.SessionConfig{HeartbeatMiss: -3} }, "HeartbeatMiss"},
+		{"negative max redials", func(rc *RunConfig) { rc.Resilience = &cosim.SessionConfig{MaxRedials: -1} }, "MaxRedials"},
+		{"negative redial backoff", func(rc *RunConfig) {
+			rc.Resilience = &cosim.SessionConfig{RedialBackoff: -time.Millisecond}
+		}, "RedialBackoff"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
