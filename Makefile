@@ -5,13 +5,6 @@ FUZZTIME ?= 10s
 BENCH_RUNS ?= 3
 FARM_SOAK_COUNT ?= 3
 
-# The zero-copy claim the bench gate asserts on every fresh run: the shm
-# transport must beat tcp by this factor at the sync-dominated Fig.5
-# point (and allocate no more per quantum). CI runners are multi-core,
-# where the rendezvous turnaround favors shm even more than the 1-core
-# worst case this floor was set on.
-SHM_SPEEDUP ?= Transport/Fig5/N=20/tcp:Transport/Fig5/N=20/shm:3
-
 # Lint tools are pinned by module path + version and run via `go run`,
 # so CI is reproducible without committing tool binaries or deps.
 STATICCHECK_MOD := honnef.co/go/tools/cmd/staticcheck@2025.1.1
@@ -93,18 +86,20 @@ fleet-smoke:
 shm-smoke:
 	./scripts/shm_smoke.sh
 
-# bench-json regenerates the miniature Fig.5/6/7 evaluation and writes
-# the machine-readable BENCH_cosim.json artifact CI gates against.
+# bench-json measures what bench/ cannot (the Kernel/ micro-benchmarks,
+# allocs per quantum on the tcp/uds/shm transports, the fleet) into
+# BENCH_cosim.json, ungated: copy it to BENCH_baseline.json to refresh
+# the baseline.
 bench-json:
 	$(GO) run ./cmd/cosim-bench -runs $(BENCH_RUNS) -v -out BENCH_cosim.json
 
-# bench-gate fails when any Kernel, Fig.5, Farm, Fleet, Adaptive, Transport,
-# or Federation benchmark regressed >25% vs the committed baseline — in wall clock
-# (ns_per_op) or in steady-state allocation rate (allocs_per_quantum) —
-# or when the shm transport no longer clears its speedup floor over tcp
-# on the fresh run. Skips cleanly when no baseline is committed.
-bench-gate: bench-json
-	$(GO) run ./cmd/cosim-benchcmp -baseline BENCH_baseline.json -current BENCH_cosim.json -speedup '$(SHM_SPEEDUP)'
+# bench-gate measures the same and fails when any entry regressed >25% vs
+# the committed baseline — in wall clock (ns_per_op) or in steady-state
+# allocation rate (allocs_per_quantum) — or is missing from it, or when shm
+# is no longer 3x faster than tcp on the fresh run. Without a committed
+# baseline only the shm floor applies.
+bench-gate:
+	$(GO) run ./cmd/cosim-bench -runs $(BENCH_RUNS) -v -out BENCH_cosim.json -baseline BENCH_baseline.json
 
 # bench-adaptive proves the adaptive-quantum speedup claim in isolation:
 # the determinism soak plus the Fig.5 adaptive sweep (quick sizing).

@@ -1,16 +1,20 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
+	"repro/internal/cosim"
 	"repro/internal/hdlsim"
+	"repro/internal/iss"
 	"repro/internal/rtos"
 	"repro/internal/sim"
 )
 
 // kernelBench is one compute-floor micro-benchmark: a fixed number of
-// operations on a bare simulation kernel, with no co-simulation around it.
+// operations on a bare simulation kernel (or the wire codec), with no
+// co-simulation around it.
 // These are the per-cycle costs every end-to-end number is built on (the
 // paper normalises its overheads against the HDL simulator and the board
 // running free), so a regression here shows up before it is diluted by
@@ -70,6 +74,36 @@ func kernelBenches() []kernelBench {
 			for i := 0; i < ops; i++ {
 				at, _, _ := q.Pop()
 				q.Schedule(at+sim.Time(1+i%7), fn)
+			}
+			return time.Since(start), nil
+		}},
+		// One 19-word DATA write encoded into a buffer and decoded back.
+		{"Kernel/cosim/EncodeDecodeDataWrite", 100_000, func(ops int) (time.Duration, error) {
+			m := cosim.Msg{Type: cosim.MTDataWrite, Addr: 0x40, Words: make([]uint32, 19)}
+			var buf bytes.Buffer
+			start := time.Now()
+			for i := 0; i < ops; i++ {
+				buf.Reset()
+				if err := m.Encode(&buf); err != nil {
+					return 0, err
+				}
+				if _, err := cosim.Decode(&buf); err != nil {
+					return 0, err
+				}
+			}
+			return time.Since(start), nil
+		}},
+		// One run of the ISS checksum program over 64 words.
+		{"Kernel/iss/ChecksumKernel64Words", 10_000, func(ops int) (time.Duration, error) {
+			words := make([]uint16, 64)
+			for i := range words {
+				words[i] = uint16(i * 257)
+			}
+			start := time.Now()
+			for i := 0; i < ops; i++ {
+				if _, _, err := iss.RunChecksum(words); err != nil {
+					return 0, err
+				}
 			}
 			return time.Since(start), nil
 		}},

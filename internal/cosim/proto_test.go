@@ -195,18 +195,3 @@ func TestChannelAndTypeStrings(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkProtoEncodeDecodeDataWrite(b *testing.B) {
-	m := Msg{Type: MTDataWrite, Addr: 0x40, Words: make([]uint32, 19)}
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := m.Encode(&buf); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Decode(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

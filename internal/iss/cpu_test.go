@@ -317,15 +317,3 @@ func TestHaltReasonStrings(t *testing.T) {
 		t.Fatal("unknown halt reason string empty")
 	}
 }
-
-func BenchmarkChecksumKernel64Words(b *testing.B) {
-	words := make([]uint16, 64)
-	for i := range words {
-		words[i] = uint16(i * 257)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, _, err := RunChecksum(words); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
