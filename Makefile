@@ -10,7 +10,7 @@ FARM_SOAK_COUNT ?= 3
 STATICCHECK_MOD := honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_MOD := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: all vet build test race fuzz-smoke farm-soak transport-matrix federation-matrix fleet-matrix shm-smoke fleet-smoke bench-json bench-gate bench-adaptive bench-selftest staticcheck govulncheck cosim-lint lint lint-fix-check ci
+.PHONY: all vet build test race fuzz-smoke farm-soak transport-matrix federation-matrix fleet-matrix shm-smoke fleet-smoke bench-json bench-gate bench-adaptive bench-selftest bench-golden staticcheck govulncheck cosim-lint lint lint-fix-check ci
 
 all: build
 
@@ -113,6 +113,12 @@ bench-adaptive:
 bench-selftest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# bench-golden runs every benchmark workload's reference inputs once and
+# checks their fingerprints against bench/testdata/golden.json (≈5s): it
+# fails, naming the input, when a change moved a simulated bit.
+bench-golden:
+	bash bench/run.sh --seconds 0 --trace 0
+
 staticcheck:
 	$(GO) run $(STATICCHECK_MOD) ./...
 
@@ -145,4 +151,4 @@ lint: cosim-lint
 		echo "lint: govulncheck unavailable (offline); skipped"; \
 	fi
 
-ci: vet build race fuzz-smoke farm-soak bench-adaptive bench-selftest lint
+ci: vet build race fuzz-smoke farm-soak bench-adaptive bench-selftest bench-golden lint

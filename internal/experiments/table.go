@@ -1,8 +1,7 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // section (Figures 5, 6 and 7, plus the derived optimal-T_sync analysis
 // the paper closes with) and the ablations DESIGN.md calls out, as text
-// tables. cmd/cosim-experiments is the CLI front end; bench_test.go wraps
-// the same entry points as benchmarks.
+// tables. cmd/cosim-experiments is the CLI front end.
 package experiments
 
 import (

@@ -9,45 +9,56 @@ import (
 // Clock is a free-running symmetric clock built on a BitSignal, equivalent
 // to sc_clock. The first rising edge occurs at time 0 (immediately after
 // elaboration); edges alternate every half period.
+//
+// A clock keeps its next edge arithmetically instead of on the timed
+// heap: the edge's time, the level it drives, and a sequence number drawn
+// from the simulator's edge counter when the previous edge fired (for the
+// first edge, when the clock was created). Edges
+// due at one instant fire in sequence order, the order a heap keyed on
+// (time, schedule sequence) would pop them in.
 type Clock struct {
 	sig    *BitSignal
-	period sim.Time
+	half   sim.Time
 	cycles uint64 // completed rising edges
+
+	nextAt   sim.Time
+	nextHigh bool
+	nextSeq  uint64
 }
 
 // NewClock creates a clock with the given full period. Period must be an
 // even number of picoseconds ≥ 2 so both half-periods are representable.
+// Its first edge, a rising one at time 0, is set here, so a clock must be
+// created before elaboration.
 func (s *Simulator) NewClock(name string, period sim.Time) *Clock {
+	s.mustNotBeElaborated("NewClock", name)
 	if period < 2 || period%2 != 0 {
 		panic(fmt.Sprintf("hdlsim: clock %q period %v must be even and ≥ 2ps", name, period))
 	}
-	c := &Clock{sig: NewBitSignal(s, name), period: period}
+	c := &Clock{sig: NewBitSignal(s, name), half: period / 2, nextHigh: true, nextSeq: s.edgeSeq}
+	s.edgeSeq++
 	s.clocks = append(s.clocks, c)
 	return c
 }
 
-// start schedules the first edge; called during elaboration.
-func (c *Clock) start() {
+// fire drives the due edge onto the signal and sets the following one.
+func (c *Clock) fire() {
 	s := c.sig.sim
-	half := c.period / 2
-	var rise, fall func()
-	rise = func() {
-		c.sig.Write(true)
+	c.sig.Write(c.nextHigh)
+	if c.nextHigh {
 		c.cycles++
-		s.timed.Schedule(s.now+half, fall)
 	}
-	fall = func() {
-		c.sig.Write(false)
-		s.timed.Schedule(s.now+half, rise)
-	}
-	s.timed.Schedule(s.now, rise)
+	c.nextAt += c.half
+	c.nextHigh = !c.nextHigh
+	c.nextSeq = s.edgeSeq
+	s.edgeSeq++
 }
 
 // Name returns the clock signal name.
 func (c *Clock) Name() string { return c.sig.name }
 
 // Period returns the full clock period.
-func (c *Clock) Period() sim.Time { return c.period }
+func (c *Clock) Period() sim.Time { return 2 * c.half }
 
 // Cycles returns the number of rising edges produced so far.
 func (c *Clock) Cycles() uint64 { return c.cycles }

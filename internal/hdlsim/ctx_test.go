@@ -134,3 +134,50 @@ func TestEventCancelWhileDeltaPending(t *testing.T) {
 		t.Fatalf("cancelled delta notification still fired %d times", runs)
 	}
 }
+
+func TestNotifyWakesThreadThatWaitsLaterInSameDelta(t *testing.T) {
+	// The event has no listener when Notify runs; the thread only starts
+	// waiting afterwards, in the same evaluation phase. A process-side
+	// Notify must still queue, so the thread wakes in the next delta.
+	s := NewSimulator("t")
+	ev := s.NewEvent("e")
+	s.Method("notifier", func() { ev.Notify() })
+	woke := false
+	var wokeAt sim.Time
+	var wokeDelta uint64
+	s.Thread("waiter", func(c *Ctx) {
+		c.Wait(ev)
+		woke, wokeAt = true, c.Now()
+		wokeDelta = c.Sim().Stats().Deltas
+	})
+	if err := s.Run(sim.NS(1)); err != nil {
+		t.Fatal(err)
+	}
+	if !woke || wokeAt != 0 || wokeDelta != 2 {
+		t.Fatalf("waiter woke=%v at %v in delta %d, want time 0 in delta 2", woke, wokeAt, wokeDelta)
+	}
+	if got := s.Stats().EventTriggers; got != 1 {
+		t.Fatalf("EventTriggers = %d, want 1", got)
+	}
+}
+
+func TestUpdateOnListenerFreeEventCountsAndCancelsTimed(t *testing.T) {
+	// Nobody listens on sig's value-changed event. Its commit still counts
+	// exactly one trigger and, like Notify, cancels the pending timed
+	// notification, which would otherwise count a second one at 5ns.
+	s := NewSimulator("t")
+	sig := NewSignal[int](s, "sig")
+	s.Method("writer", func() {
+		sig.Changed().NotifyDelay(sim.NS(5))
+		sig.Write(1)
+	})
+	if err := s.Run(sim.NS(10)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().EventTriggers; got != 1 {
+		t.Fatalf("EventTriggers = %d, want 1", got)
+	}
+	if ev := sig.Changed(); ev.timedHandle.Valid() || ev.deltaPending {
+		t.Fatal("commit left a notification pending")
+	}
+}

@@ -35,6 +35,20 @@ func (e *Event) Notify() {
 	e.sim.queueDeltaNotify(e)
 }
 
+// notifyUpdate is Notify for a signal committing a change in the update
+// phase. An event nobody listens to is counted as triggered at once
+// instead of being queued for the delta-notification phase: no process
+// runs between the two phases, so no listener can appear before it would
+// have fired. Process-side notifications must use Notify.
+func (e *Event) notifyUpdate() {
+	e.cancelTimed()
+	if !e.deltaPending && len(e.static) == 0 && len(e.dyn) == 0 {
+		e.sim.stats.EventTriggers++
+		return
+	}
+	e.sim.queueDeltaNotify(e)
+}
+
 // NotifyImmediate triggers the event within the current evaluation phase:
 // waiters run in the *same* delta. Use sparingly; like SystemC's
 // notify() with no arguments it can hide nondeterminism in careless models.

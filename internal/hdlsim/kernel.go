@@ -82,13 +82,14 @@ type Stats struct {
 	EventTriggers uint64 // event firings
 }
 
-// Simulator is the simulation kernel: it owns simulated time, the timed
-// event queue, the delta-cycle machinery, and all registered processes,
-// signals and events.
+// Simulator is the simulation kernel: it owns simulated time, the clocks,
+// the timed event queue, the delta-cycle machinery, and all registered
+// processes, signals and events.
 type Simulator struct {
-	name  string
-	now   sim.Time
-	timed *sim.Queue
+	name    string
+	now     sim.Time
+	timed   *sim.Queue // NotifyDelay and wait timeouts; clock edges are kept on the clocks
+	edgeSeq uint64     // orders clock edges due at the same instant
 
 	runnable      []*Process
 	updates       []updater
@@ -205,9 +206,6 @@ func (s *Simulator) Elaborate() error {
 		}
 		seen[p.name] = true
 	}
-	for _, c := range s.clocks {
-		c.start()
-	}
 	for _, p := range s.processes {
 		if !p.noInitCall {
 			s.makeRunnable(p)
@@ -306,15 +304,38 @@ func (s *Simulator) deltaLoop() {
 	}
 }
 
-// advanceToNext pops the earliest timed instant, executes its callbacks and
-// returns true; returns false when the timed queue is empty.
+// advanceToNext moves to the earliest instant holding a clock edge or a
+// timed callback, fires the edges and callbacks due there and returns
+// true; returns false when neither exists before limit.
+//
+// Edges fire first, in edge-sequence order, then the heap drains. An edge
+// only writes its clock signal, which queues an update; a callback only
+// makes processes runnable or cancels timeouts. So within one instant the
+// order between edges and callbacks cannot be observed.
 func (s *Simulator) advanceToNext(limit sim.Time) bool {
 	next := s.timed.NextTime()
+	for _, c := range s.clocks {
+		if c.nextAt < next {
+			next = c.nextAt
+		}
+	}
 	if next == sim.MaxTime || next > limit {
 		return false
 	}
 	s.now = next
 	s.stats.TimeSteps++
+	for {
+		var due *Clock
+		for _, c := range s.clocks {
+			if c.nextAt == next && (due == nil || c.nextSeq < due.nextSeq) {
+				due = c
+			}
+		}
+		if due == nil {
+			break
+		}
+		due.fire()
+	}
 	// Callbacks may schedule further events at this same instant; they
 	// pop here too, after everything already queued for it.
 	for {

@@ -345,6 +345,22 @@ func TestRegistrationAfterElaborationPanics(t *testing.T) {
 	s.Method("late", func() {})
 }
 
+func TestClockAfterElaborationPanics(t *testing.T) {
+	// A clock's first edge is set at creation, at time 0; a clock created
+	// after elaboration would have its first edge in the past.
+	s := NewSimulator("t")
+	s.NewClock("clk", sim.NS(10))
+	if err := s.Elaborate(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewClock after elaboration did not panic")
+		}
+	}()
+	s.NewClock("late", sim.NS(10))
+}
+
 func TestBitSignalEdgeEvents(t *testing.T) {
 	s := NewSimulator("t")
 	b := NewBitSignal(s, "b")

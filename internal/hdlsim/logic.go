@@ -151,7 +151,7 @@ func (r *ResolvedSignal) update(now sim.Time) {
 		return
 	}
 	r.cur = v
-	r.changed.Notify()
+	r.changed.notifyUpdate()
 	for _, fn := range r.tracers {
 		fn(now, v)
 	}

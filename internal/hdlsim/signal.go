@@ -77,7 +77,7 @@ func (sig *Signal[T]) update(now sim.Time) {
 		return
 	}
 	sig.cur = sig.next
-	sig.changed.Notify()
+	sig.changed.notifyUpdate()
 	for _, fn := range sig.tracers {
 		fn(now, sig.cur)
 	}
@@ -152,11 +152,11 @@ func (b *BitSignal) update(now sim.Time) {
 		return
 	}
 	b.cur = b.next
-	b.changed.Notify()
+	b.changed.notifyUpdate()
 	if b.cur {
-		b.pos.Notify()
+		b.pos.notifyUpdate()
 	} else {
-		b.neg.Notify()
+		b.neg.notifyUpdate()
 	}
 	for _, fn := range b.tracers {
 		fn(now, b.cur)
