@@ -10,12 +10,18 @@ FARM_SOAK_COUNT ?= 3
 STATICCHECK_MOD := honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_MOD := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: all vet build test race fuzz-smoke farm-soak transport-matrix federation-matrix fleet-matrix shm-smoke fleet-smoke bench-json bench-gate bench-adaptive bench-selftest bench-golden staticcheck govulncheck cosim-lint lint lint-fix-check ci
+.PHONY: all vet fmt-check build test race fuzz-smoke farm-soak transport-matrix federation-matrix fleet-matrix shm-smoke fleet-smoke bench-json bench-gate bench-adaptive bench-selftest bench-golden staticcheck govulncheck cosim-lint lint lint-fix-check ci
 
 all: build
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails, listing the files, when any tracked Go file is not
+# gofmt-formatted.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "fmt-check: not gofmt-formatted:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -136,10 +142,10 @@ cosim-lint:
 lint-fix-check:
 	$(GO) run ./cmd/cosim-lint -json -out cosim-lint.json ./...
 
-# lint always runs the in-repo suite, then the pinned external linters
+# lint always runs the gofmt check and the in-repo suite, then the pinned external linters
 # when they are fetchable (CI) — skipping those cleanly offline: the
 # repository must keep building and testing with no network at all.
-lint: cosim-lint
+lint: fmt-check cosim-lint
 	@if $(GO) run $(STATICCHECK_MOD) -version >/dev/null 2>&1; then \
 		$(GO) run $(STATICCHECK_MOD) ./...; \
 	else \

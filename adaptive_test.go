@@ -2,10 +2,12 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/cosim"
+	"repro/internal/hdlsim"
 	"repro/internal/router"
 )
 
@@ -127,5 +129,77 @@ func TestAdaptiveChaosSoakDeterminism(t *testing.T) {
 	}
 	if link.Retransmits == 0 {
 		t.Fatalf("session repaired nothing despite %d injuries: %+v", link.FramesInjured, link)
+	}
+}
+
+// TestAdaptiveLeadGrid checks that adaptive elision needs no promise from
+// the device model: over a grid of TSync values, packet periods and link
+// stacks (and a board hosted in-process, with no link), every
+// Adaptive+Batch run equals plain TSync stepping in every
+// simulated statistic, and its rendezvous plus elided boundaries add up
+// to the plain run's rendezvous. An elongated grant that applied its
+// traffic at the start of the accumulated ticks, instead of at the start
+// of the quantum that produced it, shifts the board's view of the device
+// and fails here.
+func TestAdaptiveLeadGrid(t *testing.T) {
+	if testing.Short() {
+		t.Skip("grid of full co-simulations; skipped in -short")
+	}
+	type outcome struct {
+		r         router.Stats
+		cycles    uint64
+		ticks     uint64
+		sim       uint64
+		app       router.AppStats
+		consumers router.ConsumerStats
+	}
+	sess := cosim.DefaultSessionConfig()
+	stacks := []struct {
+		name  string
+		shape func(*router.RunConfig)
+	}{
+		{"inproc", func(rc *router.RunConfig) {}},
+		{"tcp", func(rc *router.RunConfig) { rc.Transport = router.TransportTCP }},
+		{"tcp+session", func(rc *router.RunConfig) { rc.Transport, rc.Resilience = router.TransportTCP, &sess }},
+		{"inproc board", func(rc *router.RunConfig) { rc.Federation = &router.FederationConfig{Boards: 1, InProcBoards: true} }},
+	}
+	run := func(rc router.RunConfig) (outcome, hdlsim.DriverStats) {
+		t.Helper()
+		res, err := router.Run(context.Background(), router.Transports{}, router.WithConfig(rc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Conservation != nil {
+			t.Fatal(res.Conservation)
+		}
+		return outcome{res.Router, res.BoardCycles, res.BoardSWTicks, res.SimCycles, res.App, res.Consumers}, res.HW
+	}
+	elided := uint64(0)
+	for _, tsync := range []uint64{1, 3, 25, 100} {
+		for _, period := range []uint64{10000, 1337} {
+			base := router.DefaultRunConfig()
+			base.TSync = tsync
+			base.TB.Period = period
+			base.TB.PacketsPerPort = 4
+			base.TB.Seed = 7
+			want, plain := run(base)
+			for _, st := range stacks {
+				rc := base
+				st.shape(&rc)
+				rc.Adaptive, rc.Batch = true, true
+				got, hw := run(rc)
+				name := fmt.Sprintf("tsync=%d period=%d %s", tsync, period, st.name)
+				if got != want {
+					t.Errorf("%s: adaptive result differs from plain stepping\nplain    %+v\nadaptive %+v", name, want, got)
+				}
+				if plain.SyncEvents != hw.SyncEvents+hw.SyncsElided {
+					t.Errorf("%s: plain %d rendezvous, adaptive %d + %d elided", name, plain.SyncEvents, hw.SyncEvents, hw.SyncsElided)
+				}
+				elided += hw.SyncsElided
+			}
+		}
+	}
+	if elided == 0 {
+		t.Fatal("no run elided a boundary; the grid exercises nothing")
 	}
 }

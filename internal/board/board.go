@@ -7,8 +7,9 @@
 //
 // The board's main loop (Run) is the slave side of the virtual-tick
 // protocol: it freezes in the OS idle state until the simulator grants a
-// quantum, applies the tunnelled device traffic, advances the kernel by
-// the granted virtual ticks, and reports its local time back.
+// quantum, advances the kernel by the granted virtual ticks, applying the
+// tunnelled device traffic at the grant's lead, and reports its local
+// time back.
 package board
 
 import (
@@ -130,6 +131,29 @@ func (b *Board) Lookahead() uint64 {
 	return bound / b.cfg.CyclesPerGrantTick
 }
 
+// runGrant advances the kernel through one grant. A grant carrying
+// traffic runs its lead ticks first, then applies the traffic and runs
+// the rest, so the traffic lands at the start of the simulator quantum
+// that produced it; the schedule only elongates a grant over ticks in
+// which the board promised to stay idle.
+func (b *Board) runGrant(g cosim.Grant) error {
+	if g.Lead > g.Ticks {
+		return fmt.Errorf("board: grant lead %d exceeds its %d ticks", g.Lead, g.Ticks)
+	}
+	rest := g.Ticks
+	if g.Lead > 0 && len(g.Writes)+len(g.ReadResps)+len(g.Interrupts) > 0 {
+		b.K.Advance(g.Lead * b.cfg.CyclesPerGrantTick)
+		rest -= g.Lead
+	}
+	if err := b.applyGrant(g); err != nil {
+		return err
+	}
+	b.stats.Grants++
+	b.stats.TicksGranted += g.Ticks
+	b.K.Advance(rest * b.cfg.CyclesPerGrantTick)
+	return nil
+}
+
 // Run executes the board side of the co-simulation until the simulator
 // finishes (or a protocol error occurs). It owns the calling goroutine.
 func (b *Board) Run(ep *cosim.BoardEndpoint) error {
@@ -142,12 +166,9 @@ func (b *Board) Run(ep *cosim.BoardEndpoint) error {
 		if g.Finished {
 			return ep.FinishAck(b.K.Cycles(), b.K.SWTick())
 		}
-		if err := b.applyGrant(g); err != nil {
+		if err := b.runGrant(g); err != nil {
 			return err
 		}
-		b.stats.Grants++
-		b.stats.TicksGranted += g.Ticks
-		b.K.Advance(g.Ticks * b.cfg.CyclesPerGrantTick)
 		if err := ep.Ack(b.K.Cycles(), b.K.SWTick(), b.Lookahead()); err != nil {
 			return err
 		}

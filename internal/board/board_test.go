@@ -301,3 +301,34 @@ func toDM(addr uint32, words []uint32) hdlsim.DataMsg {
 func respDM(addr uint32, words []uint32) hdlsim.DataMsg {
 	return hdlsim.DataMsg{Kind: hdlsim.DataReadResp, Addr: addr, Words: words}
 }
+
+// TestGrantLeadPlacesTraffic: a grant's traffic takes effect lead ticks
+// into the grant, and a lead past the grant's ticks is refused.
+func TestGrantLeadPlacesTraffic(t *testing.T) {
+	b := New(testCfg())
+	var at []uint64
+	b.K.AttachInterrupt(3, nil, func() { at = append(at, b.K.Cycles()) })
+	hs, done := newLinked(t, b)
+	for i, lead := range []uint64{0, 20} {
+		if err := hs.hw.SendInterrupt(3); err != nil {
+			t.Fatal(err)
+		}
+		hs.hw.SetLead(lead)
+		if _, err := hs.hw.Sync(30, 30*uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := hs.hw.Finish(60); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	// 100 board cycles per tick: the second grant starts at cycle 3000.
+	if len(at) != 2 || at[0] != 0 || at[1] != 5000 {
+		t.Fatalf("interrupts delivered at board cycles %v, want [0 5000]", at)
+	}
+	if err := New(testCfg()).runGrant(cosim.Grant{Ticks: 30, Lead: 31, Interrupts: []uint8{3}}); err == nil {
+		t.Fatal("grant with lead 31 > 30 ticks accepted")
+	}
+}

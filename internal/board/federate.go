@@ -8,16 +8,18 @@ import (
 
 // Federate adapts a Board to cosim.Federate: the in-process board engine
 // of a federation. Instead of blocking on a wire endpoint for grants
-// (Board.Run), the board advances when the time manager steps it:
-// inbound events staged by Exchange are applied in the same bus order as
-// a wire grant (writes, then read responses, then interrupts), the
-// kernel runs the granted ticks, and the traffic its remote device
-// drivers posted during the advance is collected by the next Exchange.
+// (Board.Run), the board advances when the time manager steps it: the
+// kernel runs the granted ticks, applying the inbound events staged by
+// Exchange at the grant's lead (SetGrantLead) in the same bus order as
+// a wire grant (writes, then read responses, then interrupts), and the
+// traffic its remote device drivers posted during the advance is
+// collected by the next Exchange.
 type Federate struct {
 	name string
 	b    *Board
 	link fedLink
 	cur  cosim.SimTime
+	lead uint64 // of the next Step, see SetGrantLead
 
 	// staged inbound, applied at the next Step
 	writes []cosim.RegBlock
@@ -68,21 +70,22 @@ func (f *Federate) Exchange(in []cosim.FedMsg) ([]cosim.FedMsg, error) {
 	return f.out, nil
 }
 
-// Step implements cosim.Federate: apply the staged grant traffic, then
-// advance the kernel by the granted ticks (scaled by CyclesPerGrantTick,
-// as for a wire grant).
+// SetGrantLead implements cosim.LeadSink: the next Step applies the
+// staged traffic ticks into its grant.
+func (f *Federate) SetGrantLead(ticks uint64) { f.lead = ticks }
+
+// Step implements cosim.Federate: advance the kernel by the granted
+// ticks, applying the staged grant traffic at the lead, as for a wire
+// grant.
 func (f *Federate) Step(until cosim.SimTime) (cosim.SimTime, error) {
 	if until < f.cur {
 		return f.cur, fmt.Errorf("board: %s: step backwards (%d < %d)", f.name, until, f.cur)
 	}
-	g := cosim.Grant{Ticks: uint64(until - f.cur), Writes: f.writes, ReadResps: f.reads, Interrupts: f.irqs}
-	if err := f.b.applyGrant(g); err != nil {
+	g := cosim.Grant{Ticks: uint64(until - f.cur), Lead: f.lead, Writes: f.writes, ReadResps: f.reads, Interrupts: f.irqs}
+	if err := f.b.runGrant(g); err != nil {
 		return f.cur, err
 	}
 	f.writes, f.reads, f.irqs = f.writes[:0], f.reads[:0], f.irqs[:0]
-	f.b.stats.Grants++
-	f.b.stats.TicksGranted += g.Ticks
-	f.b.K.Advance(g.Ticks * f.b.cfg.CyclesPerGrantTick)
 	f.cur = until
 	return f.cur, nil
 }
@@ -125,4 +128,5 @@ func (l *fedLink) PostReadReq(addr, count uint32) error {
 
 var _ cosim.Federate = (*Federate)(nil)
 var _ cosim.BoardClock = (*Federate)(nil)
+var _ cosim.LeadSink = (*Federate)(nil)
 var _ DevLink = (*fedLink)(nil)

@@ -21,9 +21,10 @@ type Grant struct {
 	// Interrupts lists interrupt lines raised during the quantum, in
 	// delivery order.
 	Interrupts []uint8
-	// Lookahead is the simulated device's interrupt lookahead promise in
-	// HDL cycles (see Msg.Lookahead); informational on the board side.
-	Lookahead uint64
+	// Lead is where the traffic lands: the board runs Lead ticks, applies
+	// Writes, ReadResps and Interrupts, then runs the rest (see
+	// Msg.Lookahead). Lead ≤ Ticks.
+	Lead uint64
 	// Finished is true when the simulator ended the co-simulation; all
 	// other fields are zero.
 	Finished bool
@@ -81,7 +82,7 @@ func (ep *BoardEndpoint) WaitGrant() (Grant, error) {
 		m.Release()
 		return Grant{}, fmt.Errorf("cosim: expected clock-grant on CLOCK, got %v", m.Type)
 	}
-	g := Grant{Ticks: m.Ticks, HWCycle: m.HWCycle, Lookahead: m.Lookahead}
+	g := Grant{Ticks: m.Ticks, HWCycle: m.HWCycle, Lead: m.Lookahead}
 	m.Release() // grant frame carries only scalars
 	ep.m.SyncEvents++
 	ep.m.TicksGranted += g.Ticks

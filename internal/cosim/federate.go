@@ -60,7 +60,7 @@ type FedMsg struct {
 // exchange timestamped events with the rest of the federation at quantum
 // boundaries. The three in-tree engines implement it — the HDL kernel
 // (SimFederate), the virtual board (board.Federate), and an external
-// process speaking the v2 wire protocol (ProcFederate) — and the
+// process speaking the v3 wire protocol (ProcFederate) — and the
 // hierarchical time manager (internal/cosim/federation) coordinates any
 // mix of them under one conservative quantum clock.
 //
@@ -85,7 +85,8 @@ type Federate interface {
 	// no event will be emitted and nothing can become runnable locally
 	// for at least this many ticks beyond its current time without
 	// federation input. NoLookahead (0) promises nothing;
-	// UnboundedLookahead means nothing is scheduled at all.
+	// UnboundedLookahead means nothing is scheduled at all. The time
+	// manager reads it only from granted parties.
 	Lookahead() uint64
 	// Done reports that the federate has finished its workload and no
 	// longer needs virtual time.
@@ -106,12 +107,12 @@ type SplitStepper interface {
 	BeginStep(until SimTime) error
 }
 
-// LookaheadSink is an optional Federate capability: a federate that
-// forwards the federation's promise to a remote party (the grant's
-// Lookahead field) implements it to receive, before each rendezvous, the
-// minimum lookahead of all other federates.
-type LookaheadSink interface {
-	SetGrantLookahead(ticks uint64)
+// LeadSink is an optional Federate capability of a granted party: before
+// each rendezvous it receives the grant's lead (see
+// hdlsim.QuantumParty.Rendezvous), the ticks it must run before it
+// applies the events delivered with the grant.
+type LeadSink interface {
+	SetGrantLead(ticks uint64)
 }
 
 // BoardClock is an optional Federate capability: a federate fronting a

@@ -13,12 +13,12 @@
 //
 // The schedule itself is hdlsim.RunSchedule, the loop DriverSimulate
 // runs too: the manager is its QuantumParty, with the peer lookahead
-// generalized to the minimum over all granted parties, the local
-// lookahead to the minimum over all eager parties, and the a-posteriori
-// traffic check to any event routed to a granted party. A K=2
-// federation therefore makes bit-identical elision decisions — and,
-// through cosim.ProcFederate, byte-identical wire traffic — to the
-// pairwise path.
+// generalized to the minimum over all granted parties, the traffic
+// check to any event routed to a granted party, and each grant's lead
+// handed to every granted party that takes one (cosim.LeadSink). Eager
+// parties make no promise. A K=2 federation therefore makes
+// bit-identical elision decisions — and, through cosim.ProcFederate,
+// byte-identical wire traffic — to the pairwise path.
 //
 // Events are exchanged only at boundaries and routed by explicit links
 // (address windows for data, line numbers for interrupts), so the whole
@@ -69,8 +69,8 @@ type Config struct {
 	Links   []Link
 	// DriverConfig is the schedule, in grant ticks: TotalCycles is the
 	// run's horizon and StopEarly is polled at every boundary. With
-	// Adaptive set, a single party reporting cosim.NoLookahead pins the
-	// whole federation to plain TSync stepping.
+	// Adaptive set, a single granted party reporting cosim.NoLookahead
+	// pins the whole federation to plain TSync stepping.
 	hdlsim.DriverConfig
 }
 
@@ -144,9 +144,9 @@ type member struct {
 	fed   cosim.Federate
 	name  string
 	inbox []cosim.FedMsg
-	split cosim.SplitStepper  // granted parties overlapping their grants
-	sink  cosim.LookaheadSink // granted parties forwarding the promise
-	clock cosim.BoardClock    // granted parties reporting board time
+	split cosim.SplitStepper // granted parties overlapping their grants
+	sink  cosim.LeadSink     // granted parties placing grant traffic at its lead
+	clock cosim.BoardClock   // granted parties reporting board time
 }
 
 // TimeManager is the hierarchical coordinator: it drives every federate
@@ -175,7 +175,7 @@ func New(cfg Config) (*TimeManager, error) {
 		m := &tm.parties[i]
 		m.idx, m.fed, m.name = i, p.Fed, p.Fed.Name()
 		m.split, _ = p.Fed.(cosim.SplitStepper)
-		m.sink, _ = p.Fed.(cosim.LookaheadSink)
+		m.sink, _ = p.Fed.(cosim.LeadSink)
 		m.clock, _ = p.Fed.(cosim.BoardClock)
 		if p.Eager {
 			tm.eager = append(tm.eager, m)
@@ -241,14 +241,10 @@ func (tm *TimeManager) collect(m *member) error {
 	return tm.route(m, out)
 }
 
-// minLookahead folds the promises of the parties in set, skipping skip
-// (nil skips none).
-func minLookahead(set []*member, skip *member) uint64 {
+// minLookahead folds the promises of the parties in set.
+func minLookahead(set []*member) uint64 {
 	min := uint64(hdlsim.UnboundedLookahead)
 	for _, m := range set {
-		if m == skip {
-			continue
-		}
 		if la := m.fed.Lookahead(); la < min {
 			min = la
 		}
@@ -268,7 +264,7 @@ func (tm *TimeManager) Run(ctx context.Context) (Stats, error) {
 	}
 	tm.ctx, tm.canceled = ctx, ctx.Done()
 	if tm.cfg.Adaptive {
-		tm.peer = minLookahead(tm.lazy, nil)
+		tm.peer = minLookahead(tm.lazy)
 	}
 	sched, err := hdlsim.RunSchedule(tm.cfg.DriverConfig, (*schedule)(tm))
 	st := Stats{ScheduleStats: sched, LastBoardCy: tm.lastBoardCy}
@@ -314,30 +310,29 @@ func (s *schedule) Advance(until uint64) (uint64, bool, error) {
 
 // Boundary reports traffic when the run is cancelled, which forces the
 // rendezvous that returns the cause, or when an event waits for a
-// granted party — both before the eager promises are folded — and
-// otherwise the granted parties' promise (the peer) and the eager
-// parties' minimum (the local model).
-func (s *schedule) Boundary() (bool, uint64, uint64) {
+// granted party, and otherwise the granted parties' promise (the peer).
+func (s *schedule) Boundary() (bool, uint64) {
 	tm := (*TimeManager)(s)
 	select {
 	case <-tm.canceled:
-		return true, 0, 0
+		return true, 0
 	default:
 	}
 	for _, m := range tm.lazy {
 		if len(m.inbox) > 0 {
-			return true, 0, 0
+			return true, 0
 		}
 	}
-	return false, tm.peer, minLookahead(tm.eager, nil)
+	return false, tm.peer
 }
 
 // Rendezvous grants every granted party the federation time up to now,
+// with the events routed to it landing lead ticks into the grant,
 // overlapping wire parties' quanta (all grants first, acknowledgements
 // second), routes the collected traffic, and records the slowest board
-// clock. Lookahead is negotiated only in adaptive runs, as in the
+// clock. The peer promise is folded only in adaptive runs, as in the
 // pairwise driver.
-func (s *schedule) Rendezvous(acc, now uint64) error {
+func (s *schedule) Rendezvous(acc, lead, now uint64) error {
 	tm := (*TimeManager)(s)
 	select {
 	case <-tm.canceled:
@@ -345,11 +340,9 @@ func (s *schedule) Rendezvous(acc, now uint64) error {
 	default:
 	}
 	until := cosim.SimTime(now)
-	adaptive := tm.cfg.Adaptive
 	for _, m := range tm.lazy {
-		if adaptive && m.sink != nil {
-			// The promise carried to m: the minimum over every other party.
-			m.sink.SetGrantLookahead(min(minLookahead(tm.eager, nil), minLookahead(tm.lazy, m)))
+		if m.sink != nil {
+			m.sink.SetGrantLead(lead)
 		}
 		if err := tm.deliver(m); err != nil {
 			return err
@@ -378,8 +371,8 @@ func (s *schedule) Rendezvous(acc, now uint64) error {
 		}
 	}
 	tm.lastBoardCy = boardCy
-	if adaptive {
-		tm.peer = minLookahead(tm.lazy, nil)
+	if tm.cfg.Adaptive {
+		tm.peer = minLookahead(tm.lazy)
 	}
 	return nil
 }

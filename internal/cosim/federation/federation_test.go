@@ -11,8 +11,10 @@ import (
 )
 
 // fakeParty is a scripted federate for manager unit tests: an eager
-// variant emits one sequenced write every emitEvery-th quantum, a lazy
-// variant records what it is delivered and when.
+// variant emits one sequenced write every emitEvery-th quantum, or one
+// to each of emitTo in the quantum holding cycle emitAt; a lazy variant
+// records what it is delivered and at which tick the delivery lands
+// (its clock plus the grant's lead).
 type fakeParty struct {
 	name  string
 	cur   cosim.SimTime
@@ -23,6 +25,8 @@ type fakeParty struct {
 	// producer script (eager parties)
 	emitEvery uint64 // emit on every n-th quantum boundary; 0 = silent
 	addr      uint32
+	emitAt    cosim.SimTime
+	emitTo    []uint32
 	seq       uint32
 	out       []cosim.FedMsg
 
@@ -31,6 +35,7 @@ type fakeParty struct {
 	cancelAt cosim.SimTime
 
 	// consumer record (lazy parties)
+	lead     uint64
 	got      []uint32
 	gotAt    []cosim.SimTime
 	steps    int
@@ -50,6 +55,12 @@ func (f *fakeParty) Step(until cosim.SimTime) (cosim.SimTime, error) {
 			f.out = append(f.out, cosim.FedMsg{Kind: cosim.FedWrite, Addr: f.addr, Words: []uint32{f.seq}})
 		}
 	}
+	if f.cur < f.emitAt && f.emitAt < until {
+		for _, a := range f.emitTo {
+			f.seq++
+			f.out = append(f.out, cosim.FedMsg{Kind: cosim.FedWrite, Addr: a, Words: []uint32{f.seq}})
+		}
+	}
 	f.cur = until
 	f.steps++
 	if f.cancel != nil && until >= f.cancelAt {
@@ -64,7 +75,7 @@ func (f *fakeParty) Exchange(in []cosim.FedMsg) ([]cosim.FedMsg, error) {
 			return nil, fmt.Errorf("fake %s: malformed delivery", f.name)
 		}
 		f.got = append(f.got, m.Words[0])
-		f.gotAt = append(f.gotAt, f.cur)
+		f.gotAt = append(f.gotAt, f.cur+cosim.SimTime(f.lead))
 	}
 	out := f.out
 	f.out = nil
@@ -72,6 +83,8 @@ func (f *fakeParty) Exchange(in []cosim.FedMsg) ([]cosim.FedMsg, error) {
 }
 
 func (f *fakeParty) Lookahead() uint64 { return f.la }
+
+func (f *fakeParty) SetGrantLead(ticks uint64) { f.lead = ticks }
 
 func (f *fakeParty) Done() bool { return f.halt != 0 && f.cur >= f.halt }
 
@@ -81,15 +94,16 @@ func (f *fakeParty) Finish(at cosim.SimTime) error {
 }
 
 // TestZeroLookaheadForcesPlainStepping: adaptive elongation is a
-// federation-wide negotiation — a single party promising no lookahead
-// (granted or eager) pins the whole federation to plain TSync
-// rendezvous, while the same topology with generous promises elides
-// every quiet boundary.
+// negotiation among the granted parties — a single one promising no
+// lookahead pins the whole federation to plain TSync rendezvous, while
+// the same topology with generous promises elides every quiet boundary.
+// An eager party makes no promise: its irregular event closes an
+// elongated grant whose lead lands it at the plain-stepping tick.
 func TestZeroLookaheadForcesPlainStepping(t *testing.T) {
 	const tsync, quanta = 100, 10
-	build := func(eagerLA, lazyLA1, lazyLA2 uint64) (*TimeManager, []*fakeParty) {
+	build := func(lazyLA1, lazyLA2 uint64) (*TimeManager, []*fakeParty) {
 		ps := []*fakeParty{
-			{name: "dev", la: eagerLA, tsync: tsync},
+			{name: "dev", la: cosim.NoLookahead, tsync: tsync},
 			{name: "b1", la: lazyLA1},
 			{name: "b2", la: lazyLA2},
 		}
@@ -105,9 +119,9 @@ func TestZeroLookaheadForcesPlainStepping(t *testing.T) {
 	}
 	unbounded := cosim.UnboundedLookahead
 
-	// Control: every party promises unbounded lookahead, no traffic —
+	// Control: every board promises unbounded lookahead, no traffic —
 	// every boundary is elided and one final rendezvous settles the run.
-	tm, _ := build(unbounded, unbounded, unbounded)
+	tm, _ := build(unbounded, unbounded)
 	st, err := tm.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +131,7 @@ func TestZeroLookaheadForcesPlainStepping(t *testing.T) {
 	}
 
 	// One granted party with zero lookahead: no boundary may be elided.
-	tm, _ = build(unbounded, unbounded, cosim.NoLookahead)
+	tm, _ = build(unbounded, cosim.NoLookahead)
 	if st, err = tm.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +139,40 @@ func TestZeroLookaheadForcesPlainStepping(t *testing.T) {
 		t.Fatalf("zero-lookahead board: %d elided / %d syncs, want 0 / %d", st.Elided, st.Syncs, quanta)
 	}
 
-	// A zero-lookahead eager party pins it just the same.
-	tm, _ = build(cosim.NoLookahead, unbounded, unbounded)
-	if st, err = tm.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if st.Elided != 0 || st.Syncs != quanta {
-		t.Fatalf("zero-lookahead device: %d elided / %d syncs, want 0 / %d", st.Elided, st.Syncs, quanta)
+	// An eager party promising nothing emits one event to each board at
+	// cycle 437, in the quantum [400, 500). Plain stepping delivers it
+	// with the rendezvous at 500, to boards standing at 400; the adaptive
+	// run elides the four boundaries before it and the grant at 500
+	// carries lead 400.
+	for _, adaptive := range []bool{false, true} {
+		dev := &fakeParty{name: "dev", la: cosim.NoLookahead, emitAt: 437, emitTo: []uint32{0x100, 0x200}}
+		b1 := &fakeParty{name: "b1", la: unbounded}
+		b2 := &fakeParty{name: "b2", la: unbounded}
+		tm, err := New(Config{
+			Parties:      []Party{{Fed: dev, Eager: true}, {Fed: b1}, {Fed: b2}},
+			Links:        []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}, {From: 0, To: 2, Base: 0x200, Size: 0x10}},
+			DriverConfig: hdlsim.DriverConfig{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: adaptive},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := tm.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []*fakeParty{b1, b2} {
+			if len(b.gotAt) != 1 || b.gotAt[0] != 400 {
+				t.Fatalf("adaptive=%v: %s received the event at %v, want once at 400", adaptive, b.name, b.gotAt)
+			}
+		}
+		if !adaptive {
+			continue
+		}
+		// Boundaries 100–400 elided, 500 closed by the traffic, 600–1000
+		// elided, and the final grant settles the run.
+		if st.Elided != quanta-1 || st.Syncs != 2 || st.SyncsBy[hdlsim.SyncTraffic] != 1 {
+			t.Fatalf("silent device: %d elided / %d syncs %v, want %d / 2 with one for traffic", st.Elided, st.Syncs, st.SyncsBy, quanta-1)
+		}
 	}
 }
 

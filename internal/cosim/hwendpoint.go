@@ -62,9 +62,9 @@ type HWEndpoint struct {
 	// acknowledgement: how many grant ticks can elapse before anything
 	// becomes runnable board-side (see Msg.Lookahead).
 	lastLookahead uint64
-	// localLookahead is the device's interrupt-lookahead promise carried
-	// on the next grant, set by the driver loop via SetLocalLookahead.
-	localLookahead uint64
+	// lead is the next grant's lead (see hdlsim.QuantumParty), carried
+	// in the grant's Lookahead slot and set through SetLead.
+	lead uint64
 
 	// AckTimeout bounds every wait for board traffic (acknowledgements
 	// and announced data). Zero blocks indefinitely. Set it to detect a
@@ -144,7 +144,7 @@ func (ep *HWEndpoint) sendGrant(ticks, hwCycle uint64) error {
 		Type:      MTClockGrant,
 		Ticks:     ticks,
 		HWCycle:   hwCycle,
-		Lookahead: ep.localLookahead,
+		Lookahead: ep.lead,
 		DataCount: ep.dataSent,
 		IntCount:  ep.intSent,
 	}
@@ -226,8 +226,8 @@ func (ep *HWEndpoint) consumeAck() error {
 // TrafficPending implements hdlsim.AdaptiveEndpoint: it reports whether
 // the simulator emitted any DATA or INT traffic since the last grant.
 // The adaptive driver loop must rendezvous at the next boundary when it
-// does, whatever the negotiated lookaheads said — the a-posteriori check
-// is what keeps elongation exactly equivalent to plain stepping.
+// does, whatever the board promised, so each grant carries only the
+// traffic of its last quantum and its lead places all of it.
 func (ep *HWEndpoint) TrafficPending() bool {
 	return ep.dataSent > 0 || ep.intSent > 0
 }
@@ -244,11 +244,10 @@ func (ep *HWEndpoint) PeerLookahead() uint64 {
 	return ep.lastLookahead
 }
 
-// SetLocalLookahead implements hdlsim.AdaptiveEndpoint: it records the
-// device's interrupt-lookahead promise (HDL cycles) to carry on the next
-// grant.
-func (ep *HWEndpoint) SetLocalLookahead(cycles uint64) {
-	ep.localLookahead = cycles
+// SetLead implements hdlsim.AdaptiveEndpoint: it records the lead, in
+// grant ticks, to carry on the next grant.
+func (ep *HWEndpoint) SetLead(ticks uint64) {
+	ep.lead = ticks
 }
 
 func toKernelMsg(m Msg) (hdlsim.DataMsg, error) {

@@ -7,7 +7,7 @@ import (
 )
 
 // ProcFederate fronts an external party — typically a board process —
-// that speaks the v2 wire protocol over any transport kind. It is the
+// that speaks the v3 wire protocol over any transport kind. It is the
 // grant-issuing side of the link (it wraps an HWEndpoint), so from the
 // time manager's perspective the remote process is a federate: Exchange
 // forwards inbound events onto the DATA/INT channels, Step grants the
@@ -106,9 +106,9 @@ func (f *ProcFederate) Step(until SimTime) (SimTime, error) {
 // promise is a quantum stale).
 func (f *ProcFederate) Lookahead() uint64 { return f.ep.PeerLookahead() }
 
-// SetGrantLookahead implements LookaheadSink: the federation's promise
-// carried on the next outgoing grant.
-func (f *ProcFederate) SetGrantLookahead(ticks uint64) { f.ep.SetLocalLookahead(ticks) }
+// SetGrantLead implements LeadSink: the lead carried on the next
+// outgoing grant.
+func (f *ProcFederate) SetGrantLead(ticks uint64) { f.ep.SetLead(ticks) }
 
 // Done implements Federate: a wire party never ends the run on its own.
 func (f *ProcFederate) Done() bool { return false }
@@ -122,5 +122,5 @@ func (f *ProcFederate) BoardTime() (cycle, swTick uint64) { return f.ep.BoardTim
 
 var _ Federate = (*ProcFederate)(nil)
 var _ SplitStepper = (*ProcFederate)(nil)
-var _ LookaheadSink = (*ProcFederate)(nil)
+var _ LeadSink = (*ProcFederate)(nil)
 var _ BoardClock = (*ProcFederate)(nil)

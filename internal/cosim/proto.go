@@ -25,8 +25,10 @@ import (
 
 // ProtocolVersion guards against mismatched endpoints. Version 2 added
 // the lookahead fields on clock grants and time acknowledgements and the
-// MTBatch coalescing frame.
-const ProtocolVersion uint16 = 2
+// MTBatch coalescing frame. Version 3 turned the clock grant's lookahead
+// slot into the lead: a version-2 board would apply the grant's traffic
+// before the lead ticks instead of after them.
+const ProtocolVersion uint16 = 3
 
 // Channel identifies one of the three logical ports of the link.
 type Channel uint8
@@ -65,7 +67,8 @@ const (
 	MTHello MsgType = iota + 1
 	// MTClockGrant (CLOCK, HW→board): run for Ticks virtual ticks; exactly
 	// DataCount DATA messages and IntCount INT messages sent during the
-	// simulator's preceding quantum must be drained first.
+	// simulator's preceding quantum must be drained first, and they take
+	// effect after the first Lookahead (the lead) of those ticks.
 	MTClockGrant
 	// MTTimeAck (CLOCK, board→HW): the board finished its quantum at local
 	// cycle BoardCycle / software tick SWTick, having sent DataCount DATA
@@ -175,12 +178,12 @@ type Msg struct {
 	SWTick     uint64
 	DataCount  uint32
 	IntCount   uint32
-	// Lookahead is the adaptive-synchronization bound (see hwendpoint.go).
-	// On MTClockGrant it is the simulator's promise, in HDL clock cycles
-	// from the grant, before which the device will raise no interrupt; on
+	// Lookahead carries adaptive synchronization (see hwendpoint.go). On
+	// MTClockGrant it is the grant's lead: the ticks the board runs
+	// before it applies the grant's traffic (0 in plain stepping). On
 	// MTTimeAck it is the board's promise, in grant ticks from the ack,
-	// before which no thread can become runnable. NoLookahead (0) makes no
-	// promise; UnboundedLookahead means no event is scheduled at all.
+	// before which no thread can become runnable: NoLookahead (0) makes
+	// no promise; UnboundedLookahead means no event is scheduled at all.
 	Lookahead uint64
 
 	// Hello fields.

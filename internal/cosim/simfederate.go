@@ -72,9 +72,10 @@ func (f *SimFederate) Exchange(in []FedMsg) ([]FedMsg, error) {
 	return out, nil
 }
 
-// Lookahead implements Federate via the simulator's interrupt-lookahead
-// oracle (HDL cycles ≡ grant ticks).
-func (f *SimFederate) Lookahead() uint64 { return f.d.InterruptLookahead() }
+// Lookahead implements Federate: a device kernel makes no promise. An
+// eager party's lookahead is never read; a granted one pins its
+// federation to plain stepping.
+func (f *SimFederate) Lookahead() uint64 { return NoLookahead }
 
 // Done implements Federate.
 func (f *SimFederate) Done() bool { return f.d.Stopped() }

@@ -72,7 +72,7 @@ func SummarizeMsg(m Msg) string {
 	case MTHello:
 		return fmt.Sprintf("hello v%d", m.Version)
 	case MTClockGrant:
-		return fmt.Sprintf("clock-grant ticks=%d hw=%d data=%d int=%d la=%d",
+		return fmt.Sprintf("clock-grant ticks=%d hw=%d data=%d int=%d lead=%d",
 			m.Ticks, m.HWCycle, m.DataCount, m.IntCount, m.Lookahead)
 	case MTTimeAck:
 		return fmt.Sprintf("time-ack board=%d tick=%d data=%d la=%d",

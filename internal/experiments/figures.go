@@ -164,7 +164,7 @@ func Fig5Adaptive(opt Options) (*Table, error) {
 	}
 	t.Note("emulated link latency %v per message; packet period %d cycles", delay, period)
 	t.Note("every row's simulated-time result is verified bit-identical between the two runs:")
-	t.Note("elongation only skips rendezvous the lookahead negotiation proves unobservable")
+	t.Note("elongation only skips rendezvous the board's lookahead proves unobservable")
 	return t, nil
 }
 

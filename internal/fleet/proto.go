@@ -59,8 +59,8 @@ type Response struct {
 	// Retryable but not Unavailable — that host recovers on its own.
 	Unavailable bool           `json:"unavailable,omitempty"`
 	Host        *HostInfo      `json:"host,omitempty"`
-	Health    *HealthReport  `json:"health,omitempty"`
-	Result    *SessionResult `json:"result,omitempty"`
+	Health      *HealthReport  `json:"health,omitempty"`
+	Result      *SessionResult `json:"result,omitempty"`
 }
 
 // HostInfo identifies one enrolled host.

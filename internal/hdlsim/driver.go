@@ -224,29 +224,9 @@ func (s *Simulator) RaiseDriverInterrupt(irq uint8) {
 	s.intRaised = append(s.intRaised, irq)
 }
 
-// UnboundedLookahead is the lookahead value of a device (or board) with no
-// scheduled traffic at all. It mirrors cosim.UnboundedLookahead.
+// UnboundedLookahead is the lookahead value of a board (or any granted
+// peer) with nothing scheduled at all. It mirrors cosim.UnboundedLookahead.
 const UnboundedLookahead = ^uint64(0)
-
-// SetInterruptLookahead installs the device model's lookahead oracle for
-// adaptive synchronization: fn returns a lower bound, in clock cycles from
-// now, before the model can next raise an interrupt or post data to the
-// board (0 when one may be imminent, UnboundedLookahead when nothing is
-// scheduled). The hook is purely advisory — elongation correctness rests
-// on the endpoint's a-posteriori TrafficPending check — so a model that
-// breaks its promise costs one extra rendezvous, never wrong results.
-// A nil hook (the default) reports UnboundedLookahead.
-func (s *Simulator) SetInterruptLookahead(fn func() uint64) {
-	s.intLookahead = fn
-}
-
-// interruptLookahead evaluates the installed oracle.
-func (s *Simulator) interruptLookahead() uint64 {
-	if s.intLookahead == nil {
-		return UnboundedLookahead
-	}
-	return s.intLookahead()
-}
 
 // AdaptiveEndpoint is the optional extension of DriverEndpoint that a
 // transport endpoint implements to support adaptive quantum elongation
@@ -263,9 +243,10 @@ type AdaptiveEndpoint interface {
 	// most recent acknowledgement: how many ticks can elapse before
 	// anything board-side can become runnable without simulator input.
 	PeerLookahead() uint64
-	// SetLocalLookahead records the device's interrupt-lookahead promise
-	// (clock cycles) to be carried on the next grant.
-	SetLocalLookahead(cycles uint64)
+	// SetLead records the next grant's lead (see
+	// QuantumParty.Rendezvous): the ticks the board runs before it
+	// applies the grant's traffic.
+	SetLead(ticks uint64)
 }
 
 // routeData dispatches one board→HW DATA message: writes land in the
@@ -353,16 +334,16 @@ func (d *Driver) Advance(until uint64) (reached uint64, halted bool, err error) 
 }
 
 // Boundary reports the endpoint's pending traffic and the board's
-// lookahead promise, then the model's interrupt lookahead.
-func (d *Driver) Boundary() (traffic bool, peer, local uint64) {
-	return d.aep.TrafficPending(), d.aep.PeerLookahead(), d.s.interruptLookahead()
+// lookahead promise.
+func (d *Driver) Boundary() (traffic bool, peer uint64) {
+	return d.aep.TrafficPending(), d.aep.PeerLookahead()
 }
 
 // Rendezvous performs the CLOCK-port sync, granting the board acc ticks
-// at cycle now (carrying the model's lookahead in adaptive runs).
-func (d *Driver) Rendezvous(acc, now uint64) error {
+// at cycle now; adaptive runs carry the lead on the grant.
+func (d *Driver) Rendezvous(acc, lead, now uint64) error {
 	if d.aep != nil {
-		d.aep.SetLocalLookahead(d.s.interruptLookahead())
+		d.aep.SetLead(lead)
 	}
 	bc, err := d.ep.Sync(acc, now)
 	if err != nil {
@@ -428,10 +409,6 @@ func (d *Driver) Stopped() bool { return d.s.stopped }
 // SyncsElided and LastBoardCy belong to the schedule: only DriverSimulate
 // fills them; a Driver stepped by another coordinator leaves them zero.
 func (d *Driver) Stats() DriverStats { return d.st }
-
-// InterruptLookahead evaluates the model's lookahead oracle (see
-// SetInterruptLookahead).
-func (d *Driver) InterruptLookahead() uint64 { return d.s.interruptLookahead() }
 
 // DriverStats reports what DriverSimulate did.
 type DriverStats struct {

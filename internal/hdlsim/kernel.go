@@ -115,11 +115,10 @@ type Simulator struct {
 	deltaOverflow       error
 
 	// Driver (co-simulation) state; see driver.go.
-	driverIns    []*DriverIn
-	driverOuts   []*DriverOut
-	intWatches   []*intWatch
-	intRaised    []uint8
-	intLookahead func() uint64 // see SetInterruptLookahead
+	driverIns  []*DriverIn
+	driverOuts []*DriverOut
+	intWatches []*intWatch
+	intRaised  []uint8
 
 	// cycleHooks run after every completed clock cycle in RunCycles /
 	// DriverSimulate; used by tracing and tests.

@@ -23,12 +23,13 @@ type DriverConfig struct {
 	StopEarly func() bool
 	// Adaptive enables lookahead-negotiated quantum elongation: a TSync
 	// boundary is skipped (no CLOCK rendezvous) when no traffic was sent
-	// since the last grant, the accumulated grant stays strictly inside
-	// the board's promised lookahead, and the device model does not
-	// expect to interrupt within the next TSync cycles. DriverSimulate
-	// requires an endpoint implementing AdaptiveEndpoint and silently
-	// ignores the flag otherwise. Elongated runs produce bit-identical
-	// simulated-time results.
+	// since the last grant and the accumulated grant stays strictly
+	// inside the board's promised lookahead. Each grant's lead places its
+	// traffic at the start of the quantum that produced it, so elongated
+	// runs produce bit-identical simulated-time results with no promise
+	// from the device model. DriverSimulate requires an endpoint
+	// implementing AdaptiveEndpoint and silently ignores the flag
+	// otherwise.
 	Adaptive bool
 	// MaxQuantum caps the accumulated elongated quantum in clock cycles.
 	// 0 means no cap: a quiet stretch elongates until traffic or a
@@ -56,17 +57,22 @@ type QuantumParty interface {
 	Advance(until uint64) (reached uint64, halted bool, err error)
 	// Boundary reports an adaptive run's elision inputs at a TSync
 	// boundary: whether traffic was sent since the last grant, then the
-	// peers' and the local model's lookahead promises in ticks. The
-	// promises are ignored when traffic is pending, so an implementation
-	// may leave them zero then.
-	Boundary() (traffic bool, peer, local uint64)
+	// peers' lookahead promise in ticks. The promise is ignored when
+	// traffic is pending, so an implementation may leave it zero then.
+	Boundary() (traffic bool, peer uint64)
 	// Rendezvous performs the CLOCK rendezvous at time now, granting the
-	// peers the acc ticks accumulated since the previous one.
-	Rendezvous(acc, now uint64) error
+	// peers the acc ticks accumulated since the previous one. lead is
+	// where the grant's traffic lands: the start of the quantum that
+	// produced it (the last boundary passed), in ticks from the previous
+	// rendezvous. A peer runs lead ticks, applies the traffic, then runs
+	// the rest; the elided boundaries before it proved the peers idle
+	// for those lead ticks (lead < peer lookahead), so the grant is
+	// exact. lead is 0 in plain stepping.
+	Rendezvous(acc, lead, now uint64) error
 }
 
 // SyncReason says why RunSchedule performed a rendezvous. The first
-// four are elideBoundary's verdicts, in the order it checks them.
+// three are elideBoundary's verdicts, in the order it checks them.
 type SyncReason uint8
 
 const (
@@ -76,8 +82,6 @@ const (
 	SyncCap
 	// SyncPeer: the accumulated grant reached the peers' lookahead.
 	SyncPeer
-	// SyncLocal: the local model may interrupt within the next quantum.
-	SyncLocal
 	// SyncStopping: the boundary was elidable, but StopEarly fired.
 	SyncStopping
 	// SyncPlain: a non-adaptive run rendezvouses at every boundary.
@@ -91,7 +95,7 @@ const (
 // syncElide is elideBoundary's verdict that a boundary may be skipped.
 const syncElide = NumSyncReasons
 
-var syncReasonNames = [NumSyncReasons]string{"traffic", "cap", "peer", "local", "stopping", "plain", "final"}
+var syncReasonNames = [NumSyncReasons]string{"traffic", "cap", "peer", "stopping", "plain", "final"}
 
 // String returns the reason's metric label.
 func (r SyncReason) String() string { return syncReasonNames[r] }
@@ -115,7 +119,8 @@ type ScheduleStats struct {
 // rendezvous granting everything accumulated since the last one. The run
 // ends at cfg.TotalCycles, when the clock-driving side halts (mid-quantum
 // or at a boundary) or when StopEarly fires; a final partial grant
-// settles any remainder.
+// settles any remainder. Every grant carries its lead (see
+// QuantumParty.Rendezvous).
 func RunSchedule(cfg DriverConfig, p QuantumParty) (ScheduleStats, error) {
 	var st ScheduleStats
 	if err := cfg.Validate(); err != nil {
@@ -124,6 +129,7 @@ func RunSchedule(cfg DriverConfig, p QuantumParty) (ScheduleStats, error) {
 	maxQ := effectiveMaxQuantum(cfg.TSync, cfg.MaxQuantum)
 	stop := func() bool { return cfg.StopEarly != nil && cfg.StopEarly() }
 	granted := uint64(0) // time of the last rendezvous
+	last := uint64(0)    // time of the last boundary passed
 	for st.Now < cfg.TotalCycles {
 		full := cfg.TotalCycles-st.Now >= cfg.TSync
 		target := cfg.TotalCycles
@@ -140,11 +146,12 @@ func RunSchedule(cfg DriverConfig, p QuantumParty) (ScheduleStats, error) {
 		}
 		if full {
 			st.Quanta++
-			acc := st.Now - granted
+			acc, lead := st.Now-granted, last-granted
+			last = st.Now
 			why := SyncPlain
 			if cfg.Adaptive {
-				traffic, peer, local := p.Boundary()
-				why = elideBoundary(acc, cfg.TSync, maxQ, peer, local, traffic)
+				traffic, peer := p.Boundary()
+				why = elideBoundary(acc, cfg.TSync, maxQ, peer, traffic)
 			}
 			// One StopEarly poll per boundary (see DriverConfig): before
 			// the decision when the boundary is elidable, else after the
@@ -152,7 +159,7 @@ func RunSchedule(cfg DriverConfig, p QuantumParty) (ScheduleStats, error) {
 			if why == syncElide && !stop() {
 				st.Elided++
 			} else {
-				if err := p.Rendezvous(acc, st.Now); err != nil {
+				if err := p.Rendezvous(acc, lead, st.Now); err != nil {
 					return st, err
 				}
 				st.Syncs++
@@ -172,7 +179,7 @@ func RunSchedule(cfg DriverConfig, p QuantumParty) (ScheduleStats, error) {
 		}
 	}
 	if st.Now > granted {
-		if err := p.Rendezvous(st.Now-granted, st.Now); err != nil {
+		if err := p.Rendezvous(st.Now-granted, last-granted, st.Now); err != nil {
 			return st, err
 		}
 		st.Syncs++
@@ -196,14 +203,14 @@ func effectiveMaxQuantum(tsync, maxQuantum uint64) uint64 {
 
 // elideBoundary is the conservative-elision predicate: a TSync boundary
 // may be skipped (syncElide) exactly when (a) no traffic was sent since
-// the last grant — the a-posteriori check that guarantees bit-identical
-// results even when a lookahead promise was wrong, (b) the accumulated
-// grant acc stays within the cap with room for one more quantum, (c)
-// acc is strictly inside the peer's promised lookahead (strict, because
-// an event exactly at the boundary must see its own rendezvous), and
-// (d) the local model does not expect to interrupt within the next
-// quantum. Otherwise it returns the first condition that failed.
-func elideBoundary(acc, tsync, maxQ, peerLookahead, localLookahead uint64, trafficPending bool) SyncReason {
+// the last grant, so a grant only ever carries the traffic of its last
+// quantum and one lead places all of it, (b) the accumulated grant acc
+// stays within the cap with room for one more quantum, and (c) acc is
+// strictly inside the peer's promised lookahead (strict, because an
+// event exactly at the boundary must see its own rendezvous), so the
+// peer is idle up to the boundary where the next grant's traffic lands.
+// Otherwise it returns the first condition that failed.
+func elideBoundary(acc, tsync, maxQ, peerLookahead uint64, trafficPending bool) SyncReason {
 	switch {
 	case trafficPending:
 		return SyncTraffic
@@ -211,8 +218,6 @@ func elideBoundary(acc, tsync, maxQ, peerLookahead, localLookahead uint64, traff
 		return SyncCap
 	case acc >= peerLookahead:
 		return SyncPeer
-	case localLookahead < tsync:
-		return SyncLocal
 	}
 	return syncElide
 }

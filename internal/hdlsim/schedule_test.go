@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// grant is one rendezvous: acc ticks granted at time now.
-type grant struct{ acc, now uint64 }
+// grant is one rendezvous: acc ticks granted at time now, with the
+// traffic landing lead ticks in.
+type grant struct{ acc, lead, now uint64 }
 
 // scriptedSide is a scripted clock-driving side and its peer: it halts
 // itself at halt (0 = never), reports per-boundary elision inputs
@@ -20,7 +21,7 @@ type scriptedSide struct {
 	tsync, halt, stopAt uint64
 	boardFlag           bool
 	traffic             []bool
-	peer, local         []uint64
+	peer                []uint64
 
 	cur    uint64
 	board  bool
@@ -51,8 +52,8 @@ func (f *scriptedSide) stopEarly() bool {
 	return f.cur >= f.stopAt
 }
 
-func (f *scriptedSide) rendezvous(acc uint64) {
-	f.grants = append(f.grants, grant{acc, f.cur})
+func (f *scriptedSide) rendezvous(acc, lead uint64) {
+	f.grants = append(f.grants, grant{acc, lead, f.cur})
 	if f.stopAt != 0 && f.cur >= f.stopAt {
 		f.board = true
 	}
@@ -67,16 +68,16 @@ func (f *scriptedSide) Advance(until uint64) (uint64, bool, error) {
 	return f.cur, f.stopped(), nil
 }
 
-func (f *scriptedSide) Boundary() (bool, uint64, uint64) {
+func (f *scriptedSide) Boundary() (bool, uint64) {
 	k := f.boundary()
-	return f.traffic[k], f.peer[k], f.local[k]
+	return f.traffic[k], f.peer[k]
 }
 
-func (f *scriptedSide) Rendezvous(acc, now uint64) error {
+func (f *scriptedSide) Rendezvous(acc, lead, now uint64) error {
 	if now != f.cur {
 		return fmt.Errorf("rendezvous at %d, clock-driving side at %d", now, f.cur)
 	}
-	f.rendezvous(acc)
+	f.rendezvous(acc, lead)
 	return nil
 }
 
@@ -84,7 +85,8 @@ func (f *scriptedSide) Rendezvous(acc, now uint64) error {
 // schedule was shared with the federation manager, cycle by cycle, with
 // its own copy of the cap resolution (0 = no cap) and the elision
 // predicate, each conjunct tagged with the reason its failure reports.
-// It is the independent reference RunSchedule must reproduce.
+// Every grant's lead is the ticks elided before its last quantum. It is
+// the independent reference RunSchedule must reproduce.
 func referenceSchedule(cfg DriverConfig, f *scriptedSide) (st ScheduleStats) {
 	maxQ := cfg.MaxQuantum
 	if maxQ == 0 {
@@ -93,8 +95,8 @@ func referenceSchedule(cfg DriverConfig, f *scriptedSide) (st ScheduleStats) {
 	if maxQ < cfg.TSync {
 		maxQ = cfg.TSync
 	}
-	sync := func(acc uint64, why SyncReason) {
-		f.rendezvous(acc)
+	sync := func(acc, lead uint64, why SyncReason) {
+		f.rendezvous(acc, lead)
 		st.Syncs++
 		st.SyncsBy[why]++
 	}
@@ -116,7 +118,6 @@ func referenceSchedule(cfg DriverConfig, f *scriptedSide) (st ScheduleStats) {
 				{!f.traffic[k], SyncTraffic},
 				{acc <= maxQ-cfg.TSync, SyncCap},
 				{acc < f.peer[k], SyncPeer},
-				{f.local[k] >= cfg.TSync, SyncLocal},
 				{!stopping, SyncStopping},
 			}
 			elide, why := true, SyncReason(0)
@@ -131,7 +132,7 @@ func referenceSchedule(cfg DriverConfig, f *scriptedSide) (st ScheduleStats) {
 				sinceSync = 0
 				st.Elided++
 			} else {
-				sync(acc, why)
+				sync(acc, pending, why)
 				pending, sinceSync = 0, 0
 				if cfg.StopEarly != nil && cfg.StopEarly() {
 					break
@@ -140,7 +141,7 @@ func referenceSchedule(cfg DriverConfig, f *scriptedSide) (st ScheduleStats) {
 		}
 	}
 	if pending+sinceSync > 0 {
-		sync(pending+sinceSync, SyncFinal)
+		sync(pending+sinceSync, pending, SyncFinal)
 	}
 	st.Now = f.cur
 	return st
@@ -178,10 +179,9 @@ func drawSchedule(rng *rand.Rand) (cfg DriverConfig, side func() *scriptedSide) 
 	n := int(quanta) + 1
 	traffic := make([]bool, n)
 	peer := make([]uint64, n)
-	local := make([]uint64, n)
 	for k := range traffic {
 		if quiet {
-			peer[k], local[k] = UnboundedLookahead, UnboundedLookahead
+			peer[k] = UnboundedLookahead
 			continue
 		}
 		traffic[k] = rng.Intn(5) == 0
@@ -192,10 +192,6 @@ func drawSchedule(rng *rand.Rand) (cfg DriverConfig, side func() *scriptedSide) 
 			peer[k] = uint64(rng.Intn(int(12 * tsync)))
 		default:
 			peer[k] = uint64(rng.Intn(12)) * tsync
-		}
-		local[k] = UnboundedLookahead
-		if rng.Intn(3) != 0 {
-			local[k] = tsync - 1 + uint64(rng.Intn(2))
 		}
 	}
 	var halt, stopAt uint64
@@ -211,7 +207,7 @@ func drawSchedule(rng *rand.Rand) (cfg DriverConfig, side func() *scriptedSide) 
 	boardFlag := rng.Intn(2) == 0
 	return cfg, func() *scriptedSide {
 		return &scriptedSide{tsync: tsync, halt: halt, stopAt: stopAt, boardFlag: boardFlag,
-			traffic: traffic, peer: peer, local: local}
+			traffic: traffic, peer: peer}
 	}
 }
 
@@ -219,9 +215,11 @@ func drawSchedule(rng *rand.Rand) (cfg DriverConfig, side func() *scriptedSide) 
 // shared schedule: over seeded random TSync, horizons, caps, adaptive
 // on and off, scripted lookaheads and traffic, halts and StopEarly,
 // RunSchedule grants exactly what the pre-sharing DriverSimulate loop
-// granted, with the same counters — the per-reason sync counts
-// included — and final time, and polls StopEarly exactly once per
-// boundary. Every reason occurs, and an uncapped quiet run elongates
+// granted, leads included, with the same counters — the per-reason sync
+// counts included — and final time, and polls StopEarly exactly once
+// per boundary. Every lead is the last boundary passed minus the
+// previous grant: acc − TSync at a boundary rendezvous, and for the
+// final partial grant the boundary it started after. Every reason occurs, and an uncapped quiet run elongates
 // past 64×TSync, the cap that used to be the default.
 func TestScheduleMatchesDriverReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
@@ -255,6 +253,15 @@ func TestScheduleMatchesDriverReference(t *testing.T) {
 		if st.SyncsBy != want.SyncsBy {
 			t.Fatalf("case %d (%s): SyncsBy %v, reference %v", i, desc, st.SyncsBy, want.SyncsBy)
 		}
+		for j, g := range got.grants {
+			wantLead := g.acc - cfg.TSync
+			if j == len(got.grants)-1 && st.SyncsBy[SyncFinal] == 1 {
+				wantLead = g.now/cfg.TSync*cfg.TSync - (g.now - g.acc)
+			}
+			if g.lead != wantLead {
+				t.Fatalf("case %d (%s): grant %d %+v has lead %d, want %d", i, desc, j, g, g.lead, wantLead)
+			}
+		}
 		if got.stopAt != 0 && uint64(got.polls) != st.Quanta {
 			t.Fatalf("case %d (%s): StopEarly polled %d times at %d boundaries", i, desc, got.polls, st.Quanta)
 		}
@@ -287,5 +294,46 @@ func TestScheduleMatchesDriverReference(t *testing.T) {
 func TestScheduleRejectsZeroTSync(t *testing.T) {
 	if _, err := RunSchedule(DriverConfig{TotalCycles: 10}, &scriptedSide{tsync: 1}); err == nil {
 		t.Fatal("TSync=0 accepted")
+	}
+}
+
+// TestScheduleLead pins the lead of the three kinds of rendezvous an
+// elongated run ends a grant with: traffic at a boundary, the final
+// partial grant after a mid-quantum halt, and StopEarly at a boundary
+// that could have been elided. Each lands the grant's traffic at the
+// last boundary passed.
+func TestScheduleLead(t *testing.T) {
+	const tsync = 10
+	quiet := func(traffic ...int) *scriptedSide {
+		f := &scriptedSide{tsync: tsync, traffic: make([]bool, 11), peer: make([]uint64, 11)}
+		for k := range f.peer {
+			f.peer[k] = UnboundedLookahead
+		}
+		for _, k := range traffic {
+			f.traffic[k] = true
+		}
+		return f
+	}
+	cases := []struct {
+		name string
+		side *scriptedSide
+		want grant
+		why  SyncReason
+	}{
+		{"traffic at a boundary", quiet(3), grant{acc: 30, lead: 20, now: 30}, SyncTraffic},
+		{"final grant after a halt", func() *scriptedSide { f := quiet(); f.halt = 35; return f }(), grant{acc: 35, lead: 30, now: 35}, SyncFinal},
+		{"StopEarly at an elidable boundary", func() *scriptedSide { f := quiet(); f.stopAt = 40; return f }(), grant{acc: 40, lead: 30, now: 40}, SyncStopping},
+	}
+	for _, c := range cases {
+		st, err := RunSchedule(c.side.bind(DriverConfig{TSync: tsync, TotalCycles: 100, Adaptive: true}), c.side)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(c.side.grants) == 0 || c.side.grants[0] != c.want {
+			t.Fatalf("%s: grants %+v, want first %+v", c.name, c.side.grants, c.want)
+		}
+		if st.SyncsBy[c.why] == 0 {
+			t.Fatalf("%s: no rendezvous for reason %v (%v)", c.name, c.why, st.SyncsBy)
+		}
 	}
 }

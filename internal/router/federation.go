@@ -43,7 +43,7 @@ type FederationConfig struct {
 	Boards int `json:"boards"`
 	// InProcBoards hosts the boards in-process as board.Federate parties
 	// (no goroutines, no wire). When false each board runs behind a
-	// cosim.ProcFederate speaking the v2 wire protocol over the
+	// cosim.ProcFederate speaking the v3 wire protocol over the
 	// RunConfig's TransportKind.
 	InProcBoards bool `json:"inproc_boards,omitempty"`
 	// PulseDevices adds that many auxiliary HDL kernels, each
@@ -103,8 +103,7 @@ type FederationResult struct {
 
 // pulseDevice is an auxiliary HDL kernel: every period cycles it posts
 // an incrementing heartbeat counter into its board window and raises its
-// IRQ. Its next emission is on a closed-form schedule, so it promises an
-// exact interrupt lookahead for adaptive elongation.
+// IRQ.
 type pulseDevice struct {
 	sim   *hdlsim.Simulator
 	clk   *hdlsim.Clock
@@ -128,12 +127,6 @@ func newPulseDevice(p int, period uint64, clockPeriod sim.Time) *pulseDevice {
 			s.RaiseDriverInterrupt(PulseIRQ(p))
 		}
 	}, d.clk.Posedge()).DontInitialize()
-	s.SetInterruptLookahead(func() uint64 {
-		if d.next > d.cycle {
-			return d.next - d.cycle
-		}
-		return 0
-	})
 	return d
 }
 
@@ -193,7 +186,7 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 		}
 		// The array type makes a reason without a handle a compile error.
 		var syncsBy [hdlsim.NumSyncReasons]*obs.Counter = [...]*obs.Counter{
-			syncs(hdlsim.SyncTraffic), syncs(hdlsim.SyncCap), syncs(hdlsim.SyncPeer), syncs(hdlsim.SyncLocal),
+			syncs(hdlsim.SyncTraffic), syncs(hdlsim.SyncCap), syncs(hdlsim.SyncPeer),
 			syncs(hdlsim.SyncStopping), syncs(hdlsim.SyncPlain), syncs(hdlsim.SyncFinal),
 		}
 		defer func() {

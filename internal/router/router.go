@@ -195,20 +195,6 @@ func (r *Router) outstandingCount() int {
 	return n
 }
 
-// IRQPending reports whether any buffered packet is still waiting to be
-// posted to an engine window — the only condition under which the router
-// raises a board interrupt on an upcoming cycle without new input traffic.
-func (r *Router) IRQPending() bool {
-	for _, f := range r.fifos {
-		for _, e := range f {
-			if !e.posted {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Quiescent reports whether no packet is buffered, awaiting a verdict, or
 // awaiting an output slot.
 func (r *Router) Quiescent() bool {

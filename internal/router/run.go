@@ -96,10 +96,11 @@ type RunConfig struct {
 	// Scrape it (see internal/obs) while the run is alive.
 	Obs *obs.Registry
 	// Adaptive enables lookahead-negotiated quantum elongation (see
-	// hdlsim.DriverConfig.Adaptive): the board's acknowledgements and the
-	// device's grants carry lookahead promises, and traffic-free TSync
-	// boundaries inside both promises are skipped. Simulated-time results
-	// are bit-identical; only the rendezvous count changes. Incompatible
+	// hdlsim.DriverConfig.Adaptive): the board's acknowledgements carry
+	// lookahead promises, traffic-free TSync boundaries inside them are
+	// skipped, and each grant's lead lands its traffic where plain
+	// stepping would. Simulated-time results are bit-identical; only the
+	// rendezvous count changes. Incompatible
 	// with SyncPipelined (the pipelined acknowledgement is a quantum
 	// stale, so its promise cannot be trusted).
 	Adaptive bool

@@ -87,33 +87,6 @@ func BuildTestbench(cfg TBConfig) *Testbench {
 		tb.Consumers = append(tb.Consumers,
 			NewConsumer(s, r.Out[i], i, r.RouteOf))
 	}
-	// Device-side lookahead oracle for adaptive synchronization: the
-	// router interrupts the board only when posting a buffered packet, and
-	// new packets arrive on the producers' closed-form schedule, so the
-	// next possible interrupt is bounded by the earliest upcoming emission
-	// (minus a small posting-pipeline slack). Purely advisory — grant
-	// elongation stays bit-exact even if this bound were wrong (see
-	// hdlsim.DriverSimulate) — but it keeps grants short when an interrupt
-	// is imminent.
-	const postSlack = 4
-	s.SetInterruptLookahead(func() uint64 {
-		if r.IRQPending() {
-			return 0
-		}
-		next := hdlsim.UnboundedLookahead
-		for _, p := range tb.Producers {
-			if n := p.NextEmission(); n < next {
-				next = n
-			}
-		}
-		if next == hdlsim.UnboundedLookahead {
-			return next
-		}
-		if now := clk.Cycles(); next > now+postSlack {
-			return next - now - postSlack
-		}
-		return 0
-	})
 	return tb
 }
 

@@ -11,10 +11,6 @@ import (
 // router input with randomly-addressed packets at a fixed period.
 type Producer struct {
 	hdlsim.BaseModule
-	gen       *packet.Generator
-	count     int
-	period    uint64
-	phase     uint64
 	generated uint64
 	done      bool
 }
@@ -27,7 +23,7 @@ func NewProducer(s *hdlsim.Simulator, clk *hdlsim.Clock, in *hdlsim.Signal[*pack
 	if period == 0 {
 		panic("router: producer period must be ≥ 1 cycle")
 	}
-	p := &Producer{BaseModule: hdlsim.BaseModule{Name: fmt.Sprintf("producer%d", gen.Generated())}, gen: gen, count: count, period: period, phase: phase}
+	p := &Producer{BaseModule: hdlsim.BaseModule{Name: fmt.Sprintf("producer%d", gen.Generated())}}
 	s.Thread(fmt.Sprintf("producer.%s", in.SignalName()), func(c *hdlsim.Ctx) {
 		c.WaitCycles(clk, phase)
 		for i := 0; i < count; i++ {
@@ -43,16 +39,6 @@ func NewProducer(s *hdlsim.Simulator, clk *hdlsim.Clock, in *hdlsim.Signal[*pack
 
 // Generated returns how many packets this producer has emitted.
 func (p *Producer) Generated() uint64 { return p.generated }
-
-// NextEmission returns the absolute clock cycle of this producer's next
-// packet emission, or hdlsim.UnboundedLookahead once its quota is done.
-// The schedule is closed-form (phase + k·period), so the bound is exact.
-func (p *Producer) NextEmission() uint64 {
-	if p.done {
-		return hdlsim.UnboundedLookahead
-	}
-	return p.phase + (p.generated+1)*p.period
-}
 
 // Done reports whether the producer finished its quota.
 func (p *Producer) Done() bool { return p.done }
