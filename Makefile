@@ -10,7 +10,7 @@ FARM_SOAK_COUNT ?= 3
 STATICCHECK_MOD := honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_MOD := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: all vet fmt-check build test race fuzz-smoke farm-soak transport-matrix federation-matrix fleet-matrix shm-smoke fleet-smoke bench-json bench-gate bench-adaptive bench-selftest bench-golden staticcheck govulncheck cosim-lint lint lint-fix-check ci
+.PHONY: all vet fmt-check build test race fuzz-smoke farm-soak transport-matrix federation-matrix fleet-matrix shm-smoke examples-smoke fleet-smoke bench-json bench-gate bench-adaptive bench-selftest bench-golden staticcheck govulncheck cosim-lint lint lint-fix-check ci
 
 all: build
 
@@ -56,20 +56,21 @@ transport-matrix:
 	$(GO) test -race -run 'TransportMatrix|TestCoSimEndToEnd|ReportedKind|MultiRunReports' . ./internal/router/
 	$(GO) test -race -run 'Shm|UDS' ./internal/cosim/ ./internal/farm/
 
-# federation-matrix proves the N-party time manager behind every
-# router.Run: runs bit-identical to a pairwise DriverSimulate reference
-# across every transport, multi-board and pulse-device topologies
-# deterministic, topologies bounded by the board's interrupt vector,
-# federations submitted as specs through the farm and the fleet equal to
-# their direct runs, the manager's edge cases (cancellation of elongated
-# runs included), and the quantum schedule both engines share against its
-# independent reference — all under -race.
+# federation-matrix proves the time manager behind every run: router.Run
+# bit-identical to a test-local transcription of the pairwise loop across
+# every transport, multi-board and pulse-device topologies deterministic,
+# topologies bounded by the board's interrupt vector, federations
+# submitted as specs through the farm and the fleet equal to their direct
+# runs, the manager's edge cases (cancellation of elongated runs
+# included), the two-party DriverSimulate wrapper, the quantum schedule
+# against its independent reference, and the kernel's driver ports — all
+# under -race.
 federation-matrix:
 	$(GO) test -race -run 'TestFederation|TestRunDispatchesFederation|TestMultiBoard|TestMultiRunReports|TestRunContextCancellation' ./internal/router/
 	$(GO) test -race -run 'TestFarmRunsFederatedSessions|TestSpec' ./internal/farm/
 	$(GO) test -race -run 'TestFleetFederatedSpec' ./internal/fleet/
 	$(GO) test -race ./internal/cosim/federation/
-	$(GO) test -race -run 'Schedule|Driver' ./internal/hdlsim/
+	$(GO) test -race -run 'Driver' ./internal/hdlsim/
 
 # fleet-matrix proves the multi-host control plane under the race
 # detector: M sessions placed across K in-process hosts bit-identical to
@@ -91,6 +92,19 @@ fleet-smoke:
 # CreateShm/OpenShm that in-process tests cannot cover.
 shm-smoke:
 	./scripts/shm_smoke.sh
+
+# examples-smoke runs the example programs built on the two-party
+# DriverSimulate wrapper and the loopback replay — quickstart, debugging,
+# hwswpartition, servo, and router with its waveform written to a temp
+# directory — and fails on any nonzero exit (quickstart, debugging and
+# hwswpartition log.Fatal on wrong results).
+examples-smoke:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	for ex in quickstart debugging hwswpartition servo; do \
+		$(GO) run ./examples/$$ex >/dev/null || { echo "examples-smoke: $$ex failed"; exit 1; }; \
+	done; \
+	$(GO) run ./examples/router -vcd "$$dir/router.vcd" >/dev/null || { echo "examples-smoke: router failed"; exit 1; }; \
+	echo "examples-smoke: OK"
 
 # bench-json measures what bench/ cannot (the Kernel/ micro-benchmarks,
 # allocs per quantum on the tcp/uds/shm transports, the fleet) into

@@ -13,7 +13,7 @@ import (
 	"os"
 
 	"repro/internal/cosim"
-	"repro/internal/hdlsim"
+	"repro/internal/cosim/federation"
 	"repro/internal/obs"
 	"repro/internal/router"
 )
@@ -100,7 +100,7 @@ func main() {
 	if reg != nil {
 		ep.Observe(reg)
 	}
-	stats, err := tb.Sim.DriverSimulate(tb.Clk, ep, hdlsim.DriverConfig{
+	stats, err := federation.DriverSimulate(tb.Sim, tb.Clk, ep, federation.Schedule{
 		TSync:       *tsync,
 		TotalCycles: tbc.WorkCycles() + 8**tsync + 20000,
 		StopEarly:   tb.Finished,

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/board"
 	"repro/internal/cosim"
+	"repro/internal/cosim/federation"
 	"repro/internal/hdlsim"
 	"repro/internal/rtos"
 	"repro/internal/sim"
@@ -91,7 +92,7 @@ func main() {
 	dev.Attach(bep)
 	boardDone := make(chan error, 1)
 	go func() { boardDone <- brd.Run(bep) }()
-	if _, err := s.DriverSimulate(clk, hw, hdlsim.DriverConfig{
+	if _, err := federation.DriverSimulate(s, clk, hw, federation.Schedule{
 		TSync:       25,
 		TotalCycles: 500,
 		StopEarly:   func() bool { return finished },

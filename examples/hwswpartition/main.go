@@ -31,6 +31,7 @@ import (
 	"repro/internal/board"
 	"repro/internal/checksum"
 	"repro/internal/cosim"
+	"repro/internal/cosim/federation"
 	"repro/internal/hdlsim"
 	"repro/internal/iss"
 	"repro/internal/rtos"
@@ -125,7 +126,7 @@ func main() {
 	dev.Attach(bep)
 	boardDone := make(chan error, 1)
 	go func() { boardDone <- brd.Run(bep) }()
-	if _, err := s.DriverSimulate(clk, hw, hdlsim.DriverConfig{
+	if _, err := federation.DriverSimulate(s, clk, hw, federation.Schedule{
 		TSync:       *tsync,
 		TotalCycles: 2_000_000,
 		StopEarly:   func() bool { return finished },

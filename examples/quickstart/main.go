@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/board"
 	"repro/internal/cosim"
+	"repro/internal/cosim/federation"
 	"repro/internal/hdlsim"
 	"repro/internal/rtos"
 	"repro/internal/sim"
@@ -109,7 +110,7 @@ func main() {
 	boardDone := make(chan error, 1)
 	go func() { boardDone <- brd.Run(bep) }()
 
-	stats, err := s.DriverSimulate(clk, hw, hdlsim.DriverConfig{
+	stats, err := federation.DriverSimulate(s, clk, hw, federation.Schedule{
 		TSync:       50,
 		TotalCycles: 2000,
 		StopEarly:   func() bool { return len(results) == 3 },

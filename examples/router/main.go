@@ -71,12 +71,7 @@ func main() {
 	// Replay the same workload on the handmade testbench against the
 	// instant loopback verifier to produce the waveform.
 	if vw != nil {
-		ep := router.NewLoopbackEndpoint()
-		if _, err := tb.Sim.DriverSimulate(tb.Clk, ep, hdlsim.DriverConfig{
-			TSync:       1000,
-			TotalCycles: rc.TB.WorkCycles() + 20000,
-			StopEarly:   tb.Finished,
-		}); err != nil {
+		if _, err := tb.Loopback(router.NewLoopbackEndpoint(), rc.TB.WorkCycles()+20000, tb.Finished); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("waveform written to %s (%d packets traced)\n", *vcdPath, fwd.Read())

@@ -21,10 +21,8 @@ func (f *fakeEP) PollData() []hdlsim.DataMsg {
 	f.pending = nil
 	return p
 }
-func (f *fakeEP) SendData(m hdlsim.DataMsg) error  { f.out = append(f.out, m); return nil }
-func (f *fakeEP) SendInterrupt(irq uint8) error    { f.ints = append(f.ints, irq); return nil }
-func (f *fakeEP) Sync(t, h uint64) (uint64, error) { return h, nil }
-func (f *fakeEP) Finish(h uint64) error            { return nil }
+func (f *fakeEP) SendData(m hdlsim.DataMsg) error { f.out = append(f.out, m); return nil }
+func (f *fakeEP) SendInterrupt(irq uint8) error   { f.ints = append(f.ints, irq); return nil }
 
 func drive(t *testing.T, data []byte, bytesPerCycle int) (crc uint16, cyclesToDone uint64, ints int) {
 	t.Helper()
@@ -41,16 +39,18 @@ func drive(t *testing.T, data []byte, bytesPerCycle int) (crc uint16, cyclesToDo
 		hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: 0x100 + RegLen, Words: []uint32{uint32(len(data))}},
 		hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: 0x100 + RegCtrl, Words: []uint32{1}},
 	)
-	st, err := s.DriverSimulate(clk, ep, hdlsim.DriverConfig{
-		// A small quantum so StopEarly (polled at sync boundaries) ends
-		// the run promptly once the engine reports completion.
-		TSync:       5,
-		TotalCycles: 1000,
-		StopEarly:   func() bool { return a.Done() > 0 },
-	})
+	d, err := s.NewDriver(clk, ep)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Step in strides of 5 cycles so the run ends promptly once the
+	// engine reports completion.
+	for n := uint64(5); n <= 1000 && a.Done() == 0; n += 5 {
+		if _, _, err := d.Advance(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := d.Stats()
 	if a.Done() != 1 {
 		t.Fatalf("accelerator completed %d ops", a.Done())
 	}

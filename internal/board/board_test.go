@@ -20,6 +20,7 @@ func testCfg() Config {
 // hwScript drives the HW side of an in-proc link with a simple script.
 type hwScript struct {
 	hw *cosim.HWEndpoint
+	pf *cosim.ProcFederate // issues hw's grants
 }
 
 func newLinked(t *testing.T, b *Board) (*hwScript, chan error) {
@@ -32,7 +33,7 @@ func newLinked(t *testing.T, b *Board) (*hwScript, chan error) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- b.Run(bep) }()
-	return &hwScript{hw: hw}, done
+	return &hwScript{hw: hw, pf: cosim.NewProcFederate("board", hw)}, done
 }
 
 func TestBoardAdvancesOnGrants(t *testing.T) {
@@ -48,10 +49,10 @@ func TestBoardAdvancesOnGrants(t *testing.T) {
 	var hwCycle uint64
 	for q := 0; q < 4; q++ {
 		hwCycle += 10
-		bc, err := hs.hw.Sync(10, hwCycle)
-		if err != nil {
+		if _, err := hs.pf.Step(cosim.SimTime(hwCycle)); err != nil {
 			t.Fatal(err)
 		}
+		bc, _ := hs.hw.BoardTime()
 		// 10 ticks × 100 cycles/tick each quantum.
 		if bc != (uint64(q)+1)*1000 {
 			t.Fatalf("quantum %d: board cycle %d, want %d", q, bc, (q+1)*1000)
@@ -78,7 +79,7 @@ func TestBoardAdvancesOnGrants(t *testing.T) {
 func TestBoardTimeFrozenBetweenGrants(t *testing.T) {
 	b := New(testCfg())
 	hs, done := newLinked(t, b)
-	if _, err := hs.hw.Sync(5, 5); err != nil {
+	if _, err := hs.pf.Step(cosim.SimTime(5)); err != nil {
 		t.Fatal(err)
 	}
 	c1, _ := hs.hw.BoardTime()
@@ -113,14 +114,14 @@ func TestRemoteDevShadowAndPostedWrites(t *testing.T) {
 	})
 	hs, done := newLinked(t, b)
 	// Quantum 1: plain.
-	if _, err := hs.hw.Sync(10, 10); err != nil {
+	if _, err := hs.pf.Step(cosim.SimTime(10)); err != nil {
 		t.Fatal(err)
 	}
 	// Quantum 2: carry a register update.
 	if err := hs.hw.SendData(toDM(0x104, []uint32{7, 8, 9})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hs.hw.Sync(10, 20); err != nil {
+	if _, err := hs.pf.Step(cosim.SimTime(20)); err != nil {
 		t.Fatal(err)
 	}
 	// The app read the shadow and posted 0xcafe; it arrives at HW with
@@ -131,7 +132,7 @@ func TestRemoteDevShadowAndPostedWrites(t *testing.T) {
 			got = m.Words
 		}
 		if got == nil {
-			if _, err := hs.hw.Sync(10, 30+uint64(q)*10); err != nil {
+			if _, err := hs.pf.Step(cosim.SimTime(30 + q*10)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -166,7 +167,7 @@ func TestRemoteDevInterruptDelivery(t *testing.T) {
 	if err := hs.hw.SendInterrupt(3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hs.hw.Sync(10, 10); err != nil {
+	if _, err := hs.pf.Step(cosim.SimTime(10)); err != nil {
 		t.Fatal(err)
 	}
 	hs.hw.Finish(10)
@@ -201,7 +202,7 @@ func TestRemoteDevSplitPhaseRead(t *testing.T) {
 		}
 	})
 	hs, done := newLinked(t, b)
-	if _, err := hs.hw.Sync(5, 5); err != nil { // board posts the request
+	if _, err := hs.pf.Step(cosim.SimTime(5)); err != nil { // board posts the request
 		t.Fatal(err)
 	}
 	reqs := hs.hw.PollData()
@@ -211,10 +212,10 @@ func TestRemoteDevSplitPhaseRead(t *testing.T) {
 	if err := hs.hw.SendData(respDM(0x202, []uint32{0xaa, 0xbb})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hs.hw.Sync(5, 10); err != nil {
+	if _, err := hs.pf.Step(cosim.SimTime(10)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hs.hw.Sync(5, 15); err != nil {
+	if _, err := hs.pf.Step(cosim.SimTime(15)); err != nil {
 		t.Fatal(err)
 	}
 	hs.hw.Finish(15)
@@ -313,8 +314,8 @@ func TestGrantLeadPlacesTraffic(t *testing.T) {
 		if err := hs.hw.SendInterrupt(3); err != nil {
 			t.Fatal(err)
 		}
-		hs.hw.SetLead(lead)
-		if _, err := hs.hw.Sync(30, 30*uint64(i+1)); err != nil {
+		hs.pf.SetGrantLead(lead)
+		if _, err := hs.pf.Step(cosim.SimTime(30 * (i + 1))); err != nil {
 			t.Fatal(err)
 		}
 	}

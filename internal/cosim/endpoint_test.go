@@ -65,6 +65,7 @@ func runRendezvous(t *testing.T, mode SyncMode) {
 	t.Helper()
 	hwT, boardT := NewInProcPair(64)
 	hw := NewHWEndpoint(hwT, mode)
+	pf := NewProcFederate("board", hw)
 	board := NewBoardEndpoint(boardT)
 	result := scriptedBoard(t, board, true)
 
@@ -80,7 +81,7 @@ func runRendezvous(t *testing.T, mode SyncMode) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := hw.Sync(10, uint64(10*(q+1))); err != nil {
+		if _, err := pf.Step(SimTime(10 * (q + 1))); err != nil {
 			t.Fatal(err)
 		}
 		boardData = append(boardData, hw.PollData()...)
@@ -131,12 +132,13 @@ func TestEndpointRendezvousPipelined(t *testing.T)   { runRendezvous(t, SyncPipe
 func TestAlternatingLatencyIsOneQuantum(t *testing.T) {
 	hwT, boardT := NewInProcPair(64)
 	hw := NewHWEndpoint(hwT, SyncAlternating)
+	pf := NewProcFederate("board", hw)
 	board := NewBoardEndpoint(boardT)
 	result := scriptedBoard(t, board, true)
 
-	// After Sync of quantum 1, PollData must already hold the board's
+	// After the step of quantum 1, PollData must already hold the board's
 	// quantum-1 echo (alternating waits for the ack).
-	if _, err := hw.Sync(10, 10); err != nil {
+	if _, err := pf.Step(SimTime(10)); err != nil {
 		t.Fatal(err)
 	}
 	if got := hw.PollData(); len(got) != 1 {
@@ -152,18 +154,19 @@ func TestAlternatingLatencyIsOneQuantum(t *testing.T) {
 func TestPipelinedLatencyIsTwoQuanta(t *testing.T) {
 	hwT, boardT := NewInProcPair(64)
 	hw := NewHWEndpoint(hwT, SyncPipelined)
+	pf := NewProcFederate("board", hw)
 	board := NewBoardEndpoint(boardT)
 	result := scriptedBoard(t, board, true)
 
 	// Pipelined: first sync returns without waiting; no board data yet.
-	if _, err := hw.Sync(10, 10); err != nil {
+	if _, err := pf.Step(SimTime(10)); err != nil {
 		t.Fatal(err)
 	}
 	if got := hw.PollData(); len(got) != 0 {
 		t.Fatalf("pipelined: %d board msgs visible after first sync, want 0", len(got))
 	}
 	// Second sync consumes ack 1 → board quantum-1 data becomes visible.
-	if _, err := hw.Sync(10, 20); err != nil {
+	if _, err := pf.Step(SimTime(20)); err != nil {
 		t.Fatal(err)
 	}
 	if got := hw.PollData(); len(got) != 1 {
@@ -179,11 +182,12 @@ func TestPipelinedLatencyIsTwoQuanta(t *testing.T) {
 func TestEndpointMetrics(t *testing.T) {
 	hwT, boardT := NewInProcPair(64)
 	hw := NewHWEndpoint(hwT, SyncAlternating)
+	pf := NewProcFederate("board", hw)
 	board := NewBoardEndpoint(boardT)
 	result := scriptedBoard(t, board, false)
 
 	for q := 0; q < 5; q++ {
-		if _, err := hw.Sync(100, uint64(100*(q+1))); err != nil {
+		if _, err := pf.Step(SimTime(100 * (q + 1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,10 +230,11 @@ func TestEndpointOverTCP(t *testing.T) {
 		t.Fatal("accept failed")
 	}
 	hw := NewHWEndpoint(hwT, SyncAlternating)
+	pf := NewProcFederate("board", hw)
 	board := NewBoardEndpoint(boardT)
 	result := scriptedBoard(t, board, true)
 	for q := 0; q < 10; q++ {
-		if _, err := hw.Sync(7, uint64(7*(q+1))); err != nil {
+		if _, err := pf.Step(SimTime(7 * (q + 1))); err != nil {
 			t.Fatal(err)
 		}
 		if got := hw.PollData(); len(got) != 1 || got[0].Words[0] != 7 {
@@ -257,6 +262,7 @@ func TestBoardReadReqFlow(t *testing.T) {
 	// for quantum 2... delivered with that grant).
 	hwT, boardT := NewInProcPair(64)
 	hw := NewHWEndpoint(hwT, SyncAlternating)
+	pf := NewProcFederate("board", hw)
 	board := NewBoardEndpoint(boardT)
 
 	done := make(chan error, 1)
@@ -287,7 +293,7 @@ func TestBoardReadReqFlow(t *testing.T) {
 	}()
 
 	// Quantum 1: nothing from HW.
-	if _, err := hw.Sync(10, 10); err != nil {
+	if _, err := pf.Step(SimTime(10)); err != nil {
 		t.Fatal(err)
 	}
 	// HW now sees the read request and serves it mid-"quantum 2".
@@ -298,7 +304,7 @@ func TestBoardReadReqFlow(t *testing.T) {
 	if err := hw.SendData(hdlsim.DataMsg{Kind: hdlsim.DataReadResp, Addr: 0x50, Words: []uint32{11, 22}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hw.Sync(10, 20); err != nil {
+	if _, err := pf.Step(SimTime(20)); err != nil {
 		t.Fatal(err)
 	}
 	if err := hw.Finish(20); err != nil {

@@ -52,6 +52,7 @@ func TestGarbageOnChannelSurfacesError(t *testing.T) {
 func TestWrongMessageOnClockChannel(t *testing.T) {
 	hwT, boardT := NewInProcPair(8)
 	hw := NewHWEndpoint(hwT, SyncAlternating)
+	pf := NewProcFederate("board", hw)
 	go func() {
 		// Misbehaving board: answers the grant with a data-write on CLOCK.
 		if _, err := boardT.Recv(ChanClock); err != nil {
@@ -59,7 +60,7 @@ func TestWrongMessageOnClockChannel(t *testing.T) {
 		}
 		boardT.Send(ChanClock, Msg{Type: MTDataWrite, Addr: 1})
 	}()
-	if _, err := hw.Sync(10, 10); err == nil {
+	if _, err := pf.Step(SimTime(10)); err == nil {
 		t.Fatal("wrong CLOCK message type accepted as ack")
 	}
 	hwT.Close()
@@ -70,6 +71,7 @@ func TestWrongMessageOnClockChannel(t *testing.T) {
 func TestAckAnnouncesMoreDataThanSent(t *testing.T) {
 	hwT, boardT := NewInProcPair(8)
 	hw := NewHWEndpoint(hwT, SyncAlternating)
+	pf := NewProcFederate("board", hw)
 	go func() {
 		if _, err := boardT.Recv(ChanClock); err != nil {
 			return
@@ -78,7 +80,7 @@ func TestAckAnnouncesMoreDataThanSent(t *testing.T) {
 		boardT.Send(ChanClock, Msg{Type: MTTimeAck, BoardCycle: 1, DataCount: 2})
 		boardT.Close()
 	}()
-	if _, err := hw.Sync(10, 10); err == nil {
+	if _, err := pf.Step(SimTime(10)); err == nil {
 		t.Fatal("missing announced data not detected")
 	}
 }

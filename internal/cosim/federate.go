@@ -109,7 +109,7 @@ type SplitStepper interface {
 
 // LeadSink is an optional Federate capability of a granted party: before
 // each rendezvous it receives the grant's lead (see
-// hdlsim.QuantumParty.Rendezvous), the ticks it must run before it
+// federation.QuantumParty.Rendezvous), the ticks it must run before it
 // applies the events delivered with the grant.
 type LeadSink interface {
 	SetGrantLead(ticks uint64)

@@ -1,6 +1,9 @@
 // Package federation coordinates K co-simulation federates under one
-// conservative quantum clock — the N-party generalization of the
-// pairwise HW/SW rendezvous (hdlsim.DriverSimulate ↔ HWEndpoint).
+// conservative quantum clock. It is the one quantum engine: every run,
+// N-party or the paper's pairwise HW/SW rendezvous, goes through its
+// TimeManager, and DriverSimulate keeps the paper's driver_simulate as
+// the two-party wrapper (one HDL kernel, one board behind an
+// HWEndpoint).
 //
 // The time manager distinguishes two party roles, mirroring the paper's
 // master/slave quantum protocol:
@@ -11,14 +14,13 @@
 //     cosim.ProcFederate) freeze between rendezvous and advance in one
 //     piece when the federation grants accumulated time.
 //
-// The schedule itself is hdlsim.RunSchedule, the loop DriverSimulate
-// runs too: the manager is its QuantumParty, with the peer lookahead
-// generalized to the minimum over all granted parties, the traffic
-// check to any event routed to a granted party, and each grant's lead
-// handed to every granted party that takes one (cosim.LeadSink). Eager
-// parties make no promise. A K=2 federation therefore makes
-// bit-identical elision decisions — and, through cosim.ProcFederate,
-// byte-identical wire traffic — to the pairwise path.
+// The schedule itself is RunSchedule, the paper's driver_simulate loop:
+// the manager is its QuantumParty, with the peer lookahead the minimum
+// over all granted parties, the traffic check any event routed to a
+// granted party, and each grant's lead handed to every granted party
+// that takes one (cosim.LeadSink). Eager parties make no promise. Through
+// cosim.ProcFederate a two-party run puts the same bytes on the wire as
+// a kernel stepped directly over the HWEndpoint, sending mid-quantum.
 //
 // Events are exchanged only at boundaries and routed by explicit links
 // (address windows for data, line numbers for interrupts), so the whole
@@ -33,7 +35,6 @@ import (
 	"slices"
 
 	"repro/internal/cosim"
-	"repro/internal/hdlsim"
 )
 
 // Party declares one federation member.
@@ -67,11 +68,11 @@ type Link struct {
 type Config struct {
 	Parties []Party
 	Links   []Link
-	// DriverConfig is the schedule, in grant ticks: TotalCycles is the
-	// run's horizon and StopEarly is polled at every boundary. With
-	// Adaptive set, a single granted party reporting cosim.NoLookahead
-	// pins the whole federation to plain TSync stepping.
-	hdlsim.DriverConfig
+	// Schedule is in grant ticks: TotalCycles is the run's horizon and
+	// StopEarly is polled at every boundary. With Adaptive set, a single
+	// granted party reporting cosim.NoLookahead pins the whole federation
+	// to plain TSync stepping.
+	Schedule
 }
 
 // Validate rejects incoherent federations up front.
@@ -79,8 +80,8 @@ func (c Config) Validate() error {
 	if len(c.Parties) < 2 {
 		return fmt.Errorf("federation: invalid Config: %d parties — a federation needs at least two (one device engine and one board is the smallest topology)", len(c.Parties))
 	}
-	if err := c.DriverConfig.Validate(); err != nil {
-		return fmt.Errorf("federation: invalid Config: %w", err)
+	if err := c.Schedule.Validate(); err != nil {
+		return err
 	}
 	if c.TotalCycles == 0 {
 		return fmt.Errorf("federation: invalid Config: TotalCycles is 0, so the run would end before any quantum; set the tick budget")
@@ -132,7 +133,7 @@ func (c Config) Validate() error {
 // elision), and the slowest board cycle acknowledged at the last
 // rendezvous (the final grant time when no party reports a board clock).
 type Stats struct {
-	hdlsim.ScheduleStats
+	ScheduleStats
 	LastBoardCy uint64
 }
 
@@ -151,7 +152,7 @@ type member struct {
 
 // TimeManager is the hierarchical coordinator: it drives every federate
 // from a single goroutine, in a deterministic order, on the quantum
-// clock of hdlsim.RunSchedule.
+// clock of RunSchedule.
 type TimeManager struct {
 	cfg     Config
 	parties []member
@@ -243,7 +244,7 @@ func (tm *TimeManager) collect(m *member) error {
 
 // minLookahead folds the promises of the parties in set.
 func minLookahead(set []*member) uint64 {
-	min := uint64(hdlsim.UnboundedLookahead)
+	min := uint64(cosim.UnboundedLookahead)
 	for _, m := range set {
 		if la := m.fed.Lookahead(); la < min {
 			min = la
@@ -252,7 +253,7 @@ func minLookahead(set []*member) uint64 {
 	return min
 }
 
-// Run executes the federation under hdlsim.RunSchedule — to the horizon
+// Run executes the federation under RunSchedule — to the horizon
 // (TotalCycles), until a clock-driving party halts, or until StopEarly
 // fires — and finishes every party. Cancelling ctx stops the run at the
 // next TSync boundary, elided or not, with the context's cause: an
@@ -266,7 +267,7 @@ func (tm *TimeManager) Run(ctx context.Context) (Stats, error) {
 	if tm.cfg.Adaptive {
 		tm.peer = minLookahead(tm.lazy)
 	}
-	sched, err := hdlsim.RunSchedule(tm.cfg.DriverConfig, (*schedule)(tm))
+	sched, err := RunSchedule(tm.cfg.Schedule, (*managerParty)(tm))
 	st := Stats{ScheduleStats: sched, LastBoardCy: tm.lastBoardCy}
 	if err != nil {
 		return st, err
@@ -280,13 +281,13 @@ func (tm *TimeManager) Run(ctx context.Context) (Stats, error) {
 	return st, err
 }
 
-// schedule is the manager seen as the hdlsim.QuantumParty its Run drives.
-type schedule TimeManager
+// managerParty is the manager seen as the QuantumParty its Run drives.
+type managerParty TimeManager
 
 // Advance steps every eager party to until (each first receives what was
 // routed to it) and routes what they emitted; the federation reaches the
 // slowest of them.
-func (s *schedule) Advance(until uint64) (uint64, bool, error) {
+func (s *managerParty) Advance(until uint64) (uint64, bool, error) {
 	tm := (*TimeManager)(s)
 	reached, halted := cosim.SimTime(until), false
 	for _, m := range tm.eager {
@@ -311,7 +312,7 @@ func (s *schedule) Advance(until uint64) (uint64, bool, error) {
 // Boundary reports traffic when the run is cancelled, which forces the
 // rendezvous that returns the cause, or when an event waits for a
 // granted party, and otherwise the granted parties' promise (the peer).
-func (s *schedule) Boundary() (bool, uint64) {
+func (s *managerParty) Boundary() (bool, uint64) {
 	tm := (*TimeManager)(s)
 	select {
 	case <-tm.canceled:
@@ -330,9 +331,8 @@ func (s *schedule) Boundary() (bool, uint64) {
 // with the events routed to it landing lead ticks into the grant,
 // overlapping wire parties' quanta (all grants first, acknowledgements
 // second), routes the collected traffic, and records the slowest board
-// clock. The peer promise is folded only in adaptive runs, as in the
-// pairwise driver.
-func (s *schedule) Rendezvous(acc, lead, now uint64) error {
+// clock. The peer promise is folded only in adaptive runs.
+func (s *managerParty) Rendezvous(acc, lead, now uint64) error {
 	tm := (*TimeManager)(s)
 	select {
 	case <-tm.canceled:

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/cosim"
-	"repro/internal/hdlsim"
 )
 
 // fakeParty is a scripted federate for manager unit tests: an eager
@@ -108,9 +107,9 @@ func TestZeroLookaheadForcesPlainStepping(t *testing.T) {
 			{name: "b2", la: lazyLA2},
 		}
 		tm, err := New(Config{
-			Parties:      []Party{{Fed: ps[0], Eager: true}, {Fed: ps[1]}, {Fed: ps[2]}},
-			Links:        []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}, {From: 0, To: 2, Base: 0x200, Size: 0x10}},
-			DriverConfig: hdlsim.DriverConfig{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: true},
+			Parties:  []Party{{Fed: ps[0], Eager: true}, {Fed: ps[1]}, {Fed: ps[2]}},
+			Links:    []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}, {From: 0, To: 2, Base: 0x200, Size: 0x10}},
+			Schedule: Schedule{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -149,9 +148,9 @@ func TestZeroLookaheadForcesPlainStepping(t *testing.T) {
 		b1 := &fakeParty{name: "b1", la: unbounded}
 		b2 := &fakeParty{name: "b2", la: unbounded}
 		tm, err := New(Config{
-			Parties:      []Party{{Fed: dev, Eager: true}, {Fed: b1}, {Fed: b2}},
-			Links:        []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}, {From: 0, To: 2, Base: 0x200, Size: 0x10}},
-			DriverConfig: hdlsim.DriverConfig{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: adaptive},
+			Parties:  []Party{{Fed: dev, Eager: true}, {Fed: b1}, {Fed: b2}},
+			Links:    []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}, {From: 0, To: 2, Base: 0x200, Size: 0x10}},
+			Schedule: Schedule{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: adaptive},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -170,7 +169,7 @@ func TestZeroLookaheadForcesPlainStepping(t *testing.T) {
 		}
 		// Boundaries 100–400 elided, 500 closed by the traffic, 600–1000
 		// elided, and the final grant settles the run.
-		if st.Elided != quanta-1 || st.Syncs != 2 || st.SyncsBy[hdlsim.SyncTraffic] != 1 {
+		if st.Elided != quanta-1 || st.Syncs != 2 || st.SyncsBy[SyncTraffic] != 1 {
 			t.Fatalf("silent device: %d elided / %d syncs %v, want %d / 2 with one for traffic", st.Elided, st.Syncs, st.SyncsBy, quanta-1)
 		}
 	}
@@ -194,7 +193,7 @@ func TestSlowPartyCannotReorderEvents(t *testing.T) {
 			{From: 0, To: 1, Base: 0x100, Size: 0x10},
 			{From: 0, To: 2, Base: 0x200, Size: 0x10},
 		},
-		DriverConfig: hdlsim.DriverConfig{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: true},
+		Schedule: Schedule{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -241,9 +240,9 @@ func TestCancelStopsElongatedRun(t *testing.T) {
 	dev := &fakeParty{name: "dev", la: cosim.UnboundedLookahead, tsync: tsync, cancel: cancel, cancelAt: cancelAt}
 	brd := &fakeParty{name: "board", la: cosim.UnboundedLookahead}
 	tm, err := New(Config{
-		Parties:      []Party{{Fed: dev, Eager: true}, {Fed: brd}},
-		Links:        []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
-		DriverConfig: hdlsim.DriverConfig{TSync: tsync, TotalCycles: 1_000_000 * tsync, Adaptive: true},
+		Parties:  []Party{{Fed: dev, Eager: true}, {Fed: brd}},
+		Links:    []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
+		Schedule: Schedule{TSync: tsync, TotalCycles: 1_000_000 * tsync, Adaptive: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,9 +267,9 @@ func TestTrafficForcesRendezvous(t *testing.T) {
 	producer := &fakeParty{name: "producer", la: cosim.UnboundedLookahead, tsync: tsync, emitEvery: 4, addr: 0x100}
 	consumer := &fakeParty{name: "consumer", la: cosim.UnboundedLookahead}
 	tm, err := New(Config{
-		Parties:      []Party{{Fed: producer, Eager: true}, {Fed: consumer}},
-		Links:        []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}},
-		DriverConfig: hdlsim.DriverConfig{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: true},
+		Parties:  []Party{{Fed: producer, Eager: true}, {Fed: consumer}},
+		Links:    []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}},
+		Schedule: Schedule{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -296,9 +295,9 @@ func TestEagerHaltMidQuantum(t *testing.T) {
 	dev := &fakeParty{name: "dev", la: cosim.UnboundedLookahead, tsync: tsync, halt: 250}
 	brd := &fakeParty{name: "board", la: cosim.UnboundedLookahead}
 	tm, err := New(Config{
-		Parties:      []Party{{Fed: dev, Eager: true}, {Fed: brd}},
-		Links:        []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
-		DriverConfig: hdlsim.DriverConfig{TSync: tsync, TotalCycles: 10 * tsync},
+		Parties:  []Party{{Fed: dev, Eager: true}, {Fed: brd}},
+		Links:    []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
+		Schedule: Schedule{TSync: tsync, TotalCycles: 10 * tsync},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -323,9 +322,9 @@ func TestEagerHaltAtBoundary(t *testing.T) {
 	dev := &fakeParty{name: "dev", la: cosim.UnboundedLookahead, tsync: tsync, halt: 3 * tsync}
 	brd := &fakeParty{name: "board", la: cosim.UnboundedLookahead}
 	tm, err := New(Config{
-		Parties:      []Party{{Fed: dev, Eager: true}, {Fed: brd}},
-		Links:        []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
-		DriverConfig: hdlsim.DriverConfig{TSync: tsync, TotalCycles: 10 * tsync},
+		Parties:  []Party{{Fed: dev, Eager: true}, {Fed: brd}},
+		Links:    []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
+		Schedule: Schedule{TSync: tsync, TotalCycles: 10 * tsync},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -359,9 +358,9 @@ func TestStatsReportSlowestBoard(t *testing.T) {
 	fast := &clockParty{fakeParty: fakeParty{name: "fast", la: cosim.UnboundedLookahead}, cycle: 9000}
 	slow := &clockParty{fakeParty: fakeParty{name: "slow", la: cosim.UnboundedLookahead}, cycle: 700}
 	tm, err := New(Config{
-		Parties:      []Party{{Fed: dev, Eager: true}, {Fed: fast}, {Fed: slow}},
-		Links:        []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}},
-		DriverConfig: hdlsim.DriverConfig{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: true},
+		Parties:  []Party{{Fed: dev, Eager: true}, {Fed: fast}, {Fed: slow}},
+		Links:    []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}},
+		Schedule: Schedule{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -384,9 +383,9 @@ func TestUnroutedEventFails(t *testing.T) {
 	producer := &fakeParty{name: "producer", la: cosim.UnboundedLookahead, tsync: 100, emitEvery: 1, addr: 0x900}
 	consumer := &fakeParty{name: "consumer", la: cosim.UnboundedLookahead}
 	tm, err := New(Config{
-		Parties:      []Party{{Fed: producer, Eager: true}, {Fed: consumer}},
-		Links:        []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}}, // 0x900 not covered
-		DriverConfig: hdlsim.DriverConfig{TSync: 100, TotalCycles: 1000},
+		Parties:  []Party{{Fed: producer, Eager: true}, {Fed: consumer}},
+		Links:    []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}}, // 0x900 not covered
+		Schedule: Schedule{TSync: 100, TotalCycles: 1000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -403,9 +402,9 @@ func TestConfigValidate(t *testing.T) {
 		a := &fakeParty{name: "a"}
 		b := &fakeParty{name: "b"}
 		return Config{
-			Parties:      []Party{{Fed: a, Eager: true}, {Fed: b}},
-			Links:        []Link{{From: 0, To: 1, Base: 0, Size: 0x10, IRQs: []uint8{3}}},
-			DriverConfig: hdlsim.DriverConfig{TSync: 100, TotalCycles: 1000},
+			Parties:  []Party{{Fed: a, Eager: true}, {Fed: b}},
+			Links:    []Link{{From: 0, To: 1, Base: 0, Size: 0x10, IRQs: []uint8{3}}},
+			Schedule: Schedule{TSync: 100, TotalCycles: 1000},
 		}
 	}
 	if err := ok().Validate(); err != nil {

@@ -37,8 +37,8 @@ func (m SyncMode) String() string {
 }
 
 // HWEndpoint is the hardware-simulator side of the link. It implements
-// hdlsim.DriverEndpoint, so it can be handed directly to
-// Simulator.DriverSimulate.
+// hdlsim.DriverEndpoint (the DATA and INT ports); ProcFederate issues its
+// CLOCK grants, and federation.DriverSimulate runs a kernel against it.
 type HWEndpoint struct {
 	tr   Transport
 	mode SyncMode
@@ -62,8 +62,8 @@ type HWEndpoint struct {
 	// acknowledgement: how many grant ticks can elapse before anything
 	// becomes runnable board-side (see Msg.Lookahead).
 	lastLookahead uint64
-	// lead is the next grant's lead (see hdlsim.QuantumParty), carried
-	// in the grant's Lookahead slot and set through SetLead.
+	// lead is the next grant's lead (see LeadSink), carried in the
+	// grant's Lookahead slot and set through SetLead.
 	lead uint64
 
 	// AckTimeout bounds every wait for board traffic (acknowledgements
@@ -161,17 +161,6 @@ func (ep *HWEndpoint) sendGrant(ticks, hwCycle uint64) error {
 	return nil
 }
 
-// Sync implements hdlsim.DriverEndpoint: the CLOCK-port rendezvous.
-func (ep *HWEndpoint) Sync(ticks, hwCycle uint64) (uint64, error) {
-	if err := ep.sendGrant(ticks, hwCycle); err != nil {
-		return 0, err
-	}
-	if err := ep.awaitAck(); err != nil {
-		return 0, err
-	}
-	return ep.lastBoardCycle, nil
-}
-
 // awaitAck completes a rendezvous whose grant is out. Pipelined mode
 // keeps one grant in flight, so on the first sync there is nothing to
 // wait for yet.
@@ -223,20 +212,11 @@ func (ep *HWEndpoint) consumeAck() error {
 	return nil
 }
 
-// TrafficPending implements hdlsim.AdaptiveEndpoint: it reports whether
-// the simulator emitted any DATA or INT traffic since the last grant.
-// The adaptive driver loop must rendezvous at the next boundary when it
-// does, whatever the board promised, so each grant carries only the
-// traffic of its last quantum and its lead places all of it.
-func (ep *HWEndpoint) TrafficPending() bool {
-	return ep.dataSent > 0 || ep.intSent > 0
-}
-
-// PeerLookahead implements hdlsim.AdaptiveEndpoint: the board's promise,
-// in grant ticks, from the most recent acknowledgement. In pipelined
-// mode the newest acknowledgement describes a quantum that is already
-// one grant stale, so the promise cannot be trusted and the endpoint
-// reports zero, disabling elongation.
+// PeerLookahead returns the board's promise, in grant ticks, from the
+// most recent acknowledgement. In pipelined mode the newest
+// acknowledgement describes a quantum that is already one grant stale,
+// so the promise cannot be trusted and the endpoint reports zero,
+// disabling elongation.
 func (ep *HWEndpoint) PeerLookahead() uint64 {
 	if ep.mode == SyncPipelined {
 		return NoLookahead
@@ -244,8 +224,7 @@ func (ep *HWEndpoint) PeerLookahead() uint64 {
 	return ep.lastLookahead
 }
 
-// SetLead implements hdlsim.AdaptiveEndpoint: it records the lead, in
-// grant ticks, to carry on the next grant.
+// SetLead records the lead, in grant ticks, to carry on the next grant.
 func (ep *HWEndpoint) SetLead(ticks uint64) {
 	ep.lead = ticks
 }
@@ -261,9 +240,8 @@ func toKernelMsg(m Msg) (hdlsim.DataMsg, error) {
 	}
 }
 
-// Finish implements hdlsim.DriverEndpoint: it drains any outstanding
-// acknowledgement, tells the board the simulation is over, and waits for
-// its final statistics.
+// Finish drains any outstanding acknowledgement, tells the board the
+// simulation is over, and waits for its final statistics.
 func (ep *HWEndpoint) Finish(hwCycle uint64) error {
 	// Stop the wall clock on every exit path so Metrics.Wall is valid
 	// even when the shutdown handshake fails.

@@ -29,11 +29,12 @@ func TestStopClockWithoutStart(t *testing.T) {
 func TestEndpointWallClockRecorded(t *testing.T) {
 	hwT, boardT := NewInProcPair(64)
 	hw := NewHWEndpoint(hwT, SyncAlternating)
+	pf := NewProcFederate("board", hw)
 	board := NewBoardEndpoint(boardT)
 	result := scriptedBoard(t, board, false)
 
 	for q := 1; q <= 3; q++ {
-		if _, err := hw.Sync(10, uint64(10*q)); err != nil {
+		if _, err := pf.Step(SimTime(10 * q)); err != nil {
 			t.Fatal(err)
 		}
 	}

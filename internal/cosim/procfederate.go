@@ -15,10 +15,9 @@ import (
 // acknowledgement traffic flows back into the federation.
 //
 // Because the forwarded events hit the wire in the same channel order as
-// the pairwise path's mid-quantum sends (DATA/INT frames, then the CLOCK
-// grant carrying their drain counts), a K=2 federation produces
-// byte-identical wire traffic to Simulator.DriverSimulate over an
-// HWEndpoint.
+// mid-quantum sends from a kernel stepped directly over the HWEndpoint
+// (DATA/INT frames, then the CLOCK grant carrying their drain counts), a
+// K=2 federation puts the same bytes on the wire as that kernel would.
 type ProcFederate struct {
 	name  string
 	ep    *HWEndpoint
@@ -88,8 +87,8 @@ func (f *ProcFederate) BeginStep(until SimTime) error {
 }
 
 // Step implements Federate: grant (unless BeginStep already did) and
-// wait for the remote acknowledgement, with the same pipelined-mode
-// overlap as HWEndpoint.Sync.
+// wait for the remote acknowledgement; in pipelined mode the wait is for
+// the previous grant's acknowledgement, so one grant stays in flight.
 func (f *ProcFederate) Step(until SimTime) (SimTime, error) {
 	if !f.begun {
 		if err := f.BeginStep(until); err != nil {

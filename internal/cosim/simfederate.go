@@ -7,13 +7,12 @@ import (
 )
 
 // SimFederate adapts an hdlsim kernel to the Federate interface: the
-// device engine of a federation. It drives the simulator with the same
-// per-cycle stepping core as the pairwise path (hdlsim.Driver), but
-// instead of a wire endpoint the kernel talks to an in-memory buffer —
-// outbound DATA/INT traffic accumulates until the next Exchange, and
-// inbound events delivered by Exchange become visible to the kernel at
-// the first cycle of its next Step, exactly when the pairwise endpoint
-// releases a quantum boundary's traffic.
+// device engine of a federation. It drives the simulator with the
+// per-cycle stepping core hdlsim.Driver, the kernel talking to an
+// in-memory buffer — outbound DATA/INT traffic accumulates until the
+// next Exchange, and inbound events delivered by Exchange become visible
+// to the kernel at the first cycle of its next Step, exactly when an
+// HWEndpoint releases a quantum boundary's traffic.
 type SimFederate struct {
 	name string
 	d    *hdlsim.Driver
@@ -21,7 +20,7 @@ type SimFederate struct {
 }
 
 // NewSimFederate elaborates the simulator and wraps it as a federate.
-// One grant tick equals one HDL clock cycle, as in the pairwise path.
+// One grant tick equals one HDL clock cycle.
 func NewSimFederate(name string, s *hdlsim.Simulator, clk *hdlsim.Clock) (*SimFederate, error) {
 	ep := &fedBufEndpoint{}
 	d, err := s.NewDriver(clk, ep)
@@ -89,9 +88,8 @@ func (f *SimFederate) Stats() hdlsim.DriverStats { return f.d.Stats() }
 
 // fedBufEndpoint is the in-memory hdlsim.DriverEndpoint behind a
 // SimFederate: PollData releases the inbox once per delivery (matching
-// HWEndpoint's once-per-quantum visibility), sends buffer into the
-// outbox, and the boundary methods are never used — the time manager
-// owns synchronization.
+// HWEndpoint's once-per-quantum visibility) and sends buffer into the
+// outbox.
 type fedBufEndpoint struct {
 	inbox   []hdlsim.DataMsg
 	polled  bool // inbox was released to the kernel and may be recycled
@@ -123,12 +121,6 @@ func (ep *fedBufEndpoint) SendInterrupt(irq uint8) error {
 	ep.out = append(ep.out, FedMsg{Kind: FedInt, IRQ: irq})
 	return nil
 }
-
-func (ep *fedBufEndpoint) Sync(ticks, hwCycle uint64) (uint64, error) {
-	return 0, fmt.Errorf("cosim: federate buffer endpoint has no Sync; the time manager owns boundaries")
-}
-
-func (ep *fedBufEndpoint) Finish(hwCycle uint64) error { return nil }
 
 var _ hdlsim.DriverEndpoint = (*fedBufEndpoint)(nil)
 var _ Federate = (*SimFederate)(nil)

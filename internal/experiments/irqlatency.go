@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/board"
 	"repro/internal/cosim"
+	"repro/internal/cosim/federation"
 	"repro/internal/hdlsim"
 	"repro/internal/rtos"
 	"repro/internal/sim"
@@ -116,7 +117,7 @@ func measureIRQLatency(tsync uint64, count int) ([]uint64, error) {
 	dev.Attach(bep)
 	done := make(chan error, 1)
 	go func() { done <- brd.Run(bep) }()
-	_, err = s.DriverSimulate(clk, hw, hdlsim.DriverConfig{
+	_, err = federation.DriverSimulate(s, clk, hw, federation.Schedule{
 		TSync:       tsync,
 		TotalCycles: spacing*uint64(count) + 6*tsync + 1000,
 		StopEarly:   func() bool { return len(latencies) >= count },

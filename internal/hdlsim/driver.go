@@ -17,6 +17,10 @@ import (
 //     DriverIn.Data());
 //   - a replacement main loop driver_simulate that opens the communication
 //     channels and interleaves socket servicing with simulation cycles.
+//     Its per-cycle core is Driver. When to synchronize with the board
+//     is the quantum schedule's business: internal/cosim/federation owns
+//     it, and its driver_simulate wrapper is the two-party run. This
+//     package has no notion of a grant.
 
 // DataKind discriminates messages on the DATA channel.
 type DataKind uint8
@@ -53,9 +57,9 @@ type DataMsg struct {
 	Words []uint32 // for DataWrite / DataReadResp
 }
 
-// DriverEndpoint is the kernel's view of the co-simulation link. The cosim
-// package provides implementations over TCP and over in-process channels;
-// the kernel never sees sockets directly.
+// DriverEndpoint is the kernel's view of the DATA and INT ports. The cosim
+// package provides implementations over its transports and an in-memory
+// one for federations; the kernel never sees sockets directly.
 type DriverEndpoint interface {
 	// PollData returns board→HW DATA messages that are available for this
 	// quantum, without blocking.
@@ -65,12 +69,6 @@ type DriverEndpoint interface {
 	SendData(DataMsg) error
 	// SendInterrupt notifies the board of interrupt line irq (INT port).
 	SendInterrupt(irq uint8) error
-	// Sync performs the CLOCK-port rendezvous: grant the board `ticks`
-	// virtual ticks of execution and (eventually) obtain its local time.
-	// hwCycle is the kernel's cycle count at the synchronization point.
-	Sync(ticks uint64, hwCycle uint64) (boardCycle uint64, err error)
-	// Finish tells the board the co-simulation is over.
-	Finish(hwCycle uint64) error
 }
 
 // RegWrite is one word written by the board into a DriverIn port.
@@ -224,31 +222,6 @@ func (s *Simulator) RaiseDriverInterrupt(irq uint8) {
 	s.intRaised = append(s.intRaised, irq)
 }
 
-// UnboundedLookahead is the lookahead value of a board (or any granted
-// peer) with nothing scheduled at all. It mirrors cosim.UnboundedLookahead.
-const UnboundedLookahead = ^uint64(0)
-
-// AdaptiveEndpoint is the optional extension of DriverEndpoint that a
-// transport endpoint implements to support adaptive quantum elongation
-// (cosim.HWEndpoint does). DriverSimulate type-asserts for it when
-// DriverConfig.Adaptive is set and falls back to plain TSync stepping when
-// the endpoint does not provide it.
-type AdaptiveEndpoint interface {
-	DriverEndpoint
-	// TrafficPending reports whether any DATA or INT message was sent
-	// since the last grant. A boundary with pending traffic must
-	// rendezvous: the traffic is announced by the very next grant.
-	TrafficPending() bool
-	// PeerLookahead returns the board's promise, in grant ticks, from the
-	// most recent acknowledgement: how many ticks can elapse before
-	// anything board-side can become runnable without simulator input.
-	PeerLookahead() uint64
-	// SetLead records the next grant's lead (see
-	// QuantumParty.Rendezvous): the ticks the board runs before it
-	// applies the grant's traffic.
-	SetLead(ticks uint64)
-}
-
 // routeData dispatches one board→HW DATA message: writes land in the
 // covering DriverIn; read requests are served from the covering DriverOut.
 func (s *Simulator) routeData(ep DriverEndpoint, m DataMsg) error {
@@ -298,23 +271,18 @@ func (s *Simulator) findDriverOut(addr uint32) *DriverOut {
 }
 
 // Driver is the per-cycle core of the modified simulation loop, exported
-// so external coordinators (the federation time manager) can drive a
-// kernel with exactly the cycle semantics of DriverSimulate: per cycle
-// it (1) checks the DATA port and performs the required read/write
-// actions, (2) accomplishes a standard simulation cycle, and (3) checks
-// the interrupt signals. It is DriverSimulate's QuantumParty: Advance
-// steps the kernel, Boundary and Rendezvous talk to the board through
-// the endpoint. When to rendezvous belongs to RunSchedule.
+// so a coordinator (cosim.SimFederate under the federation time manager)
+// can step a kernel: per cycle it (1) checks the DATA port and performs
+// the required read/write actions, (2) accomplishes a standard
+// simulation cycle, and (3) checks the interrupt signals.
 type Driver struct {
 	s   *Simulator
 	clk *Clock
 	ep  DriverEndpoint
-	aep AdaptiveEndpoint // set when the run negotiates lookahead
 	st  DriverStats
 }
 
-// NewDriver elaborates the design and returns a stepper over it. Advance
-// only needs the endpoint's PollData/SendData/SendInterrupt.
+// NewDriver elaborates the design and returns a stepper over it.
 func (s *Simulator) NewDriver(clk *Clock, ep DriverEndpoint) (*Driver, error) {
 	if err := s.Elaborate(); err != nil {
 		return nil, err
@@ -331,26 +299,6 @@ func (d *Driver) Advance(until uint64) (reached uint64, halted bool, err error) 
 		}
 	}
 	return d.st.Cycles, d.s.stopped, nil
-}
-
-// Boundary reports the endpoint's pending traffic and the board's
-// lookahead promise.
-func (d *Driver) Boundary() (traffic bool, peer uint64) {
-	return d.aep.TrafficPending(), d.aep.PeerLookahead()
-}
-
-// Rendezvous performs the CLOCK-port sync, granting the board acc ticks
-// at cycle now; adaptive runs carry the lead on the grant.
-func (d *Driver) Rendezvous(acc, lead, now uint64) error {
-	if d.aep != nil {
-		d.aep.SetLead(lead)
-	}
-	bc, err := d.ep.Sync(acc, now)
-	if err != nil {
-		return err
-	}
-	d.st.LastBoardCy = bc
-	return nil
 }
 
 // cycle performs one driver-loop iteration: route inbound DATA, run one
@@ -406,11 +354,12 @@ func (d *Driver) cycle() error {
 func (d *Driver) Stopped() bool { return d.s.stopped }
 
 // Stats returns the driver-loop counters accumulated so far. SyncEvents,
-// SyncsElided and LastBoardCy belong to the schedule: only DriverSimulate
-// fills them; a Driver stepped by another coordinator leaves them zero.
+// SyncsElided and LastBoardCy belong to the schedule and stay zero here;
+// the federation package's driver_simulate wrapper and router.Run fill
+// them from the time manager's stats.
 func (d *Driver) Stats() DriverStats { return d.st }
 
-// DriverStats reports what DriverSimulate did.
+// DriverStats reports what one driver_simulate run did.
 type DriverStats struct {
 	Cycles      uint64 // clock cycles simulated
 	SyncEvents  uint64 // CLOCK-port rendezvous performed
@@ -419,29 +368,4 @@ type DriverStats struct {
 	Interrupts  uint64 // INT-port packets sent
 	SyncsElided uint64 // TSync boundaries skipped by adaptive elongation
 	LastBoardCy uint64 // board local cycle at the final sync
-}
-
-// DriverSimulate is the paper's modified simulation entry point: it
-// replaces the plain simulate() loop with one that, per clock cycle,
-// (1) checks the DATA port and performs the required read/write actions,
-// (2) accomplishes a standard simulation cycle, and (3) checks the
-// interrupt signals, sending an INT-port packet when one is active; every
-// cfg.TSync cycles it performs the CLOCK-port synchronization rendezvous
-// that grants the board its next slice of virtual ticks. The schedule is
-// RunSchedule's.
-func (s *Simulator) DriverSimulate(clk *Clock, ep DriverEndpoint, cfg DriverConfig) (DriverStats, error) {
-	d, err := s.NewDriver(clk, ep)
-	if err != nil {
-		return DriverStats{}, err
-	}
-	if aep, ok := ep.(AdaptiveEndpoint); ok && cfg.Adaptive {
-		d.aep = aep
-	}
-	cfg.Adaptive = d.aep != nil
-	st, err := RunSchedule(cfg, d)
-	d.st.SyncEvents, d.st.SyncsElided = st.Syncs, st.Elided
-	if err != nil {
-		return d.st, err
-	}
-	return d.st, ep.Finish(d.st.Cycles)
 }

@@ -12,9 +12,6 @@ type fakeEndpoint struct {
 	incoming [][]DataMsg
 	sent     []DataMsg
 	ints     []uint8
-	syncs    []uint64 // granted ticks per sync
-	boardCy  uint64
-	finished bool
 }
 
 func (f *fakeEndpoint) PollData() []DataMsg {
@@ -31,12 +28,16 @@ func (f *fakeEndpoint) SendInterrupt(irq uint8) error {
 	f.ints = append(f.ints, irq)
 	return nil
 }
-func (f *fakeEndpoint) Sync(ticks, hwCycle uint64) (uint64, error) {
-	f.syncs = append(f.syncs, ticks)
-	f.boardCy += ticks
-	return f.boardCy, nil
+
+// advance steps a driver over ep for n cycles.
+func advance(s *Simulator, clk *Clock, ep DriverEndpoint, n uint64) error {
+	d, err := s.NewDriver(clk, ep)
+	if err != nil {
+		return err
+	}
+	_, _, err = d.Advance(n)
+	return err
 }
-func (f *fakeEndpoint) Finish(hwCycle uint64) error { f.finished = true; return nil }
 
 func TestDriverInRouting(t *testing.T) {
 	s := NewSimulator("t")
@@ -58,14 +59,11 @@ func TestDriverInRouting(t *testing.T) {
 		{{Kind: DataWrite, Addr: 0x10, Words: []uint32{7, 8}}},
 	}}
 	clk := s.clocks[0]
-	if _, err := s.DriverSimulate(clk, ep, DriverConfig{TSync: 2, TotalCycles: 4}); err != nil {
+	if err := advance(s, clk, ep, 4); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0] != (RegWrite{Addr: 0x10, Val: 7}) || got[1] != (RegWrite{Addr: 0x11, Val: 8}) {
 		t.Fatalf("driver process received %v", got)
-	}
-	if !ep.finished {
-		t.Fatal("Finish not called")
 	}
 }
 
@@ -79,7 +77,7 @@ func TestDriverOutReadServing(t *testing.T) {
 	ep := &fakeEndpoint{incoming: [][]DataMsg{
 		{{Kind: DataReadReq, Addr: 0x21, Count: 2}},
 	}}
-	if _, err := s.DriverSimulate(clk, ep, DriverConfig{TSync: 4, TotalCycles: 4}); err != nil {
+	if err := advance(s, clk, ep, 4); err != nil {
 		t.Fatal(err)
 	}
 	if len(ep.sent) != 1 {
@@ -98,7 +96,7 @@ func TestDriverUnmappedAccessErrors(t *testing.T) {
 	ep := &fakeEndpoint{incoming: [][]DataMsg{
 		{{Kind: DataWrite, Addr: 0x999, Words: []uint32{1}}},
 	}}
-	if _, err := s.DriverSimulate(clk, ep, DriverConfig{TSync: 1, TotalCycles: 2}); err == nil {
+	if err := advance(s, clk, ep, 2); err == nil {
 		t.Fatal("write to unmapped address did not error")
 	}
 
@@ -107,7 +105,7 @@ func TestDriverUnmappedAccessErrors(t *testing.T) {
 	ep2 := &fakeEndpoint{incoming: [][]DataMsg{
 		{{Kind: DataReadReq, Addr: 0x999, Count: 1}},
 	}}
-	if _, err := s2.DriverSimulate(clk2, ep2, DriverConfig{TSync: 1, TotalCycles: 2}); err == nil {
+	if err := advance(s2, clk2, ep2, 2); err == nil {
 		t.Fatal("read from unmapped address did not error")
 	}
 }
@@ -128,7 +126,7 @@ func TestDriverInterruptEdgeDetection(t *testing.T) {
 		irqSig.Write(true)
 	})
 	ep := &fakeEndpoint{}
-	if _, err := s.DriverSimulate(clk, ep, DriverConfig{TSync: 100, TotalCycles: 12}); err != nil {
+	if err := advance(s, clk, ep, 12); err != nil {
 		t.Fatal(err)
 	}
 	if len(ep.ints) != 2 {
@@ -149,7 +147,7 @@ func TestDriverRaiseImperativeInterrupt(t *testing.T) {
 		s.RaiseDriverInterrupt(5)
 	})
 	ep := &fakeEndpoint{}
-	if _, err := s.DriverSimulate(clk, ep, DriverConfig{TSync: 10, TotalCycles: 3}); err != nil {
+	if err := advance(s, clk, ep, 3); err != nil {
 		t.Fatal(err)
 	}
 	if len(ep.ints) != 1 || ep.ints[0] != 5 {
@@ -166,60 +164,11 @@ func TestDriverOutPostedWrites(t *testing.T) {
 		dout.Post(0x40, []uint32{1, 2, 3})
 	})
 	ep := &fakeEndpoint{}
-	if _, err := s.DriverSimulate(clk, ep, DriverConfig{TSync: 10, TotalCycles: 3}); err != nil {
+	if err := advance(s, clk, ep, 3); err != nil {
 		t.Fatal(err)
 	}
 	if len(ep.sent) != 1 || ep.sent[0].Kind != DataWrite || len(ep.sent[0].Words) != 3 {
 		t.Fatalf("posted writes: %+v", ep.sent)
-	}
-}
-
-func TestDriverSyncCadence(t *testing.T) {
-	s := NewSimulator("t")
-	clk := s.NewClock("clk", sim.NS(10))
-	ep := &fakeEndpoint{}
-	st, err := s.DriverSimulate(clk, ep, DriverConfig{TSync: 7, TotalCycles: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 20 cycles at TSync=7 → syncs of 7,7,6.
-	want := []uint64{7, 7, 6}
-	if len(ep.syncs) != len(want) {
-		t.Fatalf("syncs %v, want %v", ep.syncs, want)
-	}
-	var total uint64
-	for i := range want {
-		if ep.syncs[i] != want[i] {
-			t.Fatalf("syncs %v, want %v", ep.syncs, want)
-		}
-		total += ep.syncs[i]
-	}
-	if total != 20 || st.Cycles != 20 || st.SyncEvents != 3 {
-		t.Fatalf("stats %+v, granted total %d", st, total)
-	}
-	if st.LastBoardCy != 20 {
-		t.Fatalf("board cycle %d, want 20", st.LastBoardCy)
-	}
-}
-
-func TestDriverStopEarly(t *testing.T) {
-	s := NewSimulator("t")
-	clk := s.NewClock("clk", sim.NS(10))
-	ep := &fakeEndpoint{}
-	stop := false
-	st, err := s.DriverSimulate(clk, ep, DriverConfig{
-		TSync:       5,
-		TotalCycles: 1000,
-		StopEarly: func() bool {
-			stop = !stop
-			return stop // stops at the first sync boundary
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Cycles != 5 {
-		t.Fatalf("ran %d cycles, want 5 (stop at first boundary)", st.Cycles)
 	}
 }
 
@@ -232,14 +181,6 @@ func TestDriverOverlapRejected(t *testing.T) {
 		}
 	}()
 	s.NewDriverIn("b", 0x4, 8)
-}
-
-func TestDriverZeroTSyncRejected(t *testing.T) {
-	s := NewSimulator("t")
-	clk := s.NewClock("clk", sim.NS(10))
-	if _, err := s.DriverSimulate(clk, &fakeEndpoint{}, DriverConfig{TSync: 0, TotalCycles: 1}); err == nil {
-		t.Fatal("TSync=0 accepted")
-	}
 }
 
 func TestDriverOutBoundsChecks(t *testing.T) {

@@ -7,7 +7,7 @@
 // embedded board.
 //
 // The kernel is single-threaded: all processes execute on the goroutine
-// that calls Run/RunCycles/DriverSimulate. Thread processes are backed by
+// that calls Run/RunCycles/Driver.Advance. Thread processes are backed by
 // sim.Coroutine, so exactly one process body runs at any instant and
 // simulations are fully deterministic.
 package hdlsim
@@ -120,8 +120,8 @@ type Simulator struct {
 	intWatches []*intWatch
 	intRaised  []uint8
 
-	// cycleHooks run after every completed clock cycle in RunCycles /
-	// DriverSimulate; used by tracing and tests.
+	// cycleHooks run after every completed clock cycle in RunCycles (and
+	// so Driver.Advance); used by tracing and tests.
 	cycleHooks []func(cycle uint64)
 }
 
@@ -155,7 +155,7 @@ func (s *Simulator) Stopped() bool { return s.stopped }
 func (s *Simulator) Stop() { s.stopped = true }
 
 // OnCycle registers fn to run after every completed clock cycle during
-// RunCycles and DriverSimulate.
+// RunCycles and Driver.Advance.
 func (s *Simulator) OnCycle(fn func(cycle uint64)) {
 	s.cycleHooks = append(s.cycleHooks, fn)
 }
@@ -193,7 +193,7 @@ func (s *Simulator) mustNotBeElaborated(what, name string) {
 
 // Elaborate finalizes the model: it validates the design and schedules the
 // initialization runs. It is called implicitly by Run/RunCycles/
-// DriverSimulate if the caller did not.
+// NewDriver if the caller did not.
 func (s *Simulator) Elaborate() error {
 	if s.elaborated {
 		return nil

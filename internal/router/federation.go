@@ -181,13 +181,13 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 		lastGenerated := rc.Obs.Gauge("router_last_generated_packets")
 		lastSyncEvents := rc.Obs.Gauge("router_last_sync_events")
 		lastTSync := rc.Obs.Gauge("router_last_tsync")
-		syncs := func(r hdlsim.SyncReason) *obs.Counter {
+		syncs := func(r federation.SyncReason) *obs.Counter {
 			return rc.Obs.Counter(obs.Name("cosim_boundary_sync_total", "reason", r.String()))
 		}
 		// The array type makes a reason without a handle a compile error.
-		var syncsBy [hdlsim.NumSyncReasons]*obs.Counter = [...]*obs.Counter{
-			syncs(hdlsim.SyncTraffic), syncs(hdlsim.SyncCap), syncs(hdlsim.SyncPeer),
-			syncs(hdlsim.SyncStopping), syncs(hdlsim.SyncPlain), syncs(hdlsim.SyncFinal),
+		var syncsBy [federation.NumSyncReasons]*obs.Counter = [...]*obs.Counter{
+			syncs(federation.SyncTraffic), syncs(federation.SyncCap), syncs(federation.SyncPeer),
+			syncs(federation.SyncStopping), syncs(federation.SyncPlain), syncs(federation.SyncFinal),
 		}
 		defer func() {
 			for r, n := range res.Fed.SyncsBy {
@@ -336,7 +336,7 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 	mgr, err := federation.New(federation.Config{
 		Parties: parties,
 		Links:   links,
-		DriverConfig: hdlsim.DriverConfig{
+		Schedule: federation.Schedule{
 			TSync:       rc.TSync,
 			TotalCycles: rc.budget(),
 			Adaptive:    rc.Adaptive,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cosim"
+	"repro/internal/cosim/federation"
 	"repro/internal/hdlsim"
 	"repro/internal/obs"
 )
@@ -21,11 +22,15 @@ func fedTransports() []TransportKind {
 	return kinds
 }
 
-// pairwiseReference runs rc the way the paper's driver_simulate does,
-// outside the federation manager: hdlsim.DriverSimulate over an
-// HWEndpoint on the test goroutine, the board behind a BoardEndpoint on
-// a second one, over a fresh link of rc.Transport with rc's decorator
-// stack. It is the independent reference router.Run must reproduce.
+// pairwiseReference runs rc the way the paper's driver_simulate did
+// before every run went through the federation manager: a transcription
+// of that pairwise loop on the test goroutine, the board behind a
+// BoardEndpoint on a second one, over a fresh link of rc.Transport with
+// rc's decorator stack. It steps hdlsim.Driver.Advance directly over the
+// HWEndpoint, so DATA and INT frames leave mid-quantum; it keeps its own
+// copy of the elision predicate, reads pending traffic from the
+// endpoint's metrics, and grants through SetLead and ProcFederate.Step.
+// It is the independent reference router.Run must reproduce.
 func pairwiseReference(t *testing.T, rc RunConfig) RunResult {
 	t.Helper()
 	tb := BuildTestbench(rc.TB)
@@ -47,13 +52,7 @@ func pairwiseReference(t *testing.T, rc RunConfig) RunResult {
 	bs.Dev.Attach(bep)
 	boardDone := make(chan error, 1)
 	go func() { boardDone <- bs.Board.Run(bep) }()
-	st, err := tb.Sim.DriverSimulate(tb.Clk, hw, hdlsim.DriverConfig{
-		TSync:       rc.TSync,
-		TotalCycles: rc.budget(),
-		StopEarly:   tb.Finished,
-		Adaptive:    rc.Adaptive,
-		MaxQuantum:  rc.MaxQuantum,
-	})
+	st, err := pairwiseLoop(tb, hw, rc)
 	if err != nil {
 		hwT.Close()
 		<-boardDone
@@ -77,6 +76,83 @@ func pairwiseReference(t *testing.T, rc RunConfig) RunResult {
 	return res
 }
 
+// pairwiseLoop is the pairwise driver_simulate loop: advance the kernel
+// one TSync quantum at a time and, at each boundary, elide it (adaptive
+// runs: no traffic since the last grant, room under the cap for one more
+// quantum, the accumulated grant strictly inside the board's promise,
+// and the testbench not finished) or grant everything accumulated, the
+// grant's traffic landing at the last boundary passed. The run ends at
+// the budget or when the testbench finishes; a final partial grant
+// settles the remainder.
+func pairwiseLoop(tb *Testbench, hw *cosim.HWEndpoint, rc RunConfig) (hdlsim.DriverStats, error) {
+	d, err := tb.Sim.NewDriver(tb.Clk, hw)
+	if err != nil {
+		return hdlsim.DriverStats{}, err
+	}
+	board := cosim.NewProcFederate("board", hw)
+	tsync, total := rc.TSync, rc.budget()
+	maxQ := rc.MaxQuantum
+	if maxQ == 0 {
+		maxQ = cosim.UnboundedLookahead
+	}
+	maxQ = max(maxQ, tsync)
+	sent := func() uint64 { m := hw.Metrics(); return m.DataSent + m.IntSent }
+	var syncs, elided, now, granted, last, lastBoardCy uint64
+	sentAtGrant := uint64(0)
+	grant := func(lead uint64) error {
+		hw.SetLead(lead)
+		if _, err := board.Step(cosim.SimTime(now)); err != nil {
+			return err
+		}
+		syncs++
+		granted, sentAtGrant = now, sent()
+		lastBoardCy, _ = board.BoardTime()
+		return nil
+	}
+	for now < total {
+		full := total-now >= tsync
+		target := total
+		if full {
+			target = now + tsync
+		}
+		reached, halted, err := d.Advance(target)
+		if err != nil {
+			return d.Stats(), err
+		}
+		now = reached
+		if reached < target {
+			break
+		}
+		if full {
+			acc, lead := now-granted, last-granted
+			last = now
+			elide := rc.Adaptive && sent() == sentAtGrant && acc <= maxQ-tsync &&
+				acc < hw.PeerLookahead() && !tb.Finished()
+			if elide {
+				elided++
+			} else {
+				if err := grant(lead); err != nil {
+					return d.Stats(), err
+				}
+				if tb.Finished() {
+					break
+				}
+			}
+		}
+		if halted {
+			break
+		}
+	}
+	if now > granted {
+		if err := grant(last - granted); err != nil {
+			return d.Stats(), err
+		}
+	}
+	st := d.Stats()
+	st.SyncEvents, st.SyncsElided, st.LastBoardCy = syncs, elided, lastBoardCy
+	return st, board.Finish(cosim.SimTime(now))
+}
+
 // linkCounters strips the wall-clock fields from a link's metrics.
 func linkCounters(m cosim.Metrics) cosim.Metrics {
 	m.SyncWait, m.WallStart, m.Wall = 0, time.Time{}, 0
@@ -85,7 +161,7 @@ func linkCounters(m cosim.Metrics) cosim.Metrics {
 
 // TestFederationPairwiseBitIdentity is the engine-equivalence gate:
 // router.Run, which runs every topology under the federation time
-// manager, must reproduce the paper's pairwise DriverSimulate loop
+// manager, must reproduce the paper's pairwise loop (pairwiseReference)
 // exactly — every DriverStats field (so the same rendezvous schedule),
 // the router, application and board counters, the link counters and
 // the batch counters — on every transport, in plain, adaptive,
@@ -204,7 +280,7 @@ func TestFederationReportsBatchStats(t *testing.T) {
 // and its end; an adaptive one never reports "plain".
 func TestFederationCountsSyncReasons(t *testing.T) {
 	reg := obs.NewRegistry()
-	var total [hdlsim.NumSyncReasons]uint64
+	var total [federation.NumSyncReasons]uint64
 	for _, adaptive := range []bool{false, true} {
 		rc := DefaultRunConfig()
 		rc.TB = smallTB()
@@ -224,15 +300,15 @@ func TestFederationCountsSyncReasons(t *testing.T) {
 		if sum != res.HW.SyncEvents {
 			t.Errorf("adaptive=%v: SyncsBy %v sums to %d, SyncEvents %d", adaptive, by, sum, res.HW.SyncEvents)
 		}
-		if adaptive && (by[hdlsim.SyncPlain] != 0 || by[hdlsim.SyncTraffic] == 0) {
+		if adaptive && (by[federation.SyncPlain] != 0 || by[federation.SyncTraffic] == 0) {
 			t.Errorf("adaptive run: SyncsBy %v, want traffic syncs and no plain ones", by)
 		}
-		if !adaptive && by[hdlsim.SyncPlain]+by[hdlsim.SyncFinal] != sum {
+		if !adaptive && by[federation.SyncPlain]+by[federation.SyncFinal] != sum {
 			t.Errorf("plain run: SyncsBy %v, want only plain and final syncs", by)
 		}
 	}
 	for r, want := range total {
-		name := obs.Name("cosim_boundary_sync_total", "reason", hdlsim.SyncReason(r).String())
+		name := obs.Name("cosim_boundary_sync_total", "reason", federation.SyncReason(r).String())
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}

@@ -24,11 +24,10 @@ type LoopbackEndpoint struct {
 	// calls). 0 means the verdict is visible the very next cycle.
 	ResponseDelay uint64
 
-	slots     map[uint32][]uint32 // slot addr → last block written
-	pipeline  []delayedVerdict
-	boardCy   uint64
-	ints      uint64
-	finishCnt int
+	slots    map[uint32][]uint32 // slot addr → last block written
+	pipeline []delayedVerdict
+	boardCy  uint64
+	ints     uint64
 }
 
 type delayedVerdict struct {
@@ -104,17 +103,22 @@ func (l *LoopbackEndpoint) SendInterrupt(irq uint8) error {
 	return nil
 }
 
-// Sync implements hdlsim.DriverEndpoint: the phantom board is always
-// exactly in step.
-func (l *LoopbackEndpoint) Sync(ticks, hwCycle uint64) (uint64, error) {
-	return hwCycle, nil
-}
-
-// Finish implements hdlsim.DriverEndpoint.
-func (l *LoopbackEndpoint) Finish(hwCycle uint64) error {
-	l.finishCnt++
-	return nil
-}
-
 // Interrupts returns how many INT packets the router raised.
 func (l *LoopbackEndpoint) Interrupts() uint64 { return l.ints }
+
+// Loopback runs the testbench's kernel against ep for at most budget
+// cycles, in strides of 1000 cycles, ending after the first stride at
+// which stop (if non-nil) reports true. There is no board to synchronize
+// with: the stride only sets how often stop is polled.
+func (tb *Testbench) Loopback(ep *LoopbackEndpoint, budget uint64, stop func() bool) (hdlsim.DriverStats, error) {
+	d, err := tb.Sim.NewDriver(tb.Clk, ep)
+	if err != nil {
+		return hdlsim.DriverStats{}, err
+	}
+	for reached, halted := uint64(0), false; reached < budget && !halted; {
+		if reached, halted, err = d.Advance(min(reached+1000, budget)); err != nil || (stop != nil && stop()) {
+			break
+		}
+	}
+	return d.Stats(), err
+}

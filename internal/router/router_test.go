@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cosim"
-	"repro/internal/hdlsim"
 )
 
 func smallTB() TBConfig {
@@ -70,8 +69,7 @@ func TestRoutingTableOverride(t *testing.T) {
 	for d := uint16(0); d < 4; d++ {
 		tb.Router.SetRoute(d, 3)
 	}
-	ep := NewLoopbackEndpoint()
-	if _, err := tb.Sim.DriverSimulate(tb.Clk, ep, hdlsimCfg(cfg)); err != nil {
+	if _, err := tb.Loopback(NewLoopbackEndpoint(), cfg.WorkCycles()+20000, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := tb.Consumers[3].Stats().Received; got != tb.Generated() {
@@ -94,10 +92,7 @@ func TestFIFOOverflowDropsWhenCheckerStalls(t *testing.T) {
 	tb := BuildTestbench(cfg)
 	ep := NewLoopbackEndpoint()
 	ep.ResponseDelay = 100000 // verdicts effectively never return
-	c := hdlsimCfg(cfg)
-	c.StopEarly = nil
-	c.TotalCycles = cfg.WorkCycles() + 1000
-	if _, err := tb.Sim.DriverSimulate(tb.Clk, ep, c); err != nil {
+	if _, err := tb.Loopback(ep, cfg.WorkCycles()+1000, nil); err != nil {
 		t.Fatal(err)
 	}
 	rs := tb.Router.Stats()
@@ -288,13 +283,5 @@ func TestSlotAddrWrapsRing(t *testing.T) {
 	}
 	if SlotAddr(1) != SlotAddr(1+NumSlots) {
 		t.Fatal("ring does not wrap")
-	}
-}
-
-// hdlsimCfg builds a DriverConfig for direct testbench runs.
-func hdlsimCfg(cfg TBConfig) hdlsim.DriverConfig {
-	return hdlsim.DriverConfig{
-		TSync:       1000,
-		TotalCycles: cfg.WorkCycles() + 20000,
 	}
 }

@@ -96,7 +96,7 @@ type RunConfig struct {
 	// Scrape it (see internal/obs) while the run is alive.
 	Obs *obs.Registry
 	// Adaptive enables lookahead-negotiated quantum elongation (see
-	// hdlsim.DriverConfig.Adaptive): the board's acknowledgements carry
+	// federation.Schedule.Adaptive): the board's acknowledgements carry
 	// lookahead promises, traffic-free TSync boundaries inside them are
 	// skipped, and each grant's lead lands its traffic where plain
 	// stepping would. Simulated-time results are bit-identical; only the
@@ -310,16 +310,8 @@ func acceptAndDial(ln *cosim.Listener) (hwT, boardT cosim.Transport, err error) 
 func RunLoopback(tbc TBConfig) (RunResult, error) {
 	res := RunResult{TSync: 0, TransportKind: TransportInProc}
 	tb := BuildTestbench(tbc)
-	ep := NewLoopbackEndpoint()
-	budget := tbc.WorkCycles() + 20000
 	start := time.Now()
-	hwStats, err := tb.Sim.DriverSimulate(tb.Clk, ep, hdlsim.DriverConfig{
-		// Sync is free on the loopback; a moderate interval just gives
-		// StopEarly a chance to end the run at quiescence.
-		TSync:       1000,
-		TotalCycles: budget,
-		StopEarly:   tb.Finished,
-	})
+	hwStats, err := tb.Loopback(NewLoopbackEndpoint(), tbc.WorkCycles()+20000, tb.Finished)
 	res.Wall = time.Since(start)
 	if err != nil {
 		return res, err

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/board"
 	"repro/internal/cosim"
+	"repro/internal/cosim/federation"
 	"repro/internal/hdlsim"
 	"repro/internal/rtos"
 	"repro/internal/sim"
@@ -252,7 +253,7 @@ func RunWithTrace(rc RunConfig) (Quality, []float64, error) {
 	done := make(chan error, 1)
 	go func() { done <- brd.Run(bep) }()
 	start := time.Now()
-	_, err = s.DriverSimulate(clk, hw, hdlsim.DriverConfig{
+	_, err = federation.DriverSimulate(s, clk, hw, federation.Schedule{
 		TSync:       rc.TSync,
 		TotalCycles: rc.TotalCycles,
 	})
