@@ -483,7 +483,9 @@ func (t *ShmTransport) Send(ch Channel, m Msg) error {
 func (t *ShmTransport) sendLocked(ch Channel, m *Msg) error {
 	spins := 0
 	for {
-		if t.tx.isClosed() || t.localDone() {
+		// localDone first: once this side has closed, the ring may be
+		// unmapped and must not be read.
+		if t.localDone() || t.tx.isClosed() {
 			return ErrClosed
 		}
 		n, wrapped, err := t.tx.tryPush(ch, m)
@@ -657,9 +659,14 @@ func (t *ShmTransport) Close() error {
 		t.rx.close()
 		close(t.done)
 		t.readerWG.Wait()
+		// A sender already past its closed check may still be pushing;
+		// wmu waits it out, and later senders see done before they touch
+		// the ring.
+		t.wmu.Lock()
 		if t.unmap != nil {
 			t.closeErr = t.unmap()
 		}
+		t.wmu.Unlock()
 	})
 	return t.closeErr
 }

@@ -156,6 +156,35 @@ func TestShmCloseUnblocksParkedSender(t *testing.T) {
 	board.Close()
 }
 
+// TestShmSendRacingCloseKeepsOffUnmappedRing: once both sides close, the
+// shared segment is unmapped, so a Send racing or following Close must
+// return ErrClosed without reading the ring.
+func TestShmSendRacingCloseKeepsOffUnmappedRing(t *testing.T) {
+	hw, board := newShmPairT(t, ShmConfig{})
+	sent := make(chan error, 2)
+	for _, tr := range []Transport{hw, board} {
+		go func() {
+			var err error
+			for err == nil {
+				err = tr.Send(ChanClock, Msg{Type: MTHeartbeat})
+			}
+			sent <- err
+		}()
+	}
+	hw.Close()
+	board.Close()
+	for range 2 {
+		if err := <-sent; !errors.Is(err, ErrClosed) {
+			t.Fatalf("racing sender returned %v, want ErrClosed", err)
+		}
+	}
+	for _, tr := range []Transport{hw, board} {
+		if err := tr.Send(ChanClock, Msg{Type: MTHeartbeat}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("send after close returned %v, want ErrClosed", err)
+		}
+	}
+}
+
 func TestShmRecvTimeout(t *testing.T) {
 	hw, _ := newShmPairT(t, ShmConfig{})
 	rt := hw.(interface {
