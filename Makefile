@@ -93,14 +93,17 @@ fleet-smoke:
 shm-smoke:
 	./scripts/shm_smoke.sh
 
-# examples-smoke runs the example programs built on the two-party
-# DriverSimulate wrapper and the loopback replay — quickstart, debugging,
-# hwswpartition, servo, and router with its waveform written to a temp
-# directory — and fails on any nonzero exit (quickstart, debugging and
-# hwswpartition log.Fatal on wrong results).
+# examples-smoke runs every example program and fails on any nonzero
+# exit: quickstart, debugging, hwswpartition and servo on the two-party
+# DriverSimulate wrapper; chaos, dse and dualboard through router.Run /
+# RunFederation; homogeneous in one HDL kernel with an ISS core; and
+# router's loopback replay with its waveform written to a temp
+# directory. Several self-check and exit nonzero on wrong results
+# (quickstart, debugging, hwswpartition log.Fatal; chaos compares its
+# injured run with a clean one).
 examples-smoke:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	for ex in quickstart debugging hwswpartition servo; do \
+	for ex in quickstart debugging hwswpartition servo chaos dse dualboard homogeneous; do \
 		$(GO) run ./examples/$$ex >/dev/null || { echo "examples-smoke: $$ex failed"; exit 1; }; \
 	done; \
 	$(GO) run ./examples/router -vcd "$$dir/router.vcd" >/dev/null || { echo "examples-smoke: router failed"; exit 1; }; \

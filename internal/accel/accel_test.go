@@ -21,8 +21,14 @@ func (f *fakeEP) PollData() []hdlsim.DataMsg {
 	f.pending = nil
 	return p
 }
-func (f *fakeEP) SendData(m hdlsim.DataMsg) error { f.out = append(f.out, m); return nil }
-func (f *fakeEP) SendInterrupt(irq uint8) error   { f.ints = append(f.ints, irq); return nil }
+func (f *fakeEP) Send(m hdlsim.DataMsg) error {
+	if m.Kind == hdlsim.DataInterrupt {
+		f.ints = append(f.ints, m.IRQ)
+	} else {
+		f.out = append(f.out, m)
+	}
+	return nil
+}
 
 func drive(t *testing.T, data []byte, bytesPerCycle int) (crc uint16, cyclesToDone uint64, ints int) {
 	t.Helper()

@@ -17,13 +17,9 @@ func testCfg() Config {
 	return cfg
 }
 
-// hwScript drives the HW side of an in-proc link with a simple script.
-type hwScript struct {
-	hw *cosim.HWEndpoint
-	pf *cosim.ProcFederate // issues hw's grants
-}
-
-func newLinked(t *testing.T, b *Board) (*hwScript, chan error) {
+// newLinked runs b behind an in-proc link and returns the HW end, which
+// the tests drive with a simple script.
+func newLinked(t *testing.T, b *Board) (*cosim.HWEndpoint, chan error) {
 	t.Helper()
 	hwT, boardT := cosim.NewInProcPair(256)
 	hw := cosim.NewHWEndpoint(hwT, cosim.SyncAlternating)
@@ -33,7 +29,7 @@ func newLinked(t *testing.T, b *Board) (*hwScript, chan error) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- b.Run(bep) }()
-	return &hwScript{hw: hw, pf: cosim.NewProcFederate("board", hw)}, done
+	return hw, done
 }
 
 func TestBoardAdvancesOnGrants(t *testing.T) {
@@ -45,20 +41,20 @@ func TestBoardAdvancesOnGrants(t *testing.T) {
 			ticksSeen = append(ticksSeen, b.K.SWTick())
 		}
 	})
-	hs, done := newLinked(t, b)
+	hw, done := newLinked(t, b)
 	var hwCycle uint64
 	for q := 0; q < 4; q++ {
 		hwCycle += 10
-		if _, err := hs.pf.Step(cosim.SimTime(hwCycle)); err != nil {
+		if _, err := hw.Step(cosim.SimTime(hwCycle)); err != nil {
 			t.Fatal(err)
 		}
-		bc, _ := hs.hw.BoardTime()
+		bc, _ := hw.BoardTime()
 		// 10 ticks × 100 cycles/tick each quantum.
 		if bc != (uint64(q)+1)*1000 {
 			t.Fatalf("quantum %d: board cycle %d, want %d", q, bc, (q+1)*1000)
 		}
 	}
-	if err := hs.hw.Finish(hwCycle); err != nil {
+	if err := hw.Finish(cosim.SimTime(hwCycle)); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
@@ -78,17 +74,17 @@ func TestBoardAdvancesOnGrants(t *testing.T) {
 
 func TestBoardTimeFrozenBetweenGrants(t *testing.T) {
 	b := New(testCfg())
-	hs, done := newLinked(t, b)
-	if _, err := hs.pf.Step(cosim.SimTime(5)); err != nil {
+	hw, done := newLinked(t, b)
+	if _, err := hw.Step(cosim.SimTime(5)); err != nil {
 		t.Fatal(err)
 	}
-	c1, _ := hs.hw.BoardTime()
+	c1, _ := hw.BoardTime()
 	// No grant: no time may pass regardless of wall-clock.
-	c2, _ := hs.hw.BoardTime()
+	c2, _ := hw.BoardTime()
 	if c1 != c2 || c1 != 500 {
 		t.Fatalf("board time moved without grant: %d → %d", c1, c2)
 	}
-	hs.hw.Finish(5)
+	hw.Finish(5)
 	<-done
 }
 
@@ -112,32 +108,32 @@ func TestRemoteDevShadowAndPostedWrites(t *testing.T) {
 		}
 		c.Exit()
 	})
-	hs, done := newLinked(t, b)
+	hw, done := newLinked(t, b)
 	// Quantum 1: plain.
-	if _, err := hs.pf.Step(cosim.SimTime(10)); err != nil {
+	if _, err := hw.Step(cosim.SimTime(10)); err != nil {
 		t.Fatal(err)
 	}
 	// Quantum 2: carry a register update.
-	if err := hs.hw.SendData(toDM(0x104, []uint32{7, 8, 9})); err != nil {
+	if err := hw.Send(toDM(0x104, []uint32{7, 8, 9})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hs.pf.Step(cosim.SimTime(20)); err != nil {
+	if _, err := hw.Step(cosim.SimTime(20)); err != nil {
 		t.Fatal(err)
 	}
 	// The app read the shadow and posted 0xcafe; it arrives at HW with
 	// this or the next ack.
 	var got []uint32
 	for q := 0; q < 3 && got == nil; q++ {
-		for _, m := range hs.hw.PollData() {
+		for _, m := range hw.PollData() {
 			got = m.Words
 		}
 		if got == nil {
-			if _, err := hs.pf.Step(cosim.SimTime(30 + q*10)); err != nil {
+			if _, err := hw.Step(cosim.SimTime(30 + q*10)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	hs.hw.Finish(99)
+	hw.Finish(99)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -159,18 +155,18 @@ func TestRemoteDevInterruptDelivery(t *testing.T) {
 	b.K.AttachInterrupt(3, nil, func() {
 		dsrData = append(dsrData, dev.PeekShadow(0))
 	})
-	hs, done := newLinked(t, b)
+	hw, done := newLinked(t, b)
 	// Write then interrupt within the same quantum: DSR must see the data.
-	if err := hs.hw.SendData(toDM(0, []uint32{0x55})); err != nil {
+	if err := hw.Send(toDM(0, []uint32{0x55})); err != nil {
 		t.Fatal(err)
 	}
-	if err := hs.hw.SendInterrupt(3); err != nil {
+	if err := hw.Send(hdlsim.DataMsg{Kind: hdlsim.DataInterrupt, IRQ: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hs.pf.Step(cosim.SimTime(10)); err != nil {
+	if _, err := hw.Step(cosim.SimTime(10)); err != nil {
 		t.Fatal(err)
 	}
-	hs.hw.Finish(10)
+	hw.Finish(10)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -201,24 +197,24 @@ func TestRemoteDevSplitPhaseRead(t *testing.T) {
 			c.Sleep(1)
 		}
 	})
-	hs, done := newLinked(t, b)
-	if _, err := hs.pf.Step(cosim.SimTime(5)); err != nil { // board posts the request
+	hw, done := newLinked(t, b)
+	if _, err := hw.Step(cosim.SimTime(5)); err != nil { // board posts the request
 		t.Fatal(err)
 	}
-	reqs := hs.hw.PollData()
+	reqs := hw.PollData()
 	if len(reqs) != 1 || reqs[0].Addr != 0x202 || reqs[0].Count != 2 {
 		t.Fatalf("HW saw requests %+v", reqs)
 	}
-	if err := hs.hw.SendData(respDM(0x202, []uint32{0xaa, 0xbb})); err != nil {
+	if err := hw.Send(respDM(0x202, []uint32{0xaa, 0xbb})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hs.pf.Step(cosim.SimTime(10)); err != nil {
+	if _, err := hw.Step(cosim.SimTime(10)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hs.pf.Step(cosim.SimTime(15)); err != nil {
+	if _, err := hw.Step(cosim.SimTime(15)); err != nil {
 		t.Fatal(err)
 	}
-	hs.hw.Finish(15)
+	hw.Finish(15)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -309,17 +305,17 @@ func TestGrantLeadPlacesTraffic(t *testing.T) {
 	b := New(testCfg())
 	var at []uint64
 	b.K.AttachInterrupt(3, nil, func() { at = append(at, b.K.Cycles()) })
-	hs, done := newLinked(t, b)
+	hw, done := newLinked(t, b)
 	for i, lead := range []uint64{0, 20} {
-		if err := hs.hw.SendInterrupt(3); err != nil {
+		if err := hw.Send(hdlsim.DataMsg{Kind: hdlsim.DataInterrupt, IRQ: 3}); err != nil {
 			t.Fatal(err)
 		}
-		hs.pf.SetGrantLead(lead)
-		if _, err := hs.pf.Step(cosim.SimTime(30 * (i + 1))); err != nil {
+		hw.SetGrantLead(lead)
+		if _, err := hw.Step(cosim.SimTime(30 * (i + 1))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := hs.hw.Finish(60); err != nil {
+	if err := hw.Finish(60); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {

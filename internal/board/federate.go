@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cosim"
+	"repro/internal/hdlsim"
 )
 
 // Federate adapts a Board to cosim.Federate: the in-process board engine
@@ -15,7 +16,6 @@ import (
 // traffic its remote device drivers posted during the advance is
 // collected by the next Exchange.
 type Federate struct {
-	name string
 	b    *Board
 	link fedLink
 	cur  cosim.SimTime
@@ -26,14 +26,14 @@ type Federate struct {
 	reads  []cosim.RegBlock
 	irqs   []uint8
 
-	out []cosim.FedMsg // reused collection buffer
+	out []hdlsim.DataMsg // swap buffer for the link's posted traffic
 }
 
 // NewFederate wraps the board as a federate and attaches its local link
 // to every remote device registered so far, replacing any wire endpoint;
 // devices created later must Attach the federate's Link themselves.
-func NewFederate(name string, b *Board) *Federate {
-	f := &Federate{name: name, b: b}
+func NewFederate(b *Board) *Federate {
+	f := &Federate{b: b}
 	for _, d := range b.devs {
 		d.Attach(&f.link)
 	}
@@ -43,31 +43,26 @@ func NewFederate(name string, b *Board) *Federate {
 // Link returns the DevLink remote devices post through.
 func (f *Federate) Link() DevLink { return &f.link }
 
-// Name implements cosim.Federate.
-func (f *Federate) Name() string { return f.name }
-
 // Exchange implements cosim.Federate: inbound events are staged for the
 // next Step, outbound posted traffic since the last call is returned.
 // The returned slice is reused by the next Exchange.
-func (f *Federate) Exchange(in []cosim.FedMsg) ([]cosim.FedMsg, error) {
+func (f *Federate) Exchange(in []hdlsim.DataMsg) ([]hdlsim.DataMsg, error) {
 	for _, m := range in {
 		switch m.Kind {
-		case cosim.FedWrite:
+		case hdlsim.DataWrite:
 			f.writes = append(f.writes, cosim.RegBlock{Addr: m.Addr, Words: m.Words})
-		case cosim.FedReadResp:
+		case hdlsim.DataReadResp:
 			f.reads = append(f.reads, cosim.RegBlock{Addr: m.Addr, Words: m.Words})
-		case cosim.FedInt:
+		case hdlsim.DataInterrupt:
 			f.irqs = append(f.irqs, m.IRQ)
 		default:
-			return nil, fmt.Errorf("board: %s: board federate cannot accept %v", f.name, m.Kind)
+			return nil, fmt.Errorf("board: unexpected %v message for the board", m.Kind)
 		}
 	}
-	f.out = f.out[:0]
-	for _, p := range f.link.posted {
-		f.out = append(f.out, p)
-	}
-	f.link.posted = f.link.posted[:0]
-	return f.out, nil
+	out := f.link.posted
+	f.link.posted = f.out[:0]
+	f.out = out
+	return out, nil
 }
 
 // SetGrantLead implements cosim.LeadSink: the next Step applies the
@@ -79,7 +74,7 @@ func (f *Federate) SetGrantLead(ticks uint64) { f.lead = ticks }
 // grant.
 func (f *Federate) Step(until cosim.SimTime) (cosim.SimTime, error) {
 	if until < f.cur {
-		return f.cur, fmt.Errorf("board: %s: step backwards (%d < %d)", f.name, until, f.cur)
+		return f.cur, fmt.Errorf("board: step backwards (%d < %d)", until, f.cur)
 	}
 	g := cosim.Grant{Ticks: uint64(until - f.cur), Lead: f.lead, Writes: f.writes, ReadResps: f.reads, Interrupts: f.irqs}
 	if err := f.b.runGrant(g); err != nil {
@@ -109,20 +104,20 @@ func (f *Federate) BoardTime() (cycle, swTick uint64) {
 
 // fedLink buffers the board's outbound posted traffic between exchanges.
 type fedLink struct {
-	posted []cosim.FedMsg
+	posted []hdlsim.DataMsg
 }
 
 // PostWrite implements DevLink; like the wire endpoint, it takes
 // ownership of words (the slice stays in flight until the peer's next
 // quantum).
 func (l *fedLink) PostWrite(addr uint32, words []uint32) error {
-	l.posted = append(l.posted, cosim.FedMsg{Kind: cosim.FedWrite, Addr: addr, Words: words})
+	l.posted = append(l.posted, hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: addr, Words: words})
 	return nil
 }
 
 // PostReadReq implements DevLink.
 func (l *fedLink) PostReadReq(addr, count uint32) error {
-	l.posted = append(l.posted, cosim.FedMsg{Kind: cosim.FedReadReq, Addr: addr, Count: count})
+	l.posted = append(l.posted, hdlsim.DataMsg{Kind: hdlsim.DataReadReq, Addr: addr, Count: count})
 	return nil
 }
 

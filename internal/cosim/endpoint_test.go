@@ -65,7 +65,6 @@ func runRendezvous(t *testing.T, mode SyncMode) {
 	t.Helper()
 	hwT, boardT := NewInProcPair(64)
 	hw := NewHWEndpoint(hwT, mode)
-	pf := NewProcFederate("board", hw)
 	board := NewBoardEndpoint(boardT)
 	result := scriptedBoard(t, board, true)
 
@@ -74,14 +73,14 @@ func runRendezvous(t *testing.T, mode SyncMode) {
 	var boardData []hdlsim.DataMsg
 	for q := 0; q < 3; q++ {
 		if q == 1 {
-			if err := hw.SendData(hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: 0x20, Words: []uint32{42}}); err != nil {
+			if err := hw.Send(hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: 0x20, Words: []uint32{42}}); err != nil {
 				t.Fatal(err)
 			}
-			if err := hw.SendInterrupt(5); err != nil {
+			if err := hw.Send(hdlsim.DataMsg{Kind: hdlsim.DataInterrupt, IRQ: 5}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := pf.Step(SimTime(10 * (q + 1))); err != nil {
+		if _, err := hw.Step(SimTime(10 * (q + 1))); err != nil {
 			t.Fatal(err)
 		}
 		boardData = append(boardData, hw.PollData()...)
@@ -132,13 +131,12 @@ func TestEndpointRendezvousPipelined(t *testing.T)   { runRendezvous(t, SyncPipe
 func TestAlternatingLatencyIsOneQuantum(t *testing.T) {
 	hwT, boardT := NewInProcPair(64)
 	hw := NewHWEndpoint(hwT, SyncAlternating)
-	pf := NewProcFederate("board", hw)
 	board := NewBoardEndpoint(boardT)
 	result := scriptedBoard(t, board, true)
 
 	// After the step of quantum 1, PollData must already hold the board's
 	// quantum-1 echo (alternating waits for the ack).
-	if _, err := pf.Step(SimTime(10)); err != nil {
+	if _, err := hw.Step(SimTime(10)); err != nil {
 		t.Fatal(err)
 	}
 	if got := hw.PollData(); len(got) != 1 {
@@ -154,19 +152,18 @@ func TestAlternatingLatencyIsOneQuantum(t *testing.T) {
 func TestPipelinedLatencyIsTwoQuanta(t *testing.T) {
 	hwT, boardT := NewInProcPair(64)
 	hw := NewHWEndpoint(hwT, SyncPipelined)
-	pf := NewProcFederate("board", hw)
 	board := NewBoardEndpoint(boardT)
 	result := scriptedBoard(t, board, true)
 
 	// Pipelined: first sync returns without waiting; no board data yet.
-	if _, err := pf.Step(SimTime(10)); err != nil {
+	if _, err := hw.Step(SimTime(10)); err != nil {
 		t.Fatal(err)
 	}
 	if got := hw.PollData(); len(got) != 0 {
 		t.Fatalf("pipelined: %d board msgs visible after first sync, want 0", len(got))
 	}
 	// Second sync consumes ack 1 → board quantum-1 data becomes visible.
-	if _, err := pf.Step(SimTime(20)); err != nil {
+	if _, err := hw.Step(SimTime(20)); err != nil {
 		t.Fatal(err)
 	}
 	if got := hw.PollData(); len(got) != 1 {
@@ -182,12 +179,11 @@ func TestPipelinedLatencyIsTwoQuanta(t *testing.T) {
 func TestEndpointMetrics(t *testing.T) {
 	hwT, boardT := NewInProcPair(64)
 	hw := NewHWEndpoint(hwT, SyncAlternating)
-	pf := NewProcFederate("board", hw)
 	board := NewBoardEndpoint(boardT)
 	result := scriptedBoard(t, board, false)
 
 	for q := 0; q < 5; q++ {
-		if _, err := pf.Step(SimTime(100 * (q + 1))); err != nil {
+		if _, err := hw.Step(SimTime(100 * (q + 1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,11 +226,10 @@ func TestEndpointOverTCP(t *testing.T) {
 		t.Fatal("accept failed")
 	}
 	hw := NewHWEndpoint(hwT, SyncAlternating)
-	pf := NewProcFederate("board", hw)
 	board := NewBoardEndpoint(boardT)
 	result := scriptedBoard(t, board, true)
 	for q := 0; q < 10; q++ {
-		if _, err := pf.Step(SimTime(7 * (q + 1))); err != nil {
+		if _, err := hw.Step(SimTime(7 * (q + 1))); err != nil {
 			t.Fatal(err)
 		}
 		if got := hw.PollData(); len(got) != 1 || got[0].Words[0] != 7 {
@@ -262,7 +257,6 @@ func TestBoardReadReqFlow(t *testing.T) {
 	// for quantum 2... delivered with that grant).
 	hwT, boardT := NewInProcPair(64)
 	hw := NewHWEndpoint(hwT, SyncAlternating)
-	pf := NewProcFederate("board", hw)
 	board := NewBoardEndpoint(boardT)
 
 	done := make(chan error, 1)
@@ -293,7 +287,7 @@ func TestBoardReadReqFlow(t *testing.T) {
 	}()
 
 	// Quantum 1: nothing from HW.
-	if _, err := pf.Step(SimTime(10)); err != nil {
+	if _, err := hw.Step(SimTime(10)); err != nil {
 		t.Fatal(err)
 	}
 	// HW now sees the read request and serves it mid-"quantum 2".
@@ -301,10 +295,10 @@ func TestBoardReadReqFlow(t *testing.T) {
 	if len(reqs) != 1 || reqs[0].Kind != hdlsim.DataReadReq || reqs[0].Count != 2 {
 		t.Fatalf("HW saw %+v", reqs)
 	}
-	if err := hw.SendData(hdlsim.DataMsg{Kind: hdlsim.DataReadResp, Addr: 0x50, Words: []uint32{11, 22}}); err != nil {
+	if err := hw.Send(hdlsim.DataMsg{Kind: hdlsim.DataReadResp, Addr: 0x50, Words: []uint32{11, 22}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pf.Step(SimTime(20)); err != nil {
+	if _, err := hw.Step(SimTime(20)); err != nil {
 		t.Fatal(err)
 	}
 	if err := hw.Finish(20); err != nil {

@@ -52,7 +52,6 @@ func TestGarbageOnChannelSurfacesError(t *testing.T) {
 func TestWrongMessageOnClockChannel(t *testing.T) {
 	hwT, boardT := NewInProcPair(8)
 	hw := NewHWEndpoint(hwT, SyncAlternating)
-	pf := NewProcFederate("board", hw)
 	go func() {
 		// Misbehaving board: answers the grant with a data-write on CLOCK.
 		if _, err := boardT.Recv(ChanClock); err != nil {
@@ -60,7 +59,7 @@ func TestWrongMessageOnClockChannel(t *testing.T) {
 		}
 		boardT.Send(ChanClock, Msg{Type: MTDataWrite, Addr: 1})
 	}()
-	if _, err := pf.Step(SimTime(10)); err == nil {
+	if _, err := hw.Step(SimTime(10)); err == nil {
 		t.Fatal("wrong CLOCK message type accepted as ack")
 	}
 	hwT.Close()
@@ -71,7 +70,6 @@ func TestWrongMessageOnClockChannel(t *testing.T) {
 func TestAckAnnouncesMoreDataThanSent(t *testing.T) {
 	hwT, boardT := NewInProcPair(8)
 	hw := NewHWEndpoint(hwT, SyncAlternating)
-	pf := NewProcFederate("board", hw)
 	go func() {
 		if _, err := boardT.Recv(ChanClock); err != nil {
 			return
@@ -80,7 +78,7 @@ func TestAckAnnouncesMoreDataThanSent(t *testing.T) {
 		boardT.Send(ChanClock, Msg{Type: MTTimeAck, BoardCycle: 1, DataCount: 2})
 		boardT.Close()
 	}()
-	if _, err := pf.Step(SimTime(10)); err == nil {
+	if _, err := hw.Step(SimTime(10)); err == nil {
 		t.Fatal("missing announced data not detected")
 	}
 }
@@ -121,7 +119,7 @@ func TestUnexpectedDataTypeFromSimulator(t *testing.T) {
 func TestHWEndpointRejectsWrongOutboundKind(t *testing.T) {
 	hwT, _ := NewInProcPair(8)
 	hw := NewHWEndpoint(hwT, SyncAlternating)
-	err := hw.SendData(hdlsim.DataMsg{Kind: hdlsim.DataReadReq, Addr: 1, Count: 1})
+	err := hw.Send(hdlsim.DataMsg{Kind: hdlsim.DataReadReq, Addr: 1, Count: 1})
 	if err == nil {
 		t.Fatal("simulator-side read request accepted")
 	}

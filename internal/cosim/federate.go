@@ -1,6 +1,6 @@
 package cosim
 
-import "fmt"
+import "repro/internal/hdlsim"
 
 // SimTime is a point on a federation's shared virtual clock, measured in
 // grant ticks — the same unit the wire protocol's MTClockGrant carries
@@ -8,69 +8,23 @@ import "fmt"
 // and monotonic within one federation run, starting at 0.
 type SimTime uint64
 
-// FedMsgKind discriminates the events federates exchange at quantum
-// boundaries. The kinds mirror the wire protocol's DATA/INT traffic, so
-// a ProcFederate can forward them byte-identically.
-type FedMsgKind uint8
-
-const (
-	// FedWrite posts a register-block write into the destination's
-	// address space (visible there from its next Step).
-	FedWrite FedMsgKind = iota + 1
-	// FedReadReq requests Count words from Addr; the destination answers
-	// with a FedReadResp in a later exchange (split-phase).
-	FedReadReq
-	// FedReadResp completes an earlier FedReadReq.
-	FedReadResp
-	// FedInt raises interrupt line IRQ at the destination.
-	FedInt
-)
-
-// String implements fmt.Stringer.
-func (k FedMsgKind) String() string {
-	switch k {
-	case FedWrite:
-		return "fed-write"
-	case FedReadReq:
-		return "fed-read-req"
-	case FedReadResp:
-		return "fed-read-resp"
-	case FedInt:
-		return "fed-int"
-	default:
-		return fmt.Sprintf("FedMsgKind(%d)", uint8(k))
-	}
-}
-
-// FedMsg is one boundary-exchanged event between federates. Data kinds
-// are routed by word address through the federation's link windows;
-// FedInt is routed by interrupt line. Words follows the same ownership
-// discipline as the wire protocol: the producer hands the slice over and
-// must not retain it.
-type FedMsg struct {
-	Kind  FedMsgKind
-	Addr  uint32   // word address (data kinds)
-	Count uint32   // word count (FedReadReq)
-	Words []uint32 // payload (FedWrite / FedReadResp)
-	IRQ   uint8    // interrupt line (FedInt)
-}
-
 // Federate is one party of an N-way co-simulation: a simulation engine
 // that can advance its local clock to a requested virtual time and
-// exchange timestamped events with the rest of the federation at quantum
-// boundaries. The three in-tree engines implement it — the HDL kernel
+// exchange events with the rest of the federation at quantum boundaries.
+// The three in-tree engines implement it — the HDL kernel
 // (SimFederate), the virtual board (board.Federate), and an external
-// process speaking the v3 wire protocol (ProcFederate) — and the
+// process speaking the v3 wire protocol (HWEndpoint) — and the
 // hierarchical time manager (internal/cosim/federation) coordinates any
-// mix of them under one conservative quantum clock.
+// mix of them under one conservative quantum clock, naming each party
+// in its errors.
 //
-// The contract mirrors FMI-style co-simulation units: all methods are
-// called from the time manager's single goroutine, in a deterministic
-// order, and a federate must never observe an event timestamped at or
-// after a boundary before it has stepped up to that boundary.
+// The contract mirrors FMI-style co-simulation units: one value type,
+// the kernel's driver-port message hdlsim.DataMsg, crosses every
+// boundary; all methods are called from the time manager's single
+// goroutine, in a deterministic order; and a federate must never observe
+// an event timestamped at or after a boundary before it has stepped up
+// to that boundary.
 type Federate interface {
-	// Name identifies the federate in stats, metrics and errors.
-	Name() string
 	// Step advances the federate's local clock to the absolute virtual
 	// time until and returns the time actually reached. reached < until
 	// reports that the federate stopped early (end of workload); the
@@ -79,8 +33,10 @@ type Federate interface {
 	// Exchange delivers inbound boundary events (visible from the next
 	// Step) and returns the events this federate emitted since the
 	// previous Exchange. Both directions may be empty; a nil input is a
-	// pure collection call.
-	Exchange(in []FedMsg) (out []FedMsg, err error)
+	// pure collection call. Data kinds are routed by word address,
+	// hdlsim.DataInterrupt by line; Words ownership passes with the
+	// event.
+	Exchange(in []hdlsim.DataMsg) (out []hdlsim.DataMsg, err error)
 	// Lookahead is the federate's conservative promise, in grant ticks:
 	// no event will be emitted and nothing can become runnable locally
 	// for at least this many ticks beyond its current time without

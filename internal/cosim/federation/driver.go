@@ -15,10 +15,11 @@ import (
 // cycle the kernel (1) applies the board's DATA, (2) runs a standard
 // simulation cycle and (3) checks its interrupt lines; the schedule
 // grants the board its virtual ticks and finishes it at the end. The
-// returned stats are the kernel's, with the sync fields from the
-// manager's Stats.
+// kernel's thread goroutines are released before it returns, whether the
+// run succeeded or failed. The returned stats are the kernel's, with the
+// sync fields from the manager's Stats.
 func DriverSimulate(s *hdlsim.Simulator, clk *hdlsim.Clock, hw *cosim.HWEndpoint, sched Schedule) (hdlsim.DriverStats, error) {
-	dev, err := cosim.NewSimFederate("hw", s, clk)
+	dev, err := cosim.NewSimFederate(s, clk)
 	if err != nil {
 		return hdlsim.DriverStats{}, err
 	}
@@ -27,7 +28,7 @@ func DriverSimulate(s *hdlsim.Simulator, clk *hdlsim.Clock, hw *cosim.HWEndpoint
 		irqs[i] = uint8(i)
 	}
 	tm, err := New(Config{
-		Parties: []Party{{Fed: dev, Eager: true}, {Fed: cosim.NewProcFederate("board", hw)}},
+		Parties: []Party{{Name: "hw", Fed: dev, Eager: true}, {Name: "board", Fed: hw}},
 		Links: []Link{
 			{From: 0, To: 1, Size: ^uint32(0), IRQs: irqs},
 			{From: 1, To: 0, Size: ^uint32(0)},
@@ -38,6 +39,10 @@ func DriverSimulate(s *hdlsim.Simulator, clk *hdlsim.Clock, hw *cosim.HWEndpoint
 		return hdlsim.DriverStats{}, err
 	}
 	fst, err := tm.Run(context.Background())
+	if err != nil {
+		// A failed run finishes no party: release the kernel's threads.
+		s.Shutdown()
+	}
 	st := dev.Stats()
 	st.SyncEvents, st.SyncsElided, st.LastBoardCy = fst.Syncs, fst.Elided, fst.LastBoardCy
 	return st, err

@@ -11,19 +11,21 @@
 //   - eager parties (device engines, cosim.SimFederate) drive the clock:
 //     they step every TSync quantum and emit events as they simulate;
 //   - granted parties (boards and external processes, board.Federate /
-//     cosim.ProcFederate) freeze between rendezvous and advance in one
+//     cosim.HWEndpoint) freeze between rendezvous and advance in one
 //     piece when the federation grants accumulated time.
 //
 // The schedule itself is RunSchedule, the paper's driver_simulate loop:
 // the manager is its QuantumParty, with the peer lookahead the minimum
 // over all granted parties, the traffic check any event routed to a
 // granted party, and each grant's lead handed to every granted party
-// that takes one (cosim.LeadSink). Eager parties make no promise. Through
-// cosim.ProcFederate a two-party run puts the same bytes on the wire as
-// a kernel stepped directly over the HWEndpoint, sending mid-quantum.
+// that takes one (cosim.LeadSink). Eager parties make no promise. A
+// two-party run with the board behind a cosim.HWEndpoint puts the same
+// bytes on the wire as a kernel stepped directly over that endpoint,
+// sending mid-quantum.
 //
-// Events are exchanged only at boundaries and routed by explicit links
-// (address windows for data, line numbers for interrupts), so the whole
+// Events are the kernel's driver-port messages (hdlsim.DataMsg),
+// exchanged only at boundaries and routed by explicit links (address
+// windows for data, line numbers for interrupts), so the whole
 // schedule is a deterministic function of the configuration. The package
 // is held to the strict determinism lint tier: no wall-clock, no
 // unseeded randomness, no goroutines, no map iteration.
@@ -35,11 +37,15 @@ import (
 	"slices"
 
 	"repro/internal/cosim"
+	"repro/internal/hdlsim"
 )
 
 // Party declares one federation member.
 type Party struct {
-	// Fed is the engine. Its Name must be unique within the federation.
+	// Name identifies the party in errors; it must be unique within the
+	// federation.
+	Name string
+	// Fed is the engine.
 	Fed cosim.Federate
 	// Eager marks a clock-driving engine that steps every quantum; false
 	// marks a granted party that advances only at rendezvous.
@@ -91,7 +97,7 @@ func (c Config) Validate() error {
 		if p.Fed == nil {
 			return fmt.Errorf("federation: invalid Config: party %d has a nil Federate", i)
 		}
-		name := p.Fed.Name()
+		name := p.Name
 		if name == "" {
 			return fmt.Errorf("federation: invalid Config: party %d has an empty name", i)
 		}
@@ -144,7 +150,7 @@ type member struct {
 	idx   int
 	fed   cosim.Federate
 	name  string
-	inbox []cosim.FedMsg
+	inbox []hdlsim.DataMsg
 	split cosim.SplitStepper // granted parties overlapping their grants
 	sink  cosim.LeadSink     // granted parties placing grant traffic at its lead
 	clock cosim.BoardClock   // granted parties reporting board time
@@ -174,7 +180,7 @@ func New(cfg Config) (*TimeManager, error) {
 	tm := &TimeManager{cfg: cfg, parties: make([]member, len(cfg.Parties))}
 	for i, p := range cfg.Parties {
 		m := &tm.parties[i]
-		m.idx, m.fed, m.name = i, p.Fed, p.Fed.Name()
+		m.idx, m.fed, m.name = i, p.Fed, p.Name
 		m.split, _ = p.Fed.(cosim.SplitStepper)
 		m.sink, _ = p.Fed.(cosim.LeadSink)
 		m.clock, _ = p.Fed.(cosim.BoardClock)
@@ -189,8 +195,8 @@ func New(cfg Config) (*TimeManager, error) {
 
 // covers reports whether l routes m: by line for interrupts, by address
 // window for data.
-func (l Link) covers(m cosim.FedMsg) bool {
-	if m.Kind == cosim.FedInt {
+func (l Link) covers(m hdlsim.DataMsg) bool {
+	if m.Kind == hdlsim.DataInterrupt {
 		return slices.Contains(l.IRQs, m.IRQ)
 	}
 	return l.Size > 0 && m.Addr >= l.Base && m.Addr < l.Base+l.Size
@@ -198,7 +204,7 @@ func (l Link) covers(m cosim.FedMsg) bool {
 
 // route distributes the events src emitted to their destinations'
 // inboxes along the first link from src that covers each.
-func (tm *TimeManager) route(src *member, out []cosim.FedMsg) error {
+func (tm *TimeManager) route(src *member, out []hdlsim.DataMsg) error {
 	for _, m := range out {
 		dst := -1
 		for _, l := range tm.cfg.Links {
@@ -210,7 +216,7 @@ func (tm *TimeManager) route(src *member, out []cosim.FedMsg) error {
 		switch {
 		case dst >= 0:
 			tm.parties[dst].inbox = append(tm.parties[dst].inbox, m)
-		case m.Kind == cosim.FedInt:
+		case m.Kind == hdlsim.DataInterrupt:
 			return fmt.Errorf("federation: no link routes IRQ %d from party %q", m.IRQ, src.name)
 		default:
 			return fmt.Errorf("federation: no link window covers address %#x from party %q", m.Addr, src.name)

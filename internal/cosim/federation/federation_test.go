@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cosim"
+	"repro/internal/hdlsim"
+	"repro/internal/sim"
 )
 
 // fakeParty is a scripted federate for manager unit tests: an eager
@@ -27,7 +30,7 @@ type fakeParty struct {
 	emitAt    cosim.SimTime
 	emitTo    []uint32
 	seq       uint32
-	out       []cosim.FedMsg
+	out       []hdlsim.DataMsg
 
 	// cancel, when set, is called by the Step that reaches cancelAt.
 	cancel   context.CancelFunc
@@ -41,8 +44,6 @@ type fakeParty struct {
 	finished bool
 }
 
-func (f *fakeParty) Name() string { return f.name }
-
 func (f *fakeParty) Step(until cosim.SimTime) (cosim.SimTime, error) {
 	if f.halt != 0 && until > f.halt {
 		until = f.halt
@@ -51,13 +52,13 @@ func (f *fakeParty) Step(until cosim.SimTime) (cosim.SimTime, error) {
 		q := uint64(until) / f.tsync
 		if q > 0 && q%f.emitEvery == 0 {
 			f.seq++
-			f.out = append(f.out, cosim.FedMsg{Kind: cosim.FedWrite, Addr: f.addr, Words: []uint32{f.seq}})
+			f.out = append(f.out, hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: f.addr, Words: []uint32{f.seq}})
 		}
 	}
 	if f.cur < f.emitAt && f.emitAt < until {
 		for _, a := range f.emitTo {
 			f.seq++
-			f.out = append(f.out, cosim.FedMsg{Kind: cosim.FedWrite, Addr: a, Words: []uint32{f.seq}})
+			f.out = append(f.out, hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: a, Words: []uint32{f.seq}})
 		}
 	}
 	f.cur = until
@@ -68,7 +69,7 @@ func (f *fakeParty) Step(until cosim.SimTime) (cosim.SimTime, error) {
 	return until, nil
 }
 
-func (f *fakeParty) Exchange(in []cosim.FedMsg) ([]cosim.FedMsg, error) {
+func (f *fakeParty) Exchange(in []hdlsim.DataMsg) ([]hdlsim.DataMsg, error) {
 	for _, m := range in {
 		if len(m.Words) != 1 {
 			return nil, fmt.Errorf("fake %s: malformed delivery", f.name)
@@ -107,7 +108,7 @@ func TestZeroLookaheadForcesPlainStepping(t *testing.T) {
 			{name: "b2", la: lazyLA2},
 		}
 		tm, err := New(Config{
-			Parties:  []Party{{Fed: ps[0], Eager: true}, {Fed: ps[1]}, {Fed: ps[2]}},
+			Parties:  []Party{{Name: ps[0].name, Fed: ps[0], Eager: true}, {Name: ps[1].name, Fed: ps[1]}, {Name: ps[2].name, Fed: ps[2]}},
 			Links:    []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}, {From: 0, To: 2, Base: 0x200, Size: 0x10}},
 			Schedule: Schedule{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: true},
 		})
@@ -148,7 +149,7 @@ func TestZeroLookaheadForcesPlainStepping(t *testing.T) {
 		b1 := &fakeParty{name: "b1", la: unbounded}
 		b2 := &fakeParty{name: "b2", la: unbounded}
 		tm, err := New(Config{
-			Parties:  []Party{{Fed: dev, Eager: true}, {Fed: b1}, {Fed: b2}},
+			Parties:  []Party{{Name: dev.name, Fed: dev, Eager: true}, {Name: b1.name, Fed: b1}, {Name: b2.name, Fed: b2}},
 			Links:    []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}, {From: 0, To: 2, Base: 0x200, Size: 0x10}},
 			Schedule: Schedule{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: adaptive},
 		})
@@ -188,7 +189,7 @@ func TestSlowPartyCannotReorderEvents(t *testing.T) {
 	consumer := &fakeParty{name: "consumer", la: 5 * tsync}
 	slow := &fakeParty{name: "slow", la: cosim.UnboundedLookahead}
 	tm, err := New(Config{
-		Parties: []Party{{Fed: producer, Eager: true}, {Fed: consumer}, {Fed: slow}},
+		Parties: []Party{{Name: producer.name, Fed: producer, Eager: true}, {Name: consumer.name, Fed: consumer}, {Name: slow.name, Fed: slow}},
 		Links: []Link{
 			{From: 0, To: 1, Base: 0x100, Size: 0x10},
 			{From: 0, To: 2, Base: 0x200, Size: 0x10},
@@ -240,7 +241,7 @@ func TestCancelStopsElongatedRun(t *testing.T) {
 	dev := &fakeParty{name: "dev", la: cosim.UnboundedLookahead, tsync: tsync, cancel: cancel, cancelAt: cancelAt}
 	brd := &fakeParty{name: "board", la: cosim.UnboundedLookahead}
 	tm, err := New(Config{
-		Parties:  []Party{{Fed: dev, Eager: true}, {Fed: brd}},
+		Parties:  []Party{{Name: dev.name, Fed: dev, Eager: true}, {Name: brd.name, Fed: brd}},
 		Links:    []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
 		Schedule: Schedule{TSync: tsync, TotalCycles: 1_000_000 * tsync, Adaptive: true},
 	})
@@ -267,7 +268,7 @@ func TestTrafficForcesRendezvous(t *testing.T) {
 	producer := &fakeParty{name: "producer", la: cosim.UnboundedLookahead, tsync: tsync, emitEvery: 4, addr: 0x100}
 	consumer := &fakeParty{name: "consumer", la: cosim.UnboundedLookahead}
 	tm, err := New(Config{
-		Parties:  []Party{{Fed: producer, Eager: true}, {Fed: consumer}},
+		Parties:  []Party{{Name: producer.name, Fed: producer, Eager: true}, {Name: consumer.name, Fed: consumer}},
 		Links:    []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}},
 		Schedule: Schedule{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: true},
 	})
@@ -295,7 +296,7 @@ func TestEagerHaltMidQuantum(t *testing.T) {
 	dev := &fakeParty{name: "dev", la: cosim.UnboundedLookahead, tsync: tsync, halt: 250}
 	brd := &fakeParty{name: "board", la: cosim.UnboundedLookahead}
 	tm, err := New(Config{
-		Parties:  []Party{{Fed: dev, Eager: true}, {Fed: brd}},
+		Parties:  []Party{{Name: dev.name, Fed: dev, Eager: true}, {Name: brd.name, Fed: brd}},
 		Links:    []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
 		Schedule: Schedule{TSync: tsync, TotalCycles: 10 * tsync},
 	})
@@ -322,7 +323,7 @@ func TestEagerHaltAtBoundary(t *testing.T) {
 	dev := &fakeParty{name: "dev", la: cosim.UnboundedLookahead, tsync: tsync, halt: 3 * tsync}
 	brd := &fakeParty{name: "board", la: cosim.UnboundedLookahead}
 	tm, err := New(Config{
-		Parties:  []Party{{Fed: dev, Eager: true}, {Fed: brd}},
+		Parties:  []Party{{Name: dev.name, Fed: dev, Eager: true}, {Name: brd.name, Fed: brd}},
 		Links:    []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
 		Schedule: Schedule{TSync: tsync, TotalCycles: 10 * tsync},
 	})
@@ -358,7 +359,7 @@ func TestStatsReportSlowestBoard(t *testing.T) {
 	fast := &clockParty{fakeParty: fakeParty{name: "fast", la: cosim.UnboundedLookahead}, cycle: 9000}
 	slow := &clockParty{fakeParty: fakeParty{name: "slow", la: cosim.UnboundedLookahead}, cycle: 700}
 	tm, err := New(Config{
-		Parties:  []Party{{Fed: dev, Eager: true}, {Fed: fast}, {Fed: slow}},
+		Parties:  []Party{{Name: dev.name, Fed: dev, Eager: true}, {Name: fast.name, Fed: fast}, {Name: slow.name, Fed: slow}},
 		Links:    []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}},
 		Schedule: Schedule{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: true},
 	})
@@ -383,7 +384,7 @@ func TestUnroutedEventFails(t *testing.T) {
 	producer := &fakeParty{name: "producer", la: cosim.UnboundedLookahead, tsync: 100, emitEvery: 1, addr: 0x900}
 	consumer := &fakeParty{name: "consumer", la: cosim.UnboundedLookahead}
 	tm, err := New(Config{
-		Parties:  []Party{{Fed: producer, Eager: true}, {Fed: consumer}},
+		Parties:  []Party{{Name: producer.name, Fed: producer, Eager: true}, {Name: consumer.name, Fed: consumer}},
 		Links:    []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}}, // 0x900 not covered
 		Schedule: Schedule{TSync: 100, TotalCycles: 1000},
 	})
@@ -402,7 +403,7 @@ func TestConfigValidate(t *testing.T) {
 		a := &fakeParty{name: "a"}
 		b := &fakeParty{name: "b"}
 		return Config{
-			Parties:  []Party{{Fed: a, Eager: true}, {Fed: b}},
+			Parties:  []Party{{Name: a.name, Fed: a, Eager: true}, {Name: b.name, Fed: b}},
 			Links:    []Link{{From: 0, To: 1, Base: 0, Size: 0x10, IRQs: []uint8{3}}},
 			Schedule: Schedule{TSync: 100, TotalCycles: 1000},
 		}
@@ -418,7 +419,8 @@ func TestConfigValidate(t *testing.T) {
 		{"zero tsync", func(c *Config) { c.TSync = 0 }},
 		{"zero horizon", func(c *Config) { c.TotalCycles = 0 }},
 		{"nil federate", func(c *Config) { c.Parties[1].Fed = nil }},
-		{"duplicate name", func(c *Config) { c.Parties[1].Fed = &fakeParty{name: "a"} }},
+		{"empty name", func(c *Config) { c.Parties[1].Name = "" }},
+		{"duplicate name", func(c *Config) { c.Parties[1].Name = "a" }},
 		{"link out of range", func(c *Config) { c.Links[0].To = 7 }},
 		{"self link", func(c *Config) { c.Links[0].To = 0 }},
 		{"empty link", func(c *Config) { c.Links[0] = Link{From: 0, To: 1} }},
@@ -440,5 +442,29 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatal("New accepted an invalid config")
 			}
 		})
+	}
+}
+
+// TestDeviceRejectsInterrupt: a link routing an interrupt into an HDL
+// device engine is a topology bug. The kernel's DATA port refuses the
+// event on the device's next step, and the run fails naming the device.
+func TestDeviceRejectsInterrupt(t *testing.T) {
+	s := hdlsim.NewSimulator("dev")
+	dev, err := cosim.NewSimFederate(s, s.NewClock("clk", sim.NS(10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &fakeParty{name: "src", out: []hdlsim.DataMsg{{Kind: hdlsim.DataInterrupt, IRQ: 3}}}
+	tm, err := New(Config{
+		Parties:  []Party{{Name: "dev", Fed: dev, Eager: true}, {Name: src.name, Fed: src}},
+		Links:    []Link{{From: 1, To: 0, IRQs: []uint8{3}}},
+		Schedule: Schedule{TSync: 10, TotalCycles: 100},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = tm.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), `party "dev"`) || !strings.Contains(err.Error(), "interrupt") {
+		t.Fatalf("run error %v, want the device party refusing the interrupt", err)
 	}
 }

@@ -36,12 +36,26 @@ func (m SyncMode) String() string {
 	return "alternating"
 }
 
-// HWEndpoint is the hardware-simulator side of the link. It implements
-// hdlsim.DriverEndpoint (the DATA and INT ports); ProcFederate issues its
-// CLOCK grants, and federation.DriverSimulate runs a kernel against it.
+// HWEndpoint is the hardware-simulator side of the link: the
+// grant-issuing end of the v3 wire protocol, over any transport kind. It
+// implements hdlsim.DriverEndpoint (the DATA and INT ports), so a kernel
+// can be stepped directly over it, and Federate, so the time manager sees
+// the remote process — typically a board — as a granted party: Exchange
+// puts inbound events on the DATA/INT channels, Step grants the quantum
+// on CLOCK and waits for the acknowledgement, and the acknowledgement's
+// DATA traffic flows back into the federation.
+//
+// Because forwarded events hit the wire in the same channel order as
+// mid-quantum sends from a kernel stepped directly over the endpoint
+// (DATA/INT frames, then the CLOCK grant carrying their drain counts), a
+// two-party federation puts the same bytes on the wire as that kernel
+// would.
 type HWEndpoint struct {
 	tr   Transport
 	mode SyncMode
+
+	cur   SimTime // time granted so far
+	begun bool    // BeginStep already sent the grant for the next Step
 
 	// Counters of messages sent since the last grant; the next grant
 	// carries them so the board drains exactly that many.
@@ -63,7 +77,7 @@ type HWEndpoint struct {
 	// becomes runnable board-side (see Msg.Lookahead).
 	lastLookahead uint64
 	// lead is the next grant's lead (see LeadSink), carried in the
-	// grant's Lookahead slot and set through SetLead.
+	// grant's Lookahead slot and set through SetGrantLead.
 	lead uint64
 
 	// AckTimeout bounds every wait for board traffic (acknowledgements
@@ -89,8 +103,8 @@ func (ep *HWEndpoint) Metrics() *Metrics {
 	return &ep.m
 }
 
-// BoardTime returns the board's local cycle and software tick from the
-// most recently consumed acknowledgement.
+// BoardTime implements BoardClock: the board's local cycle and software
+// tick from the most recently consumed acknowledgement.
 func (ep *HWEndpoint) BoardTime() (cycle, swTick uint64) {
 	return ep.lastBoardCycle, ep.lastSWTick
 }
@@ -107,8 +121,18 @@ func (ep *HWEndpoint) PollData() []hdlsim.DataMsg {
 	return out
 }
 
-// SendData implements hdlsim.DriverEndpoint.
-func (ep *HWEndpoint) SendData(d hdlsim.DataMsg) error {
+// Send implements hdlsim.DriverEndpoint: writes and read responses go
+// out on DATA, interrupts on INT.
+func (ep *HWEndpoint) Send(d hdlsim.DataMsg) error {
+	if d.Kind == hdlsim.DataInterrupt {
+		m := Msg{Type: MTInterrupt, IRQ: d.IRQ}
+		ep.intSent++
+		ep.m.IntSent++
+		ep.m.BytesSent += uint64(m.WireSize())
+		ep.lv.incIntSent()
+		ep.lv.addBytes(uint64(m.WireSize()))
+		return ep.tr.Send(ChanInt, m)
+	}
 	m := Msg{Addr: d.Addr, Count: d.Count, Words: d.Words}
 	switch d.Kind {
 	case hdlsim.DataWrite:
@@ -126,16 +150,48 @@ func (ep *HWEndpoint) SendData(d hdlsim.DataMsg) error {
 	return ep.tr.Send(ChanData, m)
 }
 
-// SendInterrupt implements hdlsim.DriverEndpoint.
-func (ep *HWEndpoint) SendInterrupt(irq uint8) error {
-	m := Msg{Type: MTInterrupt, IRQ: irq}
-	ep.intSent++
-	ep.m.IntSent++
-	ep.m.BytesSent += uint64(m.WireSize())
-	ep.lv.incIntSent()
-	ep.lv.addBytes(uint64(m.WireSize()))
-	return ep.tr.Send(ChanInt, m)
+// Exchange implements Federate: inbound events are sent on the wire
+// immediately (the grant that follows carries their drain counts), and
+// the DATA traffic announced by the last acknowledgement is returned.
+func (ep *HWEndpoint) Exchange(in []hdlsim.DataMsg) ([]hdlsim.DataMsg, error) {
+	for _, m := range in {
+		if err := ep.Send(m); err != nil {
+			return nil, err
+		}
+	}
+	return ep.PollData(), nil
 }
+
+// BeginStep implements SplitStepper: it sends the CLOCK grant up to
+// until without waiting, so the manager can launch all remote parties'
+// quanta before collecting any acknowledgement.
+func (ep *HWEndpoint) BeginStep(until SimTime) error {
+	if until < ep.cur {
+		return fmt.Errorf("cosim: step backwards (%d < %d)", until, ep.cur)
+	}
+	if err := ep.sendGrant(uint64(until-ep.cur), uint64(until)); err != nil {
+		return err
+	}
+	ep.begun = true
+	return nil
+}
+
+// Step implements Federate: grant (unless BeginStep already did) and
+// wait for the acknowledgement; in pipelined mode the wait is for the
+// previous grant's acknowledgement, so one grant stays in flight.
+func (ep *HWEndpoint) Step(until SimTime) (SimTime, error) {
+	if !ep.begun {
+		if err := ep.BeginStep(until); err != nil {
+			return ep.cur, err
+		}
+	}
+	ep.begun = false
+	ep.cur = until
+	return until, ep.awaitAck()
+}
+
+// Done implements Federate: a wire party never ends the run on its own.
+func (ep *HWEndpoint) Done() bool { return false }
 
 // sendGrant emits the CLOCK-port grant for the quantum just simulated,
 // carrying the drain counts of the traffic sent during it.
@@ -212,22 +268,21 @@ func (ep *HWEndpoint) consumeAck() error {
 	return nil
 }
 
-// PeerLookahead returns the board's promise, in grant ticks, from the
-// most recent acknowledgement. In pipelined mode the newest
+// Lookahead implements Federate: the board's promise, in grant ticks,
+// from the most recent acknowledgement. In pipelined mode the newest
 // acknowledgement describes a quantum that is already one grant stale,
 // so the promise cannot be trusted and the endpoint reports zero,
 // disabling elongation.
-func (ep *HWEndpoint) PeerLookahead() uint64 {
+func (ep *HWEndpoint) Lookahead() uint64 {
 	if ep.mode == SyncPipelined {
 		return NoLookahead
 	}
 	return ep.lastLookahead
 }
 
-// SetLead records the lead, in grant ticks, to carry on the next grant.
-func (ep *HWEndpoint) SetLead(ticks uint64) {
-	ep.lead = ticks
-}
+// SetGrantLead implements LeadSink: the lead, in grant ticks, carried on
+// the next grant.
+func (ep *HWEndpoint) SetGrantLead(ticks uint64) { ep.lead = ticks }
 
 func toKernelMsg(m Msg) (hdlsim.DataMsg, error) {
 	switch m.Type {
@@ -240,9 +295,11 @@ func toKernelMsg(m Msg) (hdlsim.DataMsg, error) {
 	}
 }
 
-// Finish drains any outstanding acknowledgement, tells the board the
-// simulation is over, and waits for its final statistics.
-func (ep *HWEndpoint) Finish(hwCycle uint64) error {
+// Finish implements Federate: the MTFinish/MTFinishAck shutdown
+// handshake at final time at. It drains any outstanding acknowledgement,
+// tells the board the simulation is over, and waits for its final
+// statistics.
+func (ep *HWEndpoint) Finish(at SimTime) error {
 	// Stop the wall clock on every exit path so Metrics.Wall is valid
 	// even when the shutdown handshake fails.
 	defer ep.m.StopClock()
@@ -251,7 +308,7 @@ func (ep *HWEndpoint) Finish(hwCycle uint64) error {
 			return err
 		}
 	}
-	fin := Msg{Type: MTFinish, HWCycle: hwCycle}
+	fin := Msg{Type: MTFinish, HWCycle: uint64(at)}
 	ep.m.BytesSent += uint64(fin.WireSize())
 	ep.lv.addBytes(uint64(fin.WireSize()))
 	if err := ep.tr.Send(ChanClock, fin); err != nil {
@@ -272,3 +329,7 @@ func (ep *HWEndpoint) Finish(hwCycle uint64) error {
 }
 
 var _ hdlsim.DriverEndpoint = (*HWEndpoint)(nil)
+var _ Federate = (*HWEndpoint)(nil)
+var _ SplitStepper = (*HWEndpoint)(nil)
+var _ LeadSink = (*HWEndpoint)(nil)
+var _ BoardClock = (*HWEndpoint)(nil)

@@ -29,12 +29,11 @@ func TestStopClockWithoutStart(t *testing.T) {
 func TestEndpointWallClockRecorded(t *testing.T) {
 	hwT, boardT := NewInProcPair(64)
 	hw := NewHWEndpoint(hwT, SyncAlternating)
-	pf := NewProcFederate("board", hw)
 	board := NewBoardEndpoint(boardT)
 	result := scriptedBoard(t, board, false)
 
 	for q := 1; q <= 3; q++ {
-		if _, err := pf.Step(SimTime(10 * q)); err != nil {
+		if _, err := hw.Step(SimTime(10 * q)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,7 +74,7 @@ func TestMetricsHarvestLink(t *testing.T) {
 	defer b.Close()
 	ct := NewChaosTransport(a, chaos)
 	hw := NewHWEndpoint(ct, SyncAlternating)
-	_ = hw.SendData(hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: 1, Words: []uint32{1}})
+	_ = hw.Send(hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: 1, Words: []uint32{1}})
 	if got := hw.Metrics().Link.FramesInjured; got == 0 {
 		t.Fatalf("FramesInjured = %d after a dropped frame, want > 0", got)
 	}

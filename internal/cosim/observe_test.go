@@ -67,7 +67,6 @@ func TestEndpointObservePublishesLive(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	hw := NewHWEndpoint(hwT, SyncAlternating)
-	pf := NewProcFederate("board", hw)
 	hw.Observe(reg)
 	bep := NewBoardEndpoint(boardT)
 	bep.Observe(reg)
@@ -95,7 +94,7 @@ func TestEndpointObservePublishesLive(t *testing.T) {
 
 	const quanta = 5
 	for i := uint64(1); i <= quanta; i++ {
-		if _, err := pf.Step(SimTime(i * 100)); err != nil {
+		if _, err := hw.Step(SimTime(i * 100)); err != nil {
 			t.Fatal(err)
 		}
 	}

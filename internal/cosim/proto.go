@@ -259,8 +259,9 @@ const (
 	UnboundedLookahead uint64 = math.MaxUint64
 )
 
-// MaxWords bounds the Words slice on the wire to keep a corrupted length
-// prefix from allocating unbounded memory.
+// MaxWords bounds the Words slice on the wire, and the words a read
+// request may ask for, to keep a corrupted or hostile count from
+// allocating unbounded memory.
 const MaxWords = 1 << 16
 
 // maxFrameBody bounds the body of one frame on the wire. It is sized so a
@@ -491,6 +492,10 @@ func decodeBody(body []byte) (Msg, error) {
 		}
 		m.Addr = le.Uint32(p)
 		m.Count = le.Uint32(p[4:])
+		if m.Count > MaxWords {
+			// The response could never be framed.
+			return m, fmt.Errorf("cosim: %v of %d words exceeds limit", m.Type, m.Count)
+		}
 	case MTSessionData:
 		if err := need(16); err != nil {
 			return m, err

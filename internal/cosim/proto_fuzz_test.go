@@ -79,7 +79,8 @@ func FuzzMsgRoundTrip(f *testing.F) {
 		case MTDataWrite, MTDataReadResp:
 			m.Addr, m.Words = a, words
 		case MTDataReadReq:
-			m.Addr, m.Count = a, b
+			// Decode rejects a read of more than MaxWords words.
+			m.Addr, m.Count = a, b%(MaxWords+1)
 		case MTSessionData:
 			m.Seq, m.Crc, m.Raw = u, a, blob
 		case MTSessionAck, MTSessionNack, MTHeartbeat:

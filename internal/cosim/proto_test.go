@@ -149,19 +149,22 @@ func TestProtoShortBodyFields(t *testing.T) {
 }
 
 func TestProtoOversizeWordCountRejected(t *testing.T) {
-	// Hand-craft a data-write claiming MaxWords+1 words.
-	body := make([]byte, 0, 16)
-	body = append(body, byte(MTDataWrite))
-	body = append(body, 0, 0, 0, 0) // addr
-	n := uint32(MaxWords + 1)
-	body = append(body, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
-	var buf bytes.Buffer
-	var lenPfx [4]byte
-	lenPfx[0] = byte(len(body))
-	buf.Write(lenPfx[:])
-	buf.Write(body)
-	if _, err := Decode(&buf); err == nil {
-		t.Fatal("oversize word count accepted")
+	// Hand-craft a data-write claiming MaxWords+1 words, and a read
+	// request asking for that many: neither response could be framed.
+	for _, typ := range []MsgType{MTDataWrite, MTDataReadReq} {
+		body := make([]byte, 0, 16)
+		body = append(body, byte(typ))
+		body = append(body, 0, 0, 0, 0) // addr
+		n := uint32(MaxWords + 1)
+		body = append(body, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
+		var buf bytes.Buffer
+		var lenPfx [4]byte
+		lenPfx[0] = byte(len(body))
+		buf.Write(lenPfx[:])
+		buf.Write(body)
+		if _, err := Decode(&buf); err == nil {
+			t.Fatalf("%v: oversize word count accepted", typ)
+		}
 	}
 }
 

@@ -255,7 +255,6 @@ func TestSessionTCPReconnectMidRun(t *testing.T) {
 	defer boardS.Close()
 
 	hw := NewHWEndpoint(hwS, SyncAlternating)
-	pf := NewProcFederate("board", hw)
 	hw.AckTimeout = 10 * time.Second // fail instead of hanging if recovery breaks
 	board := NewBoardEndpoint(boardS)
 	result := scriptedBoard(t, board, true)
@@ -266,7 +265,7 @@ func TestSessionTCPReconnectMidRun(t *testing.T) {
 		if q == quanta/2 {
 			boardRaw.Close() // sever all three TCP channels mid-run
 		}
-		if _, err := pf.Step(SimTime(10 * q)); err != nil {
+		if _, err := hw.Step(SimTime(10 * q)); err != nil {
 			t.Fatalf("quantum %d: %v", q, err)
 		}
 		echoes += len(hw.PollData())

@@ -1,10 +1,6 @@
 package cosim
 
-import (
-	"fmt"
-
-	"repro/internal/hdlsim"
-)
+import "repro/internal/hdlsim"
 
 // SimFederate adapts an hdlsim kernel to the Federate interface: the
 // device engine of a federation. It drives the simulator with the
@@ -12,26 +8,25 @@ import (
 // in-memory buffer — outbound DATA/INT traffic accumulates until the
 // next Exchange, and inbound events delivered by Exchange become visible
 // to the kernel at the first cycle of its next Step, exactly when an
-// HWEndpoint releases a quantum boundary's traffic.
+// HWEndpoint releases a quantum boundary's traffic. The kernel's own
+// DATA port rejects an event kind a device cannot take, failing that
+// Step.
 type SimFederate struct {
-	name string
-	d    *hdlsim.Driver
-	ep   *fedBufEndpoint
+	s  *hdlsim.Simulator
+	d  *hdlsim.Driver
+	ep *fedBufEndpoint
 }
 
 // NewSimFederate elaborates the simulator and wraps it as a federate.
 // One grant tick equals one HDL clock cycle.
-func NewSimFederate(name string, s *hdlsim.Simulator, clk *hdlsim.Clock) (*SimFederate, error) {
+func NewSimFederate(s *hdlsim.Simulator, clk *hdlsim.Clock) (*SimFederate, error) {
 	ep := &fedBufEndpoint{}
 	d, err := s.NewDriver(clk, ep)
 	if err != nil {
 		return nil, err
 	}
-	return &SimFederate{name: name, d: d, ep: ep}, nil
+	return &SimFederate{s: s, d: d, ep: ep}, nil
 }
-
-// Name implements Federate.
-func (f *SimFederate) Name() string { return f.name }
 
 // Step implements Federate: it runs the kernel cycle by cycle up to
 // until, stopping early if the simulation halts itself.
@@ -44,7 +39,7 @@ func (f *SimFederate) Step(until SimTime) (SimTime, error) {
 // DATA-poll buffer (visible at the next cycle), and the DATA/INT traffic
 // the kernel emitted since the last call is returned. The returned slice
 // is reused by the next Exchange — route it before calling again.
-func (f *SimFederate) Exchange(in []FedMsg) ([]FedMsg, error) {
+func (f *SimFederate) Exchange(in []hdlsim.DataMsg) ([]hdlsim.DataMsg, error) {
 	if len(in) == 0 && len(f.ep.out) == 0 {
 		// Nothing to deliver or collect (most boundaries).
 		return nil, nil
@@ -55,16 +50,7 @@ func (f *SimFederate) Exchange(in []FedMsg) ([]FedMsg, error) {
 		f.ep.inbox = f.ep.inbox[:0]
 		f.ep.polled = false
 	}
-	for _, m := range in {
-		switch m.Kind {
-		case FedWrite:
-			f.ep.inbox = append(f.ep.inbox, hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: m.Addr, Words: m.Words})
-		case FedReadReq:
-			f.ep.inbox = append(f.ep.inbox, hdlsim.DataMsg{Kind: hdlsim.DataReadReq, Addr: m.Addr, Count: m.Count})
-		default:
-			return nil, fmt.Errorf("cosim: %s: device federate cannot accept %v", f.name, m.Kind)
-		}
-	}
+	f.ep.inbox = append(f.ep.inbox, in...)
 	out := f.ep.out
 	f.ep.out = f.ep.outFree[:0]
 	f.ep.outFree = out[:0]
@@ -79,8 +65,12 @@ func (f *SimFederate) Lookahead() uint64 { return NoLookahead }
 // Done implements Federate.
 func (f *SimFederate) Done() bool { return f.d.Stopped() }
 
-// Finish implements Federate; the kernel needs no shutdown handshake.
-func (f *SimFederate) Finish(at SimTime) error { return nil }
+// Finish implements Federate; the kernel needs no shutdown handshake,
+// but its unfinished threads are released.
+func (f *SimFederate) Finish(at SimTime) error {
+	f.s.Shutdown()
+	return nil
+}
 
 // Stats returns the kernel's driver-loop counters; the schedule counters
 // (SyncEvents, SyncsElided, LastBoardCy) are the time manager's Stats.
@@ -88,13 +78,13 @@ func (f *SimFederate) Stats() hdlsim.DriverStats { return f.d.Stats() }
 
 // fedBufEndpoint is the in-memory hdlsim.DriverEndpoint behind a
 // SimFederate: PollData releases the inbox once per delivery (matching
-// HWEndpoint's once-per-quantum visibility) and sends buffer into the
+// HWEndpoint's once-per-quantum visibility) and Send buffers into the
 // outbox.
 type fedBufEndpoint struct {
 	inbox   []hdlsim.DataMsg
 	polled  bool // inbox was released to the kernel and may be recycled
-	out     []FedMsg
-	outFree []FedMsg // swap buffer so Exchange reuses collected slices
+	out     []hdlsim.DataMsg
+	outFree []hdlsim.DataMsg // swap buffer so Exchange reuses collected slices
 }
 
 func (ep *fedBufEndpoint) PollData() []hdlsim.DataMsg {
@@ -105,20 +95,8 @@ func (ep *fedBufEndpoint) PollData() []hdlsim.DataMsg {
 	return ep.inbox
 }
 
-func (ep *fedBufEndpoint) SendData(d hdlsim.DataMsg) error {
-	switch d.Kind {
-	case hdlsim.DataWrite:
-		ep.out = append(ep.out, FedMsg{Kind: FedWrite, Addr: d.Addr, Words: d.Words})
-	case hdlsim.DataReadResp:
-		ep.out = append(ep.out, FedMsg{Kind: FedReadResp, Addr: d.Addr, Words: d.Words})
-	default:
-		return fmt.Errorf("cosim: federate device cannot send %v on DATA", d.Kind)
-	}
-	return nil
-}
-
-func (ep *fedBufEndpoint) SendInterrupt(irq uint8) error {
-	ep.out = append(ep.out, FedMsg{Kind: FedInt, IRQ: irq})
+func (ep *fedBufEndpoint) Send(d hdlsim.DataMsg) error {
+	ep.out = append(ep.out, d)
 	return nil
 }
 

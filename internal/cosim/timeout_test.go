@@ -87,9 +87,8 @@ func TestHWEndpointDetectsDeadBoard(t *testing.T) {
 	hwT, _ := NewInProcPair(8)
 	defer hwT.Close()
 	hw := NewHWEndpoint(hwT, SyncAlternating)
-	pf := NewProcFederate("board", hw)
 	hw.AckTimeout = 25 * time.Millisecond
-	_, err := pf.Step(SimTime(10)) // board never answers
+	_, err := hw.Step(SimTime(10)) // board never answers
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("Step err = %v, want ErrTimeout", err)
 	}

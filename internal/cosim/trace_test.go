@@ -70,11 +70,10 @@ func TestTracedEndpointsStillInteroperate(t *testing.T) {
 	hwT, boardT := NewInProcPair(64)
 	var hwLog, boardLog bytes.Buffer
 	hw := NewHWEndpoint(NewTraceTransport(hwT, &hwLog), SyncAlternating)
-	pf := NewProcFederate("board", hw)
 	board := NewBoardEndpoint(NewTraceTransport(boardT, &boardLog))
 	result := scriptedBoard(t, board, true)
 	for q := 0; q < 3; q++ {
-		if _, err := pf.Step(SimTime(10 * (q + 1))); err != nil {
+		if _, err := hw.Step(SimTime(10 * (q + 1))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -22,7 +22,8 @@ import (
 //     it, and its driver_simulate wrapper is the two-party run. This
 //     package has no notion of a grant.
 
-// DataKind discriminates messages on the DATA channel.
+// DataKind discriminates the messages on the driver ports: the three
+// DATA-channel kinds and the INT-port interrupt.
 type DataKind uint8
 
 const (
@@ -32,6 +33,8 @@ const (
 	DataReadReq
 	// DataReadResp answers a DataReadReq.
 	DataReadResp
+	// DataInterrupt raises interrupt line IRQ at the board (INT port).
+	DataInterrupt
 )
 
 // String implements fmt.Stringer.
@@ -43,15 +46,21 @@ func (k DataKind) String() string {
 		return "read-req"
 	case DataReadResp:
 		return "read-resp"
+	case DataInterrupt:
+		return "interrupt"
 	default:
 		return fmt.Sprintf("DataKind(%d)", uint8(k))
 	}
 }
 
-// DataMsg is one DATA-channel message as seen by the kernel. Addresses are
-// word addresses in the remote device's register space.
+// DataMsg is one driver-port message as seen by the kernel, and the event
+// federates exchange at quantum boundaries. Addresses are word addresses
+// in the remote device's register space. Words follows the wire
+// protocol's ownership discipline: the sender hands the slice over and
+// must not retain it.
 type DataMsg struct {
 	Kind  DataKind
+	IRQ   uint8 // for DataInterrupt
 	Addr  uint32
 	Count uint32   // for DataReadReq
 	Words []uint32 // for DataWrite / DataReadResp
@@ -64,11 +73,9 @@ type DriverEndpoint interface {
 	// PollData returns board→HW DATA messages that are available for this
 	// quantum, without blocking.
 	PollData() []DataMsg
-	// SendData delivers a HW→board DATA message (read responses, posted
-	// writes).
-	SendData(DataMsg) error
-	// SendInterrupt notifies the board of interrupt line irq (INT port).
-	SendInterrupt(irq uint8) error
+	// Send delivers a HW→board message: a read response or posted write
+	// on DATA, an interrupt on INT.
+	Send(DataMsg) error
 }
 
 // RegWrite is one word written by the board into a DriverIn port.
@@ -236,18 +243,24 @@ func (s *Simulator) routeData(ep DriverEndpoint, m DataMsg) error {
 			din.push(RegWrite{Addr: addr, Val: w})
 		}
 	case DataReadReq:
-		words := make([]uint32, m.Count)
-		for i := uint32(0); i < m.Count; i++ {
-			addr := m.Addr + i
+		// Count is the sender's: resolve the whole range, one DriverOut
+		// window at a time, before allocating the response.
+		for i := uint64(0); i < uint64(m.Count); {
+			addr := m.Addr + uint32(i)
 			dout := s.findDriverOut(addr)
 			if dout == nil {
 				return fmt.Errorf("hdlsim: board read from unmapped address %#x", addr)
 			}
-			words[i] = dout.Get(addr)
+			i += uint64(dout.Base) + uint64(dout.Size) - uint64(addr)
 		}
-		return ep.SendData(DataMsg{Kind: DataReadResp, Addr: m.Addr, Words: words})
+		words := make([]uint32, m.Count)
+		for i := range words {
+			addr := m.Addr + uint32(i)
+			words[i] = s.findDriverOut(addr).Get(addr)
+		}
+		return ep.Send(DataMsg{Kind: DataReadResp, Addr: m.Addr, Words: words})
 	default:
-		return fmt.Errorf("hdlsim: unexpected DATA message kind %v from board", m.Kind)
+		return fmt.Errorf("hdlsim: unexpected %v message on the DATA port", m.Kind)
 	}
 	return nil
 }
@@ -323,7 +336,7 @@ func (d *Driver) cycle() error {
 	for _, w := range d.s.intWatches {
 		level := w.sig.Read()
 		if level && !w.prev {
-			if err := d.ep.SendInterrupt(w.irq); err != nil {
+			if err := d.ep.Send(DataMsg{Kind: DataInterrupt, IRQ: w.irq}); err != nil {
 				return err
 			}
 			d.st.Interrupts++
@@ -331,7 +344,7 @@ func (d *Driver) cycle() error {
 		w.prev = level
 	}
 	for _, irq := range d.s.intRaised {
-		if err := d.ep.SendInterrupt(irq); err != nil {
+		if err := d.ep.Send(DataMsg{Kind: DataInterrupt, IRQ: irq}); err != nil {
 			return err
 		}
 		d.st.Interrupts++
@@ -340,7 +353,7 @@ func (d *Driver) cycle() error {
 	// Flush posted driver_out writes.
 	for _, out := range d.s.driverOuts {
 		for _, m := range out.posted {
-			if err := d.ep.SendData(m); err != nil {
+			if err := d.ep.Send(m); err != nil {
 				return err
 			}
 			d.st.DataOut++

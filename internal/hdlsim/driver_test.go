@@ -1,6 +1,7 @@
 package hdlsim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -23,9 +24,12 @@ func (f *fakeEndpoint) PollData() []DataMsg {
 	return batch
 }
 
-func (f *fakeEndpoint) SendData(m DataMsg) error { f.sent = append(f.sent, m); return nil }
-func (f *fakeEndpoint) SendInterrupt(irq uint8) error {
-	f.ints = append(f.ints, irq)
+func (f *fakeEndpoint) Send(m DataMsg) error {
+	if m.Kind == DataInterrupt {
+		f.ints = append(f.ints, m.IRQ)
+	} else {
+		f.sent = append(f.sent, m)
+	}
 	return nil
 }
 
@@ -73,6 +77,8 @@ func TestDriverOutReadServing(t *testing.T) {
 	dout := s.NewDriverOut("status", 0x20, 4)
 	dout.Set(0x21, 0xdead)
 	dout.Set(0x22, 0xbeef)
+	next := s.NewDriverOut("more", 0x24, 2)
+	next.Set(0x24, 0xf00d)
 
 	ep := &fakeEndpoint{incoming: [][]DataMsg{
 		{{Kind: DataReadReq, Addr: 0x21, Count: 2}},
@@ -87,6 +93,15 @@ func TestDriverOutReadServing(t *testing.T) {
 	if resp.Kind != DataReadResp || resp.Addr != 0x21 || len(resp.Words) != 2 ||
 		resp.Words[0] != 0xdead || resp.Words[1] != 0xbeef {
 		t.Fatalf("read response %+v", resp)
+	}
+
+	// A read may span adjacent driver_out windows.
+	ep.incoming = [][]DataMsg{{{Kind: DataReadReq, Addr: 0x22, Count: 3}}}
+	if err := advance(s, clk, ep, 4); err != nil {
+		t.Fatal(err)
+	}
+	if resp := ep.sent[1]; len(resp.Words) != 3 || resp.Words[0] != 0xbeef || resp.Words[1] != 0 || resp.Words[2] != 0xf00d {
+		t.Fatalf("spanning read response %+v", resp)
 	}
 }
 
@@ -107,6 +122,19 @@ func TestDriverUnmappedAccessErrors(t *testing.T) {
 	}}
 	if err := advance(s2, clk2, ep2, 2); err == nil {
 		t.Fatal("read from unmapped address did not error")
+	}
+
+	// A read starting in a window but running past its end fails on the
+	// first unmapped word, before the response for Count words is
+	// allocated (here it would be 16 GiB).
+	s3 := NewSimulator("t3")
+	clk3 := s3.NewClock("clk", sim.NS(10))
+	s3.NewDriverOut("status", 0x20, 4)
+	ep3 := &fakeEndpoint{incoming: [][]DataMsg{
+		{{Kind: DataReadReq, Addr: 0x21, Count: ^uint32(0)}},
+	}}
+	if err := advance(s3, clk3, ep3, 2); err == nil || !strings.Contains(err.Error(), "0x24") {
+		t.Fatalf("overlong read: error %v, want one naming the first unmapped address 0x24", err)
 	}
 }
 

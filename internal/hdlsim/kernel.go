@@ -154,6 +154,19 @@ func (s *Simulator) Stopped() bool { return s.stopped }
 // after the current delta completes.
 func (s *Simulator) Stop() { s.stopped = true }
 
+// Shutdown kills every unfinished thread process, releasing the goroutine
+// behind its coroutine (deferred functions in the body run). It is the
+// owner's last call on a kernel, mirroring rtos.Kernel.Shutdown; calling
+// it again is a no-op.
+func (s *Simulator) Shutdown() {
+	for _, p := range s.processes {
+		if p.kind == ThreadProcess && !p.terminated {
+			p.terminated = true
+			p.coro.Kill()
+		}
+	}
+}
+
 // OnCycle registers fn to run after every completed clock cycle during
 // RunCycles and Driver.Advance.
 func (s *Simulator) OnCycle(fn func(cycle uint64)) {

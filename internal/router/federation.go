@@ -43,7 +43,7 @@ type FederationConfig struct {
 	Boards int `json:"boards"`
 	// InProcBoards hosts the boards in-process as board.Federate parties
 	// (no goroutines, no wire). When false each board runs behind a
-	// cosim.ProcFederate speaking the v3 wire protocol over the
+	// cosim.HWEndpoint speaking the v3 wire protocol over the
 	// RunConfig's TransportKind.
 	InProcBoards bool `json:"inproc_boards,omitempty"`
 	// PulseDevices adds that many auxiliary HDL kernels, each
@@ -134,11 +134,12 @@ func newPulseDevice(p int, period uint64, clockPeriod sim.Time) *pulseDevice {
 // is the engine behind Run and RunFederation. The router kernel (and any
 // pulse kernels) become eager cosim.SimFederate parties; each board
 // becomes a granted party — in-process (board.Federate) or behind its
-// own transport stack (cosim.ProcFederate) — and the manager owns the
+// own transport stack (cosim.HWEndpoint) — and the manager owns the
 // quantum clock. A nil rc.Federation is the one-wire-board topology,
 // whose link may be the caller's tr. Cancelling ctx tears the wire
 // stacks down and stops the manager at its next rendezvous; the
-// context's cause becomes the returned error.
+// context's cause becomes the returned error. A failed run shuts down
+// the kernels it built, so no thread goroutine outlives it.
 func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult, err error) {
 	fc := FederationConfig{Boards: 1}
 	if rc.Federation != nil {
@@ -207,9 +208,16 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 		}()
 	}
 
+	rc.TB.Engines = fc.Boards
+	tb := BuildTestbench(rc.TB)
+	var pulses []*pulseDevice
+	var sides []*BoardSide
+
 	// Wire boards each get their base pair's decorator stack and a
 	// goroutine; stacking hands the pair to closers, so bases[wired:]
-	// are the pairs nothing owns yet.
+	// are the pairs nothing owns yet. A run that fails finishes no
+	// party, so abort also shuts down every kernel built so far, once
+	// the wire boards' own loops have returned.
 	var closers []func() error
 	boardDone := make(chan error, fc.Boards)
 	wired := 0
@@ -226,35 +234,38 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 		for j := 0; j < wired; j++ {
 			<-boardDone
 		}
+		tb.Sim.Shutdown()
+		for _, pd := range pulses {
+			pd.sim.Shutdown()
+		}
+		for _, bs := range sides {
+			bs.Board.K.Shutdown()
+		}
 	}
 
-	rc.TB.Engines = fc.Boards
-	tb := BuildTestbench(rc.TB)
-	hwFed, err := cosim.NewSimFederate("hw", tb.Sim, tb.Clk)
+	hwFed, err := cosim.NewSimFederate(tb.Sim, tb.Clk)
 	if err != nil {
 		abort()
 		return res, err
 	}
 
-	parties := []federation.Party{{Fed: hwFed, Eager: true}}
+	parties := []federation.Party{{Name: "hw", Fed: hwFed, Eager: true}}
 	var links []federation.Link
 
 	// Auxiliary pulse kernels: eager parties writing into board 0.
-	var pulses []*pulseDevice
 	for p := 0; p < fc.PulseDevices; p++ {
 		pd := newPulseDevice(p, fc.PulsePeriod, rc.TB.ClockPeriod)
-		pf, perr := cosim.NewSimFederate(fmt.Sprintf("pulse%d", p), pd.sim, pd.clk)
+		pf, perr := cosim.NewSimFederate(pd.sim, pd.clk)
 		if perr != nil {
 			abort()
 			return res, perr
 		}
 		pulses = append(pulses, pd)
-		parties = append(parties, federation.Party{Fed: pf, Eager: true})
+		parties = append(parties, federation.Party{Name: fmt.Sprintf("pulse%d", p), Fed: pf, Eager: true})
 	}
 
 	// Board parties, one per checksum engine; in-process boards run as
 	// federates on the manager's goroutine.
-	var sides []*BoardSide
 	var clocks []cosim.BoardClock
 	var ep0 *cosim.HWEndpoint // board 0's wire endpoint and hw-side stack
 	var hwTop cosim.Transport
@@ -289,9 +300,9 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 		partyIdx := len(parties)
 		name := fmt.Sprintf("board%d", i)
 		if fc.InProcBoards {
-			bf := board.NewFederate(name, bs.Board)
+			bf := board.NewFederate(bs.Board)
 			clocks = append(clocks, bf)
-			parties = append(parties, federation.Party{Fed: bf})
+			parties = append(parties, federation.Party{Name: name, Fed: bf})
 		} else {
 			hwT, hwClose := cosim.BuildStack(bases[i].HW, stack)
 			boardT, boardClose := cosim.BuildStack(bases[i].Board, stack.Peer())
@@ -313,9 +324,8 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 				}
 			}
 			bs.Dev.Attach(bep)
-			pf := cosim.NewProcFederate(name, ep)
-			clocks = append(clocks, pf)
-			parties = append(parties, federation.Party{Fed: pf})
+			clocks = append(clocks, ep)
+			parties = append(parties, federation.Party{Name: name, Fed: ep})
 			go func(bs *BoardSide) { boardDone <- bs.Board.Run(bep) }(bs)
 			wired++
 		}
@@ -374,10 +384,7 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 	res.Wall = time.Since(start)
 	res.Fed = fedStats
 	if err != nil {
-		closeAll()
-		for j := 0; j < wired; j++ {
-			<-boardDone
-		}
+		abort()
 		return res, fmt.Errorf("router: federation: %w", err)
 	}
 	closeAll()

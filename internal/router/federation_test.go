@@ -29,7 +29,7 @@ func fedTransports() []TransportKind {
 // rc's decorator stack. It steps hdlsim.Driver.Advance directly over the
 // HWEndpoint, so DATA and INT frames leave mid-quantum; it keeps its own
 // copy of the elision predicate, reads pending traffic from the
-// endpoint's metrics, and grants through SetLead and ProcFederate.Step.
+// endpoint's metrics, and grants through SetGrantLead and HWEndpoint.Step.
 // It is the independent reference router.Run must reproduce.
 func pairwiseReference(t *testing.T, rc RunConfig) RunResult {
 	t.Helper()
@@ -89,7 +89,6 @@ func pairwiseLoop(tb *Testbench, hw *cosim.HWEndpoint, rc RunConfig) (hdlsim.Dri
 	if err != nil {
 		return hdlsim.DriverStats{}, err
 	}
-	board := cosim.NewProcFederate("board", hw)
 	tsync, total := rc.TSync, rc.budget()
 	maxQ := rc.MaxQuantum
 	if maxQ == 0 {
@@ -100,13 +99,13 @@ func pairwiseLoop(tb *Testbench, hw *cosim.HWEndpoint, rc RunConfig) (hdlsim.Dri
 	var syncs, elided, now, granted, last, lastBoardCy uint64
 	sentAtGrant := uint64(0)
 	grant := func(lead uint64) error {
-		hw.SetLead(lead)
-		if _, err := board.Step(cosim.SimTime(now)); err != nil {
+		hw.SetGrantLead(lead)
+		if _, err := hw.Step(cosim.SimTime(now)); err != nil {
 			return err
 		}
 		syncs++
 		granted, sentAtGrant = now, sent()
-		lastBoardCy, _ = board.BoardTime()
+		lastBoardCy, _ = hw.BoardTime()
 		return nil
 	}
 	for now < total {
@@ -127,7 +126,7 @@ func pairwiseLoop(tb *Testbench, hw *cosim.HWEndpoint, rc RunConfig) (hdlsim.Dri
 			acc, lead := now-granted, last-granted
 			last = now
 			elide := rc.Adaptive && sent() == sentAtGrant && acc <= maxQ-tsync &&
-				acc < hw.PeerLookahead() && !tb.Finished()
+				acc < hw.Lookahead() && !tb.Finished()
 			if elide {
 				elided++
 			} else {
@@ -150,7 +149,7 @@ func pairwiseLoop(tb *Testbench, hw *cosim.HWEndpoint, rc RunConfig) (hdlsim.Dri
 	}
 	st := d.Stats()
 	st.SyncEvents, st.SyncsElided, st.LastBoardCy = syncs, elided, lastBoardCy
-	return st, board.Finish(cosim.SimTime(now))
+	return st, hw.Finish(cosim.SimTime(now))
 }
 
 // linkCounters strips the wall-clock fields from a link's metrics.

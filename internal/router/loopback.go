@@ -68,9 +68,14 @@ func (l *LoopbackEndpoint) PollData() []hdlsim.DataMsg {
 	return out
 }
 
-// SendData implements hdlsim.DriverEndpoint: slot writes are remembered;
-// a sequence-register write triggers verification of the slot it names.
-func (l *LoopbackEndpoint) SendData(m hdlsim.DataMsg) error {
+// Send implements hdlsim.DriverEndpoint: interrupts are counted and
+// ignored, slot writes are remembered, and a sequence-register write
+// triggers verification of the slot it names.
+func (l *LoopbackEndpoint) Send(m hdlsim.DataMsg) error {
+	if m.Kind == hdlsim.DataInterrupt {
+		l.ints++
+		return nil
+	}
 	if m.Kind != hdlsim.DataWrite {
 		return nil
 	}
@@ -94,12 +99,6 @@ func (l *LoopbackEndpoint) SendData(m hdlsim.DataMsg) error {
 	cp := make([]uint32, len(m.Words))
 	copy(cp, m.Words)
 	l.slots[m.Addr] = cp
-	return nil
-}
-
-// SendInterrupt implements hdlsim.DriverEndpoint (counted, ignored).
-func (l *LoopbackEndpoint) SendInterrupt(irq uint8) error {
-	l.ints++
 	return nil
 }
 

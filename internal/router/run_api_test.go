@@ -3,6 +3,8 @@ package router
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -105,5 +107,35 @@ func assertCancels(t *testing.T, rc RunConfig) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled run never returned")
+	}
+}
+
+// TestCanceledFederationReleasesGoroutines: a cancelled run finishes no
+// party, so it must shut down the kernels it built itself — the router
+// kernel's producer threads and, in-process, the boards' RTOS threads —
+// or their goroutines outlive it. Wire boards stop with their links.
+func TestCanceledFederationReleasesGoroutines(t *testing.T) {
+	rc := DefaultRunConfig()
+	rc.TB.PacketsPerPort = 10000 // far more work than the test allows to finish
+	rc.TSync = 50
+	rc.MaxCycles = 1 << 40
+	for _, inProc := range []bool{true, false} {
+		t.Run(fmt.Sprintf("inproc=%v", inProc), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			time.AfterFunc(5*time.Millisecond, cancel)
+			_, err := RunFederation(ctx, FederationConfig{Boards: 2, InProcBoards: inProc}, WithConfig(rc))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("run error %v, want one wrapping context.Canceled", err)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines outlive the cancelled run", runtime.NumGoroutine()-base)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }

@@ -2,7 +2,9 @@ package servo
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func runAt(t *testing.T, tsync uint64) Quality {
@@ -93,5 +95,22 @@ func TestQualityString(t *testing.T) {
 	q := Quality{IAE: 12, Overshoot: 0.05, FinalError: 3, Settled: true}
 	if q.String() == "" {
 		t.Fatal("empty string")
+	}
+}
+
+// TestRunReleasesPlantThreads: each run builds a plant kernel whose
+// thread processes never return on their own; the run must shut them
+// down rather than leave their goroutines behind.
+func TestRunReleasesPlantThreads(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		runAt(t, 1000)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive three runs", runtime.NumGoroutine()-base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
