@@ -63,14 +63,16 @@ transport-matrix:
 # submitted as specs through the farm and the fleet equal to their direct
 # runs, the manager's edge cases (cancellation of elongated runs
 # included), the two-party DriverSimulate wrapper, the quantum schedule
-# against its independent reference, and the kernel's driver ports — all
-# under -race.
+# against its independent reference, the kernel's driver ports, and the
+# board's side of the seam (grant traffic, its Link, the in-process
+# board federate) — all under -race.
 federation-matrix:
 	$(GO) test -race -run 'TestFederation|TestRunDispatchesFederation|TestMultiBoard|TestMultiRunReports|TestRunContextCancellation' ./internal/router/
 	$(GO) test -race -run 'TestFarmRunsFederatedSessions|TestSpec' ./internal/farm/
 	$(GO) test -race -run 'TestFleetFederatedSpec' ./internal/fleet/
 	$(GO) test -race ./internal/cosim/federation/
 	$(GO) test -race -run 'Driver' ./internal/hdlsim/
+	$(GO) test -race ./internal/board/
 
 # fleet-matrix proves the multi-host control plane under the race
 # detector: M sessions placed across K in-process hosts bit-identical to
@@ -87,9 +89,11 @@ fleet-matrix:
 fleet-smoke:
 	./scripts/fleet_smoke.sh
 
-# shm-smoke launches cosim-hw and cosim-board as two real processes
-# joined by a -shm-path link file — the cross-process rendezvous of
-# CreateShm/OpenShm that in-process tests cannot cover.
+# shm-smoke launches cosim-hw and cosim-board as two real processes,
+# joined first by a -shm-path link file — the cross-process rendezvous of
+# CreateShm/OpenShm that in-process tests cannot cover — then over TCP;
+# both must reach 100% accuracy with identical hw-side -trace transcripts
+# (timestamps stripped).
 shm-smoke:
 	./scripts/shm_smoke.sh
 

@@ -92,7 +92,6 @@ func main() {
 	if reg != nil {
 		ep.Observe(reg)
 	}
-	bs.Dev.Attach(ep)
 	fmt.Printf("cosim-board: connected to %s; OS in %v state, waiting for virtual ticks\n",
 		*connect, bs.Board.K.State())
 

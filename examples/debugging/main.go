@@ -61,7 +61,7 @@ func main() {
 
 	// Board: one request, then park.
 	brd := board.New(board.DefaultConfig())
-	dev, err := brd.NewRemoteDev("/dev/adder", regOps, 0x20, nil)
+	dev, err := brd.NewRemoteDev("/dev/adder", regOps, 0x20)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,7 +89,6 @@ func main() {
 	traced := cosim.NewTraceTransport(hwT, os.Stdout)
 	hw := cosim.NewHWEndpoint(traced, cosim.SyncAlternating)
 	bep := cosim.NewBoardEndpoint(boardT)
-	dev.Attach(bep)
 	boardDone := make(chan error, 1)
 	go func() { boardDone <- brd.Run(bep) }()
 	if _, err := federation.DriverSimulate(s, clk, hw, federation.Schedule{

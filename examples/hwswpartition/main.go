@@ -61,7 +61,7 @@ func main() {
 
 	// Board side.
 	brd := board.New(board.DefaultConfig())
-	dev, err := brd.NewRemoteDev("/dev/crc", accelBase, accel.WindowWords, nil)
+	dev, err := brd.NewRemoteDev("/dev/crc", accelBase, accel.WindowWords)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,7 +123,6 @@ func main() {
 	hwT, boardT := cosim.NewInProcPair(256)
 	hw := cosim.NewHWEndpoint(hwT, cosim.SyncAlternating)
 	bep := cosim.NewBoardEndpoint(boardT)
-	dev.Attach(bep)
 	boardDone := make(chan error, 1)
 	go func() { boardDone <- brd.Run(bep) }()
 	if _, err := federation.DriverSimulate(s, clk, hw, federation.Schedule{

@@ -75,7 +75,7 @@ func main() {
 
 	// ---- board side: RTOS, driver, application ------------------------
 	brd := board.New(board.DefaultConfig())
-	dev, err := brd.NewRemoteDev("/dev/adder", regOpA, winSize, nil)
+	dev, err := brd.NewRemoteDev("/dev/adder", regOpA, winSize)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,7 +105,6 @@ func main() {
 	hwT, boardT := cosim.NewInProcPair(256)
 	hw := cosim.NewHWEndpoint(hwT, cosim.SyncAlternating)
 	bep := cosim.NewBoardEndpoint(boardT)
-	dev.Attach(bep)
 
 	boardDone := make(chan error, 1)
 	go func() { boardDone <- brd.Run(bep) }()

@@ -9,15 +9,30 @@
 // protocol: it freezes in the OS idle state until the simulator grants a
 // quantum, advances the kernel by the granted virtual ticks, applying the
 // tunnelled device traffic at the grant's lead, and reports its local
-// time back.
+// time back. Traffic in both directions is hdlsim.DataMsg, the event the
+// simulator's kernel and the federation use: a grant carries the
+// simulator's, and the board's remote devices send theirs through the
+// board's one Link — the wire endpoint under Run, the time manager's
+// exchange under Federate.
 package board
 
 import (
 	"fmt"
 
 	"repro/internal/cosim"
+	"repro/internal/hdlsim"
 	"repro/internal/rtos"
 )
+
+// Link is the board's outbound half of the co-simulation link: its remote
+// devices send posted writes and split-phase read requests through it.
+// *cosim.BoardEndpoint implements it for a wire board; a Federate
+// substitutes a buffer the time manager exchanges at quantum boundaries.
+type Link interface {
+	Send(hdlsim.DataMsg) error
+}
+
+var _ Link = (*cosim.BoardEndpoint)(nil)
 
 // Config parameterizes the board.
 type Config struct {
@@ -59,6 +74,7 @@ type Board struct {
 	cfg Config
 
 	devs  []*RemoteDev
+	link  Link // set by Run or NewFederate
 	stats Stats
 }
 
@@ -86,34 +102,39 @@ func (b *Board) findDev(addr uint32) *RemoteDev {
 	return nil
 }
 
-// applyGrant routes the grant's tunnelled traffic: posted writes update
-// device shadow windows, read responses complete split-phase reads, and
-// interrupts are latched on the kernel's controller. Writes are applied
-// before interrupts so a DSR triggered by an IRQ observes the data that
-// accompanied it — the same ordering a real bus guarantees between a DMA
-// completion write and its interrupt.
+// applyGrant routes the grant's traffic in arrival order: a write lands
+// in its device's shadow window, a read response completes a split-phase
+// read, and an interrupt is latched on the kernel's controller. The order
+// within a grant does not matter: PostIRQ only latches, and the DSR runs
+// later, inside Advance, after every write of the grant has landed — so
+// it observes the data that accompanied its interrupt, as a real bus
+// orders a DMA completion write before its interrupt.
 func (b *Board) applyGrant(g cosim.Grant) error {
-	for _, w := range g.Writes {
-		d := b.findDev(w.Addr)
-		if d == nil {
-			return fmt.Errorf("board: simulator wrote unmapped address %#x", w.Addr)
+	for _, m := range g.Traffic {
+		switch m.Kind {
+		case hdlsim.DataWrite, hdlsim.DataReadResp:
+			d := b.findDev(m.Addr)
+			if d == nil {
+				return fmt.Errorf("board: %v for unmapped address %#x", m.Kind, m.Addr)
+			}
+			if m.Kind == hdlsim.DataReadResp {
+				d.deliverReadResp(m.Words)
+				b.stats.ReadResps++
+				continue
+			}
+			if err := d.applyWrite(m); err != nil {
+				return err
+			}
+			b.stats.WriteBlocks++
+		case hdlsim.DataInterrupt:
+			if !b.K.InterruptAttached(int(m.IRQ)) {
+				return fmt.Errorf("board: no handler attached to interrupt line %d", m.IRQ)
+			}
+			b.K.PostIRQ(int(m.IRQ))
+			b.stats.IRQsDelivered++
+		default:
+			return fmt.Errorf("board: unexpected %v message for the board", m.Kind)
 		}
-		if err := d.applyWrite(w); err != nil {
-			return err
-		}
-		b.stats.WriteBlocks++
-	}
-	for _, r := range g.ReadResps {
-		d := b.findDev(r.Addr)
-		if d == nil {
-			return fmt.Errorf("board: read response for unmapped address %#x", r.Addr)
-		}
-		d.deliverReadResp(r)
-		b.stats.ReadResps++
-	}
-	for _, irq := range g.Interrupts {
-		b.K.PostIRQ(int(irq))
-		b.stats.IRQsDelivered++
 	}
 	return nil
 }
@@ -141,7 +162,7 @@ func (b *Board) runGrant(g cosim.Grant) error {
 		return fmt.Errorf("board: grant lead %d exceeds its %d ticks", g.Lead, g.Ticks)
 	}
 	rest := g.Ticks
-	if g.Lead > 0 && len(g.Writes)+len(g.ReadResps)+len(g.Interrupts) > 0 {
+	if g.Lead > 0 && len(g.Traffic) > 0 {
 		b.K.Advance(g.Lead * b.cfg.CyclesPerGrantTick)
 		rest -= g.Lead
 	}
@@ -155,9 +176,11 @@ func (b *Board) runGrant(g cosim.Grant) error {
 }
 
 // Run executes the board side of the co-simulation until the simulator
-// finishes (or a protocol error occurs). It owns the calling goroutine.
+// finishes (or a protocol error occurs), with ep as the board's Link. It
+// owns the calling goroutine.
 func (b *Board) Run(ep *cosim.BoardEndpoint) error {
 	defer b.K.Shutdown()
+	b.link = ep
 	for {
 		g, err := ep.WaitGrant()
 		if err != nil {

@@ -1,9 +1,13 @@
 package board
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cosim"
+	"repro/internal/cosim/federation"
 	"repro/internal/hdlsim"
 	"repro/internal/rtos"
 )
@@ -24,9 +28,6 @@ func newLinked(t *testing.T, b *Board) (*cosim.HWEndpoint, chan error) {
 	hwT, boardT := cosim.NewInProcPair(256)
 	hw := cosim.NewHWEndpoint(hwT, cosim.SyncAlternating)
 	bep := cosim.NewBoardEndpoint(boardT)
-	for _, d := range b.devs {
-		d.Attach(bep)
-	}
 	done := make(chan error, 1)
 	go func() { done <- b.Run(bep) }()
 	return hw, done
@@ -90,7 +91,7 @@ func TestBoardTimeFrozenBetweenGrants(t *testing.T) {
 
 func TestRemoteDevShadowAndPostedWrites(t *testing.T) {
 	b := New(testCfg())
-	dev, err := b.NewRemoteDev("/dev/fake", 0x100, 32, nil)
+	dev, err := b.NewRemoteDev("/dev/fake", 0x100, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestRemoteDevShadowAndPostedWrites(t *testing.T) {
 
 func TestRemoteDevInterruptDelivery(t *testing.T) {
 	b := New(testCfg())
-	dev, err := b.NewRemoteDev("/dev/irqdev", 0, 8, nil)
+	dev, err := b.NewRemoteDev("/dev/irqdev", 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestRemoteDevInterruptDelivery(t *testing.T) {
 
 func TestRemoteDevSplitPhaseRead(t *testing.T) {
 	b := New(testCfg())
-	dev, err := b.NewRemoteDev("/dev/rd", 0x200, 16, nil)
+	dev, err := b.NewRemoteDev("/dev/rd", 0x200, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,13 +226,14 @@ func TestRemoteDevSplitPhaseRead(t *testing.T) {
 
 func TestRemoteDevBounds(t *testing.T) {
 	b := New(testCfg())
-	dev, err := b.NewRemoteDev("/dev/b", 0, 4, nil)
+	dev, err := b.NewRemoteDev("/dev/b", 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.NewRemoteDev("/dev/overlap", 2, 4, nil); err == nil {
+	if _, err := b.NewRemoteDev("/dev/overlap", 2, 4); err == nil {
 		t.Fatal("overlapping windows accepted")
 	}
+	f := NewFederate(b) // a live link, so only the bounds can refuse
 	var errs int
 	b.K.CreateThread("t", 10, func(c *rtos.ThreadCtx) {
 		if _, err := dev.Read(c, 2, make([]uint32, 3)); err != nil {
@@ -243,13 +245,146 @@ func TestRemoteDevBounds(t *testing.T) {
 		if err := dev.PostReadReq(c, 3, 2); err != nil {
 			errs++
 		}
+		// off+count wraps to 0 in 32 bits.
+		if err := dev.PostReadReq(c, 1, 0xFFFFFFFF); err != nil {
+			errs++
+		}
 		c.Exit()
 	})
 	b.K.Advance(10000)
-	if errs != 3 {
-		t.Fatalf("%d bounds errors, want 3", errs)
+	if errs != 4 {
+		t.Fatalf("%d bounds errors, want 4", errs)
 	}
+	if out, _ := f.Exchange(nil); len(out) != 0 {
+		t.Fatalf("out-of-window accesses reached the link: %+v", out)
+	}
+	func() {
+		defer func() {
+			if r := recover(); !strings.Contains(fmt.Sprint(r), "outside window") {
+				t.Errorf("AppendShadowBlock(1, 0xFFFFFFFF) panicked with %v, want its window check", r)
+			}
+		}()
+		dev.AppendShadowBlock(nil, 1, 0xFFFFFFFF)
+	}()
 	b.K.Shutdown()
+}
+
+// emitter is an eager federation party that emits its events at its
+// first exchange and otherwise only keeps time.
+type emitter struct{ out []hdlsim.DataMsg }
+
+func (e *emitter) Exchange([]hdlsim.DataMsg) ([]hdlsim.DataMsg, error) {
+	out := e.out
+	e.out = nil
+	return out, nil
+}
+func (e *emitter) Step(until cosim.SimTime) (cosim.SimTime, error) { return until, nil }
+func (e *emitter) Lookahead() uint64                               { return cosim.NoLookahead }
+func (e *emitter) Done() bool                                      { return false }
+func (e *emitter) Finish(cosim.SimTime) error                      { return nil }
+
+// runFederated runs b in-process as party "board" of a federation whose
+// other party emits events, routed to the board by one link covering
+// every address and the lines of events' interrupts.
+func runFederated(b *Board, events ...hdlsim.DataMsg) error {
+	var irqs []uint8
+	for _, m := range events {
+		if m.Kind == hdlsim.DataInterrupt {
+			irqs = append(irqs, m.IRQ)
+		}
+	}
+	tm, err := federation.New(federation.Config{
+		Parties: []federation.Party{
+			{Name: "dev", Fed: &emitter{out: events}, Eager: true},
+			{Name: "board", Fed: NewFederate(b)},
+		},
+		Links:    []federation.Link{{From: 0, To: 1, Size: ^uint32(0), IRQs: irqs}},
+		Schedule: federation.Schedule{TSync: 10, TotalCycles: 30},
+	})
+	if err != nil {
+		return err
+	}
+	_, err = tm.Run(context.Background())
+	return err
+}
+
+// TestGrantRejectsBadInterrupt: an interrupt line outside the vector or
+// without a handler fails the board with an error naming the line, on a
+// wire board and on an in-process one, instead of panicking the kernel.
+func TestGrantRejectsBadInterrupt(t *testing.T) {
+	for _, irq := range []uint8{40, 7} {
+		b := New(testCfg())
+		b.K.AttachInterrupt(3, nil, nil)
+		hw, done := newLinked(t, b)
+		if err := hw.Send(hdlsim.DataMsg{Kind: hdlsim.DataInterrupt, IRQ: irq}); err != nil {
+			t.Fatal(err)
+		}
+		if err := hw.BeginStep(10); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("interrupt line %d", irq)
+		if err := <-done; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("wire board, IRQ %d: Run returned %v, want an error naming %q", irq, err, want)
+		}
+
+		b = New(testCfg())
+		b.K.AttachInterrupt(3, nil, nil)
+		err := runFederated(b, hdlsim.DataMsg{Kind: hdlsim.DataInterrupt, IRQ: irq})
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), `party "board"`) {
+			t.Errorf("in-process board, IRQ %d: run returned %v, want an error naming party \"board\" and %q", irq, err, want)
+		}
+	}
+}
+
+// TestBoardRefusesReadRequest: a read request is board-to-simulator
+// traffic only; a grant carrying one fails the board, on the wire and
+// in-process.
+func TestBoardRefusesReadRequest(t *testing.T) {
+	hwT, boardT := cosim.NewInProcPair(8)
+	done := make(chan error, 1)
+	go func() { done <- New(testCfg()).Run(cosim.NewBoardEndpoint(boardT)) }()
+	if err := hwT.Send(cosim.ChanData, cosim.Msg{Type: cosim.MTDataReadReq, Addr: 4, Count: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := hwT.Send(cosim.ChanClock, cosim.Msg{Type: cosim.MTClockGrant, Ticks: 10, HWCycle: 10, DataCount: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err == nil || !strings.Contains(err.Error(), cosim.MTDataReadReq.String()) {
+		t.Errorf("wire board: Run returned %v, want a refused %v", err, cosim.MTDataReadReq)
+	}
+
+	b := New(testCfg())
+	if _, err := b.NewRemoteDev("/dev/rd", 0, 8); err != nil {
+		t.Fatal(err)
+	}
+	err := runFederated(b, hdlsim.DataMsg{Kind: hdlsim.DataReadReq, Addr: 4, Count: 1})
+	if err == nil || !strings.Contains(err.Error(), hdlsim.DataReadReq.String()) || !strings.Contains(err.Error(), `party "board"`) {
+		t.Errorf("in-process board: run returned %v, want party \"board\" refusing a %v", err, hdlsim.DataReadReq)
+	}
+}
+
+// TestInterruptBeforeWriteSeesData: a grant listing an interrupt before
+// the write it announces still shows the DSR the written value, because
+// PostIRQ only latches and the DSR runs in the advance that follows.
+func TestInterruptBeforeWriteSeesData(t *testing.T) {
+	b := New(testCfg())
+	dev, err := b.NewRemoteDev("/dev/irqdev", 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dsrData []uint32
+	b.K.AttachInterrupt(3, nil, func() { dsrData = append(dsrData, dev.PeekShadow(0)) })
+	f := NewFederate(b)
+	if _, err := f.Exchange([]hdlsim.DataMsg{{Kind: hdlsim.DataInterrupt, IRQ: 3}, toDM(0, []uint32{0x55})}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Step(10); err != nil {
+		t.Fatal(err)
+	}
+	if len(dsrData) != 1 || dsrData[0] != 0x55 {
+		t.Fatalf("DSR observed %v, want the write listed after its IRQ", dsrData)
+	}
+	f.Finish(10)
 }
 
 func TestWatchdogBarksWithoutKicks(t *testing.T) {
@@ -325,7 +460,7 @@ func TestGrantLeadPlacesTraffic(t *testing.T) {
 	if len(at) != 2 || at[0] != 0 || at[1] != 5000 {
 		t.Fatalf("interrupts delivered at board cycles %v, want [0 5000]", at)
 	}
-	if err := New(testCfg()).runGrant(cosim.Grant{Ticks: 30, Lead: 31, Interrupts: []uint8{3}}); err == nil {
+	if err := New(testCfg()).runGrant(cosim.Grant{Ticks: 30, Lead: 31, Traffic: []hdlsim.DataMsg{{Kind: hdlsim.DataInterrupt, IRQ: 3}}}); err == nil {
 		t.Fatal("grant with lead 31 > 30 ticks accepted")
 	}
 }

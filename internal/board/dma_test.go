@@ -3,7 +3,7 @@ package board
 import (
 	"testing"
 
-	"repro/internal/cosim"
+	"repro/internal/hdlsim"
 	"repro/internal/rtos"
 )
 
@@ -12,12 +12,12 @@ import (
 func dmaBoard(t *testing.T, wordsPerTick int) (*Board, *RemoteDev, *DMA) {
 	t.Helper()
 	b := New(testCfg())
-	dev, err := b.NewRemoteDev("/dev/buf", 0, 64, nil)
+	dev, err := b.NewRemoteDev("/dev/buf", 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := uint32(0); i < 64; i++ {
-		if err := dev.applyWrite(cosim.RegBlock{Addr: i, Words: []uint32{i * 3}}); err != nil {
+		if err := dev.applyWrite(hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: i, Words: []uint32{i * 3}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,56 +11,34 @@ import (
 // of a federation. Instead of blocking on a wire endpoint for grants
 // (Board.Run), the board advances when the time manager steps it: the
 // kernel runs the granted ticks, applying the inbound events staged by
-// Exchange at the grant's lead (SetGrantLead) in the same bus order as
-// a wire grant (writes, then read responses, then interrupts), and the
-// traffic its remote device drivers posted during the advance is
-// collected by the next Exchange.
+// Exchange at the grant's lead (SetGrantLead) as a wire grant's traffic,
+// and the traffic its remote devices sent during the advance is collected
+// by the next Exchange.
 type Federate struct {
 	b    *Board
-	link fedLink
 	cur  cosim.SimTime
 	lead uint64 // of the next Step, see SetGrantLead
 
-	// staged inbound, applied at the next Step
-	writes []cosim.RegBlock
-	reads  []cosim.RegBlock
-	irqs   []uint8
-
-	out []hdlsim.DataMsg // swap buffer for the link's posted traffic
+	staged []hdlsim.DataMsg // inbound, applied at the next Step
+	posted outbox           // outbound, the board's Link
+	out    []hdlsim.DataMsg // swap buffer for posted
 }
 
-// NewFederate wraps the board as a federate and attaches its local link
-// to every remote device registered so far, replacing any wire endpoint;
-// devices created later must Attach the federate's Link themselves.
+// NewFederate wraps the board as a federate and makes the federate's
+// outbox the board's Link.
 func NewFederate(b *Board) *Federate {
 	f := &Federate{b: b}
-	for _, d := range b.devs {
-		d.Attach(&f.link)
-	}
+	b.link = &f.posted
 	return f
 }
 
-// Link returns the DevLink remote devices post through.
-func (f *Federate) Link() DevLink { return &f.link }
-
 // Exchange implements cosim.Federate: inbound events are staged for the
-// next Step, outbound posted traffic since the last call is returned.
-// The returned slice is reused by the next Exchange.
+// next Step, outbound traffic since the last call is returned. The
+// returned slice is reused by the next Exchange.
 func (f *Federate) Exchange(in []hdlsim.DataMsg) ([]hdlsim.DataMsg, error) {
-	for _, m := range in {
-		switch m.Kind {
-		case hdlsim.DataWrite:
-			f.writes = append(f.writes, cosim.RegBlock{Addr: m.Addr, Words: m.Words})
-		case hdlsim.DataReadResp:
-			f.reads = append(f.reads, cosim.RegBlock{Addr: m.Addr, Words: m.Words})
-		case hdlsim.DataInterrupt:
-			f.irqs = append(f.irqs, m.IRQ)
-		default:
-			return nil, fmt.Errorf("board: unexpected %v message for the board", m.Kind)
-		}
-	}
-	out := f.link.posted
-	f.link.posted = f.out[:0]
+	f.staged = append(f.staged, in...)
+	out := f.posted
+	f.posted = f.out[:0]
 	f.out = out
 	return out, nil
 }
@@ -76,11 +54,10 @@ func (f *Federate) Step(until cosim.SimTime) (cosim.SimTime, error) {
 	if until < f.cur {
 		return f.cur, fmt.Errorf("board: step backwards (%d < %d)", until, f.cur)
 	}
-	g := cosim.Grant{Ticks: uint64(until - f.cur), Lead: f.lead, Writes: f.writes, ReadResps: f.reads, Interrupts: f.irqs}
-	if err := f.b.runGrant(g); err != nil {
+	if err := f.b.runGrant(cosim.Grant{Ticks: uint64(until - f.cur), Lead: f.lead, Traffic: f.staged}); err != nil {
 		return f.cur, err
 	}
-	f.writes, f.reads, f.irqs = f.writes[:0], f.reads[:0], f.irqs[:0]
+	f.staged = f.staged[:0]
 	f.cur = until
 	return f.cur, nil
 }
@@ -102,26 +79,17 @@ func (f *Federate) BoardTime() (cycle, swTick uint64) {
 	return f.b.K.Cycles(), f.b.K.SWTick()
 }
 
-// fedLink buffers the board's outbound posted traffic between exchanges.
-type fedLink struct {
-	posted []hdlsim.DataMsg
-}
+// outbox buffers the board's outbound traffic between exchanges.
+type outbox []hdlsim.DataMsg
 
-// PostWrite implements DevLink; like the wire endpoint, it takes
-// ownership of words (the slice stays in flight until the peer's next
-// quantum).
-func (l *fedLink) PostWrite(addr uint32, words []uint32) error {
-	l.posted = append(l.posted, hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: addr, Words: words})
-	return nil
-}
-
-// PostReadReq implements DevLink.
-func (l *fedLink) PostReadReq(addr, count uint32) error {
-	l.posted = append(l.posted, hdlsim.DataMsg{Kind: hdlsim.DataReadReq, Addr: addr, Count: count})
+// Send implements Link; like the wire endpoint, it takes ownership of
+// m.Words (the slice stays in flight until the peer's next quantum).
+func (o *outbox) Send(m hdlsim.DataMsg) error {
+	*o = append(*o, m)
 	return nil
 }
 
 var _ cosim.Federate = (*Federate)(nil)
 var _ cosim.BoardClock = (*Federate)(nil)
 var _ cosim.LeadSink = (*Federate)(nil)
-var _ DevLink = (*fedLink)(nil)
+var _ Link = (*outbox)(nil)

@@ -2,8 +2,9 @@ package board
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/cosim"
+	"repro/internal/hdlsim"
 	"repro/internal/rtos"
 )
 
@@ -22,26 +23,14 @@ import (
 // Interrupts from the device arrive over the INT channel and are latched
 // on the kernel's interrupt controller by Board.applyGrant; the
 // application attaches its ISR/DSR pair with Kernel.AttachInterrupt as for
-// any physical device.
-// DevLink is the outbound half of the co-simulation link a RemoteDev
-// posts through: immediate posted writes and split-phase read requests.
-// *cosim.BoardEndpoint implements it for a wire-attached board; a
-// federated in-process board (see Federate) substitutes a local buffer
-// that the time manager exchanges at quantum boundaries.
-type DevLink interface {
-	PostWrite(addr uint32, words []uint32) error
-	PostReadReq(addr, count uint32) error
-}
-
-var _ DevLink = (*cosim.BoardEndpoint)(nil)
-
+// any physical device. Outbound traffic goes through the board's Link,
+// which Board.Run or NewFederate sets.
 type RemoteDev struct {
 	name string
 	base uint32
 	size uint32
 
 	b      *Board
-	ep     DevLink
 	shadow []uint32
 
 	respQ [][]uint32 // completed split-phase reads, FIFO
@@ -51,24 +40,20 @@ type RemoteDev struct {
 
 // NewRemoteDev creates the driver for a simulated device whose registers
 // occupy [base, base+size) word addresses, registers it with the kernel,
-// and returns it. ep may be set later with Attach (the standalone board
-// binary connects after boot).
-func (b *Board) NewRemoteDev(name string, base, size uint32, ep DevLink) (*RemoteDev, error) {
+// and returns it.
+func (b *Board) NewRemoteDev(name string, base, size uint32) (*RemoteDev, error) {
 	for _, d := range b.devs {
 		if base < d.base+d.size && d.base < base+size {
 			return nil, fmt.Errorf("board: device %q overlaps %q", name, d.name)
 		}
 	}
-	d := &RemoteDev{name: name, base: base, size: size, b: b, ep: ep, shadow: make([]uint32, size)}
+	d := &RemoteDev{name: name, base: base, size: size, b: b, shadow: make([]uint32, size)}
 	if err := b.K.RegisterDriver(d); err != nil {
 		return nil, err
 	}
 	b.devs = append(b.devs, d)
 	return d, nil
 }
-
-// Attach connects the driver to the co-simulation link.
-func (d *RemoteDev) Attach(ep DevLink) { d.ep = ep }
 
 // Name implements rtos.Driver.
 func (d *RemoteDev) Name() string { return d.name }
@@ -101,11 +86,11 @@ func (d *RemoteDev) Write(c *rtos.ThreadCtx, off uint32, buf []uint32) (int, err
 	if int(off)+len(buf) > int(d.size) {
 		return 0, fmt.Errorf("board: %s: write [%d,%d) outside window", d.name, off, int(off)+len(buf))
 	}
-	if d.ep == nil {
-		return 0, fmt.Errorf("board: %s: not attached to a co-simulation endpoint", d.name)
+	if d.b.link == nil {
+		return 0, fmt.Errorf("board: %s: not attached to a co-simulation link", d.name)
 	}
 	c.Charge(d.b.cfg.MMIOWriteCost * uint64(len(buf)))
-	if err := d.ep.PostWrite(d.base+off, buf); err != nil {
+	if err := d.b.link.Send(hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: d.base + off, Words: buf}); err != nil {
 		return 0, err
 	}
 	return len(buf), nil
@@ -114,14 +99,14 @@ func (d *RemoteDev) Write(c *rtos.ThreadCtx, off uint32, buf []uint32) (int, err
 // PostReadReq issues a split-phase remote read (bypassing the shadow); the
 // response is retrieved later with TakeReadResp.
 func (d *RemoteDev) PostReadReq(c *rtos.ThreadCtx, off, count uint32) error {
-	if off+count > d.size {
-		return fmt.Errorf("board: %s: remote read outside window", d.name)
+	if uint64(off)+uint64(count) > uint64(d.size) {
+		return fmt.Errorf("board: %s: remote read [%d,+%d) outside window", d.name, off, count)
 	}
-	if d.ep == nil {
-		return fmt.Errorf("board: %s: not attached", d.name)
+	if d.b.link == nil {
+		return fmt.Errorf("board: %s: not attached to a co-simulation link", d.name)
 	}
 	c.Charge(d.b.cfg.MMIOWriteCost)
-	return d.ep.PostReadReq(d.base+off, count)
+	return d.b.link.Send(hdlsim.DataMsg{Kind: hdlsim.DataReadReq, Addr: d.base + off, Count: count})
 }
 
 // TakeReadResp pops the oldest completed split-phase read, if any.
@@ -151,23 +136,23 @@ func (d *RemoteDev) PeekShadowBlock(off, count uint32) []uint32 {
 // AppendShadowBlock appends count shadow words starting at off to dst; the
 // allocation-free form for DSRs that reuse a scratch buffer.
 func (d *RemoteDev) AppendShadowBlock(dst []uint32, off, count uint32) []uint32 {
-	if off+count > d.size {
+	if uint64(off)+uint64(count) > uint64(d.size) {
 		panic(fmt.Sprintf("board: %s: PeekShadowBlock outside window", d.name))
 	}
 	return append(dst, d.shadow[off:off+count]...)
 }
 
-func (d *RemoteDev) applyWrite(w cosim.RegBlock) error {
-	off := w.Addr - d.base
-	if int(off)+len(w.Words) > int(d.size) {
-		return fmt.Errorf("board: %s: simulator write [%#x,+%d) overflows window", d.name, w.Addr, len(w.Words))
+// applyWrite lands a simulator write, whose Addr lies in the window, in
+// the shadow copy.
+func (d *RemoteDev) applyWrite(m hdlsim.DataMsg) error {
+	off := m.Addr - d.base
+	if int(off)+len(m.Words) > int(d.size) {
+		return fmt.Errorf("board: %s: simulator write [%#x,+%d) overflows window", d.name, m.Addr, len(m.Words))
 	}
-	copy(d.shadow[off:], w.Words)
+	copy(d.shadow[off:], m.Words)
 	return nil
 }
 
-func (d *RemoteDev) deliverReadResp(r cosim.RegBlock) {
-	cp := make([]uint32, len(r.Words))
-	copy(cp, r.Words)
-	d.respQ = append(d.respQ, cp)
+func (d *RemoteDev) deliverReadResp(words []uint32) {
+	d.respQ = append(d.respQ, slices.Clone(words))
 }

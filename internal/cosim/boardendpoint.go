@@ -3,61 +3,42 @@ package cosim
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/hdlsim"
 )
 
 // Grant is one quantum handed to the board: the number of virtual ticks to
-// run plus the cross-traffic the simulator emitted during its own quantum,
+// run plus the events the simulator emitted during its own quantum,
 // already drained from the DATA and INT channels in deterministic order.
 type Grant struct {
 	// Ticks is the number of virtual ticks the board may advance.
 	Ticks uint64
 	// HWCycle is the simulator's cycle count at the grant.
 	HWCycle uint64
-	// Writes are simulator-initiated register writes (posted data).
-	Writes []RegBlock
-	// ReadResps answer read requests the board posted in an earlier
-	// quantum.
-	ReadResps []RegBlock
-	// Interrupts lists interrupt lines raised during the quantum, in
-	// delivery order.
-	Interrupts []uint8
+	// Traffic is the simulator's writes, read responses and interrupts,
+	// in arrival order (a wire grant lists its DATA frames, then its INT
+	// frames). BoardEndpoint reuses the slice at the next WaitGrant.
+	Traffic []hdlsim.DataMsg
 	// Lead is where the traffic lands: the board runs Lead ticks, applies
-	// Writes, ReadResps and Interrupts, then runs the rest (see
-	// Msg.Lookahead). Lead ≤ Ticks.
+	// Traffic, then runs the rest (see Msg.Lookahead). Lead ≤ Ticks.
 	Lead uint64
 	// Finished is true when the simulator ended the co-simulation; all
 	// other fields are zero.
 	Finished bool
 }
 
-// RegBlock is a contiguous block of register words starting at Addr.
-type RegBlock struct {
-	Addr  uint32
-	Words []uint32
-}
-
 // BoardEndpoint is the board side of the link: it consumes clock grants,
-// exposes the tunnelled device traffic, and reports board time back. It is
-// driven by the board's co-simulation loop (see package board).
+// exposes the tunnelled device traffic, sends the board's own (Send) and
+// reports board time back. It is driven by the board's co-simulation loop
+// (see package board).
 type BoardEndpoint struct {
-	tr       Transport
-	dataSent uint32
-	m        Metrics
-	lv       *live // optional live instruments, set by Observe
+	endpoint
+	traffic []hdlsim.DataMsg // the last grant's Traffic, reused
 }
 
 // NewBoardEndpoint wraps a transport for the board side.
 func NewBoardEndpoint(tr Transport) *BoardEndpoint {
-	ep := &BoardEndpoint{tr: tr}
-	ep.m.Start()
-	return ep
-}
-
-// Metrics returns the link counters, harvesting resilience/chaos
-// counters from the transport stack.
-func (ep *BoardEndpoint) Metrics() *Metrics {
-	ep.m.harvestLink(ep.tr)
-	return &ep.m
+	return &BoardEndpoint{endpoint: newEndpoint(tr, "board", boardKinds, hwKinds)}
 }
 
 // WaitGrant blocks until the simulator issues the next quantum (or ends
@@ -88,64 +69,15 @@ func (ep *BoardEndpoint) WaitGrant() (Grant, error) {
 	ep.m.TicksGranted += g.Ticks
 	ep.lv.observeSync(wait)
 	ep.lv.addTicks(g.Ticks)
-	for i := uint32(0); i < m.DataCount; i++ {
-		dm, err := ep.tr.Recv(ChanData) //cosim:owns -- dm.Words is retained in the returned Grant; the board consumes it within the quantum
-		if err != nil {
-			return Grant{}, err
-		}
-		ep.m.DataRecv++
-		ep.lv.incDataRecv()
-		blk := RegBlock{Addr: dm.Addr, Words: dm.Words}
-		switch dm.Type {
-		case MTDataWrite:
-			g.Writes = append(g.Writes, blk)
-		case MTDataReadResp:
-			g.ReadResps = append(g.ReadResps, blk)
-		default:
-			dm.Release()
-			return Grant{}, fmt.Errorf("cosim: unexpected %v from simulator on DATA", dm.Type)
-		}
+	ep.traffic, err = ep.drain(ep.traffic[:0], ChanData, m.DataCount, 0)
+	if err == nil {
+		ep.traffic, err = ep.drain(ep.traffic, ChanInt, m.IntCount, 0)
 	}
-	for i := uint32(0); i < m.IntCount; i++ {
-		im, err := ep.tr.Recv(ChanInt)
-		if err != nil {
-			return Grant{}, err
-		}
-		if im.Type != MTInterrupt {
-			im.Release()
-			return Grant{}, fmt.Errorf("cosim: expected interrupt on INT, got %v", im.Type)
-		}
-		ep.m.IntRecv++
-		ep.lv.incIntRecv()
-		g.Interrupts = append(g.Interrupts, im.IRQ)
-		im.Release() // interrupt frame carries only scalars
+	if err != nil {
+		return Grant{}, err
 	}
+	g.Traffic = ep.traffic
 	return g, nil
-}
-
-// PostWrite sends a board-initiated register write to the simulated
-// device. It is delivered to the simulator at the next quantum boundary.
-func (ep *BoardEndpoint) PostWrite(addr uint32, words []uint32) error {
-	m := Msg{Type: MTDataWrite, Addr: addr, Words: words}
-	ep.dataSent++
-	ep.m.DataSent++
-	ep.m.BytesSent += uint64(m.WireSize())
-	ep.lv.incDataSent()
-	ep.lv.addBytes(uint64(m.WireSize()))
-	return ep.tr.Send(ChanData, m)
-}
-
-// PostReadReq sends a split-phase read request for count words at addr;
-// the response arrives in a later Grant's ReadResps (one-to-two quantum
-// latency, like any posted bus bridge).
-func (ep *BoardEndpoint) PostReadReq(addr, count uint32) error {
-	m := Msg{Type: MTDataReadReq, Addr: addr, Count: count}
-	ep.dataSent++
-	ep.m.DataSent++
-	ep.m.BytesSent += uint64(m.WireSize())
-	ep.lv.incDataSent()
-	ep.lv.addBytes(uint64(m.WireSize()))
-	return ep.tr.Send(ChanData, m)
 }
 
 // Ack reports that the board finished its quantum at the given local cycle
@@ -162,16 +94,11 @@ func (ep *BoardEndpoint) Ack(boardCycle, swTick, lookahead uint64) error {
 		DataCount:  ep.dataSent,
 	}
 	ep.dataSent = 0
-	ep.m.BytesSent += uint64(m.WireSize())
-	ep.lv.addBytes(uint64(m.WireSize()))
-	return ep.tr.Send(ChanClock, m)
+	return ep.sendFrame(ChanClock, m)
 }
 
 // FinishAck acknowledges shutdown, reporting final board time.
 func (ep *BoardEndpoint) FinishAck(boardCycle, swTick uint64) error {
 	defer ep.m.StopClock()
-	m := Msg{Type: MTFinishAck, BoardCycle: boardCycle, SWTick: swTick}
-	ep.m.BytesSent += uint64(m.WireSize())
-	ep.lv.addBytes(uint64(m.WireSize()))
-	return ep.tr.Send(ChanClock, m)
+	return ep.sendFrame(ChanClock, Msg{Type: MTFinishAck, BoardCycle: boardCycle, SWTick: swTick})
 }

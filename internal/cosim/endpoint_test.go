@@ -1,6 +1,7 @@
 package cosim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/hdlsim"
@@ -37,11 +38,12 @@ func scriptedBoard(t *testing.T, ep *BoardEndpoint, echo bool) chan struct {
 				}{grants, err}
 				return
 			}
+			g.Traffic = slices.Clone(g.Traffic) // WaitGrant reuses the slice
 			grants = append(grants, g)
 			cycle += g.Ticks
 			tick++
 			if echo {
-				if err := ep.PostWrite(0x10, []uint32{uint32(g.Ticks)}); err != nil {
+				if err := ep.Send(hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: 0x10, Words: []uint32{uint32(g.Ticks)}}); err != nil {
 					out <- struct {
 						grants []Grant
 						err    error
@@ -97,16 +99,17 @@ func runRendezvous(t *testing.T, mode SyncMode) {
 	if len(r.grants) != 3 {
 		t.Fatalf("board saw %d grants, want 3", len(r.grants))
 	}
-	// The write+interrupt sent during HW quantum 2 ride grant 2.
+	// The write+interrupt sent during HW quantum 2 ride grant 2, DATA
+	// before INT.
 	g := r.grants[1]
-	if len(g.Writes) != 1 || g.Writes[0].Addr != 0x20 || g.Writes[0].Words[0] != 42 {
-		t.Fatalf("grant 2 writes: %+v", g.Writes)
+	if len(g.Traffic) != 2 || g.Traffic[0].Kind != hdlsim.DataWrite || g.Traffic[0].Addr != 0x20 || g.Traffic[0].Words[0] != 42 {
+		t.Fatalf("grant 2 traffic: %+v", g.Traffic)
 	}
-	if len(g.Interrupts) != 1 || g.Interrupts[0] != 5 {
-		t.Fatalf("grant 2 interrupts: %+v", g.Interrupts)
+	if g.Traffic[1].Kind != hdlsim.DataInterrupt || g.Traffic[1].IRQ != 5 {
+		t.Fatalf("grant 2 interrupt: %+v", g.Traffic[1])
 	}
-	if len(r.grants[0].Writes) != 0 || len(r.grants[2].Writes) != 0 {
-		t.Fatalf("stray writes on grants 1/3: %+v", r.grants)
+	if len(r.grants[0].Traffic) != 0 || len(r.grants[2].Traffic) != 0 {
+		t.Fatalf("stray traffic on grants 1/3: %+v", r.grants)
 	}
 	// Board echoed one write per quantum; all three must reach HW by
 	// Finish regardless of mode.
@@ -260,7 +263,7 @@ func TestBoardReadReqFlow(t *testing.T) {
 	board := NewBoardEndpoint(boardT)
 
 	done := make(chan error, 1)
-	var resps []RegBlock
+	var resps []hdlsim.DataMsg
 	go func() {
 		for {
 			g, err := board.WaitGrant()
@@ -272,9 +275,9 @@ func TestBoardReadReqFlow(t *testing.T) {
 				done <- board.FinishAck(0, 0)
 				return
 			}
-			resps = append(resps, g.ReadResps...)
+			resps = append(resps, g.Traffic...)
 			if g.HWCycle == 10 { // first quantum: fire the read
-				if err := board.PostReadReq(0x50, 2); err != nil {
+				if err := board.Send(hdlsim.DataMsg{Kind: hdlsim.DataReadReq, Addr: 0x50, Count: 2}); err != nil {
 					done <- err
 					return
 				}
@@ -307,7 +310,7 @@ func TestBoardReadReqFlow(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if len(resps) != 1 || resps[0].Addr != 0x50 || len(resps[0].Words) != 2 || resps[0].Words[1] != 22 {
+	if len(resps) != 1 || resps[0].Kind != hdlsim.DataReadResp || resps[0].Addr != 0x50 || len(resps[0].Words) != 2 || resps[0].Words[1] != 22 {
 		t.Fatalf("board read responses: %+v", resps)
 	}
 	hwT.Close()

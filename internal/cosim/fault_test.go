@@ -126,6 +126,55 @@ func TestHWEndpointRejectsWrongOutboundKind(t *testing.T) {
 	hwT.Close()
 }
 
+// TestBoardEndpointRejectsWrongOutboundKind: the board side can only send
+// writes and read requests, and a refused event is not counted.
+func TestBoardEndpointRejectsWrongOutboundKind(t *testing.T) {
+	_, boardT := NewInProcPair(8)
+	be := NewBoardEndpoint(boardT)
+	for _, d := range []hdlsim.DataMsg{
+		{Kind: hdlsim.DataInterrupt, IRQ: 3},
+		{Kind: hdlsim.DataReadResp, Addr: 1, Words: []uint32{1}},
+	} {
+		if err := be.Send(d); err == nil {
+			t.Errorf("board-side %v accepted", d.Kind)
+		}
+	}
+	if m := be.Metrics(); m.DataSent+m.IntSent+m.BytesSent != 0 || be.dataSent+be.intSent != 0 {
+		t.Fatalf("refused sends were counted: %+v", m)
+	}
+	boardT.Close()
+}
+
+// TestDrainRejectsMisplacedFrames: a frame on the wrong channel, or of a
+// kind its sender cannot send, fails the drain on either side.
+func TestDrainRejectsMisplacedFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ch   Channel
+		m    Msg
+	}{
+		{"read response from the board", ChanData, Msg{Type: MTDataReadResp, Addr: 1, Words: []uint32{1}}},
+		{"interrupt on DATA", ChanData, Msg{Type: MTInterrupt, IRQ: 3}},
+	} {
+		hwT, boardT := NewInProcPair(8)
+		hw := NewHWEndpoint(hwT, SyncAlternating)
+		boardT.Send(tc.ch, tc.m)
+		boardT.Send(ChanClock, Msg{Type: MTTimeAck, DataCount: 1})
+		if _, err := hw.Step(1); err == nil {
+			t.Errorf("hw side accepted %s", tc.name)
+		}
+		hwT.Close()
+	}
+	hwT, boardT := NewInProcPair(8)
+	be := NewBoardEndpoint(boardT)
+	hwT.Send(ChanInt, Msg{Type: MTDataWrite, Addr: 1, Words: []uint32{1}})
+	hwT.Send(ChanClock, Msg{Type: MTClockGrant, Ticks: 1, IntCount: 1})
+	if _, err := be.WaitGrant(); err == nil {
+		t.Error("board side accepted a write on INT")
+	}
+	hwT.Close()
+}
+
 // TestDelayTransportPreservesSemantics: the latency wrapper must not
 // reorder or drop messages.
 func TestDelayTransportPreservesSemantics(t *testing.T) {

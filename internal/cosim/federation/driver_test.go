@@ -31,7 +31,7 @@ func scriptedBoard(tr cosim.Transport, postAt uint64) <-chan []uint64 {
 			ticks = append(ticks, g.Ticks)
 			cycle += g.Ticks
 			if cycle == postAt {
-				bep.PostWrite(0x10, []uint32{0xbeef})
+				bep.Send(hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: 0x10, Words: []uint32{0xbeef}})
 			}
 			if bep.Ack(cycle, cycle, cosim.NoLookahead) != nil {
 				return

@@ -38,7 +38,8 @@ func (m SyncMode) String() string {
 
 // HWEndpoint is the hardware-simulator side of the link: the
 // grant-issuing end of the v3 wire protocol, over any transport kind. It
-// implements hdlsim.DriverEndpoint (the DATA and INT ports), so a kernel
+// implements hdlsim.DriverEndpoint (the DATA and INT ports, through the
+// Send and drain it shares with BoardEndpoint), so a kernel
 // can be stepped directly over it, and Federate, so the time manager sees
 // the remote process — typically a board — as a granted party: Exchange
 // puts inbound events on the DATA/INT channels, Step grants the quantum
@@ -51,16 +52,11 @@ func (m SyncMode) String() string {
 // two-party federation puts the same bytes on the wire as that kernel
 // would.
 type HWEndpoint struct {
-	tr   Transport
+	endpoint
 	mode SyncMode
 
 	cur   SimTime // time granted so far
 	begun bool    // BeginStep already sent the grant for the next Step
-
-	// Counters of messages sent since the last grant; the next grant
-	// carries them so the board drains exactly that many.
-	dataSent uint32
-	intSent  uint32
 
 	// visible holds board DATA messages released to the kernel at the
 	// last consumed acknowledgement.
@@ -84,23 +80,11 @@ type HWEndpoint struct {
 	// and announced data). Zero blocks indefinitely. Set it to detect a
 	// crashed or wedged board instead of hanging the simulation.
 	AckTimeout time.Duration
-
-	m  Metrics
-	lv *live // optional live instruments, set by Observe
 }
 
 // NewHWEndpoint wraps a transport for the simulator side.
 func NewHWEndpoint(tr Transport, mode SyncMode) *HWEndpoint {
-	ep := &HWEndpoint{tr: tr, mode: mode}
-	ep.m.Start()
-	return ep
-}
-
-// Metrics returns the link counters (valid after the run), harvesting
-// resilience/chaos counters from the transport stack.
-func (ep *HWEndpoint) Metrics() *Metrics {
-	ep.m.harvestLink(ep.tr)
-	return &ep.m
+	return &HWEndpoint{endpoint: newEndpoint(tr, "hw", hwKinds, boardKinds), mode: mode}
 }
 
 // BoardTime implements BoardClock: the board's local cycle and software
@@ -119,35 +103,6 @@ func (ep *HWEndpoint) PollData() []hdlsim.DataMsg {
 	out := ep.visible
 	ep.visible = nil
 	return out
-}
-
-// Send implements hdlsim.DriverEndpoint: writes and read responses go
-// out on DATA, interrupts on INT.
-func (ep *HWEndpoint) Send(d hdlsim.DataMsg) error {
-	if d.Kind == hdlsim.DataInterrupt {
-		m := Msg{Type: MTInterrupt, IRQ: d.IRQ}
-		ep.intSent++
-		ep.m.IntSent++
-		ep.m.BytesSent += uint64(m.WireSize())
-		ep.lv.incIntSent()
-		ep.lv.addBytes(uint64(m.WireSize()))
-		return ep.tr.Send(ChanInt, m)
-	}
-	m := Msg{Addr: d.Addr, Count: d.Count, Words: d.Words}
-	switch d.Kind {
-	case hdlsim.DataWrite:
-		m.Type = MTDataWrite
-	case hdlsim.DataReadResp:
-		m.Type = MTDataReadResp
-	default:
-		return fmt.Errorf("cosim: simulator cannot send %v on DATA", d.Kind)
-	}
-	ep.dataSent++
-	ep.m.DataSent++
-	ep.m.BytesSent += uint64(m.WireSize())
-	ep.lv.incDataSent()
-	ep.lv.addBytes(uint64(m.WireSize()))
-	return ep.tr.Send(ChanData, m)
 }
 
 // Exchange implements Federate: inbound events are sent on the wire
@@ -205,9 +160,7 @@ func (ep *HWEndpoint) sendGrant(ticks, hwCycle uint64) error {
 		IntCount:  ep.intSent,
 	}
 	ep.dataSent, ep.intSent = 0, 0
-	ep.m.BytesSent += uint64(grant.WireSize())
-	ep.lv.addBytes(uint64(grant.WireSize()))
-	if err := ep.tr.Send(ChanClock, grant); err != nil {
+	if err := ep.sendFrame(ChanClock, grant); err != nil {
 		return err
 	}
 	ep.outstanding++
@@ -252,20 +205,8 @@ func (ep *HWEndpoint) consumeAck() error {
 	ep.lastLookahead = ack.Lookahead
 	ack.Release() // ack frame carries only scalars
 	ep.outstanding--
-	for i := uint32(0); i < ack.DataCount; i++ {
-		dm, err := RecvTimeout(ep.tr, ChanData, ep.AckTimeout)
-		if err != nil {
-			return err
-		}
-		ep.m.DataRecv++
-		ep.lv.incDataRecv()
-		conv, err := toKernelMsg(dm)
-		if err != nil {
-			return err
-		}
-		ep.visible = append(ep.visible, conv)
-	}
-	return nil
+	ep.visible, err = ep.drain(ep.visible, ChanData, ack.DataCount, ep.AckTimeout)
+	return err
 }
 
 // Lookahead implements Federate: the board's promise, in grant ticks,
@@ -284,17 +225,6 @@ func (ep *HWEndpoint) Lookahead() uint64 {
 // the next grant.
 func (ep *HWEndpoint) SetGrantLead(ticks uint64) { ep.lead = ticks }
 
-func toKernelMsg(m Msg) (hdlsim.DataMsg, error) {
-	switch m.Type {
-	case MTDataWrite:
-		return hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: m.Addr, Words: m.Words}, nil
-	case MTDataReadReq:
-		return hdlsim.DataMsg{Kind: hdlsim.DataReadReq, Addr: m.Addr, Count: m.Count}, nil
-	default:
-		return hdlsim.DataMsg{}, fmt.Errorf("cosim: unexpected %v from board on DATA", m.Type)
-	}
-}
-
 // Finish implements Federate: the MTFinish/MTFinishAck shutdown
 // handshake at final time at. It drains any outstanding acknowledgement,
 // tells the board the simulation is over, and waits for its final
@@ -308,10 +238,7 @@ func (ep *HWEndpoint) Finish(at SimTime) error {
 			return err
 		}
 	}
-	fin := Msg{Type: MTFinish, HWCycle: uint64(at)}
-	ep.m.BytesSent += uint64(fin.WireSize())
-	ep.lv.addBytes(uint64(fin.WireSize()))
-	if err := ep.tr.Send(ChanClock, fin); err != nil {
+	if err := ep.sendFrame(ChanClock, Msg{Type: MTFinish, HWCycle: uint64(at)}); err != nil {
 		return err
 	}
 	ack, err := RecvTimeout(ep.tr, ChanClock, ep.AckTimeout)

@@ -95,32 +95,6 @@ func (l *live) addBytes(n uint64) {
 	}
 }
 
-// Observe publishes the endpoint's hot-path counters and the CLOCK
-// rendezvous latency histogram into reg under side="hw". Call it before
-// the run starts; it is not safe to call concurrently with the run.
-func (ep *HWEndpoint) Observe(reg *obs.Registry) { ep.ObserveAs(reg, "hw") }
-
-// ObserveAs is Observe with an explicit side label — a federation
-// publishes each wire party's link under its federate name, so per-party
-// rendezvous latency and traffic counters stay distinguishable.
-func (ep *HWEndpoint) ObserveAs(reg *obs.Registry, side string) {
-	ep.lv = newLive(reg, side)
-	observeTransportStack(reg, ep.tr, side)
-}
-
-// Observe publishes the endpoint's hot-path counters and the CLOCK
-// rendezvous latency histogram into reg under side="board". Call it
-// before the run starts; it is not safe to call concurrently with the
-// run.
-func (ep *BoardEndpoint) Observe(reg *obs.Registry) { ep.ObserveAs(reg, "board") }
-
-// ObserveAs is Observe with an explicit side label (see
-// HWEndpoint.ObserveAs).
-func (ep *BoardEndpoint) ObserveAs(reg *obs.Registry, side string) {
-	ep.lv = newLive(reg, side)
-	observeTransportStack(reg, ep.tr, side)
-}
-
 // Instrumentable is the single instrumentation hook shared by endpoints,
 // transport layers and the farm: anything that can publish its counters
 // into a registry implements it. Endpoint Observe walks the transport

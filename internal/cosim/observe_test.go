@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/hdlsim"
 	"repro/internal/obs"
 )
 
@@ -82,7 +83,7 @@ func TestEndpointObservePublishesLive(t *testing.T) {
 				if g.Finished {
 					return bep.FinishAck(1, 1)
 				}
-				if err := bep.PostWrite(0x10, []uint32{1, 2}); err != nil {
+				if err := bep.Send(hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: 0x10, Words: []uint32{1, 2}}); err != nil {
 					return err
 				}
 				if err := bep.Ack(g.HWCycle, 1, NoLookahead); err != nil {

@@ -95,7 +95,7 @@ func measureIRQLatency(tsync uint64, count int) ([]uint64, error) {
 	bcfg.RTOS = rtos.Config{CyclesPerTick: cyclesPerTk, HWTicksPerSWTick: 1}
 	bcfg.CyclesPerGrantTick = cyclesPerTk
 	brd := board.New(bcfg)
-	dev, err := brd.NewRemoteDev("/dev/stamp", stampReg, echoReg+1, nil)
+	dev, err := brd.NewRemoteDev("/dev/stamp", stampReg, echoReg+1)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +114,6 @@ func measureIRQLatency(tsync uint64, count int) ([]uint64, error) {
 	hwT, boardT := cosim.NewInProcPair(256)
 	hw := cosim.NewHWEndpoint(hwT, cosim.SyncAlternating)
 	bep := cosim.NewBoardEndpoint(boardT)
-	dev.Attach(bep)
 	done := make(chan error, 1)
 	go func() { done <- brd.Run(bep) }()
 	_, err = federation.DriverSimulate(s, clk, hw, federation.Schedule{

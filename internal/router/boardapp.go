@@ -179,7 +179,7 @@ func (a *BoardApp) serve(c *rtos.ThreadCtx) {
 		if valid {
 			verdict = 1
 		}
-		// The verdict pair is allocated per packet on purpose: PostWrite may
+		// The verdict pair is allocated per packet on purpose: the link may
 		// keep the slice in flight across quanta, so a reused scratch here
 		// would alias live wire data.
 		if _, err := a.dev.Write(c, RegVerdictBase, []uint32{seq, verdict}); err != nil {

@@ -280,10 +280,9 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 			return res, berr
 		}
 		if i == 0 {
-			// Register the pulse windows and their counting DSRs before
-			// the board attaches to its link.
+			// Register the pulse windows and their counting DSRs.
 			for p := 0; p < fc.PulseDevices; p++ {
-				pdev, derr := bs.Board.NewRemoteDev(fmt.Sprintf("/dev/pulse%d", p), PulseBase(p), PulseStride, nil)
+				pdev, derr := bs.Board.NewRemoteDev(fmt.Sprintf("/dev/pulse%d", p), PulseBase(p), PulseStride)
 				if derr != nil {
 					abort()
 					return res, derr
@@ -323,7 +322,6 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 					bep.ObserveAs(rc.Obs, name+":board")
 				}
 			}
-			bs.Dev.Attach(bep)
 			clocks = append(clocks, ep)
 			parties = append(parties, federation.Party{Name: name, Fed: ep})
 			go func(bs *BoardSide) { boardDone <- bs.Board.Run(bep) }(bs)

@@ -49,7 +49,6 @@ func pairwiseReference(t *testing.T, rc RunConfig) RunResult {
 	defer boardClose()
 	hw := cosim.NewHWEndpoint(hwT, rc.Mode)
 	bep := cosim.NewBoardEndpoint(boardT)
-	bs.Dev.Attach(bep)
 	boardDone := make(chan error, 1)
 	go func() { boardDone <- bs.Board.Run(bep) }()
 	st, err := pairwiseLoop(tb, hw, rc)

@@ -173,7 +173,7 @@ type BoardSide struct {
 func BuildBoardSide(bcfg board.Config, acfg AppConfig) (*BoardSide, error) {
 	b := board.New(bcfg)
 	dev, err := b.NewRemoteDev(fmt.Sprintf("/dev/router%d", acfg.Engine),
-		EngineBase(acfg.Engine), WindowSize, nil)
+		EngineBase(acfg.Engine), WindowSize)
 	if err != nil {
 		return nil, err
 	}

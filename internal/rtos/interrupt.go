@@ -142,6 +142,12 @@ func (k *Kernel) PostIRQ(irq int) {
 	k.irq.pend |= 1 << irq
 }
 
+// InterruptAttached reports whether irq is a line of the vector with a
+// handler attached, i.e. whether PostIRQ accepts it.
+func (k *Kernel) InterruptAttached(irq int) bool {
+	return irq >= 0 && irq < NumIRQs && k.irq.lines[irq].attached
+}
+
 // IRQPending reports whether the vector is latched (for tests/diagnostics).
 func (k *Kernel) IRQPending(irq int) bool {
 	checkIRQ(irq)

@@ -240,7 +240,7 @@ func RunWithTrace(rc RunConfig) (Quality, []float64, error) {
 	}, clk.Posedge()).DontInitialize()
 
 	brd := board.New(rc.BoardCfg)
-	dev, err := brd.NewRemoteDev("/dev/axis", RegPosition, WindowWords, nil)
+	dev, err := brd.NewRemoteDev("/dev/axis", RegPosition, WindowWords)
 	if err != nil {
 		return q, nil, err
 	}
@@ -249,7 +249,6 @@ func RunWithTrace(rc RunConfig) (Quality, []float64, error) {
 	hwT, boardT := cosim.NewInProcPair(1024)
 	hw := cosim.NewHWEndpoint(hwT, cosim.SyncAlternating)
 	bep := cosim.NewBoardEndpoint(boardT)
-	dev.Attach(bep)
 	done := make(chan error, 1)
 	go func() { done <- brd.Run(bep) }()
 	start := time.Now()

@@ -1,45 +1,90 @@
 #!/bin/sh
-# Cross-process shared-memory smoke test: cosim-hw creates the link file
-# (-shm-path, CreateShm), cosim-board attaches to it from a second
-# process (OpenShm), and the run must report 100% packet accuracy.
-# The in-repo tests cover NewShmPair inside one process; this script is
-# the only place the creator/opener rendezvous runs across a real
-# process boundary, exactly as a user would launch it.
+# Cross-process link smoke test: cosim-hw and cosim-board run as two real
+# processes, first over shared memory, then over TCP.
+#
+#  - shm: cosim-hw creates the link file (-shm-path, CreateShm) and
+#    cosim-board attaches to it (OpenShm). The in-repo tests cover
+#    NewShmPair inside one process; this is the only place the
+#    creator/opener rendezvous runs across a real process boundary.
+#  - tcp: cosim-hw listens on a free loopback port and cosim-board dials
+#    the address it prints, the paper's two-host deployment shape.
+#
+# Both runs must report 100% packet accuracy, and their hw-side protocol
+# traces (-trace) must match line for line once the wall-clock timestamp
+# column is stripped: the wire traffic does not depend on the transport.
 #
 # Usage: scripts/shm_smoke.sh   (from the repository root)
 set -eu
 
 dir=$(mktemp -d)
-trap 'rm -rf "$dir"' EXIT
+hw=
+cleanup() {
+    [ -n "$hw" ] && kill "$hw" 2>/dev/null || true
+    rm -rf "$dir"
+}
+trap cleanup EXIT
 path="$dir/link.shm"
 
 go build -o "$dir/cosim-hw" ./cmd/cosim-hw
 go build -o "$dir/cosim-board" ./cmd/cosim-board
 
-"$dir/cosim-hw" -shm-path "$path" -n 40 -tsync 500 >"$dir/hw.log" 2>&1 &
-hw=$!
+# wait_for FILE PATTERN WHAT: poll until FILE contains PATTERN; this only
+# bounds how long we wait for cosim-hw to start at all.
+wait_for() {
+    i=0
+    until grep -q "$2" "$1" 2>/dev/null; do
+        i=$((i + 1))
+        if [ "$i" -gt 100 ]; then
+            echo "link smoke: $3 never appeared" >&2
+            cat "$dir"/*.log >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+}
 
-# Wait for the link file to appear before attaching. The board also
-# retries internally while the segment header is being stamped, so this
-# loop only bounds how long we wait for cosim-hw to start at all.
+# check NAME: the hw side of run NAME reported 100% accuracy.
+check() {
+    if ! grep -q "accuracy=100.0%" "$dir/$1-hw.log"; then
+        echo "link smoke: $1 hw side did not report 100% accuracy" >&2
+        cat "$dir/$1-hw.log" "$dir/$1-board.log" >&2
+        exit 1
+    fi
+}
+
+"$dir/cosim-hw" -shm-path "$path" -n 40 -tsync 500 -trace "$dir/shm.trace" >"$dir/shm-hw.log" 2>&1 &
+hw=$!
+# The board also retries internally while the segment header is being
+# stamped, so it only needs the file to exist.
 i=0
 while [ ! -e "$path" ]; do
     i=$((i + 1))
     if [ "$i" -gt 100 ]; then
-        echo "shm smoke: link file never appeared" >&2
-        cat "$dir/hw.log" >&2
-        kill "$hw" 2>/dev/null || true
+        echo "link smoke: shm link file never appeared" >&2
+        cat "$dir/shm-hw.log" >&2
         exit 1
     fi
     sleep 0.1
 done
-
-"$dir/cosim-board" -shm-path "$path" >"$dir/board.log" 2>&1
+"$dir/cosim-board" -shm-path "$path" >"$dir/shm-board.log" 2>&1
 wait "$hw"
+hw=
+check shm
 
-if ! grep -q "accuracy=100.0%" "$dir/hw.log"; then
-    echo "shm smoke: hw side did not report 100% accuracy" >&2
-    cat "$dir/hw.log" "$dir/board.log" >&2
+"$dir/cosim-hw" -listen 127.0.0.1:0 -n 40 -tsync 500 -trace "$dir/tcp.trace" >"$dir/tcp-hw.log" 2>&1 &
+hw=$!
+wait_for "$dir/tcp-hw.log" "listening on" "cosim-hw listen address"
+addr=$(sed -n 's/^cosim-hw: listening on \([^ ]*\) .*/\1/p' "$dir/tcp-hw.log")
+"$dir/cosim-board" -connect "$addr" >"$dir/tcp-board.log" 2>&1
+wait "$hw"
+hw=
+check tcp
+
+cut -d' ' -f2- "$dir/shm.trace" >"$dir/shm.stripped"
+cut -d' ' -f2- "$dir/tcp.trace" >"$dir/tcp.stripped"
+if ! cmp -s "$dir/shm.stripped" "$dir/tcp.stripped"; then
+    echo "link smoke: shm and tcp hw-side traces differ" >&2
+    diff "$dir/shm.stripped" "$dir/tcp.stripped" | head -20 >&2
     exit 1
 fi
-echo "shm smoke: OK (cross-process CreateShm/OpenShm link verified)"
+echo "shm smoke: OK (cross-process CreateShm/OpenShm and TCP links verified, $(wc -l <"$dir/tcp.stripped") identical trace lines)"
