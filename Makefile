@@ -64,8 +64,8 @@ transport-matrix:
 # runs, the manager's edge cases (cancellation of elongated runs
 # included), the two-party DriverSimulate wrapper, the quantum schedule
 # against its independent reference, the kernel's driver ports, and the
-# board's side of the seam (grant traffic, its Link, the in-process
-# board federate) — all under -race.
+# board's side of the seam (grant traffic, the board as the federate and
+# Run driving it over a wire, both modes agreeing) — all under -race.
 federation-matrix:
 	$(GO) test -race -run 'TestFederation|TestRunDispatchesFederation|TestMultiBoard|TestMultiRunReports|TestRunContextCancellation' ./internal/router/
 	$(GO) test -race -run 'TestFarmRunsFederatedSessions|TestSpec' ./internal/farm/
@@ -92,15 +92,16 @@ fleet-smoke:
 # shm-smoke launches cosim-hw and cosim-board as two real processes,
 # joined first by a -shm-path link file — the cross-process rendezvous of
 # CreateShm/OpenShm that in-process tests cannot cover — then over TCP;
-# both must reach 100% accuracy with identical hw-side -trace transcripts
-# (timestamps stripped).
+# both must reach 100% accuracy with identical hw-side and board-side
+# -trace transcripts (timestamps stripped).
 shm-smoke:
 	./scripts/shm_smoke.sh
 
 # examples-smoke runs every example program and fails on any nonzero
-# exit: quickstart, debugging, hwswpartition and servo on the two-party
-# DriverSimulate wrapper; chaos, dse and dualboard through router.Run /
-# RunFederation; homogeneous in one HDL kernel with an ISS core; and
+# exit: quickstart, hwswpartition and servo with the board itself the
+# granted party of the two-party DriverSimulate wrapper, debugging with
+# the board behind an in-memory wire; chaos, dse and dualboard through
+# router.Run / RunFederation; homogeneous in one HDL kernel with an ISS core; and
 # router's loopback replay with its waveform written to a temp
 # directory. Several self-check and exit nonzero on wrong results
 # (quickstart, debugging, hwswpartition log.Fatal; chaos compares its

@@ -30,7 +30,6 @@ import (
 	"repro/internal/accel"
 	"repro/internal/board"
 	"repro/internal/checksum"
-	"repro/internal/cosim"
 	"repro/internal/cosim/federation"
 	"repro/internal/hdlsim"
 	"repro/internal/iss"
@@ -119,21 +118,14 @@ func main() {
 		c.Exit()
 	})
 
-	// Link and run.
-	hwT, boardT := cosim.NewInProcPair(256)
-	hw := cosim.NewHWEndpoint(hwT, cosim.SyncAlternating)
-	bep := cosim.NewBoardEndpoint(boardT)
-	boardDone := make(chan error, 1)
-	go func() { boardDone <- brd.Run(bep) }()
-	if _, err := federation.DriverSimulate(s, clk, hw, federation.Schedule{
+	// Run the two sides.
+	if _, err := federation.DriverSimulate(s, clk, brd, federation.Schedule{
 		TSync:       *tsync,
 		TotalCycles: 2_000_000,
 		StopEarly:   func() bool { return finished },
 	}); err != nil {
 		log.Fatal(err)
 	}
-	hwT.Close()
-	<-boardDone
 
 	fmt.Printf("CRC-16 partitioning study (Tsync = %d cycles, offload latency ≈ 1–2 quanta)\n\n", *tsync)
 	fmt.Printf("%8s  %12s  %12s  %12s  %s\n", "bytes", "SW [cycles]", "HW busy", "HW elapsed", "latency winner")

@@ -1,5 +1,6 @@
 // Quickstart: co-simulate a tiny hardware adder with software on the
-// virtual board, in one process over the in-memory transport.
+// virtual board, in one process: the board is the simulator's granted
+// party, stepped directly by the federation's time manager.
 //
 // The hardware side is an HDL model with the paper's driver ports: a
 // driver_in receives two operands from the board, the adder computes for
@@ -17,7 +18,6 @@ import (
 	"log"
 
 	"repro/internal/board"
-	"repro/internal/cosim"
 	"repro/internal/cosim/federation"
 	"repro/internal/hdlsim"
 	"repro/internal/rtos"
@@ -101,15 +101,8 @@ func main() {
 		c.Exit()
 	})
 
-	// ---- link the two sides and run ------------------------------------
-	hwT, boardT := cosim.NewInProcPair(256)
-	hw := cosim.NewHWEndpoint(hwT, cosim.SyncAlternating)
-	bep := cosim.NewBoardEndpoint(boardT)
-
-	boardDone := make(chan error, 1)
-	go func() { boardDone <- brd.Run(bep) }()
-
-	stats, err := federation.DriverSimulate(s, clk, hw, federation.Schedule{
+	// ---- run the two sides -------------------------------------------
+	stats, err := federation.DriverSimulate(s, clk, brd, federation.Schedule{
 		TSync:       50,
 		TotalCycles: 2000,
 		StopEarly:   func() bool { return len(results) == 3 },
@@ -117,8 +110,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hwT.Close()
-	<-boardDone
 
 	fmt.Printf("\nco-simulation finished: %d cycles, %d syncs, %d interrupts\n",
 		stats.Cycles, stats.SyncEvents, stats.Interrupts)

@@ -5,15 +5,15 @@
 // driver* through which application software reaches hardware that only
 // exists inside the simulator on the other end of the co-simulation link.
 //
-// The board's main loop (Run) is the slave side of the virtual-tick
-// protocol: it freezes in the OS idle state until the simulator grants a
-// quantum, advances the kernel by the granted virtual ticks, applying the
-// tunnelled device traffic at the grant's lead, and reports its local
-// time back. Traffic in both directions is hdlsim.DataMsg, the event the
-// simulator's kernel and the federation use: a grant carries the
-// simulator's, and the board's remote devices send theirs through the
-// board's one Link — the wire endpoint under Run, the time manager's
-// exchange under Federate.
+// A Board is the slave side of the virtual-tick protocol, and it is a
+// cosim.Federate: it freezes in the OS idle state until it is granted a
+// quantum (Step), advances the kernel by the granted virtual ticks,
+// applying the device traffic staged by Exchange at the grant's lead,
+// and hands back, at the next Exchange, the traffic its remote devices
+// posted meanwhile. Traffic in both directions is hdlsim.DataMsg, the
+// event the simulator's kernel and the federation use. The time manager
+// steps a Board in-process; Run drives the same steps from a wire
+// endpoint's grants, so a board behind a link runs the same code.
 package board
 
 import (
@@ -23,16 +23,6 @@ import (
 	"repro/internal/hdlsim"
 	"repro/internal/rtos"
 )
-
-// Link is the board's outbound half of the co-simulation link: its remote
-// devices send posted writes and split-phase read requests through it.
-// *cosim.BoardEndpoint implements it for a wire board; a Federate
-// substitutes a buffer the time manager exchanges at quantum boundaries.
-type Link interface {
-	Send(hdlsim.DataMsg) error
-}
-
-var _ Link = (*cosim.BoardEndpoint)(nil)
 
 // Config parameterizes the board.
 type Config struct {
@@ -74,8 +64,13 @@ type Board struct {
 	cfg Config
 
 	devs  []*RemoteDev
-	link  Link // set by Run or NewFederate
 	stats Stats
+
+	cur    cosim.SimTime    // virtual time granted so far
+	lead   uint64           // of the next Step, see SetGrantLead
+	staged []hdlsim.DataMsg // inbound, applied at the next Step
+	outbox []hdlsim.DataMsg // posted by the remote devices since the last Exchange
+	out    []hdlsim.DataMsg // swap buffer for outbox
 }
 
 // New creates a board and boots its kernel.
@@ -95,22 +90,22 @@ func (b *Board) Stats() Stats { return b.stats }
 // findDev returns the remote device whose window covers addr.
 func (b *Board) findDev(addr uint32) *RemoteDev {
 	for _, d := range b.devs {
-		if addr >= d.base && addr < d.base+d.size {
+		if hdlsim.InWindow(addr, d.base, d.size) {
 			return d
 		}
 	}
 	return nil
 }
 
-// applyGrant routes the grant's traffic in arrival order: a write lands
+// apply routes a grant's traffic in arrival order: a write lands
 // in its device's shadow window, a read response completes a split-phase
 // read, and an interrupt is latched on the kernel's controller. The order
 // within a grant does not matter: PostIRQ only latches, and the DSR runs
 // later, inside Advance, after every write of the grant has landed — so
 // it observes the data that accompanied its interrupt, as a real bus
 // orders a DMA completion write before its interrupt.
-func (b *Board) applyGrant(g cosim.Grant) error {
-	for _, m := range g.Traffic {
+func (b *Board) apply(traffic []hdlsim.DataMsg) error {
+	for _, m := range traffic {
 		switch m.Kind {
 		case hdlsim.DataWrite, hdlsim.DataReadResp:
 			d := b.findDev(m.Addr)
@@ -152,35 +147,83 @@ func (b *Board) Lookahead() uint64 {
 	return bound / b.cfg.CyclesPerGrantTick
 }
 
-// runGrant advances the kernel through one grant. A grant carrying
-// traffic runs its lead ticks first, then applies the traffic and runs
-// the rest, so the traffic lands at the start of the simulator quantum
-// that produced it; the schedule only elongates a grant over ticks in
-// which the board promised to stay idle.
-func (b *Board) runGrant(g cosim.Grant) error {
-	if g.Lead > g.Ticks {
-		return fmt.Errorf("board: grant lead %d exceeds its %d ticks", g.Lead, g.Ticks)
+// Exchange implements cosim.Federate: inbound events are staged for the
+// next Step, and the traffic the remote devices posted since the last
+// call is returned. Words ownership passes with each event; the returned
+// slice is reused by the next Exchange.
+func (b *Board) Exchange(in []hdlsim.DataMsg) ([]hdlsim.DataMsg, error) {
+	b.staged = append(b.staged, in...)
+	out := b.outbox
+	b.outbox = b.out[:0]
+	b.out = out
+	return out, nil
+}
+
+// SetGrantLead implements cosim.LeadSink: the next Step applies the
+// staged traffic ticks into its grant.
+func (b *Board) SetGrantLead(ticks uint64) { b.lead = ticks }
+
+// Step implements cosim.Federate: one grant of the ticks up to until. A
+// grant carrying staged traffic runs its lead ticks first, then applies
+// the traffic and runs the rest, so the traffic lands at the start of
+// the simulator quantum that produced it; the schedule only elongates a
+// grant over ticks in which the board promised to stay idle.
+func (b *Board) Step(until cosim.SimTime) (cosim.SimTime, error) {
+	if until < b.cur {
+		return b.cur, fmt.Errorf("board: step backwards (%d < %d)", until, b.cur)
 	}
-	rest := g.Ticks
-	if g.Lead > 0 && len(g.Traffic) > 0 {
-		b.K.Advance(g.Lead * b.cfg.CyclesPerGrantTick)
-		rest -= g.Lead
+	ticks := uint64(until - b.cur)
+	if b.lead > ticks {
+		return b.cur, fmt.Errorf("board: grant lead %d exceeds its %d ticks", b.lead, ticks)
 	}
-	if err := b.applyGrant(g); err != nil {
-		return err
+	rest := ticks
+	if b.lead > 0 && len(b.staged) > 0 {
+		b.K.Advance(b.lead * b.cfg.CyclesPerGrantTick)
+		rest -= b.lead
 	}
+	if err := b.apply(b.staged); err != nil {
+		return b.cur, err
+	}
+	b.staged = b.staged[:0]
 	b.stats.Grants++
-	b.stats.TicksGranted += g.Ticks
+	b.stats.TicksGranted += ticks
 	b.K.Advance(rest * b.cfg.CyclesPerGrantTick)
+	b.cur = until
+	return until, nil
+}
+
+// Done implements cosim.Federate: a board never ends the run on its own.
+func (b *Board) Done() bool { return false }
+
+// Finish implements cosim.Federate: it releases the kernel's threads.
+func (b *Board) Finish(at cosim.SimTime) error {
+	b.K.Shutdown()
 	return nil
 }
 
-// Run executes the board side of the co-simulation until the simulator
-// finishes (or a protocol error occurs), with ep as the board's Link. It
-// owns the calling goroutine.
-func (b *Board) Run(ep *cosim.BoardEndpoint) error {
-	defer b.K.Shutdown()
-	b.link = ep
+// BoardTime implements cosim.BoardClock.
+func (b *Board) BoardTime() (cycle, swTick uint64) {
+	return b.K.Cycles(), b.K.SWTick()
+}
+
+// post queues one event from a remote device for the next Exchange.
+func (b *Board) post(m hdlsim.DataMsg) { b.outbox = append(b.outbox, m) }
+
+// Run drives the board from ep until the simulator finishes (or a
+// protocol error occurs); it owns the calling goroutine. Each grant takes
+// the time manager's path — its traffic staged, its lead set, one Step —
+// and the traffic posted during the grant goes on the wire ahead of the
+// acknowledgement. The grant's traffic is staged in place and the outbox
+// drained without Exchange's swap, as nothing else exchanges with a board
+// Run owns. A failed board closes ep, so the simulator's wait for the
+// acknowledgement fails instead of blocking.
+func (b *Board) Run(ep *cosim.BoardEndpoint) (err error) {
+	defer func() {
+		b.K.Shutdown()
+		if err != nil {
+			ep.Close()
+		}
+	}()
 	for {
 		g, err := ep.WaitGrant()
 		if err != nil {
@@ -189,11 +232,23 @@ func (b *Board) Run(ep *cosim.BoardEndpoint) error {
 		if g.Finished {
 			return ep.FinishAck(b.K.Cycles(), b.K.SWTick())
 		}
-		if err := b.runGrant(g); err != nil {
+		b.SetGrantLead(g.Lead)
+		b.staged = g.Traffic
+		if _, err := b.Step(b.cur + cosim.SimTime(g.Ticks)); err != nil {
 			return err
 		}
+		for _, m := range b.outbox {
+			if err := ep.Send(m); err != nil {
+				return err
+			}
+		}
+		b.outbox = b.outbox[:0]
 		if err := ep.Ack(b.K.Cycles(), b.K.SWTick(), b.Lookahead()); err != nil {
 			return err
 		}
 	}
 }
+
+var _ cosim.Federate = (*Board)(nil)
+var _ cosim.BoardClock = (*Board)(nil)
+var _ cosim.LeadSink = (*Board)(nil)

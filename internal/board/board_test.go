@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cosim"
 	"repro/internal/cosim/federation"
 	"repro/internal/hdlsim"
 	"repro/internal/rtos"
+	"repro/internal/sim"
 )
 
 func testCfg() Config {
@@ -233,7 +235,6 @@ func TestRemoteDevBounds(t *testing.T) {
 	if _, err := b.NewRemoteDev("/dev/overlap", 2, 4); err == nil {
 		t.Fatal("overlapping windows accepted")
 	}
-	f := NewFederate(b) // a live link, so only the bounds can refuse
 	var errs int
 	b.K.CreateThread("t", 10, func(c *rtos.ThreadCtx) {
 		if _, err := dev.Read(c, 2, make([]uint32, 3)); err != nil {
@@ -255,7 +256,7 @@ func TestRemoteDevBounds(t *testing.T) {
 	if errs != 4 {
 		t.Fatalf("%d bounds errors, want 4", errs)
 	}
-	if out, _ := f.Exchange(nil); len(out) != 0 {
+	if out, _ := b.Exchange(nil); len(out) != 0 {
 		t.Fatalf("out-of-window accesses reached the link: %+v", out)
 	}
 	func() {
@@ -296,7 +297,7 @@ func runFederated(b *Board, events ...hdlsim.DataMsg) error {
 	tm, err := federation.New(federation.Config{
 		Parties: []federation.Party{
 			{Name: "dev", Fed: &emitter{out: events}, Eager: true},
-			{Name: "board", Fed: NewFederate(b)},
+			{Name: "board", Fed: b},
 		},
 		Links:    []federation.Link{{From: 0, To: 1, Size: ^uint32(0), IRQs: irqs}},
 		Schedule: federation.Schedule{TSync: 10, TotalCycles: 30},
@@ -374,17 +375,16 @@ func TestInterruptBeforeWriteSeesData(t *testing.T) {
 	}
 	var dsrData []uint32
 	b.K.AttachInterrupt(3, nil, func() { dsrData = append(dsrData, dev.PeekShadow(0)) })
-	f := NewFederate(b)
-	if _, err := f.Exchange([]hdlsim.DataMsg{{Kind: hdlsim.DataInterrupt, IRQ: 3}, toDM(0, []uint32{0x55})}); err != nil {
+	if _, err := b.Exchange([]hdlsim.DataMsg{{Kind: hdlsim.DataInterrupt, IRQ: 3}, toDM(0, []uint32{0x55})}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Step(10); err != nil {
+	if _, err := b.Step(10); err != nil {
 		t.Fatal(err)
 	}
 	if len(dsrData) != 1 || dsrData[0] != 0x55 {
 		t.Fatalf("DSR observed %v, want the write listed after its IRQ", dsrData)
 	}
-	f.Finish(10)
+	b.Finish(10)
 }
 
 func TestWatchdogBarksWithoutKicks(t *testing.T) {
@@ -460,7 +460,219 @@ func TestGrantLeadPlacesTraffic(t *testing.T) {
 	if len(at) != 2 || at[0] != 0 || at[1] != 5000 {
 		t.Fatalf("interrupts delivered at board cycles %v, want [0 5000]", at)
 	}
-	if err := New(testCfg()).runGrant(cosim.Grant{Ticks: 30, Lead: 31, Traffic: []hdlsim.DataMsg{{Kind: hdlsim.DataInterrupt, IRQ: 3}}}); err == nil {
+	b = New(testCfg())
+	b.SetGrantLead(31)
+	if _, err := b.Step(30); err == nil {
 		t.Fatal("grant with lead 31 > 30 ticks accepted")
+	}
+}
+
+// TestRemoteDevWindowAtTopOfAddressSpace: a device window ending exactly
+// at 2³² receives simulator writes, and a window overlapping it is
+// rejected.
+func TestRemoteDevWindowAtTopOfAddressSpace(t *testing.T) {
+	b := New(testCfg())
+	dev, err := b.NewRemoteDev("/dev/top", 0xFFFFFFF0, 0x10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.NewRemoteDev("/dev/overlap", 0xFFFFFFF8, 4); err == nil {
+		t.Fatal("window overlapping the one ending at 2³² accepted")
+	}
+	b.Exchange([]hdlsim.DataMsg{toDM(0xFFFFFFF4, []uint32{7})})
+	if _, err := b.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := dev.PeekShadow(4); got != 7 {
+		t.Fatalf("shadow word 4 = %d, want the write to 0xfffffff4", got)
+	}
+	b.Finish(1)
+}
+
+// irqKernel is a kernel that raises interrupt line irq on every clock
+// edge.
+func irqKernel(irq uint8) (*hdlsim.Simulator, *hdlsim.Clock) {
+	s := hdlsim.NewSimulator("irq")
+	clk := s.NewClock("clk", sim.NS(10))
+	s.Method("raise", func() { s.RaiseDriverInterrupt(irq) }, clk.Posedge()).DontInitialize()
+	return s, clk
+}
+
+// TestFailedBoardDoesNotHang: a board that fails under DriverSimulate —
+// here on an interrupt line with no handler — fails the run within a
+// deadline, whether it runs behind a wire (Run closes its link) or is
+// the granted party itself (its error names the line).
+func TestFailedBoardDoesNotHang(t *testing.T) {
+	const want = "interrupt line 40"
+	for _, wire := range []bool{true, false} {
+		b := New(testCfg())
+		var party cosim.Federate = b
+		var boardDone chan error
+		if wire {
+			party, boardDone = newLinked(t, b)
+		}
+		s, clk := irqKernel(40)
+		done := make(chan error, 1)
+		go func() {
+			_, err := federation.DriverSimulate(s, clk, party, federation.Schedule{TSync: 10, TotalCycles: 100})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("wire=%v: DriverSimulate succeeded with an unattached IRQ 40", wire)
+			}
+			if !wire && !strings.Contains(err.Error(), want) {
+				t.Errorf("direct board: DriverSimulate returned %v, want an error naming %q", err, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("wire=%v: DriverSimulate still blocked 5 s after the board failed", wire)
+		}
+		if wire {
+			if err := <-boardDone; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("wire board: Run returned %v, want an error naming %q", err, want)
+			}
+		}
+	}
+}
+
+// agreeApp is a board program exercising every kind of board traffic:
+// each round posts a write, waits for the interrupt the simulator raises
+// in answer, and fetches a register with a split-phase read; a second
+// interrupt line counts the simulator's own periodic beats, which land
+// inside elongated grants at their lead. It records what the DSRs and
+// the reads saw, and the board cycles at which they saw it.
+type agreeApp struct {
+	dsrSeen, readSeen []uint32
+	at                []uint64
+}
+
+// Register map of the agreement test: the board writes the round number
+// to agreeCmd; the kernel answers with 3×n posted to agreeEcho and
+// raises agreeIRQ, and exposes 2×n at agreeEcho for the board to read.
+// Every agreeBeat cycles the kernel posts its beat count to agreeBeatReg
+// and raises agreeBeatIRQ.
+const (
+	agreeBase    = 0x10
+	agreeCmd     = 0x10
+	agreeEcho    = 0x20
+	agreeBeatReg = 0x21
+	agreeIRQ     = 3
+	agreeBeatIRQ = 4
+	agreeBeat    = 37
+)
+
+func newAgreeApp(t *testing.T, b *Board) *agreeApp {
+	a := &agreeApp{}
+	dev, err := b.NewRemoteDev("/dev/agree", agreeBase, 0x20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sem := b.K.NewSemaphore("irq", 0)
+	b.K.AttachInterrupt(agreeIRQ, nil, func() {
+		a.dsrSeen = append(a.dsrSeen, dev.PeekShadow(agreeEcho-agreeBase))
+		a.at = append(a.at, b.K.Cycles())
+		sem.Post()
+	})
+	b.K.AttachInterrupt(agreeBeatIRQ, nil, func() {
+		a.dsrSeen = append(a.dsrSeen, dev.PeekShadow(agreeBeatReg-agreeBase))
+		a.at = append(a.at, b.K.Cycles())
+	})
+	b.K.CreateThread("app", 10, func(c *rtos.ThreadCtx) {
+		for n := uint32(1); n <= 5; n++ {
+			if _, err := dev.Write(c, agreeCmd-agreeBase, []uint32{n}); err != nil {
+				t.Errorf("Write: %v", err)
+			}
+			sem.Wait(c)
+			if err := dev.PostReadReq(c, agreeEcho-agreeBase, 1); err != nil {
+				t.Errorf("PostReadReq: %v", err)
+			}
+			for {
+				if r, ok := dev.TakeReadResp(); ok {
+					a.readSeen = append(a.readSeen, r[0])
+					a.at = append(a.at, b.K.Cycles())
+					break
+				}
+				c.Sleep(1)
+			}
+			c.Sleep(3)
+		}
+		c.Exit()
+	})
+	return a
+}
+
+// agreeKernel answers each board write n by exposing 2×n at agreeEcho,
+// posting 3×n there and raising agreeIRQ, and beats every agreeBeat
+// cycles.
+func agreeKernel() (*hdlsim.Simulator, *hdlsim.Clock) {
+	s := hdlsim.NewSimulator("agree")
+	clk := s.NewClock("clk", sim.NS(10))
+	din := s.NewDriverIn("cmd", agreeCmd, 1)
+	dout := s.NewDriverOut("echo", agreeEcho, 1)
+	var cycle, beats uint32
+	s.Method("beat", func() {
+		if cycle++; cycle%agreeBeat == 0 {
+			beats++
+			dout.Post(agreeBeatReg, []uint32{beats})
+			s.RaiseDriverInterrupt(agreeBeatIRQ)
+		}
+	}, clk.Posedge()).DontInitialize()
+	s.DriverProcess("answer", func() {
+		for w, ok := din.Pop(); ok; w, ok = din.Pop() {
+			dout.Set(agreeEcho, 2*w.Val)
+			dout.Post(agreeEcho, []uint32{3 * w.Val})
+			s.RaiseDriverInterrupt(agreeIRQ)
+		}
+	}, din)
+	return s, clk
+}
+
+// TestBoardModesAgree: one board program run under DriverSimulate over
+// an in-process wire (Run behind a BoardEndpoint) and as the granted
+// party itself sees the same simulation — the same DriverStats, board
+// Stats, board time and application values — at TSync 1 and 7, plain
+// and adaptive.
+func TestBoardModesAgree(t *testing.T) {
+	type outcome struct {
+		drv            hdlsim.DriverStats
+		stats          Stats
+		cycle, swTick  uint64
+		dsrSeen, reads string
+		at             string
+	}
+	run := func(wire bool, sched federation.Schedule) outcome {
+		b := New(testCfg())
+		app := newAgreeApp(t, b)
+		var party cosim.Federate = b
+		var boardDone chan error
+		if wire {
+			party, boardDone = newLinked(t, b)
+		}
+		s, clk := agreeKernel()
+		drv, err := federation.DriverSimulate(s, clk, party, sched)
+		if err != nil {
+			t.Fatalf("wire=%v: %v", wire, err)
+		}
+		if wire {
+			if err := <-boardDone; err != nil {
+				t.Fatalf("wire board: %v", err)
+			}
+		}
+		if len(app.readSeen) != 5 {
+			t.Fatalf("wire=%v %+v: the program finished %d of 5 rounds", wire, sched, len(app.readSeen))
+		}
+		o := outcome{drv: drv, stats: b.Stats(), dsrSeen: fmt.Sprint(app.dsrSeen), reads: fmt.Sprint(app.readSeen), at: fmt.Sprint(app.at)}
+		o.cycle, o.swTick = b.BoardTime()
+		return o
+	}
+	for _, tsync := range []uint64{1, 7} {
+		for _, adaptive := range []bool{false, true} {
+			sched := federation.Schedule{TSync: tsync, TotalCycles: 400, Adaptive: adaptive}
+			wire, direct := run(true, sched), run(false, sched)
+			if wire != direct {
+				t.Errorf("TSync=%d adaptive=%v: modes diverged\nwire   %+v\ndirect %+v", tsync, adaptive, wire, direct)
+			}
+		}
 	}
 }

@@ -15,16 +15,16 @@ import (
 //   - simulator→board register updates arrive as DATA-channel writes at
 //     quantum boundaries and land in a local *shadow* copy, so application
 //     reads are serviced locally at bus cost;
-//   - board→simulator writes are posted immediately on the DATA channel
-//     and take effect in the simulator's next quantum;
+//   - board→simulator writes are posted to the board's outbox, handed
+//     over at the end of the grant, and take effect in the simulator's
+//     next quantum;
 //   - true remote reads (bypassing the shadow) are split-phase: the
 //     request is posted and the response arrives in a later grant.
 //
-// Interrupts from the device arrive over the INT channel and are latched
-// on the kernel's interrupt controller by Board.applyGrant; the
-// application attaches its ISR/DSR pair with Kernel.AttachInterrupt as for
-// any physical device. Outbound traffic goes through the board's Link,
-// which Board.Run or NewFederate sets.
+// Interrupts from the device arrive with a grant and are latched on the
+// kernel's interrupt controller by Board.Step; the application attaches
+// its ISR/DSR pair with Kernel.AttachInterrupt as for any physical
+// device.
 type RemoteDev struct {
 	name string
 	base uint32
@@ -43,7 +43,7 @@ type RemoteDev struct {
 // and returns it.
 func (b *Board) NewRemoteDev(name string, base, size uint32) (*RemoteDev, error) {
 	for _, d := range b.devs {
-		if base < d.base+d.size && d.base < base+size {
+		if hdlsim.WindowsOverlap(base, size, d.base, d.size) {
 			return nil, fmt.Errorf("board: device %q overlaps %q", name, d.name)
 		}
 	}
@@ -86,13 +86,8 @@ func (d *RemoteDev) Write(c *rtos.ThreadCtx, off uint32, buf []uint32) (int, err
 	if int(off)+len(buf) > int(d.size) {
 		return 0, fmt.Errorf("board: %s: write [%d,%d) outside window", d.name, off, int(off)+len(buf))
 	}
-	if d.b.link == nil {
-		return 0, fmt.Errorf("board: %s: not attached to a co-simulation link", d.name)
-	}
 	c.Charge(d.b.cfg.MMIOWriteCost * uint64(len(buf)))
-	if err := d.b.link.Send(hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: d.base + off, Words: buf}); err != nil {
-		return 0, err
-	}
+	d.b.post(hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: d.base + off, Words: buf})
 	return len(buf), nil
 }
 
@@ -102,11 +97,9 @@ func (d *RemoteDev) PostReadReq(c *rtos.ThreadCtx, off, count uint32) error {
 	if uint64(off)+uint64(count) > uint64(d.size) {
 		return fmt.Errorf("board: %s: remote read [%d,+%d) outside window", d.name, off, count)
 	}
-	if d.b.link == nil {
-		return fmt.Errorf("board: %s: not attached to a co-simulation link", d.name)
-	}
 	c.Charge(d.b.cfg.MMIOWriteCost)
-	return d.b.link.Send(hdlsim.DataMsg{Kind: hdlsim.DataReadReq, Addr: d.base + off, Count: count})
+	d.b.post(hdlsim.DataMsg{Kind: hdlsim.DataReadReq, Addr: d.base + off, Count: count})
+	return nil
 }
 
 // TakeReadResp pops the oldest completed split-phase read, if any.

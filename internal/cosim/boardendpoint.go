@@ -97,6 +97,10 @@ func (ep *BoardEndpoint) Ack(boardCycle, swTick, lookahead uint64) error {
 	return ep.sendFrame(ChanClock, m)
 }
 
+// Close tears the link down, so the simulator's pending wait on it fails
+// instead of blocking.
+func (ep *BoardEndpoint) Close() error { return ep.tr.Close() }
+
 // FinishAck acknowledges shutdown, reporting final board time.
 func (ep *BoardEndpoint) FinishAck(boardCycle, swTick uint64) error {
 	defer ep.m.StopClock()

@@ -2,15 +2,14 @@
 // conservative quantum clock. It is the one quantum engine: every run,
 // N-party or the paper's pairwise HW/SW rendezvous, goes through its
 // TimeManager, and DriverSimulate keeps the paper's driver_simulate as
-// the two-party wrapper (one HDL kernel, one board behind an
-// HWEndpoint).
+// the two-party wrapper (one HDL kernel, one board).
 //
 // The time manager distinguishes two party roles, mirroring the paper's
 // master/slave quantum protocol:
 //
 //   - eager parties (device engines, cosim.SimFederate) drive the clock:
 //     they step every TSync quantum and emit events as they simulate;
-//   - granted parties (boards and external processes, board.Federate /
+//   - granted parties (boards and external processes, *board.Board /
 //     cosim.HWEndpoint) freeze between rendezvous and advance in one
 //     piece when the federation grants accumulated time.
 //
@@ -121,7 +120,7 @@ func (c Config) Validate() error {
 			if o.From != l.From {
 				continue
 			}
-			if l.Size > 0 && o.Size > 0 && l.Base < o.Base+o.Size && o.Base < l.Base+l.Size {
+			if l.Size > 0 && o.Size > 0 && hdlsim.WindowsOverlap(l.Base, l.Size, o.Base, o.Size) {
 				return fmt.Errorf("federation: invalid Config: links %d and %d route overlapping windows from party %d", j, i, l.From)
 			}
 			for _, a := range l.IRQs {
@@ -199,7 +198,7 @@ func (l Link) covers(m hdlsim.DataMsg) bool {
 	if m.Kind == hdlsim.DataInterrupt {
 		return slices.Contains(l.IRQs, m.IRQ)
 	}
-	return l.Size > 0 && m.Addr >= l.Base && m.Addr < l.Base+l.Size
+	return hdlsim.InWindow(m.Addr, l.Base, l.Size)
 }
 
 // route distributes the events src emitted to their destinations'

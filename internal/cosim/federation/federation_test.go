@@ -396,6 +396,33 @@ func TestUnroutedEventFails(t *testing.T) {
 	}
 }
 
+// TestLinkWindowAtTopOfAddressSpace: a link window ending exactly at 2³²
+// routes an event to its last words, and a window overlapping it from
+// the same party is rejected.
+func TestLinkWindowAtTopOfAddressSpace(t *testing.T) {
+	producer := &fakeParty{name: "producer", tsync: 100, emitEvery: 1, addr: 0xFFFFFFF4}
+	consumer := &fakeParty{name: "consumer", la: cosim.UnboundedLookahead}
+	cfg := Config{
+		Parties:  []Party{{Name: producer.name, Fed: producer, Eager: true}, {Name: consumer.name, Fed: consumer}},
+		Links:    []Link{{From: 0, To: 1, Base: 0xFFFFFFF0, Size: 0x10}},
+		Schedule: Schedule{TSync: 100, TotalCycles: 300},
+	}
+	tm, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tm.Run(context.Background()); err != nil {
+		t.Fatalf("event to 0xfffffff4 not routed: %v", err)
+	}
+	if len(consumer.got) == 0 {
+		t.Fatal("consumer received nothing through the window ending at 2³²")
+	}
+	cfg.Links = append(cfg.Links, Link{From: 0, To: 1, Base: 0xFFFFFFF8, Size: 4})
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("link window overlapping the one ending at 2³² accepted")
+	}
+}
+
 // TestConfigValidate rejects incoherent federations with actionable
 // errors.
 func TestConfigValidate(t *testing.T) {

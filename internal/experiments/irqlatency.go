@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/board"
-	"repro/internal/cosim"
 	"repro/internal/cosim/federation"
 	"repro/internal/hdlsim"
 	"repro/internal/rtos"
@@ -111,18 +110,12 @@ func measureIRQLatency(tsync uint64, count int) ([]uint64, error) {
 		}
 	})
 
-	hwT, boardT := cosim.NewInProcPair(256)
-	hw := cosim.NewHWEndpoint(hwT, cosim.SyncAlternating)
-	bep := cosim.NewBoardEndpoint(boardT)
-	done := make(chan error, 1)
-	go func() { done <- brd.Run(bep) }()
-	_, err = federation.DriverSimulate(s, clk, hw, federation.Schedule{
+	defer brd.K.Shutdown() // a failed run finishes no party
+	_, err = federation.DriverSimulate(s, clk, brd, federation.Schedule{
 		TSync:       tsync,
 		TotalCycles: spacing*uint64(count) + 6*tsync + 1000,
 		StopEarly:   func() bool { return len(latencies) >= count },
 	})
-	hwT.Close()
-	<-done
 	if err != nil {
 		return nil, err
 	}

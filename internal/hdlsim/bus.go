@@ -56,7 +56,7 @@ func (b *Bus) Map(base, size uint32, t BusTarget) error {
 		return fmt.Errorf("hdlsim: bus %q: empty mapping", b.name)
 	}
 	for _, m := range b.maps {
-		if base < m.base+m.size && m.base < base+size {
+		if WindowsOverlap(base, size, m.base, m.size) {
 			return fmt.Errorf("hdlsim: bus %q: mapping [%#x,+%d) overlaps [%#x,+%d)",
 				b.name, base, size, m.base, m.size)
 		}
@@ -67,7 +67,7 @@ func (b *Bus) Map(base, size uint32, t BusTarget) error {
 
 func (b *Bus) targetFor(addr uint32) (BusTarget, error) {
 	for _, m := range b.maps {
-		if addr >= m.base && addr < m.base+m.size {
+		if InWindow(addr, m.base, m.size) {
 			return m.target, nil
 		}
 	}

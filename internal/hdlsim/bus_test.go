@@ -113,6 +113,17 @@ func TestBusUnmappedAndOverlap(t *testing.T) {
 	if err := bus.Map(0x200, 0, NewRAM(0x200, 0)); err == nil {
 		t.Fatal("empty mapping accepted")
 	}
+	// A mapping ending exactly at 2³² is reachable and still refuses
+	// an overlap.
+	if err := bus.Map(0xFFFFFFF0, 0x10, NewRAM(0xFFFFFFF0, 0x10)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bus.targetFor(0xFFFFFFF4); err != nil {
+		t.Fatal(err)
+	}
+	if err := bus.Map(0xFFFFFFF8, 4, NewRAM(0xFFFFFFF8, 4)); err == nil {
+		t.Fatal("mapping overlapping the one ending at 2³² accepted")
+	}
 }
 
 func TestBusReadBlockAndRAMBounds(t *testing.T) {

@@ -103,7 +103,7 @@ type DriverIn struct {
 func (s *Simulator) NewDriverIn(name string, base, size uint32) *DriverIn {
 	d := &DriverIn{sim: s, name: name, Base: base, Size: size, data: s.NewEvent(name + ".data")}
 	for _, o := range s.driverIns {
-		if rangesOverlap(o.Base, o.Size, base, size) {
+		if WindowsOverlap(o.Base, o.Size, base, size) {
 			panic(fmt.Sprintf("hdlsim: driver_in %q overlaps %q", name, o.name))
 		}
 	}
@@ -112,8 +112,17 @@ func (s *Simulator) NewDriverIn(name string, base, size uint32) *DriverIn {
 	return d
 }
 
-func rangesOverlap(b1, s1, b2, s2 uint32) bool {
-	return b1 < b2+s2 && b2 < b1+s1
+// InWindow reports whether word address addr lies in [base, base+size).
+// The end is computed in 64 bits, so a window ending at 2³² does not wrap
+// to 0.
+func InWindow(addr, base, size uint32) bool {
+	return addr >= base && uint64(addr) < uint64(base)+uint64(size)
+}
+
+// WindowsOverlap reports whether [b1, b1+s1) and [b2, b2+s2) share a word
+// address, with the ends computed in 64 bits as for InWindow.
+func WindowsOverlap(b1, s1, b2, s2 uint32) bool {
+	return uint64(b1) < uint64(b2)+uint64(s2) && uint64(b2) < uint64(b1)+uint64(s1)
 }
 
 // Name returns the port name.
@@ -161,7 +170,7 @@ type DriverOut struct {
 func (s *Simulator) NewDriverOut(name string, base, size uint32) *DriverOut {
 	d := &DriverOut{sim: s, name: name, Base: base, Size: size, regs: make([]uint32, size)}
 	for _, o := range s.driverOuts {
-		if rangesOverlap(o.Base, o.Size, base, size) {
+		if WindowsOverlap(o.Base, o.Size, base, size) {
 			panic(fmt.Sprintf("hdlsim: driver_out %q overlaps %q", name, o.name))
 		}
 	}
@@ -174,15 +183,15 @@ func (d *DriverOut) Name() string { return d.name }
 
 // Set updates readable register addr (absolute word address) to val.
 func (d *DriverOut) Set(addr, val uint32) {
-	if addr < d.Base || addr >= d.Base+d.Size {
-		panic(fmt.Sprintf("hdlsim: driver_out %q: Set(%#x) outside [%#x,%#x)", d.name, addr, d.Base, d.Base+d.Size))
+	if !InWindow(addr, d.Base, d.Size) {
+		panic(fmt.Sprintf("hdlsim: driver_out %q: Set(%#x) outside [%#x,%#x)", d.name, addr, d.Base, uint64(d.Base)+uint64(d.Size)))
 	}
 	d.regs[addr-d.Base] = val
 }
 
 // Get returns the current value of readable register addr.
 func (d *DriverOut) Get(addr uint32) uint32 {
-	if addr < d.Base || addr >= d.Base+d.Size {
+	if !InWindow(addr, d.Base, d.Size) {
 		panic(fmt.Sprintf("hdlsim: driver_out %q: Get(%#x) outside range", d.name, addr))
 	}
 	return d.regs[addr-d.Base]
@@ -267,7 +276,7 @@ func (s *Simulator) routeData(ep DriverEndpoint, m DataMsg) error {
 
 func (s *Simulator) findDriverIn(addr uint32) *DriverIn {
 	for _, d := range s.driverIns {
-		if addr >= d.Base && addr < d.Base+d.Size {
+		if InWindow(addr, d.Base, d.Size) {
 			return d
 		}
 	}
@@ -276,7 +285,7 @@ func (s *Simulator) findDriverIn(addr uint32) *DriverIn {
 
 func (s *Simulator) findDriverOut(addr uint32) *DriverOut {
 	for _, d := range s.driverOuts {
-		if addr >= d.Base && addr < d.Base+d.Size {
+		if InWindow(addr, d.Base, d.Size) {
 			return d
 		}
 	}

@@ -228,3 +228,44 @@ func TestDriverOutBoundsChecks(t *testing.T) {
 		}()
 	}
 }
+
+// TestDriverWindowAtTopOfAddressSpace: port windows ending exactly at 2³²
+// are reachable — a board write lands in the driver_in, a read is served
+// from the driver_out and its last register answers Set/Get — and a
+// window overlapping one of them is rejected.
+func TestDriverWindowAtTopOfAddressSpace(t *testing.T) {
+	s := NewSimulator("t")
+	clk := s.NewClock("clk", sim.NS(10))
+	din := s.NewDriverIn("in", 0xFFFFFFF0, 0x10)
+	dout := s.NewDriverOut("out", 0xFFFFFFF0, 0x10)
+	dout.Set(0xFFFFFFFF, 0xbeef)
+	if got := dout.Get(0xFFFFFFFF); got != 0xbeef {
+		t.Fatalf("Get(0xFFFFFFFF) = %#x, want 0xbeef", got)
+	}
+	ep := &fakeEndpoint{incoming: [][]DataMsg{{
+		{Kind: DataWrite, Addr: 0xFFFFFFF4, Words: []uint32{7}},
+		{Kind: DataReadReq, Addr: 0xFFFFFFFF, Count: 1},
+	}}}
+	if err := advance(s, clk, ep, 2); err != nil {
+		t.Fatal(err)
+	}
+	if w, ok := din.Pop(); !ok || w != (RegWrite{Addr: 0xFFFFFFF4, Val: 7}) {
+		t.Fatalf("driver_in received %+v (%v), want the write to 0xfffffff4", w, ok)
+	}
+	if len(ep.sent) != 1 || len(ep.sent[0].Words) != 1 || ep.sent[0].Words[0] != 0xbeef {
+		t.Fatalf("read response %+v, want [0xbeef]", ep.sent)
+	}
+	for _, fn := range []func(){
+		func() { s.NewDriverIn("overlap", 0xFFFFFFF8, 4) },
+		func() { s.NewDriverOut("overlap", 0xFFFFFFF8, 4) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("a window overlapping the one ending at 2³² was accepted")
+				}
+			}()
+			fn()
+		}()
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/board"
@@ -41,9 +43,9 @@ type FederationConfig struct {
 	// Boards is the number of board parties; board i serves checksum
 	// engine i through its own link. Must be ≥ 1.
 	Boards int `json:"boards"`
-	// InProcBoards hosts the boards in-process as board.Federate parties
-	// (no goroutines, no wire). When false each board runs behind a
-	// cosim.HWEndpoint speaking the v3 wire protocol over the
+	// InProcBoards hosts the boards in-process, each *board.Board itself
+	// the party (no goroutines, no wire). When false each board runs
+	// behind a cosim.HWEndpoint speaking the v3 wire protocol over the
 	// RunConfig's TransportKind.
 	InProcBoards bool `json:"inproc_boards,omitempty"`
 	// PulseDevices adds that many auxiliary HDL kernels, each
@@ -133,13 +135,14 @@ func newPulseDevice(p int, period uint64, clockPeriod sim.Time) *pulseDevice {
 // run executes one co-simulation under the federation time manager; it
 // is the engine behind Run and RunFederation. The router kernel (and any
 // pulse kernels) become eager cosim.SimFederate parties; each board
-// becomes a granted party — in-process (board.Federate) or behind its
+// becomes a granted party — in-process (the *board.Board) or behind its
 // own transport stack (cosim.HWEndpoint) — and the manager owns the
 // quantum clock. A nil rc.Federation is the one-wire-board topology,
 // whose link may be the caller's tr. Cancelling ctx tears the wire
 // stacks down and stops the manager at its next rendezvous; the
 // context's cause becomes the returned error. A failed run shuts down
-// the kernels it built, so no thread goroutine outlives it.
+// the kernels it built, so no thread goroutine outlives it, and a run
+// that failed because a wire board did returns that board's error.
 func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult, err error) {
 	fc := FederationConfig{Boards: 1}
 	if rc.Federation != nil {
@@ -219,7 +222,8 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 	// party, so abort also shuts down every kernel built so far, once
 	// the wire boards' own loops have returned.
 	var closers []func() error
-	boardDone := make(chan error, fc.Boards)
+	wires := make([]boardLink, fc.Boards) // wire board i's link and its Run's error
+	var boardLoops sync.WaitGroup
 	wired := 0
 	closeAll := func() {
 		for _, c := range closers {
@@ -231,9 +235,7 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 		for _, b := range bases[wired:] {
 			closeBoth(b)
 		}
-		for j := 0; j < wired; j++ {
-			<-boardDone
-		}
+		boardLoops.Wait()
 		tb.Sim.Shutdown()
 		for _, pd := range pulses {
 			pd.sim.Shutdown()
@@ -264,9 +266,8 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 		parties = append(parties, federation.Party{Name: fmt.Sprintf("pulse%d", p), Fed: pf, Eager: true})
 	}
 
-	// Board parties, one per checksum engine; in-process boards run as
-	// federates on the manager's goroutine.
-	var clocks []cosim.BoardClock
+	// Board parties, one per checksum engine; in-process boards run on
+	// the manager's goroutine.
 	var ep0 *cosim.HWEndpoint // board 0's wire endpoint and hw-side stack
 	var hwTop cosim.Transport
 	stack := rc.stack()
@@ -299,9 +300,7 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 		partyIdx := len(parties)
 		name := fmt.Sprintf("board%d", i)
 		if fc.InProcBoards {
-			bf := board.NewFederate(bs.Board)
-			clocks = append(clocks, bf)
-			parties = append(parties, federation.Party{Name: name, Fed: bf})
+			parties = append(parties, federation.Party{Name: name, Fed: bs.Board})
 		} else {
 			hwT, hwClose := cosim.BuildStack(bases[i].HW, stack)
 			boardT, boardClose := cosim.BuildStack(bases[i].Board, stack.Peer())
@@ -310,7 +309,9 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 			if i == 0 {
 				ep0, hwTop = ep, hwT
 			}
-			bep := cosim.NewBoardEndpoint(boardT)
+			wire := &wires[i]
+			wire.Transport = boardT
+			bep := cosim.NewBoardEndpoint(wire)
 			if rc.Obs != nil {
 				// One board keeps the classic side="hw"/"board" series;
 				// several label each link by its federate name.
@@ -322,9 +323,12 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 					bep.ObserveAs(rc.Obs, name+":board")
 				}
 			}
-			clocks = append(clocks, ep)
 			parties = append(parties, federation.Party{Name: name, Fed: ep})
-			go func(bs *BoardSide) { boardDone <- bs.Board.Run(bep) }(bs)
+			boardLoops.Add(1)
+			go func(b *board.Board) {
+				defer boardLoops.Done()
+				wire.err = b.Run(bep)
+			}(bs.Board)
 			wired++
 		}
 		links = append(links,
@@ -382,13 +386,26 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 	res.Wall = time.Since(start)
 	res.Fed = fedStats
 	if err != nil {
+		// Read which boards failed on their own before abort closes
+		// every link and fails the rest.
+		failed := -1
+		for i := range wires {
+			if wires[i].failed.Load() {
+				failed = i
+				break
+			}
+		}
 		abort()
+		if failed >= 0 {
+			return res, fmt.Errorf("router: party \"board%d\": %w", failed, wires[failed].err)
+		}
 		return res, fmt.Errorf("router: federation: %w", err)
 	}
 	closeAll()
-	for j := 0; j < wired; j++ {
-		if berr := <-boardDone; berr != nil {
-			return res, fmt.Errorf("router: board side: %w", berr)
+	boardLoops.Wait()
+	for i := range wires {
+		if err := wires[i].err; err != nil {
+			return res, fmt.Errorf("router: party \"board%d\": %w", i, err)
 		}
 	}
 
@@ -404,7 +421,7 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 		res.Apps = append(res.Apps, st)
 		overruns += st.Overruns
 		mboxDrops += st.MboxDrops
-		cy, sw := clocks[i].BoardTime()
+		cy, sw := bs.Board.BoardTime()
 		res.BoardCycles = append(res.BoardCycles, cy)
 		if i == 0 {
 			res.RunResult.BoardCycles, res.BoardSWTicks = cy, sw
@@ -426,6 +443,25 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 	res.Conservation = tb.CheckConservation(overruns, mboxDrops)
 	return res, nil
 }
+
+// boardLink is a wire board's end of its link. Board.Run closes it when
+// the board fails, before the simulator sees the link go down, so a run
+// that fails next can tell the board's own failure from the closed link
+// it caused.
+type boardLink struct {
+	cosim.Transport
+	failed atomic.Bool
+	err    error // the board's Run, once it returned
+}
+
+// Close implements cosim.Transport, marking the board failed.
+func (l *boardLink) Close() error {
+	l.failed.Store(true)
+	return l.Transport.Close()
+}
+
+// Unwrap implements cosim.Unwrapper.
+func (l *boardLink) Unwrap() cosim.Transport { return l.Transport }
 
 // validateRun rejects an incoherent run before anything is built.
 // rc.Validate checks the topology; fc, rc.Federation or its one-board

@@ -314,7 +314,7 @@ func TestFederationCountsSyncReasons(t *testing.T) {
 }
 
 // TestFederationInProcBoardIdentity: hosting the board in-process as a
-// board.Federate (no wire, no goroutine) must still match the pairwise
+// *board.Board party (no wire, no goroutine) must still match the pairwise
 // run's virtual-time results — the grant application order is the wire
 // contract, not a transport artifact.
 func TestFederationInProcBoardIdentity(t *testing.T) {

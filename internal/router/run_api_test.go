@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,6 +49,45 @@ func TestRunEntryPointEquivalence(t *testing.T) {
 
 	if want, got := fingerprint(viaRun), fingerprint(viaTransports); got != want {
 		t.Errorf("Run(Transports) diverged from Run(WithConfig):\nwant %+v\ngot  %+v", want, got)
+	}
+}
+
+// failingSend is a board-side transport whose n-th Send fails.
+type failingSend struct {
+	cosim.Transport
+	n int
+}
+
+var errInjectedSend = errors.New("injected send failure")
+
+func (f *failingSend) Send(ch cosim.Channel, m cosim.Msg) error {
+	if f.n--; f.n == 0 {
+		m.Release()
+		return errInjectedSend
+	}
+	return f.Transport.Send(ch, m)
+}
+
+// TestRunReportsBoardFailure: when the board's transport fails partway,
+// the run returns that board's error, naming its party, within a
+// deadline, not the closed link the board left behind.
+func TestRunReportsBoardFailure(t *testing.T) {
+	rc := DefaultRunConfig()
+	rc.TB.PacketsPerPort = 4
+	rc.TSync = 200
+	hwT, boardT := cosim.NewInProcPair(4096)
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(context.Background(), Transports{HW: hwT, Board: &failingSend{Transport: boardT, n: 5}}, WithConfig(rc))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, errInjectedSend) || !strings.Contains(err.Error(), `party "board0"`) {
+			t.Fatalf("run returned %v, want party \"board0\" failing with %v", err, errInjectedSend)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run still blocked 10 s after the board's transport failed")
 	}
 }
 

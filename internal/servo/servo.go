@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/board"
-	"repro/internal/cosim"
 	"repro/internal/cosim/federation"
 	"repro/internal/hdlsim"
 	"repro/internal/rtos"
@@ -246,21 +245,13 @@ func RunWithTrace(rc RunConfig) (Quality, []float64, error) {
 	}
 	ctl := InstallController(brd, dev, rc.Control)
 
-	hwT, boardT := cosim.NewInProcPair(1024)
-	hw := cosim.NewHWEndpoint(hwT, cosim.SyncAlternating)
-	bep := cosim.NewBoardEndpoint(boardT)
-	done := make(chan error, 1)
-	go func() { done <- brd.Run(bep) }()
+	defer brd.K.Shutdown() // a failed run finishes no party
 	start := time.Now()
-	_, err = federation.DriverSimulate(s, clk, hw, federation.Schedule{
+	_, err = federation.DriverSimulate(s, clk, brd, federation.Schedule{
 		TSync:       rc.TSync,
 		TotalCycles: rc.TotalCycles,
 	})
 	q.Wall = time.Since(start)
-	hwT.Close()
-	if berr := <-done; err == nil && berr != nil {
-		err = berr
-	}
 	if err != nil {
 		return q, nil, err
 	}

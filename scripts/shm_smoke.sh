@@ -9,9 +9,11 @@
 #  - tcp: cosim-hw listens on a free loopback port and cosim-board dials
 #    the address it prints, the paper's two-host deployment shape.
 #
-# Both runs must report 100% packet accuracy, and their hw-side protocol
-# traces (-trace) must match line for line once the wall-clock timestamp
-# column is stripped: the wire traffic does not depend on the transport.
+# Both runs must report 100% packet accuracy, and their protocol traces
+# (-trace), hw side and board side, must match line for line once the
+# wall-clock timestamp column is stripped: the wire traffic, and the
+# order in which the board sends within a grant, do not depend on the
+# transport.
 #
 # Usage: scripts/shm_smoke.sh   (from the repository root)
 set -eu
@@ -66,7 +68,7 @@ while [ ! -e "$path" ]; do
     fi
     sleep 0.1
 done
-"$dir/cosim-board" -shm-path "$path" >"$dir/shm-board.log" 2>&1
+"$dir/cosim-board" -shm-path "$path" -trace "$dir/shm-board.trace" >"$dir/shm-board.log" 2>&1
 wait "$hw"
 hw=
 check shm
@@ -75,16 +77,21 @@ check shm
 hw=$!
 wait_for "$dir/tcp-hw.log" "listening on" "cosim-hw listen address"
 addr=$(sed -n 's/^cosim-hw: listening on \([^ ]*\) .*/\1/p' "$dir/tcp-hw.log")
-"$dir/cosim-board" -connect "$addr" >"$dir/tcp-board.log" 2>&1
+"$dir/cosim-board" -connect "$addr" -trace "$dir/tcp-board.trace" >"$dir/tcp-board.log" 2>&1
 wait "$hw"
 hw=
 check tcp
 
-cut -d' ' -f2- "$dir/shm.trace" >"$dir/shm.stripped"
-cut -d' ' -f2- "$dir/tcp.trace" >"$dir/tcp.stripped"
-if ! cmp -s "$dir/shm.stripped" "$dir/tcp.stripped"; then
-    echo "link smoke: shm and tcp hw-side traces differ" >&2
-    diff "$dir/shm.stripped" "$dir/tcp.stripped" | head -20 >&2
-    exit 1
-fi
-echo "shm smoke: OK (cross-process CreateShm/OpenShm and TCP links verified, $(wc -l <"$dir/tcp.stripped") identical trace lines)"
+# same SIDE SHM TCP: the two transcripts match with timestamps stripped.
+same() {
+    cut -d' ' -f2- "$2" >"$2.stripped"
+    cut -d' ' -f2- "$3" >"$3.stripped"
+    if ! cmp -s "$2.stripped" "$3.stripped"; then
+        echo "link smoke: shm and tcp $1-side traces differ" >&2
+        diff "$2.stripped" "$3.stripped" | head -20 >&2
+        exit 1
+    fi
+}
+same hw "$dir/shm.trace" "$dir/tcp.trace"
+same board "$dir/shm-board.trace" "$dir/tcp-board.trace"
+echo "shm smoke: OK (cross-process CreateShm/OpenShm and TCP links verified, $(wc -l <"$dir/tcp.trace.stripped") identical hw and $(wc -l <"$dir/tcp-board.trace.stripped") identical board trace lines)"
