@@ -65,7 +65,8 @@ transport-matrix:
 # included), the two-party DriverSimulate wrapper, the quantum schedule
 # against its independent reference, the kernel's driver ports, and the
 # board's side of the seam (grant traffic, the board as the federate and
-# Run driving it over a wire, both modes agreeing) — all under -race.
+# cosim.Serve running it over a wire, both modes agreeing, any party
+# served over a wire matching its in-process run) — all under -race.
 federation-matrix:
 	$(GO) test -race -run 'TestFederation|TestRunDispatchesFederation|TestMultiBoard|TestMultiRunReports|TestRunContextCancellation' ./internal/router/
 	$(GO) test -race -run 'TestFarmRunsFederatedSessions|TestSpec' ./internal/farm/
@@ -91,16 +92,19 @@ fleet-smoke:
 
 # shm-smoke launches cosim-hw and cosim-board as two real processes,
 # joined first by a -shm-path link file — the cross-process rendezvous of
-# CreateShm/OpenShm that in-process tests cannot cover — then over TCP;
-# both must reach 100% accuracy with identical hw-side and board-side
-# -trace transcripts (timestamps stripped).
+# CreateShm/OpenShm that in-process tests cannot cover — then over TCP,
+# plain and -pipelined; every run must reach 100% accuracy, and its
+# hw-side and board-side -trace transcripts (timestamps stripped) must
+# match the goldens in scripts/testdata/link/ (the script's header has
+# the regeneration command).
 shm-smoke:
 	./scripts/shm_smoke.sh
 
 # examples-smoke runs every example program and fails on any nonzero
 # exit: quickstart, hwswpartition and servo with the board itself the
 # granted party of the two-party DriverSimulate wrapper, debugging with
-# the board behind an in-memory wire; chaos, dse and dualboard through
+# the board served by cosim.Serve behind an in-memory wire (log.Fatal on
+# the board's error); chaos, dse and dualboard through
 # router.Run / RunFederation; homogeneous in one HDL kernel with an ISS core; and
 # router's loopback replay with its waveform written to a temp
 # directory. Several self-check and exit nonzero on wrong results

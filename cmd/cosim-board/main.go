@@ -88,14 +88,10 @@ func main() {
 		defer f.Close()
 		tr = cosim.NewTraceTransport(tr, f)
 	}
-	ep := cosim.NewBoardEndpoint(tr)
-	if reg != nil {
-		ep.Observe(reg)
-	}
 	fmt.Printf("cosim-board: connected to %s; OS in %v state, waiting for virtual ticks\n",
 		*connect, bs.Board.K.State())
 
-	if err := bs.Board.Run(ep); err != nil {
+	if err := cosim.Serve(tr, bs.Board, reg, "board"); err != nil {
 		fmt.Fprintf(os.Stderr, "cosim-board: %v\n", err)
 		os.Exit(1)
 	}

@@ -88,9 +88,8 @@ func main() {
 	fmt.Println("── protocol trace (simulator side) ──────────────────────────")
 	traced := cosim.NewTraceTransport(hwT, os.Stdout)
 	hw := cosim.NewHWEndpoint(traced, cosim.SyncAlternating)
-	bep := cosim.NewBoardEndpoint(boardT)
 	boardDone := make(chan error, 1)
-	go func() { boardDone <- brd.Run(bep) }()
+	go func() { boardDone <- cosim.Serve(boardT, brd, nil, "board") }()
 	if _, err := federation.DriverSimulate(s, clk, hw, federation.Schedule{
 		TSync:       25,
 		TotalCycles: 500,
@@ -99,7 +98,9 @@ func main() {
 		log.Fatal(err)
 	}
 	hwT.Close()
-	<-boardDone
+	if err := <-boardDone; err != nil {
+		log.Fatalf("board: %v", err)
+	}
 
 	fmt.Println("\n── design inventory (hdlsim.Describe) ───────────────────────")
 	if err := s.Describe(os.Stdout); err != nil {

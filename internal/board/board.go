@@ -12,8 +12,8 @@
 // and hands back, at the next Exchange, the traffic its remote devices
 // posted meanwhile. Traffic in both directions is hdlsim.DataMsg, the
 // event the simulator's kernel and the federation use. The time manager
-// steps a Board in-process; Run drives the same steps from a wire
-// endpoint's grants, so a board behind a link runs the same code.
+// steps a Board in-process; cosim.Serve takes the same steps from the
+// grants of a wire link, so a board behind a link runs the same code.
 package board
 
 import (
@@ -208,46 +208,6 @@ func (b *Board) BoardTime() (cycle, swTick uint64) {
 
 // post queues one event from a remote device for the next Exchange.
 func (b *Board) post(m hdlsim.DataMsg) { b.outbox = append(b.outbox, m) }
-
-// Run drives the board from ep until the simulator finishes (or a
-// protocol error occurs); it owns the calling goroutine. Each grant takes
-// the time manager's path — its traffic staged, its lead set, one Step —
-// and the traffic posted during the grant goes on the wire ahead of the
-// acknowledgement. The grant's traffic is staged in place and the outbox
-// drained without Exchange's swap, as nothing else exchanges with a board
-// Run owns. A failed board closes ep, so the simulator's wait for the
-// acknowledgement fails instead of blocking.
-func (b *Board) Run(ep *cosim.BoardEndpoint) (err error) {
-	defer func() {
-		b.K.Shutdown()
-		if err != nil {
-			ep.Close()
-		}
-	}()
-	for {
-		g, err := ep.WaitGrant()
-		if err != nil {
-			return err
-		}
-		if g.Finished {
-			return ep.FinishAck(b.K.Cycles(), b.K.SWTick())
-		}
-		b.SetGrantLead(g.Lead)
-		b.staged = g.Traffic
-		if _, err := b.Step(b.cur + cosim.SimTime(g.Ticks)); err != nil {
-			return err
-		}
-		for _, m := range b.outbox {
-			if err := ep.Send(m); err != nil {
-				return err
-			}
-		}
-		b.outbox = b.outbox[:0]
-		if err := ep.Ack(b.K.Cycles(), b.K.SWTick(), b.Lookahead()); err != nil {
-			return err
-		}
-	}
-}
 
 var _ cosim.Federate = (*Board)(nil)
 var _ cosim.BoardClock = (*Board)(nil)

@@ -29,9 +29,8 @@ func newLinked(t *testing.T, b *Board) (*cosim.HWEndpoint, chan error) {
 	t.Helper()
 	hwT, boardT := cosim.NewInProcPair(256)
 	hw := cosim.NewHWEndpoint(hwT, cosim.SyncAlternating)
-	bep := cosim.NewBoardEndpoint(boardT)
 	done := make(chan error, 1)
-	go func() { done <- b.Run(bep) }()
+	go func() { done <- cosim.Serve(boardT, b, nil, "board") }()
 	return hw, done
 }
 
@@ -325,7 +324,7 @@ func TestGrantRejectsBadInterrupt(t *testing.T) {
 		}
 		want := fmt.Sprintf("interrupt line %d", irq)
 		if err := <-done; err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("wire board, IRQ %d: Run returned %v, want an error naming %q", irq, err, want)
+			t.Errorf("wire board, IRQ %d: Serve returned %v, want an error naming %q", irq, err, want)
 		}
 
 		b = New(testCfg())
@@ -343,7 +342,7 @@ func TestGrantRejectsBadInterrupt(t *testing.T) {
 func TestBoardRefusesReadRequest(t *testing.T) {
 	hwT, boardT := cosim.NewInProcPair(8)
 	done := make(chan error, 1)
-	go func() { done <- New(testCfg()).Run(cosim.NewBoardEndpoint(boardT)) }()
+	go func() { done <- cosim.Serve(boardT, New(testCfg()), nil, "board") }()
 	if err := hwT.Send(cosim.ChanData, cosim.Msg{Type: cosim.MTDataReadReq, Addr: 4, Count: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +350,7 @@ func TestBoardRefusesReadRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := <-done; err == nil || !strings.Contains(err.Error(), cosim.MTDataReadReq.String()) {
-		t.Errorf("wire board: Run returned %v, want a refused %v", err, cosim.MTDataReadReq)
+		t.Errorf("wire board: Serve returned %v, want a refused %v", err, cosim.MTDataReadReq)
 	}
 
 	b := New(testCfg())
@@ -629,7 +628,7 @@ func agreeKernel() (*hdlsim.Simulator, *hdlsim.Clock) {
 }
 
 // TestBoardModesAgree: one board program run under DriverSimulate over
-// an in-process wire (Run behind a BoardEndpoint) and as the granted
+// an in-process wire (served by cosim.Serve) and as the granted
 // party itself sees the same simulation — the same DriverStats, board
 // Stats, board time and application values — at TSync 1 and 7, plain
 // and adaptive.

@@ -54,7 +54,7 @@ func channelOf(k hdlsim.DataKind) Channel {
 // kinds in sends and accepts only those its peer sends.
 type endpoint struct {
 	tr    Transport
-	side  string // Observe's label, "hw" or "board"
+	side  string // "hw" or "board": named in errors, Observe's label
 	sends kindSet
 	recvs kindSet
 
@@ -81,9 +81,9 @@ func (ep *endpoint) Metrics() *Metrics {
 }
 
 // Observe publishes the endpoint's hot-path counters and the CLOCK
-// rendezvous latency histogram into reg under its side label ("hw" or
-// "board"). Call it before the run starts; it is not safe to call
-// concurrently with the run.
+// rendezvous latency histogram into reg under its side label. Call it
+// before the run starts; it is not safe to call concurrently with the
+// run.
 func (ep *endpoint) Observe(reg *obs.Registry) { ep.ObserveAs(reg, ep.side) }
 
 // ObserveAs is Observe with an explicit side label — a federation
@@ -113,6 +113,16 @@ func (ep *endpoint) Send(d hdlsim.DataMsg) error {
 		ep.lv.incDataSent()
 	}
 	return ep.sendFrame(ch, m)
+}
+
+// sendAll sends each of events in order (see Send).
+func (ep *endpoint) sendAll(events []hdlsim.DataMsg) error {
+	for _, d := range events {
+		if err := ep.Send(d); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // sendFrame counts m's wire bytes and sends it on ch.

@@ -1,74 +1,87 @@
 package cosim
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/hdlsim"
 )
 
-// scriptedBoard runs a minimal board-side loop on a goroutine: per grant it
-// posts one write of the grant's tick count and acknowledges.
-func scriptedBoard(t *testing.T, ep *BoardEndpoint, echo bool) chan struct {
-	grants []Grant
-	err    error
-} {
+// grant is one clock grant as a scriptedParty saw it.
+type grant struct {
+	Ticks   uint64
+	Traffic []hdlsim.DataMsg
+}
+
+// scriptedParty is a minimal served board: its clock runs one cycle per
+// granted tick and one software tick per grant, it promises nothing, it
+// records every grant, and post, when set, returns the events it emits
+// during the grant ending at until.
+type scriptedParty struct {
+	post     func(g grant, until SimTime) []hdlsim.DataMsg
+	grants   []grant
+	staged   []hdlsim.DataMsg
+	out      []hdlsim.DataMsg
+	cur      SimTime
+	finished bool
+}
+
+func (p *scriptedParty) Exchange(in []hdlsim.DataMsg) ([]hdlsim.DataMsg, error) {
+	p.staged = append(p.staged, in...) // Serve reuses in at the next grant
+	out := p.out
+	p.out = nil
+	return out, nil
+}
+
+func (p *scriptedParty) Step(until SimTime) (SimTime, error) {
+	g := grant{Ticks: uint64(until - p.cur), Traffic: p.staged}
+	p.staged = nil
+	p.grants = append(p.grants, g)
+	if p.post != nil {
+		p.out = append(p.out, p.post(g, until)...)
+	}
+	p.cur = until
+	return until, nil
+}
+
+func (p *scriptedParty) Lookahead() uint64    { return NoLookahead }
+func (p *scriptedParty) Done() bool           { return false }
+func (p *scriptedParty) Finish(SimTime) error { p.finished = true; return nil }
+func (p *scriptedParty) BoardTime() (cycle, swTick uint64) {
+	return uint64(p.cur), uint64(len(p.grants))
+}
+
+// echo posts one write of the grant's tick count.
+func echo(g grant, _ SimTime) []hdlsim.DataMsg {
+	return []hdlsim.DataMsg{{Kind: hdlsim.DataWrite, Addr: 0x10, Words: []uint32{uint32(g.Ticks)}}}
+}
+
+// served is what a scriptedBoard's party saw once serve returned.
+type served struct {
+	grants   []grant
+	finished bool
+	err      error
+}
+
+// scriptedBoard serves a scriptedParty with post on a goroutine over the
+// board end of a link. It returns the board-side endpoint, whose Metrics
+// are valid once the result arrives.
+func scriptedBoard(t *testing.T, tr Transport, post func(grant, SimTime) []hdlsim.DataMsg) (*endpoint, <-chan served) {
 	t.Helper()
-	out := make(chan struct {
-		grants []Grant
-		err    error
-	}, 1)
+	ep := newBoardSide(tr)
+	out := make(chan served, 1)
 	go func() {
-		var grants []Grant
-		var cycle, tick uint64
-		for {
-			g, err := ep.WaitGrant()
-			if err != nil {
-				out <- struct {
-					grants []Grant
-					err    error
-				}{grants, err}
-				return
-			}
-			if g.Finished {
-				err := ep.FinishAck(cycle, tick)
-				out <- struct {
-					grants []Grant
-					err    error
-				}{grants, err}
-				return
-			}
-			g.Traffic = slices.Clone(g.Traffic) // WaitGrant reuses the slice
-			grants = append(grants, g)
-			cycle += g.Ticks
-			tick++
-			if echo {
-				if err := ep.Send(hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: 0x10, Words: []uint32{uint32(g.Ticks)}}); err != nil {
-					out <- struct {
-						grants []Grant
-						err    error
-					}{grants, err}
-					return
-				}
-			}
-			if err := ep.Ack(cycle, tick, NoLookahead); err != nil {
-				out <- struct {
-					grants []Grant
-					err    error
-				}{grants, err}
-				return
-			}
-		}
+		p := &scriptedParty{post: post}
+		err := ep.serve(p)
+		out <- served{p.grants, p.finished, err}
 	}()
-	return out
+	return ep, out
 }
 
 func runRendezvous(t *testing.T, mode SyncMode) {
 	t.Helper()
 	hwT, boardT := NewInProcPair(64)
 	hw := NewHWEndpoint(hwT, mode)
-	board := NewBoardEndpoint(boardT)
-	result := scriptedBoard(t, board, true)
+	_, result := scriptedBoard(t, boardT, echo)
 
 	// Simulate three quanta of 10 ticks with one interrupt + one write in
 	// the second.
@@ -93,8 +106,8 @@ func runRendezvous(t *testing.T, mode SyncMode) {
 	boardData = append(boardData, hw.PollData()...)
 
 	r := <-result
-	if r.err != nil {
-		t.Fatalf("board loop: %v", r.err)
+	if r.err != nil || !r.finished {
+		t.Fatalf("board loop: %v (party finished: %v)", r.err, r.finished)
 	}
 	if len(r.grants) != 3 {
 		t.Fatalf("board saw %d grants, want 3", len(r.grants))
@@ -134,8 +147,7 @@ func TestEndpointRendezvousPipelined(t *testing.T)   { runRendezvous(t, SyncPipe
 func TestAlternatingLatencyIsOneQuantum(t *testing.T) {
 	hwT, boardT := NewInProcPair(64)
 	hw := NewHWEndpoint(hwT, SyncAlternating)
-	board := NewBoardEndpoint(boardT)
-	result := scriptedBoard(t, board, true)
+	_, result := scriptedBoard(t, boardT, echo)
 
 	// After the step of quantum 1, PollData must already hold the board's
 	// quantum-1 echo (alternating waits for the ack).
@@ -155,8 +167,7 @@ func TestAlternatingLatencyIsOneQuantum(t *testing.T) {
 func TestPipelinedLatencyIsTwoQuanta(t *testing.T) {
 	hwT, boardT := NewInProcPair(64)
 	hw := NewHWEndpoint(hwT, SyncPipelined)
-	board := NewBoardEndpoint(boardT)
-	result := scriptedBoard(t, board, true)
+	_, result := scriptedBoard(t, boardT, echo)
 
 	// Pipelined: first sync returns without waiting; no board data yet.
 	if _, err := hw.Step(SimTime(10)); err != nil {
@@ -182,8 +193,7 @@ func TestPipelinedLatencyIsTwoQuanta(t *testing.T) {
 func TestEndpointMetrics(t *testing.T) {
 	hwT, boardT := NewInProcPair(64)
 	hw := NewHWEndpoint(hwT, SyncAlternating)
-	board := NewBoardEndpoint(boardT)
-	result := scriptedBoard(t, board, false)
+	_, result := scriptedBoard(t, boardT, nil)
 
 	for q := 0; q < 5; q++ {
 		if _, err := hw.Step(SimTime(100 * (q + 1))); err != nil {
@@ -229,8 +239,7 @@ func TestEndpointOverTCP(t *testing.T) {
 		t.Fatal("accept failed")
 	}
 	hw := NewHWEndpoint(hwT, SyncAlternating)
-	board := NewBoardEndpoint(boardT)
-	result := scriptedBoard(t, board, true)
+	_, result := scriptedBoard(t, boardT, echo)
 	for q := 0; q < 10; q++ {
 		if _, err := hw.Step(SimTime(7 * (q + 1))); err != nil {
 			t.Fatal(err)
@@ -260,34 +269,12 @@ func TestBoardReadReqFlow(t *testing.T) {
 	// for quantum 2... delivered with that grant).
 	hwT, boardT := NewInProcPair(64)
 	hw := NewHWEndpoint(hwT, SyncAlternating)
-	board := NewBoardEndpoint(boardT)
-
-	done := make(chan error, 1)
-	var resps []hdlsim.DataMsg
-	go func() {
-		for {
-			g, err := board.WaitGrant()
-			if err != nil {
-				done <- err
-				return
-			}
-			if g.Finished {
-				done <- board.FinishAck(0, 0)
-				return
-			}
-			resps = append(resps, g.Traffic...)
-			if g.HWCycle == 10 { // first quantum: fire the read
-				if err := board.Send(hdlsim.DataMsg{Kind: hdlsim.DataReadReq, Addr: 0x50, Count: 2}); err != nil {
-					done <- err
-					return
-				}
-			}
-			if err := board.Ack(g.HWCycle, 0, NoLookahead); err != nil {
-				done <- err
-				return
-			}
+	_, result := scriptedBoard(t, boardT, func(_ grant, until SimTime) []hdlsim.DataMsg {
+		if until == 10 { // first quantum: fire the read
+			return []hdlsim.DataMsg{{Kind: hdlsim.DataReadReq, Addr: 0x50, Count: 2}}
 		}
-	}()
+		return nil
+	})
 
 	// Quantum 1: nothing from HW.
 	if _, err := hw.Step(SimTime(10)); err != nil {
@@ -307,8 +294,13 @@ func TestBoardReadReqFlow(t *testing.T) {
 	if err := hw.Finish(20); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	r := <-result
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	var resps []hdlsim.DataMsg
+	for _, g := range r.grants {
+		resps = append(resps, g.Traffic...)
 	}
 	if len(resps) != 1 || resps[0].Kind != hdlsim.DataReadResp || resps[0].Addr != 0x50 || len(resps[0].Words) != 2 || resps[0].Words[1] != 22 {
 		t.Fatalf("board read responses: %+v", resps)

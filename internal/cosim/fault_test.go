@@ -87,15 +87,10 @@ func TestAckAnnouncesMoreDataThanSent(t *testing.T) {
 // board with an error rather than hanging.
 func TestBoardSeesFinishAfterClose(t *testing.T) {
 	hwT, boardT := NewInProcPair(8)
-	be := NewBoardEndpoint(boardT)
-	errc := make(chan error, 1)
-	go func() {
-		_, err := be.WaitGrant()
-		errc <- err
-	}()
+	_, result := scriptedBoard(t, boardT, nil)
 	hwT.Close()
-	if err := <-errc; err == nil {
-		t.Fatal("WaitGrant returned nil after close")
+	if r := <-result; r.err == nil || !r.finished {
+		t.Fatalf("Serve returned %v after close and finished the party: %v; want an error, finished", r.err, r.finished)
 	}
 }
 
@@ -103,12 +98,11 @@ func TestBoardSeesFinishAfterClose(t *testing.T) {
 // request arriving from the simulator side (protocol direction violation).
 func TestUnexpectedDataTypeFromSimulator(t *testing.T) {
 	hwT, boardT := NewInProcPair(8)
-	be := NewBoardEndpoint(boardT)
 	go func() {
 		hwT.Send(ChanData, Msg{Type: MTDataReadReq, Addr: 1, Count: 1})
 		hwT.Send(ChanClock, Msg{Type: MTClockGrant, Ticks: 1, DataCount: 1})
 	}()
-	if _, err := be.WaitGrant(); err == nil {
+	if err := newBoardSide(boardT).serve(&scriptedParty{}); err == nil {
 		t.Fatal("direction-violating DATA message accepted")
 	}
 	hwT.Close()
@@ -126,11 +120,11 @@ func TestHWEndpointRejectsWrongOutboundKind(t *testing.T) {
 	hwT.Close()
 }
 
-// TestBoardEndpointRejectsWrongOutboundKind: the board side can only send
+// TestBoardSideRejectsWrongOutboundKind: the board side can only send
 // writes and read requests, and a refused event is not counted.
-func TestBoardEndpointRejectsWrongOutboundKind(t *testing.T) {
+func TestBoardSideRejectsWrongOutboundKind(t *testing.T) {
 	_, boardT := NewInProcPair(8)
-	be := NewBoardEndpoint(boardT)
+	be := newBoardSide(boardT)
 	for _, d := range []hdlsim.DataMsg{
 		{Kind: hdlsim.DataInterrupt, IRQ: 3},
 		{Kind: hdlsim.DataReadResp, Addr: 1, Words: []uint32{1}},
@@ -166,10 +160,9 @@ func TestDrainRejectsMisplacedFrames(t *testing.T) {
 		hwT.Close()
 	}
 	hwT, boardT := NewInProcPair(8)
-	be := NewBoardEndpoint(boardT)
 	hwT.Send(ChanInt, Msg{Type: MTDataWrite, Addr: 1, Words: []uint32{1}})
 	hwT.Send(ChanClock, Msg{Type: MTClockGrant, Ticks: 1, IntCount: 1})
-	if _, err := be.WaitGrant(); err == nil {
+	if err := newBoardSide(boardT).serve(&scriptedParty{}); err == nil {
 		t.Error("board side accepted a write on INT")
 	}
 	hwT.Close()

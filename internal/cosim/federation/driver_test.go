@@ -9,37 +9,35 @@ import (
 	"repro/internal/sim"
 )
 
-// scriptedBoard serves the board end of a link as a board whose clock
-// advances one cycle per granted tick and that promises nothing: it
-// acknowledges every grant with its cycle count and, on the grant ending
-// at postAt (0 = never), posts one write of 0xbeef to address 0x10. It
-// sends the granted ticks on the returned channel once the simulator
-// finishes the run.
-func scriptedBoard(tr cosim.Transport, postAt uint64) <-chan []uint64 {
-	done := make(chan []uint64, 1)
-	go func() {
-		bep := cosim.NewBoardEndpoint(tr)
-		var ticks []uint64
-		cycle := uint64(0)
-		defer func() { done <- ticks }()
-		for {
-			g, err := bep.WaitGrant()
-			if err != nil || g.Finished {
-				bep.FinishAck(cycle, cycle)
-				return
-			}
-			ticks = append(ticks, g.Ticks)
-			cycle += g.Ticks
-			if cycle == postAt {
-				bep.Send(hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: 0x10, Words: []uint32{0xbeef}})
-			}
-			if bep.Ack(cycle, cycle, cosim.NoLookahead) != nil {
-				return
-			}
-		}
-	}()
-	return done
+// scriptedBoard is a served board whose clock advances one cycle per
+// granted tick and that promises nothing: it records every grant's
+// ticks and, on the grant ending at postAt (0 = never), posts one write
+// of 0xbeef to address 0x10.
+type scriptedBoard struct {
+	cur    cosim.SimTime
+	postAt cosim.SimTime
+	ticks  []uint64
+	out    []hdlsim.DataMsg
 }
+
+func (b *scriptedBoard) Step(until cosim.SimTime) (cosim.SimTime, error) {
+	b.ticks = append(b.ticks, uint64(until-b.cur))
+	b.cur = until
+	if until == b.postAt {
+		b.out = append(b.out, hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: 0x10, Words: []uint32{0xbeef}})
+	}
+	return until, nil
+}
+
+func (b *scriptedBoard) Exchange([]hdlsim.DataMsg) ([]hdlsim.DataMsg, error) {
+	out := b.out
+	b.out = nil
+	return out, nil
+}
+
+func (b *scriptedBoard) Lookahead() uint64          { return cosim.NoLookahead }
+func (b *scriptedBoard) Done() bool                 { return false }
+func (b *scriptedBoard) Finish(cosim.SimTime) error { return nil }
 
 // runDriver runs DriverSimulate over an in-process link to a scripted
 // board, on a kernel with one clock and a driver_in window at 0x10.
@@ -55,10 +53,13 @@ func runDriver(t *testing.T, sched Schedule, postAt uint64) (hdlsim.DriverStats,
 		}
 	}, din)
 	hwT, boardT := cosim.NewInProcPair(64)
-	grants := scriptedBoard(boardT, postAt)
+	b := &scriptedBoard{postAt: cosim.SimTime(postAt)}
+	served := make(chan error, 1)
+	go func() { served <- cosim.Serve(boardT, b, nil, "board") }()
 	st, err := DriverSimulate(s, clk, cosim.NewHWEndpoint(hwT, cosim.SyncAlternating), sched)
 	hwT.Close()
-	return st, <-grants, got, err
+	<-served
+	return st, b.ticks, got, err
 }
 
 // TestDriverSyncCadence: the two-party run grants the board every TSync

@@ -20,3 +20,9 @@ func dialRaw(addr string, tag byte, version uint16) (net.Conn, error) {
 	}
 	return c, nil
 }
+
+// newBoardSide is the board-side endpoint Serve runs over tr.
+func newBoardSide(tr Transport) *endpoint {
+	ep := newEndpoint(tr, "board", boardKinds, hwKinds)
+	return &ep
+}

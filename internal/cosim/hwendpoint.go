@@ -39,7 +39,7 @@ func (m SyncMode) String() string {
 // HWEndpoint is the hardware-simulator side of the link: the
 // grant-issuing end of the v3 wire protocol, over any transport kind. It
 // implements hdlsim.DriverEndpoint (the DATA and INT ports, through the
-// Send and drain it shares with BoardEndpoint), so a kernel
+// Send and drain it shares with Serve's board side), so a kernel
 // can be stepped directly over it, and Federate, so the time manager sees
 // the remote process — typically a board — as a granted party: Exchange
 // puts inbound events on the DATA/INT channels, Step grants the quantum
@@ -109,10 +109,8 @@ func (ep *HWEndpoint) PollData() []hdlsim.DataMsg {
 // immediately (the grant that follows carries their drain counts), and
 // the DATA traffic announced by the last acknowledgement is returned.
 func (ep *HWEndpoint) Exchange(in []hdlsim.DataMsg) ([]hdlsim.DataMsg, error) {
-	for _, m := range in {
-		if err := ep.Send(m); err != nil {
-			return nil, err
-		}
+	if err := ep.sendAll(in); err != nil {
+		return nil, err
 	}
 	return ep.PollData(), nil
 }

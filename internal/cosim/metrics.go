@@ -5,8 +5,8 @@ import "time"
 // Metrics aggregates link-level counters for one endpoint. All counters
 // are owned by the endpoint's goroutine; read them after the run.
 type Metrics struct {
-	SyncEvents   uint64        // CLOCK rendezvous performed
-	TicksGranted uint64        // virtual ticks granted (HW) / received (board)
+	SyncEvents   uint64        // CLOCK grants issued (simulator side)
+	TicksGranted uint64        // virtual ticks granted (simulator side)
 	DataSent     uint64        // DATA messages sent
 	DataRecv     uint64        // DATA messages received
 	IntSent      uint64        // INT messages sent

@@ -29,8 +29,7 @@ func TestStopClockWithoutStart(t *testing.T) {
 func TestEndpointWallClockRecorded(t *testing.T) {
 	hwT, boardT := NewInProcPair(64)
 	hw := NewHWEndpoint(hwT, SyncAlternating)
-	board := NewBoardEndpoint(boardT)
-	result := scriptedBoard(t, board, false)
+	board, result := scriptedBoard(t, boardT, nil)
 
 	for q := 1; q <= 3; q++ {
 		if _, err := hw.Step(SimTime(10 * q)); err != nil {

@@ -59,7 +59,7 @@ func b2t(t *testing.T) Transport {
 }
 
 // TestEndpointObservePublishesLive runs a small co-simulation exchange
-// by hand and checks that the obs registry sees rendezvous histogram
+// against a served board and checks that the obs registry sees rendezvous histogram
 // counts and channel counters advance.
 func TestEndpointObservePublishesLive(t *testing.T) {
 	hwT, boardT := NewInProcPair(64)
@@ -69,28 +69,11 @@ func TestEndpointObservePublishesLive(t *testing.T) {
 	reg := obs.NewRegistry()
 	hw := NewHWEndpoint(hwT, SyncAlternating)
 	hw.Observe(reg)
-	bep := NewBoardEndpoint(boardT)
-	bep.Observe(reg)
-
 	boardDone := make(chan error, 1)
 	go func() {
-		boardDone <- func() error {
-			for {
-				g, err := bep.WaitGrant()
-				if err != nil {
-					return err
-				}
-				if g.Finished {
-					return bep.FinishAck(1, 1)
-				}
-				if err := bep.Send(hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: 0x10, Words: []uint32{1, 2}}); err != nil {
-					return err
-				}
-				if err := bep.Ack(g.HWCycle, 1, NoLookahead); err != nil {
-					return err
-				}
-			}
-		}()
+		boardDone <- Serve(boardT, &scriptedParty{post: func(grant, SimTime) []hdlsim.DataMsg {
+			return []hdlsim.DataMsg{{Kind: hdlsim.DataWrite, Addr: 0x10, Words: []uint32{1, 2}}}
+		}}, reg, "board")
 	}()
 
 	const quanta = 5

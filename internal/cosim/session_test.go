@@ -256,8 +256,7 @@ func TestSessionTCPReconnectMidRun(t *testing.T) {
 
 	hw := NewHWEndpoint(hwS, SyncAlternating)
 	hw.AckTimeout = 10 * time.Second // fail instead of hanging if recovery breaks
-	board := NewBoardEndpoint(boardS)
-	result := scriptedBoard(t, board, true)
+	_, result := scriptedBoard(t, boardS, echo)
 
 	const quanta = 20
 	var echoes int

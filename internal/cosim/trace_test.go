@@ -70,8 +70,7 @@ func TestTracedEndpointsStillInteroperate(t *testing.T) {
 	hwT, boardT := NewInProcPair(64)
 	var hwLog, boardLog bytes.Buffer
 	hw := NewHWEndpoint(NewTraceTransport(hwT, &hwLog), SyncAlternating)
-	board := NewBoardEndpoint(NewTraceTransport(boardT, &boardLog))
-	result := scriptedBoard(t, board, true)
+	_, result := scriptedBoard(t, NewTraceTransport(boardT, &boardLog), echo)
 	for q := 0; q < 3; q++ {
 		if _, err := hw.Step(SimTime(10 * (q + 1))); err != nil {
 			t.Fatal(err)

@@ -222,7 +222,7 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 	// party, so abort also shuts down every kernel built so far, once
 	// the wire boards' own loops have returned.
 	var closers []func() error
-	wires := make([]boardLink, fc.Boards) // wire board i's link and its Run's error
+	wires := make([]boardLink, fc.Boards) // wire board i's link and what Serve returned
 	var boardLoops sync.WaitGroup
 	wired := 0
 	closeAll := func() {
@@ -311,23 +311,20 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 			}
 			wire := &wires[i]
 			wire.Transport = boardT
-			bep := cosim.NewBoardEndpoint(wire)
+			// One board keeps the classic side="hw"/"board" series;
+			// several label each link by its federate name.
+			hwSide, side := "hw", "board"
+			if fc.Boards > 1 {
+				hwSide, side = name, name+":board"
+			}
 			if rc.Obs != nil {
-				// One board keeps the classic side="hw"/"board" series;
-				// several label each link by its federate name.
-				if fc.Boards == 1 {
-					ep.Observe(rc.Obs)
-					bep.Observe(rc.Obs)
-				} else {
-					ep.ObserveAs(rc.Obs, name)
-					bep.ObserveAs(rc.Obs, name+":board")
-				}
+				ep.ObserveAs(rc.Obs, hwSide)
 			}
 			parties = append(parties, federation.Party{Name: name, Fed: ep})
 			boardLoops.Add(1)
 			go func(b *board.Board) {
 				defer boardLoops.Done()
-				wire.err = b.Run(bep)
+				wire.err = cosim.Serve(wire, b, rc.Obs, side)
 			}(bs.Board)
 			wired++
 		}
@@ -444,14 +441,14 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 	return res, nil
 }
 
-// boardLink is a wire board's end of its link. Board.Run closes it when
-// the board fails, before the simulator sees the link go down, so a run
-// that fails next can tell the board's own failure from the closed link
-// it caused.
+// boardLink is a wire board's end of its link. cosim.Serve closes it
+// when the board fails, before the simulator sees the link go down, so a
+// run that fails next can tell the board's own failure from the closed
+// link it caused.
 type boardLink struct {
 	cosim.Transport
 	failed atomic.Bool
-	err    error // the board's Run, once it returned
+	err    error // what Serve returned
 }
 
 // Close implements cosim.Transport, marking the board failed.

@@ -24,8 +24,8 @@ func fedTransports() []TransportKind {
 
 // pairwiseReference runs rc the way the paper's driver_simulate did
 // before every run went through the federation manager: a transcription
-// of that pairwise loop on the test goroutine, the board behind a
-// BoardEndpoint on a second one, over a fresh link of rc.Transport with
+// of that pairwise loop on the test goroutine, the board served by
+// cosim.Serve on a second one, over a fresh link of rc.Transport with
 // rc's decorator stack. It steps hdlsim.Driver.Advance directly over the
 // HWEndpoint, so DATA and INT frames leave mid-quantum; it keeps its own
 // copy of the elision predicate, reads pending traffic from the
@@ -48,9 +48,8 @@ func pairwiseReference(t *testing.T, rc RunConfig) RunResult {
 	defer hwClose()
 	defer boardClose()
 	hw := cosim.NewHWEndpoint(hwT, rc.Mode)
-	bep := cosim.NewBoardEndpoint(boardT)
 	boardDone := make(chan error, 1)
-	go func() { boardDone <- bs.Board.Run(bep) }()
+	go func() { boardDone <- cosim.Serve(boardT, bs.Board, nil, "board") }()
 	st, err := pairwiseLoop(tb, hw, rc)
 	if err != nil {
 		hwT.Close()

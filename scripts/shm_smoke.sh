@@ -1,6 +1,6 @@
 #!/bin/sh
 # Cross-process link smoke test: cosim-hw and cosim-board run as two real
-# processes, first over shared memory, then over TCP.
+# processes, over shared memory, over TCP and over TCP with -pipelined.
 #
 #  - shm: cosim-hw creates the link file (-shm-path, CreateShm) and
 #    cosim-board attaches to it (OpenShm). The in-repo tests cover
@@ -8,16 +8,32 @@
 #    creator/opener rendezvous runs across a real process boundary.
 #  - tcp: cosim-hw listens on a free loopback port and cosim-board dials
 #    the address it prints, the paper's two-host deployment shape.
+#  - tcp-pipelined: the same with the board's quantum overlapping the
+#    simulator's.
 #
-# Both runs must report 100% packet accuracy, and their protocol traces
-# (-trace), hw side and board side, must match line for line once the
-# wall-clock timestamp column is stripped: the wire traffic, and the
-# order in which the board sends within a grant, do not depend on the
-# transport.
+# Every run must report 100% packet accuracy, and its protocol traces
+# (-trace), hw side and board side, must match the golden transcripts in
+# scripts/testdata/link/ line for line once the wall-clock timestamp
+# column is stripped: the wire traffic, and the order in which the board
+# sends within a grant, depend neither on the transport nor on how the
+# two sides are written. The shm and tcp runs share hw.trace and
+# board.trace; tcp-pipelined has hw-pipelined.trace and
+# board-pipelined.trace.
 #
 # Usage: scripts/shm_smoke.sh   (from the repository root)
+#
+# Regenerate the goldens, only for a deliberate change of the wire
+# traffic (from the repository root):
+#
+#   d=$(mktemp -d) && go build -o "$d/" ./cmd/cosim-hw ./cmd/cosim-board &&
+#   for p in "" -pipelined; do
+#     "$d/cosim-hw" -shm-path "$d/l$p" -n 40 -tsync 500 $p -trace "$d/hw" & sleep 1
+#     "$d/cosim-board" -shm-path "$d/l$p" -trace "$d/board"; wait
+#     for s in hw board; do cut -d' ' -f2- "$d/$s" >"scripts/testdata/link/$s$p.trace"; done
+#   done; rm -rf "$d"
 set -eu
 
+golden=scripts/testdata/link
 dir=$(mktemp -d)
 hw=
 cleanup() {
@@ -54,7 +70,18 @@ check() {
     fi
 }
 
-"$dir/cosim-hw" -shm-path "$path" -n 40 -tsync 500 -trace "$dir/shm.trace" >"$dir/shm-hw.log" 2>&1 &
+# same NAME SIDE GOLDEN: run NAME's SIDE transcript matches GOLDEN with
+# timestamps stripped.
+same() {
+    cut -d' ' -f2- "$dir/$1-$2.trace" >"$dir/$1-$2.stripped"
+    if ! cmp -s "$golden/$3" "$dir/$1-$2.stripped"; then
+        echo "link smoke: $1 $2-side trace differs from $golden/$3" >&2
+        diff "$golden/$3" "$dir/$1-$2.stripped" | head -20 >&2
+        exit 1
+    fi
+}
+
+"$dir/cosim-hw" -shm-path "$path" -n 40 -tsync 500 -trace "$dir/shm-hw.trace" >"$dir/shm-hw.log" 2>&1 &
 hw=$!
 # The board also retries internally while the segment header is being
 # stamped, so it only needs the file to exist.
@@ -73,25 +100,25 @@ wait "$hw"
 hw=
 check shm
 
-"$dir/cosim-hw" -listen 127.0.0.1:0 -n 40 -tsync 500 -trace "$dir/tcp.trace" >"$dir/tcp-hw.log" 2>&1 &
-hw=$!
-wait_for "$dir/tcp-hw.log" "listening on" "cosim-hw listen address"
-addr=$(sed -n 's/^cosim-hw: listening on \([^ ]*\) .*/\1/p' "$dir/tcp-hw.log")
-"$dir/cosim-board" -connect "$addr" -trace "$dir/tcp-board.trace" >"$dir/tcp-board.log" 2>&1
-wait "$hw"
-hw=
-check tcp
-
-# same SIDE SHM TCP: the two transcripts match with timestamps stripped.
-same() {
-    cut -d' ' -f2- "$2" >"$2.stripped"
-    cut -d' ' -f2- "$3" >"$3.stripped"
-    if ! cmp -s "$2.stripped" "$3.stripped"; then
-        echo "link smoke: shm and tcp $1-side traces differ" >&2
-        diff "$2.stripped" "$3.stripped" | head -20 >&2
-        exit 1
-    fi
+# tcp NAME [HWFLAG...]: one TCP run; cosim-hw gets the extra flags.
+tcp() {
+    name=$1
+    shift
+    "$dir/cosim-hw" -listen 127.0.0.1:0 -n 40 -tsync 500 "$@" -trace "$dir/$name-hw.trace" >"$dir/$name-hw.log" 2>&1 &
+    hw=$!
+    wait_for "$dir/$name-hw.log" "listening on" "cosim-hw listen address"
+    addr=$(sed -n 's/^cosim-hw: listening on \([^ ]*\) .*/\1/p' "$dir/$name-hw.log")
+    "$dir/cosim-board" -connect "$addr" -trace "$dir/$name-board.trace" >"$dir/$name-board.log" 2>&1
+    wait "$hw"
+    hw=
+    check "$name"
 }
-same hw "$dir/shm.trace" "$dir/tcp.trace"
-same board "$dir/shm-board.trace" "$dir/tcp-board.trace"
-echo "shm smoke: OK (cross-process CreateShm/OpenShm and TCP links verified, $(wc -l <"$dir/tcp.trace.stripped") identical hw and $(wc -l <"$dir/tcp-board.trace.stripped") identical board trace lines)"
+tcp tcp
+tcp tcp-pipelined -pipelined
+
+for side in hw board; do
+    same shm "$side" "$side.trace"
+    same tcp "$side" "$side.trace"
+    same tcp-pipelined "$side" "$side-pipelined.trace"
+done
+echo "shm smoke: OK (cross-process CreateShm/OpenShm and TCP links verified; shm, tcp and tcp-pipelined match the goldens: $(wc -l <"$golden/hw.trace")+$(wc -l <"$golden/hw-pipelined.trace") hw and $(wc -l <"$golden/board.trace")+$(wc -l <"$golden/board-pipelined.trace") board trace lines)"
