@@ -10,9 +10,10 @@ import (
 // TestAllocsKernelQuantum pins the steady-state allocation cost of the
 // clocked kernel: once the event-queue freelist and the wake/notify
 // scratch slices are warm, running a quantum's worth of cycles must not
-// allocate per cycle — a clock edge costs one recycled timed event, not a
-// fresh heap object. This was the dominant term of the pre-arena
-// allocs_per_quantum (~2 allocs per clock cycle).
+// allocate per cycle. A clock keeps its next edge in its own fields, not
+// on the timed heap, and a quiet edge commits in place, so an edge
+// allocates nothing. Per-cycle garbage was the dominant term of the
+// pre-arena allocs_per_quantum (~2 allocs per clock cycle).
 func TestAllocsKernelQuantum(t *testing.T) {
 	s := NewSimulator("allocs")
 	clk := s.NewClock("clk", sim.NS(10))

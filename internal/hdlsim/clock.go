@@ -41,17 +41,49 @@ func (s *Simulator) NewClock(name string, period sim.Time) *Clock {
 	return c
 }
 
-// fire drives the due edge onto the signal and sets the following one.
-func (c *Clock) fire() {
+// fire drives the due edge onto the signal.
+func (c *Clock) fire() { c.sig.Write(c.advance()) }
+
+// commit drives the due edge and runs the update delta that would follow
+// it in place: the write, the delta, the signal update, the value-changed
+// and edge notifications and the tracers, with the same counts. It is
+// only valid when the edge is alone at its instant and nothing else is
+// runnable or pending, so that delta would hold this commit alone and
+// its notification phase would fire just these events, in this order.
+func (c *Clock) commit() {
+	b, s := c.sig, c.sig.sim
+	high := c.advance()
+	b.writes++
+	s.stats.Deltas++
+	s.stats.SignalUpdates++
+	if high == b.cur {
+		return
+	}
+	b.cur = high
+	b.changed.fireUpdate()
+	if high {
+		b.pos.fireUpdate()
+	} else {
+		b.neg.fireUpdate()
+	}
+	for _, fn := range b.tracers {
+		fn(s.now, high)
+	}
+}
+
+// advance moves the clock past its due edge, setting the following one,
+// and returns the level the due edge drives.
+func (c *Clock) advance() bool {
 	s := c.sig.sim
-	c.sig.Write(c.nextHigh)
-	if c.nextHigh {
+	high := c.nextHigh
+	if high {
 		c.cycles++
 	}
 	c.nextAt += c.half
-	c.nextHigh = !c.nextHigh
+	c.nextHigh = !high
 	c.nextSeq = s.edgeSeq
 	s.edgeSeq++
+	return high
 }
 
 // Name returns the clock signal name.

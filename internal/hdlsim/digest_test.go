@@ -17,7 +17,7 @@ import (
 // it ran at and every signal value it could read, plus each run's final
 // Stats and clock cycle counts. A kernel change that moves an activation,
 // a committed value or a counter changes the digest.
-const kernelTraceDigest = "29ccb9f73c4acad3c55cd50d0cd9094f133029e2fd5a28627ecca1968603a4d2"
+const kernelTraceDigest = "ed5d1026f48797ae12b4b59a0691cae1bdb2a4590a57cee73c1afd39e5f05389"
 
 const kernelDigestDesigns = 320
 
@@ -67,6 +67,39 @@ func (d *digestDesign) record(proc int) {
 	d.h.Write(b)
 }
 
+// traceClock hashes one committed clock level reported to a tracer.
+func (d *digestDesign) traceClock(clk int, at sim.Time, v bool) {
+	b := d.buf[:0]
+	b = binary.LittleEndian.AppendUint64(b, uint64(d.seed))
+	b = binary.LittleEndian.AppendUint64(b, uint64(at))
+	b = binary.LittleEndian.AppendUint32(b, uint32(clk)|1<<31)
+	if v {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	d.buf = b
+	d.h.Write(b)
+}
+
+// notifyTarget draws the event a thread notifies, delays or cancels:
+// mostly one of the design's own events, sometimes a clock's edge or
+// value-changed event, whose pending notifications a committed edge must
+// cancel.
+func (d *digestDesign) notifyTarget(rng *rand.Rand) *Event {
+	if rng.Intn(4) != 0 {
+		return d.events[rng.Intn(len(d.events))]
+	}
+	c := d.clocks[rng.Intn(len(d.clocks))]
+	switch rng.Intn(3) {
+	case 0:
+		return c.Posedge()
+	case 1:
+		return c.Negedge()
+	}
+	return c.Signal().Changed()
+}
+
 // sum folds the signals a process reads into the value it writes.
 func (d *digestDesign) sum(upTo int) int {
 	v := 0
@@ -84,13 +117,16 @@ func (d *digestDesign) sum(upTo int) int {
 // to a clock edge, a clock's value-changed event or a lower-numbered
 // signal, so value-change sensitivities form a DAG. Threads draw their
 // waits (time, timeout, counted cycles, any-of) and their notifications
-// (delta, delayed including 0, cancel) from their own seeded source.
+// (delta, delayed including 0, cancel, sometimes of a clock's events)
+// from their own seeded source. Every clock signal carries a tracer.
 func traceRandomDesign(h hash.Hash, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	s := NewSimulator(fmt.Sprintf("d%d", seed))
 	d := &digestDesign{h: h, seed: seed, s: s}
 	for i, n := 0, 1+rng.Intn(4); i < n; i++ {
-		d.clocks = append(d.clocks, s.NewClock(fmt.Sprintf("clk%d", i), sim.Time(2*(1+rng.Intn(5)))))
+		c := s.NewClock(fmt.Sprintf("clk%d", i), sim.Time(2*(1+rng.Intn(5))))
+		c.Signal().Trace(func(at sim.Time, v bool) { d.traceClock(i, at, v) })
+		d.clocks = append(d.clocks, c)
 	}
 	for i, n := 0, 2+rng.Intn(5); i < n; i++ {
 		d.sigs = append(d.sigs, NewSignal[int](s, fmt.Sprintf("s%d", i)))
@@ -142,7 +178,7 @@ func traceRandomDesign(h hash.Hash, seed int64) error {
 				sig := d.sigs[trng.Intn(len(d.sigs))]
 				sig.Write(sig.Read() + id)
 				d.drv[trng.Intn(2)].Drive(Logic(trng.Intn(4)))
-				ev := d.events[trng.Intn(len(d.events))]
+				ev := d.notifyTarget(trng)
 				switch trng.Intn(4) {
 				case 0:
 					ev.Notify()

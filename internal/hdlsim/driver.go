@@ -337,7 +337,7 @@ func (d *Driver) cycle() error {
 		}
 	}
 	// (2) A standard simulation cycle is accomplished.
-	if err := d.s.RunCycles(d.clk, 1); err != nil {
+	if err := d.s.stepCycle(d.clk); err != nil {
 		return err
 	}
 	d.st.Cycles++

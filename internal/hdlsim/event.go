@@ -49,6 +49,19 @@ func (e *Event) notifyUpdate() {
 	e.sim.queueDeltaNotify(e)
 }
 
+// fireUpdate is notifyUpdate followed at once by the delta-notification
+// phase, for a commit no other notification shares a delta with (see
+// Clock.commit): a pending timed notification is cancelled, and the event
+// fires, which for an event nobody listens to only counts the trigger.
+func (e *Event) fireUpdate() {
+	e.cancelTimed()
+	if len(e.static) == 0 && len(e.dyn) == 0 {
+		e.sim.stats.EventTriggers++
+		return
+	}
+	e.trigger()
+}
+
 // NotifyImmediate triggers the event within the current evaluation phase:
 // waiters run in the *same* delta. Use sparingly; like SystemC's
 // notify() with no arguments it can hide nondeterminism in careless models.

@@ -37,6 +37,15 @@ func TestCombinationalLoopDetectedUnderRunCycles(t *testing.T) {
 	if err := s.RunCycles(clk, 3); err == nil {
 		t.Fatal("loop under RunCycles not detected")
 	}
+	// The first posedge's own delta counts toward the limit: 500 deltas
+	// at time 0 are the clock's update delta, kick's and 498 of osc's.
+	want := Stats{Deltas: 500, TimeSteps: 1, ProcessRuns: 499, SignalUpdates: 500, EventTriggers: 501}
+	if got := s.Stats(); got != want {
+		t.Fatalf("stats at overflow = %+v, want %+v", got, want)
+	}
+	if got := a.Read(); got != 499 {
+		t.Fatalf("a at overflow = %d, want 499", got)
+	}
 }
 
 func TestSettlingDesignUnaffectedByGuard(t *testing.T) {

@@ -73,7 +73,9 @@ func (p *Process) DontInitialize() *Process {
 // updater is anything with deferred update semantics (signals).
 type updater interface{ update(now sim.Time) }
 
-// Stats aggregates kernel activity counters.
+// Stats aggregates kernel activity counters. A clock edge committed in
+// place (see advanceToNext) bumps them exactly as the full delta path
+// would, so the counters are identical on both paths.
 type Stats struct {
 	Deltas        uint64 // delta cycles executed
 	TimeSteps     uint64 // distinct simulated instants visited
@@ -119,10 +121,6 @@ type Simulator struct {
 	driverOuts []*DriverOut
 	intWatches []*intWatch
 	intRaised  []uint8
-
-	// cycleHooks run after every completed clock cycle in RunCycles (and
-	// so Driver.Advance); used by tracing and tests.
-	cycleHooks []func(cycle uint64)
 }
 
 type namedSignal interface {
@@ -165,12 +163,6 @@ func (s *Simulator) Shutdown() {
 			p.coro.Kill()
 		}
 	}
-}
-
-// OnCycle registers fn to run after every completed clock cycle during
-// RunCycles and Driver.Advance.
-func (s *Simulator) OnCycle(fn func(cycle uint64)) {
-	s.cycleHooks = append(s.cycleHooks, fn)
 }
 
 // Method registers a run-to-completion process statically sensitive to the
@@ -265,13 +257,15 @@ func (s *Simulator) execute(p *Process) {
 }
 
 // deltaLoop runs evaluation/update/delta-notification phases until no
-// process is runnable at the current instant.
-func (s *Simulator) deltaLoop() {
+// process is runnable at the current instant. spent is the number of
+// deltas the instant already ran outside the loop (a clock edge committed
+// in place); they count toward MaxDeltasPerInstant.
+func (s *Simulator) deltaLoop(spent uint64) {
 	limit := s.MaxDeltasPerInstant
 	if limit == 0 {
 		limit = 100000
 	}
-	deltasHere := uint64(0)
+	deltasHere := spent
 	for len(s.runnable) > 0 || len(s.updates) > 0 || len(s.deltaNotified) > 0 {
 		if s.stopped {
 			return
@@ -318,35 +312,50 @@ func (s *Simulator) deltaLoop() {
 
 // advanceToNext moves to the earliest instant holding a clock edge or a
 // timed callback, fires the edges and callbacks due there and returns
-// true; returns false when neither exists before limit.
+// true with the number of deltas it ran there (0 or 1); it returns false
+// when neither exists before limit.
 //
 // Edges fire first, in edge-sequence order, then the heap drains. An edge
 // only writes its clock signal, which queues an update; a callback only
 // makes processes runnable or cancels timeouts. So within one instant the
 // order between edges and callbacks cannot be observed.
-func (s *Simulator) advanceToNext(limit sim.Time) bool {
-	next := s.timed.NextTime()
+//
+// A quiet edge — the only edge due, the heap's head strictly later, and
+// nothing runnable or pending — is committed in place by Clock.commit,
+// which is the update delta the full path would run next, and counts as
+// that instant's one delta spent.
+func (s *Simulator) advanceToNext(limit sim.Time) (spent uint64, ok bool) {
+	heapAt := s.timed.NextTime()
+	next, alone := heapAt, false
+	var due *Clock // the earliest-sequence edge at next
 	for _, c := range s.clocks {
-		if c.nextAt < next {
-			next = c.nextAt
+		switch {
+		case c.nextAt < next || c.nextAt == next && due == nil:
+			next, due, alone = c.nextAt, c, true
+		case c.nextAt == next:
+			alone = false
+			if c.nextSeq < due.nextSeq {
+				due = c
+			}
 		}
 	}
 	if next == sim.MaxTime || next > limit {
-		return false
+		return 0, false
 	}
 	s.now = next
 	s.stats.TimeSteps++
-	for {
-		var due *Clock
+	if alone && heapAt > next && len(s.runnable) == 0 && len(s.updates) == 0 && len(s.deltaNotified) == 0 {
+		due.commit()
+		return 1, true
+	}
+	for due != nil {
+		due.fire()
+		due = nil
 		for _, c := range s.clocks {
 			if c.nextAt == next && (due == nil || c.nextSeq < due.nextSeq) {
 				due = c
 			}
 		}
-		if due == nil {
-			break
-		}
-		due.fire()
 	}
 	// Callbacks may schedule further events at this same instant; they
 	// pop here too, after everything already queued for it.
@@ -357,7 +366,7 @@ func (s *Simulator) advanceToNext(limit sim.Time) bool {
 		}
 		fn()
 	}
-	return true
+	return 0, true
 }
 
 // Run advances simulation by d of simulated time (or until Stop, or until
@@ -370,12 +379,13 @@ func (s *Simulator) Run(d sim.Time) error {
 	if d == sim.MaxTime || limit < s.now { // overflow ⇒ run forever
 		limit = sim.MaxTime
 	}
-	s.deltaLoop() // pending initialization or leftover activity
+	s.deltaLoop(0) // pending initialization or leftover activity
 	for !s.stopped {
-		if !s.advanceToNext(limit) {
+		spent, ok := s.advanceToNext(limit)
+		if !ok {
 			break
 		}
-		s.deltaLoop()
+		s.deltaLoop(spent)
 	}
 	if s.deltaOverflow != nil {
 		return s.deltaOverflow
@@ -386,23 +396,29 @@ func (s *Simulator) Run(d sim.Time) error {
 	return nil
 }
 
-// RunCycles advances the simulation by n full cycles of clk, invoking the
-// per-cycle hooks after each posedge-to-posedge period completes.
+// RunCycles advances the simulation by n full cycles of clk.
 func (s *Simulator) RunCycles(clk *Clock, n uint64) error {
 	if err := s.Elaborate(); err != nil {
 		return err
 	}
 	for i := uint64(0); i < n && !s.stopped; i++ {
-		target := clk.Cycles() + 1
-		for clk.Cycles() < target && !s.stopped {
-			if !s.advanceToNext(sim.MaxTime) {
-				return fmt.Errorf("hdlsim: event starvation at %v waiting for clock %q", s.now, clk.Name())
-			}
-			s.deltaLoop()
+		if err := s.stepCycle(clk); err != nil {
+			return err
 		}
-		for _, h := range s.cycleHooks {
-			h(clk.Cycles())
+	}
+	return s.deltaOverflow
+}
+
+// stepCycle runs the elaborated design until clk's next rising edge has
+// settled (or the simulation stops).
+func (s *Simulator) stepCycle(clk *Clock) error {
+	target := clk.cycles + 1
+	for clk.cycles < target && !s.stopped {
+		spent, ok := s.advanceToNext(sim.MaxTime)
+		if !ok {
+			return fmt.Errorf("hdlsim: event starvation at %v waiting for clock %q", s.now, clk.Name())
 		}
+		s.deltaLoop(spent)
 	}
 	return s.deltaOverflow
 }

@@ -278,16 +278,11 @@ func TestClockEdgesAndCycles(t *testing.T) {
 func TestRunCyclesCounts(t *testing.T) {
 	s := NewSimulator("t")
 	clk := s.NewClock("clk", sim.NS(10))
-	hookCalls := uint64(0)
-	s.OnCycle(func(cycle uint64) { hookCalls++ })
 	if err := s.RunCycles(clk, 25); err != nil {
 		t.Fatal(err)
 	}
 	if clk.Cycles() != 25 {
 		t.Fatalf("cycles = %d, want 25", clk.Cycles())
-	}
-	if hookCalls != 25 {
-		t.Fatalf("cycle hooks ran %d times, want 25", hookCalls)
 	}
 }
 
