@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"time"
 
 	"repro/internal/cosim"
+	"repro/internal/cosim/federation"
 	"repro/internal/hdlsim"
 	"repro/internal/iss"
 	"repro/internal/rtos"
@@ -61,6 +63,12 @@ func kernelBenches() []kernelBench {
 		// One clock cycle with four methods sensitive to the rising edge.
 		{"Kernel/hdlsim/MethodFanout/methods=4", 500_000, func(ops int) (time.Duration, error) {
 			return clockedKernel(ops, 4)
+		}},
+		// One elided TSync=1 boundary of an adaptive two-party federation:
+		// a clock-only kernel and a board promising unbounded lookahead,
+		// so the whole run is one quiet stretch and one final grant.
+		{"Kernel/federation/ElidedBoundary", 500_000, func(ops int) (time.Duration, error) {
+			return elidedBoundaries(ops)
 		}},
 		// One Schedule+Pop on a 16-deep timed queue: each popped event is
 		// rescheduled a few instants ahead, like clocks of mixed periods.
@@ -132,6 +140,48 @@ func clockedKernel(ops, methods int) (time.Duration, error) {
 	}
 	return wall, nil
 }
+
+// elidedBoundaries times an adaptive federation of a clock-only kernel
+// and an idle board over ops TSync=1 boundaries, all of them elided.
+func elidedBoundaries(ops int) (time.Duration, error) {
+	s := hdlsim.NewSimulator("bench")
+	clk := s.NewClock("clk", sim.NS(10))
+	dev, err := cosim.NewSimFederate(s, clk)
+	if err != nil {
+		return 0, err
+	}
+	tm, err := federation.New(federation.Config{
+		Parties: []federation.Party{{Name: "hw", Fed: dev, Eager: true}, {Name: "board", Fed: idleBoard{}}},
+		Links:   []federation.Link{{From: 0, To: 1, Size: 0x10}},
+		Schedule: federation.Schedule{TSync: 1, TotalCycles: uint64(ops), Adaptive: true,
+			StopEarly: func() bool { return false }},
+	})
+	if err != nil {
+		return 0, err
+	}
+	start := time.Now()
+	st, err := tm.Run(context.Background())
+	wall := time.Since(start)
+	if err != nil {
+		return 0, err
+	}
+	if st.Elided != uint64(ops) || st.Syncs != 1 {
+		return 0, fmt.Errorf("%d elided / %d syncs over %d boundaries, want %d / 1", st.Elided, st.Syncs, ops, ops)
+	}
+	return wall, nil
+}
+
+// idleBoard is a granted party with nothing scheduled: it promises
+// unbounded lookahead and never emits.
+type idleBoard struct{}
+
+func (idleBoard) Step(until cosim.SimTime) (cosim.SimTime, error) { return until, nil }
+func (idleBoard) Exchange(in []hdlsim.DataMsg) ([]hdlsim.DataMsg, error) {
+	return nil, nil
+}
+func (idleBoard) Lookahead() uint64             { return cosim.UnboundedLookahead }
+func (idleBoard) Done() bool                    { return false }
+func (idleBoard) Finish(at cosim.SimTime) error { return nil }
 
 // measureKernel runs one kernel benchmark several times and keeps the
 // fastest, reporting ns per operation.

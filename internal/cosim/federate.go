@@ -63,6 +63,20 @@ type SplitStepper interface {
 	BeginStep(until SimTime) error
 }
 
+// QuietStepper is an optional Federate capability of a clock-driving
+// party: it steps a quiet stretch of quanta in one call. From a time on a
+// tsync boundary, StepQuiet is equivalent to a Step to every following
+// boundary in turn, up to until, and returns at the first of them after
+// which the federate has something for Exchange to hand over, where it
+// is Done, or where poll returns true; a stop between boundaries returns
+// the time reached. poll is called exactly once at each boundary before
+// until that is reached with nothing to hand over and not Done, and
+// never at until. The time manager uses it only for boundaries it has
+// already proved elidable.
+type QuietStepper interface {
+	StepQuiet(until SimTime, tsync uint64, poll func() bool) (reached SimTime, err error)
+}
+
 // LeadSink is an optional Federate capability of a granted party: before
 // each rendezvous it receives the grant's lead (see
 // federation.QuantumParty.Rendezvous), the ticks it must run before it

@@ -34,6 +34,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/cosim"
 	"repro/internal/hdlsim"
@@ -153,6 +154,7 @@ type member struct {
 	split cosim.SplitStepper // granted parties overlapping their grants
 	sink  cosim.LeadSink     // granted parties placing grant traffic at its lead
 	clock cosim.BoardClock   // granted parties reporting board time
+	quiet cosim.QuietStepper // eager parties stepping a quiet stretch in one call
 }
 
 // TimeManager is the hierarchical coordinator: it drives every federate
@@ -168,7 +170,11 @@ type TimeManager struct {
 	peer        uint64
 	lastBoardCy uint64 // see Stats
 	ctx         context.Context
-	canceled    <-chan struct{} // ctx.Done(), resolved once per run
+	done        <-chan struct{} // ctx.Done(), resolved once per run
+	// canceled is set once ctx is done, by a context.AfterFunc
+	// callback an adaptive run registers, so an elided boundary reads a
+	// flag instead of the channel.
+	canceled atomic.Bool
 }
 
 // New validates the configuration and builds a manager.
@@ -183,6 +189,7 @@ func New(cfg Config) (*TimeManager, error) {
 		m.split, _ = p.Fed.(cosim.SplitStepper)
 		m.sink, _ = p.Fed.(cosim.LeadSink)
 		m.clock, _ = p.Fed.(cosim.BoardClock)
+		m.quiet, _ = p.Fed.(cosim.QuietStepper)
 		if p.Eager {
 			tm.eager = append(tm.eager, m)
 		} else {
@@ -261,18 +268,31 @@ func minLookahead(set []*member) uint64 {
 // Run executes the federation under RunSchedule — to the horizon
 // (TotalCycles), until a clock-driving party halts, or until StopEarly
 // fires — and finishes every party. Cancelling ctx stops the run at the
-// next TSync boundary, elided or not, with the context's cause: an
+// next TSync boundary, elided or not, with the context's cause. An
 // adaptive run checks it where it would elide and takes the rendezvous
-// instead.
+// instead, and a quiet stretch stepped in one call ends there; these
+// checks read a flag that a context.AfterFunc callback sets, and the
+// callback runs on its own goroutine, so an elided boundary sees the
+// cancel once the callback has run.
+//
+// An adaptive run whose only eager party is a cosim.QuietStepper steps
+// it through quiet stretches in one call (QuietParty); several eager
+// parties keep per-quantum lockstep.
 func (tm *TimeManager) Run(ctx context.Context) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	tm.ctx, tm.canceled = ctx, ctx.Done()
+	tm.ctx, tm.done = ctx, ctx.Done()
 	if tm.cfg.Adaptive {
 		tm.peer = minLookahead(tm.lazy)
+		tm.canceled.Store(ctx.Err() != nil)
+		defer context.AfterFunc(ctx, func() { tm.canceled.Store(true) })()
 	}
-	sched, err := RunSchedule(tm.cfg.Schedule, (*managerParty)(tm))
+	var p QuantumParty = (*managerParty)(tm)
+	if tm.cfg.Adaptive && len(tm.eager) == 1 && tm.eager[0].quiet != nil {
+		p = quietManager{(*managerParty)(tm)}
+	}
+	sched, err := RunSchedule(tm.cfg.Schedule, p)
 	st := Stats{ScheduleStats: sched, LastBoardCy: tm.lastBoardCy}
 	if err != nil {
 		return st, err
@@ -319,10 +339,8 @@ func (s *managerParty) Advance(until uint64) (uint64, bool, error) {
 // granted party, and otherwise the granted parties' promise (the peer).
 func (s *managerParty) Boundary() (bool, uint64) {
 	tm := (*TimeManager)(s)
-	select {
-	case <-tm.canceled:
+	if tm.canceled.Load() {
 		return true, 0
-	default:
 	}
 	for _, m := range tm.lazy {
 		if len(m.inbox) > 0 {
@@ -340,7 +358,7 @@ func (s *managerParty) Boundary() (bool, uint64) {
 func (s *managerParty) Rendezvous(acc, lead, now uint64) error {
 	tm := (*TimeManager)(s)
 	select {
-	case <-tm.canceled:
+	case <-tm.done:
 		return fmt.Errorf("federation: run canceled: %w", context.Cause(tm.ctx))
 	default:
 	}
@@ -380,4 +398,32 @@ func (s *managerParty) Rendezvous(acc, lead, now uint64) error {
 		tm.peer = minLookahead(tm.lazy)
 	}
 	return nil
+}
+
+// quietManager is the manager of an adaptive run whose only eager party
+// is a cosim.QuietStepper, seen as a QuietParty.
+type quietManager struct{ *managerParty }
+
+// AdvanceQuiet steps the eager party through a quiet stretch in one call
+// (cosim.QuietStepper), first delivering what was routed to it, and
+// routes what it emitted. The party's poll reads the cancellation flag
+// before StopEarly, so a cancelled run returns at the first boundary
+// that sees it, where Boundary reports it, without polling StopEarly.
+func (s quietManager) AdvanceQuiet(until, tsync uint64, stop func() bool) (uint64, bool, error) {
+	tm := (*TimeManager)(s.managerParty)
+	m := tm.eager[0]
+	if len(m.inbox) > 0 {
+		if err := tm.deliver(m); err != nil {
+			return 0, false, err
+		}
+	}
+	poll := func() bool { return tm.canceled.Load() || stop() }
+	r, err := m.quiet.StepQuiet(cosim.SimTime(until), tsync, poll)
+	if err != nil {
+		return 0, false, fmt.Errorf("federation: party %q step: %w", m.name, err)
+	}
+	if err := tm.collect(m); err != nil {
+		return 0, false, err
+	}
+	return uint64(r), m.fed.Done(), nil
 }

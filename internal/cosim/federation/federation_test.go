@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cosim"
 	"repro/internal/hdlsim"
@@ -42,6 +44,8 @@ type fakeParty struct {
 	gotAt    []cosim.SimTime
 	steps    int
 	finished bool
+
+	quietCalls int // StepQuiet calls (quietFake)
 }
 
 func (f *fakeParty) Step(until cosim.SimTime) (cosim.SimTime, error) {
@@ -91,6 +95,21 @@ func (f *fakeParty) Done() bool { return f.halt != 0 && f.cur >= f.halt }
 func (f *fakeParty) Finish(at cosim.SimTime) error {
 	f.finished = true
 	return nil
+}
+
+// quietFake is a fakeParty that also steps a quiet stretch in one call
+// (cosim.QuietStepper), one Step per boundary.
+type quietFake struct{ *fakeParty }
+
+func (q quietFake) StepQuiet(until cosim.SimTime, tsync uint64, poll func() bool) (cosim.SimTime, error) {
+	f := q.fakeParty
+	f.quietCalls++
+	for {
+		r, err := f.Step(min(until, f.cur+cosim.SimTime(tsync)))
+		if err != nil || r >= until || f.Done() || len(f.out) > 0 || poll() {
+			return r, err
+		}
+	}
 }
 
 // TestZeroLookaheadForcesPlainStepping: adaptive elongation is a
@@ -231,32 +250,131 @@ func TestSlowPartyCannotReorderEvents(t *testing.T) {
 
 // TestCancelStopsElongatedRun: an uncapped adaptive run whose every
 // promise is unbounded would elide every boundary up to its horizon, so
-// the manager must notice cancellation at elided boundaries too. The
-// clock-driving party cancels mid-quantum; the run fails with the cause
-// at the next boundary, within one TSync of the cancel.
+// the manager must notice cancellation at elided boundaries too, whether
+// the device is stepped quantum by quantum or through the quiet stretch
+// in one call. The clock-driving party cancels mid-quantum; the run
+// fails with the cause at the next boundary, within one TSync of the
+// cancel. The manager learns of the cancellation from a context.AfterFunc
+// callback, which runs on its own goroutine, so the device's cancel waits
+// until the manager has seen it before it steps on.
 func TestCancelStopsElongatedRun(t *testing.T) {
 	const tsync, cancelAt = 100, 12_345
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	dev := &fakeParty{name: "dev", la: cosim.UnboundedLookahead, tsync: tsync, cancel: cancel, cancelAt: cancelAt}
-	brd := &fakeParty{name: "board", la: cosim.UnboundedLookahead}
-	tm, err := New(Config{
-		Parties:  []Party{{Name: dev.name, Fed: dev, Eager: true}, {Name: brd.name, Fed: brd}},
-		Links:    []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
-		Schedule: Schedule{TSync: tsync, TotalCycles: 1_000_000 * tsync, Adaptive: true},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, quiet := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		dev := &fakeParty{name: "dev", la: cosim.UnboundedLookahead, tsync: tsync, cancelAt: cancelAt}
+		var fed cosim.Federate = dev
+		if quiet {
+			fed = quietFake{dev}
+		}
+		brd := &fakeParty{name: "board", la: cosim.UnboundedLookahead}
+		tm, err := New(Config{
+			Parties:  []Party{{Name: dev.name, Fed: fed, Eager: true}, {Name: brd.name, Fed: brd}},
+			Links:    []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
+			Schedule: Schedule{TSync: tsync, TotalCycles: 1_000_000 * tsync, Adaptive: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.cancel = func() {
+			cancel()
+			for !tm.canceled.Load() {
+				runtime.Gosched()
+			}
+		}
+		st, err := tm.Run(ctx)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("quiet=%v: run error %v, want one wrapping context.Canceled", quiet, err)
+		}
+		if st.Now < cancelAt || st.Now > cancelAt+tsync {
+			t.Fatalf("quiet=%v: run stopped at %d, want within one TSync (%d) after the cancel at %d", quiet, st.Now, tsync, cancelAt)
+		}
+		if brd.steps != 0 {
+			t.Fatalf("quiet=%v: granted party stepped %d times; the only rendezvous came after the cancel and must grant nothing", quiet, brd.steps)
+		}
+		if quiet && dev.quietCalls == 0 {
+			t.Fatal("the quiet device was never stepped through a quiet stretch")
+		}
 	}
-	st, err := tm.Run(ctx)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("run error %v, want one wrapping context.Canceled", err)
+}
+
+// TestRunReleasesCancelWatch: the cancellation callback a run registers
+// on its context is unregistered when Run returns. On a context the
+// context package does not know, the registration costs a watcher
+// goroutine, which must be gone after the runs.
+func TestRunReleasesCancelWatch(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		dev := &fakeParty{name: "dev", tsync: 10}
+		brd := &fakeParty{name: "board", la: cosim.UnboundedLookahead}
+		tm, err := New(Config{
+			Parties:  []Party{{Name: dev.name, Fed: quietFake{dev}, Eager: true}, {Name: brd.name, Fed: brd}},
+			Links:    []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
+			Schedule: Schedule{TSync: 10, TotalCycles: 1000, Adaptive: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tm.Run(foreignCtx{Context: context.Background(), done: make(chan struct{})}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if st.Now < cancelAt || st.Now > cancelAt+tsync {
-		t.Fatalf("run stopped at %d, want within one TSync (%d) after the cancel at %d", st.Now, tsync, cancelAt)
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000 && n > before; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
 	}
-	if brd.steps != 0 {
-		t.Fatalf("granted party stepped %d times; the only rendezvous came after the cancel and must grant nothing", brd.steps)
+	if n > before {
+		t.Fatalf("%d goroutines after 20 runs, %d before: the cancellation watch leaked", n, before)
+	}
+}
+
+// foreignCtx is a cancellable context of a type the context package does
+// not know.
+type foreignCtx struct {
+	context.Context
+	done chan struct{}
+}
+
+func (c foreignCtx) Done() <-chan struct{} { return c.done }
+
+// TestSeveralEagerPartiesKeepLockstep: a quiet stretch is stepped in one
+// call only for a lone eager party. With two, each steps every quantum
+// though both could step a quiet stretch, and the run elides the same.
+func TestSeveralEagerPartiesKeepLockstep(t *testing.T) {
+	const tsync, quanta = 100, 50
+	for _, n := range []int{1, 2} {
+		var parties []Party
+		var links []Link
+		var devs []*fakeParty
+		for i := 0; i < n; i++ {
+			d := &fakeParty{name: fmt.Sprintf("dev%d", i), tsync: tsync}
+			devs = append(devs, d)
+			parties = append(parties, Party{Name: d.name, Fed: quietFake{d}, Eager: true})
+			links = append(links, Link{From: i, To: n, Base: uint32(0x100 * (i + 1)), Size: 0x10})
+		}
+		brd := &fakeParty{name: "board", la: cosim.UnboundedLookahead}
+		parties = append(parties, Party{Name: brd.name, Fed: brd})
+		tm, err := New(Config{Parties: parties, Links: links,
+			Schedule: Schedule{TSync: tsync, TotalCycles: quanta * tsync, Adaptive: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := tm.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Elided != quanta || st.Syncs != 1 || st.Now != quanta*tsync {
+			t.Fatalf("%d eager: %d elided / %d syncs to %d, want %d / 1 to %d", n, st.Elided, st.Syncs, st.Now, quanta, quanta*tsync)
+		}
+		for _, d := range devs {
+			if d.steps != quanta {
+				t.Fatalf("%d eager: %s stepped %d times over %d quanta", n, d.name, d.steps, quanta)
+			}
+			if wantQuiet := n == 1; (d.quietCalls > 0) != wantQuiet {
+				t.Fatalf("%d eager: %s took %d quiet-stretch calls", n, d.name, d.quietCalls)
+			}
+		}
 	}
 }
 
@@ -493,5 +611,47 @@ func TestDeviceRejectsInterrupt(t *testing.T) {
 	_, err = tm.Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), `party "dev"`) || !strings.Contains(err.Error(), "interrupt") {
 		t.Fatalf("run error %v, want the device party refusing the interrupt", err)
+	}
+}
+
+// TestQuietStretchAllocatesNothingPerBoundary: a clock-only kernel
+// stepped through an uncapped quiet adaptive run at TSync=1, with a
+// StopEarly that never fires and a board promising unbounded lookahead,
+// elides every boundary in one quiet stretch. The run's allocations,
+// set-up included, must not grow with the stretch's length.
+func TestQuietStretchAllocatesNothingPerBoundary(t *testing.T) {
+	run := func(cycles uint64) func() {
+		return func() {
+			s := hdlsim.NewSimulator("quiet")
+			clk := s.NewClock("clk", sim.NS(10))
+			dev, err := cosim.NewSimFederate(s, clk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			brd := &fakeParty{name: "board", la: cosim.UnboundedLookahead}
+			tm, err := New(Config{
+				Parties: []Party{{Name: "hw", Fed: dev, Eager: true}, {Name: brd.name, Fed: brd}},
+				Links:   []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
+				Schedule: Schedule{TSync: 1, TotalCycles: cycles, Adaptive: true,
+					StopEarly: func() bool { return false }},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := tm.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Elided != cycles || st.Syncs != 1 {
+				t.Fatalf("%d cycles: %d elided / %d syncs, want %d / 1", cycles, st.Elided, st.Syncs, cycles)
+			}
+		}
+	}
+	short := testing.AllocsPerRun(5, run(1_000))
+	long := testing.AllocsPerRun(5, run(100_000))
+	// A per-boundary allocation would add 99,000; the slack absorbs
+	// runtime noise only.
+	if long > short+2 {
+		t.Fatalf("%.1f allocs for a 100,000-boundary quiet stretch, %.1f for 1,000", long, short)
 	}
 }

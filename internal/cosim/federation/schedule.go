@@ -20,7 +20,10 @@ type Schedule struct {
 	// rendezvous. A boundary that adaptive elongation would elide polls
 	// it before the decision (a true return takes the rendezvous
 	// instead); every other boundary polls it after the rendezvous, when
-	// the board has run its quantum. It must be a predicate of
+	// the board has run its quantum. Inside a quiet stretch stepped in
+	// one call (QuietParty) the clock-driving party makes the elidable
+	// boundaries' polls itself, and a boundary where it fired becomes
+	// the rendezvous without a second poll. It must be a predicate of
 	// simulation state that stays true once true, so an elongated run
 	// ends at the same cycle it would have without elongation.
 	StopEarly func() bool
@@ -49,7 +52,9 @@ func (c Schedule) Validate() error {
 
 // QuantumParty is what RunSchedule drives: the clock-driving side of a
 // run together with the peers it grants time to. The time manager adapts
-// its eager and granted parties; tests substitute scripted sides.
+// its eager and granted parties; tests substitute scripted sides. A side
+// whose clock-driving party can step a quiet stretch in one call also
+// implements QuietParty.
 type QuantumParty interface {
 	// Advance runs the clock-driving side up to absolute time until and
 	// returns the time reached, which is below until only when it
@@ -69,6 +74,24 @@ type QuantumParty interface {
 	// for those lead ticks (lead < peer lookahead), so the grant is
 	// exact. lead is 0 in plain stepping.
 	Rendezvous(acc, lead, now uint64) error
+}
+
+// QuietParty is an optional QuantumParty capability, used only in
+// adaptive runs: the side steps, in one call, a stretch of boundaries
+// that RunSchedule has proved elidable but for traffic, StopEarly, a
+// halt or cancellation. Its peer promise must stay fixed between
+// rendezvous, as the time manager's does, because the proof reads it
+// once.
+type QuietParty interface {
+	// AdvanceQuiet starts on a boundary and is equivalent to an Advance
+	// to every following TSync boundary in turn, up to until. It returns
+	// at the first of them where traffic was sent since the call began,
+	// the side halted or the run was cancelled (the next Boundary then
+	// reports it), or where poll returned true; a halt between
+	// boundaries returns the time reached. poll is StopEarly's poll: it
+	// is called exactly once at each boundary before until that is
+	// returned for none of the other reasons, and never at until.
+	AdvanceQuiet(until, tsync uint64, poll func() bool) (reached uint64, halted bool, err error)
 }
 
 // SyncReason says why RunSchedule performed a rendezvous. The first
@@ -121,23 +144,54 @@ type ScheduleStats struct {
 // or at a boundary) or when StopEarly fires; a final partial grant
 // settles any remainder. Every grant carries its lead (see
 // QuantumParty.Rendezvous).
+//
+// After an elided boundary, a QuietParty side is advanced in one call to
+// the elision horizon: the first later boundary elideBoundary would
+// refuse for the cap or the peer promise, capped at the last full
+// boundary. The boundaries the call passes count as elided, and the
+// boundary it returns at gets the usual decision, as StopEarly's
+// stopping rendezvous when the poll fired there.
 func RunSchedule(cfg Schedule, p QuantumParty) (ScheduleStats, error) {
 	var st ScheduleStats
 	if err := cfg.Validate(); err != nil {
 		return st, err
 	}
 	maxQ := effectiveMaxQuantum(cfg.TSync, cfg.MaxQuantum)
-	stop := func() bool { return cfg.StopEarly != nil && cfg.StopEarly() }
+	stopped := false // the last StopEarly poll fired
+	stop := func() bool {
+		stopped = cfg.StopEarly != nil && cfg.StopEarly()
+		return stopped
+	}
+	quiet, _ := p.(QuietParty)
+	if !cfg.Adaptive {
+		quiet = nil
+	}
+	lastFull := cfg.TotalCycles / cfg.TSync * cfg.TSync
 	granted := uint64(0) // time of the last rendezvous
 	last := uint64(0)    // time of the last boundary passed
+	horizon := uint64(0) // the elision horizon after an elided boundary, else 0
 	for st.Now < cfg.TotalCycles {
 		full := cfg.TotalCycles-st.Now >= cfg.TSync
 		target := cfg.TotalCycles
 		if full {
 			target = st.Now + cfg.TSync
 		}
-		reached, halted, err := p.Advance(target)
-		if err != nil {
+		var reached uint64
+		var halted bool
+		var err error
+		if horizon > target {
+			// Every boundary before the horizon is elidable unless the
+			// call returns there, so the ones it passed are counted here.
+			reached, halted, err = quiet.AdvanceQuiet(horizon, cfg.TSync, stop)
+			if err != nil {
+				return st, err
+			}
+			n := (reached - st.Now - 1) / cfg.TSync
+			st.Quanta += n
+			st.Elided += n
+			last = st.Now + n*cfg.TSync
+			target = last + cfg.TSync
+		} else if reached, halted, err = p.Advance(target); err != nil {
 			return st, err
 		}
 		st.Now = reached
@@ -149,21 +203,26 @@ func RunSchedule(cfg Schedule, p QuantumParty) (ScheduleStats, error) {
 			acc, lead := st.Now-granted, last-granted
 			last = st.Now
 			why := SyncPlain
+			peer := uint64(0)
 			if cfg.Adaptive {
-				traffic, peer := p.Boundary()
+				var traffic bool
+				traffic, peer = p.Boundary()
 				why = elideBoundary(acc, cfg.TSync, maxQ, peer, traffic)
 			}
 			// One StopEarly poll per boundary (see Schedule): before
-			// the decision when the boundary is elidable, else after the
-			// rendezvous.
-			if why == syncElide && !stop() {
+			// the decision when the boundary is elidable, unless the
+			// quiet call's poll fired here, else after the rendezvous.
+			if why == syncElide && !stopped && !stop() {
 				st.Elided++
+				if quiet != nil {
+					horizon = elisionHorizon(granted, lastFull, cfg.TSync, min(peer, maxQ-cfg.TSync+1))
+				}
 			} else {
 				if err := p.Rendezvous(acc, lead, st.Now); err != nil {
 					return st, err
 				}
 				st.Syncs++
-				granted = st.Now
+				granted, horizon = st.Now, 0
 				if why == syncElide {
 					st.SyncsBy[SyncStopping]++
 					break
@@ -186,6 +245,22 @@ func RunSchedule(cfg Schedule, p QuantumParty) (ScheduleStats, error) {
 		st.SyncsBy[SyncFinal]++
 	}
 	return st, nil
+}
+
+// elisionHorizon is the first boundary after the rendezvous at granted
+// where the accumulated grant reaches refuse, the first that
+// elideBoundary turns down for the cap or the peer promise, capped at
+// lastFull, the last full boundary. Boundaries are multiples of tsync.
+func elisionHorizon(granted, lastFull, tsync, refuse uint64) uint64 {
+	if refuse >= lastFull-granted {
+		return lastFull
+	}
+	at := granted + refuse
+	h := at / tsync * tsync
+	if h < at {
+		h += tsync
+	}
+	return h
 }
 
 // effectiveMaxQuantum resolves a Schedule.MaxQuantum value against its

@@ -18,10 +18,13 @@ type grant struct{ acc, lead, now uint64 }
 // indexed by boundary number (time / tsync), and records every grant.
 // Its StopEarly fires from time stopAt (0 = never): on the device's own
 // clock, or — with boardFlag — once a rendezvous at or after stopAt has
-// run, like a board-side "finished" flag.
+// run, like a board-side "finished" flag. With fixedPeer its peer promise
+// is indexed by the number of grants instead, so it stays fixed between
+// rendezvous as a QuietParty's must.
 type scriptedSide struct {
 	tsync, halt, stopAt uint64
 	boardFlag           bool
+	fixedPeer           bool
 	traffic             []bool
 	peer                []uint64
 
@@ -29,6 +32,15 @@ type scriptedSide struct {
 	board  bool
 	grants []grant
 	polls  int
+	steps  int // Advance and AdvanceQuiet calls
+}
+
+// promise is the peer's lookahead at boundary k.
+func (f *scriptedSide) promise(k int) uint64 {
+	if f.fixedPeer {
+		return f.peer[len(f.grants)%len(f.peer)]
+	}
+	return f.peer[k]
 }
 
 func (f *scriptedSide) stopped() bool { return f.halt != 0 && f.cur >= f.halt }
@@ -63,16 +75,39 @@ func (f *scriptedSide) rendezvous(acc, lead uint64) {
 
 // Advance, Boundary and Rendezvous make the side a QuantumParty.
 func (f *scriptedSide) Advance(until uint64) (uint64, bool, error) {
+	f.steps++
+	f.advance(until)
+	return f.cur, f.stopped(), nil
+}
+
+func (f *scriptedSide) advance(until uint64) {
 	if f.halt != 0 && until > f.halt {
 		until = f.halt
 	}
 	f.cur = max(f.cur, until)
-	return f.cur, f.stopped(), nil
 }
 
 func (f *scriptedSide) Boundary() (bool, uint64) {
 	k := f.boundary()
-	return f.traffic[k], f.peer[k]
+	return f.traffic[k], f.promise(k)
+}
+
+// quietSide is a scripted side that also steps a quiet stretch in one
+// call: a QuietParty.
+type quietSide struct{ *scriptedSide }
+
+// AdvanceQuiet steps boundary by boundary up to until and returns at the
+// first boundary whose script has traffic, at a halt, or where poll
+// fires.
+func (q quietSide) AdvanceQuiet(until, tsync uint64, poll func() bool) (uint64, bool, error) {
+	f := q.scriptedSide
+	f.steps++
+	for {
+		f.advance(min(until, f.cur+tsync))
+		if f.cur >= until || f.stopped() || f.traffic[f.boundary()] || poll() {
+			return f.cur, f.stopped(), nil
+		}
+	}
 }
 
 func (f *scriptedSide) Rendezvous(acc, lead, now uint64) error {
@@ -120,7 +155,7 @@ func referenceSchedule(cfg Schedule, f *scriptedSide) (st ScheduleStats) {
 				{cfg.Adaptive, SyncPlain},
 				{!f.traffic[k], SyncTraffic},
 				{acc <= maxQ-cfg.TSync, SyncCap},
-				{acc < f.peer[k], SyncPeer},
+				{acc < f.promise(k), SyncPeer},
 				{!stopping, SyncStopping},
 			}
 			elide, why := true, SyncReason(0)
@@ -157,8 +192,9 @@ func referenceSchedule(cfg Schedule, f *scriptedSide) (st ScheduleStats) {
 // draw in four is a long quiet adaptive run — hundreds of quanta, no
 // traffic, unbounded promises — so only a cap, StopEarly or a halt can
 // force a rendezvous before the end. side builds a fresh copy of the
-// scripted side for each run.
-func drawSchedule(rng *rand.Rand) (cfg Schedule, side func() *scriptedSide) {
+// scripted side for each run; side(true) builds one whose promise is
+// fixed between rendezvous, as a quietSide's must be.
+func drawSchedule(rng *rand.Rand) (cfg Schedule, side func(fixedPeer bool) *scriptedSide, quietRun bool) {
 	quiet := rng.Intn(4) == 0
 	tsync := uint64(1 + rng.Intn(8))
 	quanta := uint64(rng.Intn(80))
@@ -208,10 +244,10 @@ func drawSchedule(rng *rand.Rand) (cfg Schedule, side func() *scriptedSide) {
 		stopAt = 1 + uint64(rng.Int63n(int64(horizon)))
 	}
 	boardFlag := rng.Intn(2) == 0
-	return cfg, func() *scriptedSide {
+	return cfg, func(fixedPeer bool) *scriptedSide {
 		return &scriptedSide{tsync: tsync, halt: halt, stopAt: stopAt, boardFlag: boardFlag,
-			traffic: traffic, peer: peer}
-	}
+			fixedPeer: fixedPeer, traffic: traffic, peer: peer}
+	}, quiet
 }
 
 // TestScheduleMatchesDriverReference is the property test behind the
@@ -223,51 +259,18 @@ func drawSchedule(rng *rand.Rand) (cfg Schedule, side func() *scriptedSide) {
 // per boundary. Every lead is the last boundary passed minus the
 // previous grant: acc − TSync at a boundary rendezvous, and for the
 // final partial grant the boundary it started after. Every reason occurs, and an uncapped quiet run elongates
-// past 64×TSync, the cap that used to be the default.
+// past 64×TSync, the cap that used to be the default. The sides that
+// step quiet stretches in one call (the horizon path) match the same
+// reference, and on an uncapped quiet adaptive run they are stepped
+// fewer times than there are boundaries, which proves the path taken.
 func TestScheduleMatchesDriverReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	var elided, halted, stopped, longGrants uint64
+	quietRng := rand.New(rand.NewSource(28)) // picks the draws also run as a quietSide
+	var elided, halted, stopped, longGrants, horizonDraws, horizonRuns uint64
 	var byReason [NumSyncReasons]uint64
 	for i := 0; i < 4000; i++ {
-		cfg, side := drawSchedule(rng)
-		ref, got := side(), side()
-		desc := fmt.Sprintf("%+v halt=%d stopAt=%d boardFlag=%v", cfg, got.halt, got.stopAt, got.boardFlag)
-		want := referenceSchedule(ref.bind(cfg), ref)
-		st, err := RunSchedule(got.bind(cfg), got)
-		if err != nil {
-			t.Fatalf("case %d (%s): %v", i, desc, err)
-		}
-		if !slices.Equal(got.grants, ref.grants) {
-			t.Fatalf("case %d (%s): grants\n got %v\nwant %v", i, desc, got.grants, ref.grants)
-		}
-		if st.Quanta != want.Quanta || st.Syncs != want.Syncs || st.Elided != want.Elided {
-			t.Fatalf("case %d (%s): quanta/syncs/elided %d/%d/%d, reference %d/%d/%d", i, desc, st.Quanta, st.Syncs, st.Elided, want.Quanta, want.Syncs, want.Elided)
-		}
-		if st.Now != want.Now || got.cur != ref.cur {
-			t.Fatalf("case %d (%s): final time %d (side %d), reference %d", i, desc, st.Now, got.cur, ref.cur)
-		}
-		sum := uint64(0)
-		for _, n := range st.SyncsBy {
-			sum += n
-		}
-		if sum != st.Syncs {
-			t.Fatalf("case %d (%s): SyncsBy %v sums to %d, Syncs %d", i, desc, st.SyncsBy, sum, st.Syncs)
-		}
-		if st.SyncsBy != want.SyncsBy {
-			t.Fatalf("case %d (%s): SyncsBy %v, reference %v", i, desc, st.SyncsBy, want.SyncsBy)
-		}
-		for j, g := range got.grants {
-			wantLead := g.acc - cfg.TSync
-			if j == len(got.grants)-1 && st.SyncsBy[SyncFinal] == 1 {
-				wantLead = g.now/cfg.TSync*cfg.TSync - (g.now - g.acc)
-			}
-			if g.lead != wantLead {
-				t.Fatalf("case %d (%s): grant %d %+v has lead %d, want %d", i, desc, j, g, g.lead, wantLead)
-			}
-		}
-		if got.stopAt != 0 && uint64(got.polls) != st.Quanta {
-			t.Fatalf("case %d (%s): StopEarly polled %d times at %d boundaries", i, desc, got.polls, st.Quanta)
-		}
+		cfg, side, quietRun := drawSchedule(rng)
+		st, ref, got := checkScheduleDraw(t, i, cfg, side, false)
 		elided += st.Elided
 		for r, n := range st.SyncsBy {
 			byReason[r] += n
@@ -281,15 +284,78 @@ func TestScheduleMatchesDriverReference(t *testing.T) {
 		if got.stopAt != 0 && ref.cur < cfg.TotalCycles && !ref.stopped() {
 			stopped++
 		}
+		if quietRng.Intn(2) != 0 {
+			continue
+		}
+		horizonDraws++
+		st, _, got = checkScheduleDraw(t, i, cfg, side, true)
+		if quietRun && cfg.Adaptive && cfg.MaxQuantum == 0 && st.Quanta > 3 {
+			if uint64(got.steps) >= st.Quanta {
+				t.Fatalf("case %d (%+v, quietSide): %d step calls for %d boundaries; the quiet stretch was not stepped in one call", i, cfg, got.steps, st.Quanta)
+			}
+			horizonRuns++
+		}
 	}
-	if elided == 0 || halted == 0 || stopped == 0 || longGrants == 0 {
-		t.Fatalf("draws never exercised elision (%d), halts (%d), StopEarly (%d) or uncapped elongation past 64×TSync (%d)", elided, halted, stopped, longGrants)
+	if elided == 0 || halted == 0 || stopped == 0 || longGrants == 0 || horizonRuns == 0 {
+		t.Fatalf("draws never exercised elision (%d), halts (%d), StopEarly (%d), uncapped elongation past 64×TSync (%d) or a quiet stretch stepped in one call (%d of %d horizon draws)", elided, halted, stopped, longGrants, horizonRuns, horizonDraws)
 	}
 	for r, n := range byReason {
 		if n == 0 {
 			t.Fatalf("no draw synced for reason %v (counts %v)", SyncReason(r), byReason)
 		}
 	}
+}
+
+// checkScheduleDraw runs RunSchedule on a fresh side of draw i, as a
+// quietSide with its promise fixed between rendezvous when quiet is set,
+// and fails t unless it matches referenceSchedule on the same script:
+// grants and leads, counters, per-reason syncs, final time, and one
+// StopEarly poll per boundary.
+func checkScheduleDraw(t *testing.T, i int, cfg Schedule, side func(bool) *scriptedSide, quiet bool) (ScheduleStats, *scriptedSide, *scriptedSide) {
+	t.Helper()
+	ref, got := side(quiet), side(quiet)
+	desc := fmt.Sprintf("%+v halt=%d stopAt=%d boardFlag=%v quietSide=%v", cfg, got.halt, got.stopAt, got.boardFlag, quiet)
+	want := referenceSchedule(ref.bind(cfg), ref)
+	var p QuantumParty = got
+	if quiet {
+		p = quietSide{got}
+	}
+	st, err := RunSchedule(got.bind(cfg), p)
+	if err != nil {
+		t.Fatalf("case %d (%s): %v", i, desc, err)
+	}
+	if !slices.Equal(got.grants, ref.grants) {
+		t.Fatalf("case %d (%s): grants\n got %v\nwant %v", i, desc, got.grants, ref.grants)
+	}
+	if st.Quanta != want.Quanta || st.Syncs != want.Syncs || st.Elided != want.Elided {
+		t.Fatalf("case %d (%s): quanta/syncs/elided %d/%d/%d, reference %d/%d/%d", i, desc, st.Quanta, st.Syncs, st.Elided, want.Quanta, want.Syncs, want.Elided)
+	}
+	if st.Now != want.Now || got.cur != ref.cur {
+		t.Fatalf("case %d (%s): final time %d (side %d), reference %d", i, desc, st.Now, got.cur, ref.cur)
+	}
+	sum := uint64(0)
+	for _, n := range st.SyncsBy {
+		sum += n
+	}
+	if sum != st.Syncs {
+		t.Fatalf("case %d (%s): SyncsBy %v sums to %d, Syncs %d", i, desc, st.SyncsBy, sum, st.Syncs)
+	}
+	if st.SyncsBy != want.SyncsBy {
+		t.Fatalf("case %d (%s): SyncsBy %v, reference %v", i, desc, st.SyncsBy, want.SyncsBy)
+	}
+	for j, g := range got.grants {
+		wantLead := g.acc - cfg.TSync
+		if j == len(got.grants)-1 && st.SyncsBy[SyncFinal] == 1 {
+			wantLead = g.now/cfg.TSync*cfg.TSync - (g.now - g.acc)
+		}
+		if g.lead != wantLead {
+			t.Fatalf("case %d (%s): grant %d %+v has lead %d, want %d", i, desc, j, g, g.lead, wantLead)
+		}
+	}
+	if got.stopAt != 0 && uint64(got.polls) != st.Quanta {
+		t.Fatalf("case %d (%s): StopEarly polled %d times at %d boundaries", i, desc, got.polls, st.Quanta)
+	}
+	return st, ref, got
 }
 
 // TestScheduleRejectsZeroTSync: a schedule that could never grant

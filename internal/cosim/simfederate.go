@@ -35,6 +35,15 @@ func (f *SimFederate) Step(until SimTime) (SimTime, error) {
 	return SimTime(reached), err
 }
 
+// StepQuiet implements QuietStepper with the kernel's quantum-by-quantum
+// stepper hdlsim.Driver.AdvanceQuiet: a boundary ends the stretch when
+// the kernel sent a DATA message or an interrupt (its outbox is not
+// empty), halted, or poll fired.
+func (f *SimFederate) StepQuiet(until SimTime, tsync uint64, poll func() bool) (SimTime, error) {
+	reached, _, err := f.d.AdvanceQuiet(uint64(until), tsync, poll)
+	return SimTime(reached), err
+}
+
 // Exchange implements Federate: inbound events land in the kernel's
 // DATA-poll buffer (visible at the next cycle), and the DATA/INT traffic
 // the kernel emitted since the last call is returned. The returned slice
@@ -101,4 +110,7 @@ func (ep *fedBufEndpoint) Send(d hdlsim.DataMsg) error {
 }
 
 var _ hdlsim.DriverEndpoint = (*fedBufEndpoint)(nil)
-var _ Federate = (*SimFederate)(nil)
+var (
+	_ Federate     = (*SimFederate)(nil)
+	_ QuietStepper = (*SimFederate)(nil)
+)

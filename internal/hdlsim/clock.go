@@ -60,6 +60,9 @@ func (c *Clock) commit() {
 		return
 	}
 	b.cur = high
+	if b.watched {
+		s.watchedChanged = true
+	}
 	b.changed.fireUpdate()
 	if high {
 		b.pos.fireUpdate()

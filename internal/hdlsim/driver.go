@@ -203,6 +203,7 @@ func (d *DriverOut) Post(addr uint32, words []uint32) {
 	cp := make([]uint32, len(words))
 	copy(cp, words)
 	d.posted = append(d.posted, DataMsg{Kind: DataWrite, Addr: addr, Words: cp})
+	d.sim.posted++
 }
 
 // DriverProcess registers the paper's driver_process: a method process
@@ -230,6 +231,8 @@ type intWatch struct {
 // WatchInterrupt registers sig as the interrupt request line for irq.
 func (s *Simulator) WatchInterrupt(sig *BitSignal, irq uint8) {
 	s.intWatches = append(s.intWatches, &intWatch{sig: sig, irq: irq})
+	sig.watched = true
+	s.watchedChanged = true
 }
 
 // RaiseDriverInterrupt queues a one-shot interrupt to the board, for models
@@ -323,6 +326,23 @@ func (d *Driver) Advance(until uint64) (reached uint64, halted bool, err error) 
 	return d.st.Cycles, d.s.stopped, nil
 }
 
+// AdvanceQuiet runs Advance to every tsync-th cycle from the current one
+// in turn, up to until, and returns at the first of those boundaries
+// where the kernel has sent anything (a DATA message or an interrupt)
+// since the call began, where it stopped itself, or where poll returns
+// true; a stop between boundaries returns the cycle reached. poll is
+// called once at each boundary before until that is reached without
+// sending or stopping, and never at until.
+func (d *Driver) AdvanceQuiet(until, tsync uint64, poll func() bool) (reached uint64, halted bool, err error) {
+	sent := d.st.DataOut + d.st.Interrupts
+	for {
+		reached, halted, err = d.Advance(min(until, d.st.Cycles+tsync))
+		if err != nil || halted || reached >= until || d.st.DataOut+d.st.Interrupts != sent || poll() {
+			return reached, halted, err
+		}
+	}
+}
+
 // cycle performs one driver-loop iteration: route inbound DATA, run one
 // clock cycle, scan interrupt lines, and flush posted driver_out writes.
 func (d *Driver) cycle() error {
@@ -341,16 +361,21 @@ func (d *Driver) cycle() error {
 		return err
 	}
 	d.st.Cycles++
-	// (3) The interrupt signal is checked.
-	for _, w := range d.s.intWatches {
-		level := w.sig.Read()
-		if level && !w.prev {
-			if err := d.ep.Send(DataMsg{Kind: DataInterrupt, IRQ: w.irq}); err != nil {
-				return err
+	// (3) The interrupt signal is checked, at the end of the cycle; the
+	// scan is skipped when no watched line committed a change since the
+	// last one.
+	if d.s.watchedChanged {
+		d.s.watchedChanged = false
+		for _, w := range d.s.intWatches {
+			level := w.sig.Read()
+			if level && !w.prev {
+				if err := d.ep.Send(DataMsg{Kind: DataInterrupt, IRQ: w.irq}); err != nil {
+					return err
+				}
+				d.st.Interrupts++
 			}
-			d.st.Interrupts++
+			w.prev = level
 		}
-		w.prev = level
 	}
 	for _, irq := range d.s.intRaised {
 		if err := d.ep.Send(DataMsg{Kind: DataInterrupt, IRQ: irq}); err != nil {
@@ -360,6 +385,9 @@ func (d *Driver) cycle() error {
 	}
 	d.s.intRaised = d.s.intRaised[:0]
 	// Flush posted driver_out writes.
+	if d.s.posted == 0 {
+		return nil
+	}
 	for _, out := range d.s.driverOuts {
 		for _, m := range out.posted {
 			if err := d.ep.Send(m); err != nil {
@@ -369,6 +397,7 @@ func (d *Driver) cycle() error {
 		}
 		out.posted = out.posted[:0]
 	}
+	d.s.posted = 0
 	return nil
 }
 

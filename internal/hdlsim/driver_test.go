@@ -1,6 +1,7 @@
 package hdlsim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -267,5 +268,55 @@ func TestDriverWindowAtTopOfAddressSpace(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestDriverAdvanceQuiet: a quiet stretch stepped in one call returns at
+// the first TSync boundary after the kernel sent something, at the
+// boundary where the poll fires, and where the kernel stops, mid-quantum
+// included; the poll runs once at each boundary passed quietly and never
+// at the bound.
+func TestDriverAdvanceQuiet(t *testing.T) {
+	s := NewSimulator("t")
+	clk := s.NewClock("clk", sim.NS(10))
+	dout := s.NewDriverOut("tx", 0x40, 1)
+	s.Thread("drv", func(c *Ctx) {
+		c.WaitCycles(clk, 7)
+		dout.Post(0x40, []uint32{1})
+		c.WaitCycles(clk, 10)
+		s.Stop()
+	})
+	ep := &fakeEndpoint{}
+	d, err := s.NewDriver(clk, ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var polledAt []uint64
+	fireAt := uint64(15)
+	poll := func() bool {
+		polledAt = append(polledAt, d.Stats().Cycles)
+		return d.Stats().Cycles == fireAt
+	}
+	steps := []struct {
+		until, want uint64
+		halted      bool
+		polls       []uint64
+	}{
+		{until: 30, want: 9, polls: []uint64{3, 6}}, // the posted write
+		{until: 30, want: 15, polls: []uint64{12, 15}},
+		{until: 30, want: 17, halted: true}, // stopped mid-quantum
+	}
+	for i, st := range steps {
+		polledAt = polledAt[:0]
+		reached, halted, err := d.AdvanceQuiet(st.until, 3, poll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reached != st.want || halted != st.halted || !slices.Equal(polledAt, st.polls) {
+			t.Fatalf("call %d: reached %d halted %v polled at %v, want %d %v %v", i, reached, halted, polledAt, st.want, st.halted, st.polls)
+		}
+	}
+	if len(ep.sent) != 1 {
+		t.Fatalf("sent %d messages, want the one posted write", len(ep.sent))
 	}
 }

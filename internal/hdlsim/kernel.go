@@ -116,11 +116,16 @@ type Simulator struct {
 	MaxDeltasPerInstant uint64
 	deltaOverflow       error
 
-	// Driver (co-simulation) state; see driver.go.
-	driverIns  []*DriverIn
-	driverOuts []*DriverOut
-	intWatches []*intWatch
-	intRaised  []uint8
+	// Driver (co-simulation) state; see driver.go. posted counts
+	// DriverOut.Post calls since the last flush, and watchedChanged
+	// records a committed change of a watched interrupt line since the
+	// last scan, so an idle cycle skips both walks.
+	driverIns      []*DriverIn
+	driverOuts     []*DriverOut
+	intWatches     []*intWatch
+	intRaised      []uint8
+	posted         int
+	watchedChanged bool
 }
 
 type namedSignal interface {

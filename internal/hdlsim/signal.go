@@ -98,6 +98,7 @@ type BitSignal struct {
 	neg     *Event
 	tracers []func(at sim.Time, v bool)
 	writes  uint64
+	watched bool // an interrupt line (Simulator.WatchInterrupt)
 }
 
 // NewBitSignal creates a boolean signal initialized to false.
@@ -152,6 +153,9 @@ func (b *BitSignal) update(now sim.Time) {
 		return
 	}
 	b.cur = b.next
+	if b.watched {
+		b.sim.watchedChanged = true
+	}
 	b.changed.notifyUpdate()
 	if b.cur {
 		b.pos.notifyUpdate()
