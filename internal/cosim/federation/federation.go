@@ -34,7 +34,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/cosim"
 	"repro/internal/hdlsim"
@@ -170,11 +169,7 @@ type TimeManager struct {
 	peer        uint64
 	lastBoardCy uint64 // see Stats
 	ctx         context.Context
-	done        <-chan struct{} // ctx.Done(), resolved once per run
-	// canceled is set once ctx is done, by a context.AfterFunc
-	// callback an adaptive run registers, so an elided boundary reads a
-	// flag instead of the channel.
-	canceled atomic.Bool
+	canceled    <-chan struct{} // ctx.Done(), resolved once per run
 }
 
 // New validates the configuration and builds a manager.
@@ -270,10 +265,7 @@ func minLookahead(set []*member) uint64 {
 // fires — and finishes every party. Cancelling ctx stops the run at the
 // next TSync boundary, elided or not, with the context's cause. An
 // adaptive run checks it where it would elide and takes the rendezvous
-// instead, and a quiet stretch stepped in one call ends there; these
-// checks read a flag that a context.AfterFunc callback sets, and the
-// callback runs on its own goroutine, so an elided boundary sees the
-// cancel once the callback has run.
+// instead, and a quiet stretch stepped in one call ends there.
 //
 // An adaptive run whose only eager party is a cosim.QuietStepper steps
 // it through quiet stretches in one call (QuietParty); several eager
@@ -282,11 +274,9 @@ func (tm *TimeManager) Run(ctx context.Context) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	tm.ctx, tm.done = ctx, ctx.Done()
+	tm.ctx, tm.canceled = ctx, ctx.Done()
 	if tm.cfg.Adaptive {
 		tm.peer = minLookahead(tm.lazy)
-		tm.canceled.Store(ctx.Err() != nil)
-		defer context.AfterFunc(ctx, func() { tm.canceled.Store(true) })()
 	}
 	var p QuantumParty = (*managerParty)(tm)
 	if tm.cfg.Adaptive && len(tm.eager) == 1 && tm.eager[0].quiet != nil {
@@ -339,7 +329,7 @@ func (s *managerParty) Advance(until uint64) (uint64, bool, error) {
 // granted party, and otherwise the granted parties' promise (the peer).
 func (s *managerParty) Boundary() (bool, uint64) {
 	tm := (*TimeManager)(s)
-	if tm.canceled.Load() {
+	if tm.isCanceled() {
 		return true, 0
 	}
 	for _, m := range tm.lazy {
@@ -357,10 +347,8 @@ func (s *managerParty) Boundary() (bool, uint64) {
 // clock. The peer promise is folded only in adaptive runs.
 func (s *managerParty) Rendezvous(acc, lead, now uint64) error {
 	tm := (*TimeManager)(s)
-	select {
-	case <-tm.done:
+	if tm.isCanceled() {
 		return fmt.Errorf("federation: run canceled: %w", context.Cause(tm.ctx))
-	default:
 	}
 	until := cosim.SimTime(now)
 	for _, m := range tm.lazy {
@@ -400,15 +388,30 @@ func (s *managerParty) Rendezvous(acc, lead, now uint64) error {
 	return nil
 }
 
+// isCanceled reports, without blocking, whether the run's context is
+// done. A context whose Done is nil can never be cancelled, so its run
+// skips the receive at every boundary.
+func (tm *TimeManager) isCanceled() bool {
+	if tm.canceled == nil {
+		return false
+	}
+	select {
+	case <-tm.canceled:
+		return true
+	default:
+		return false
+	}
+}
+
 // quietManager is the manager of an adaptive run whose only eager party
 // is a cosim.QuietStepper, seen as a QuietParty.
 type quietManager struct{ *managerParty }
 
 // AdvanceQuiet steps the eager party through a quiet stretch in one call
 // (cosim.QuietStepper), first delivering what was routed to it, and
-// routes what it emitted. The party's poll reads the cancellation flag
-// before StopEarly, so a cancelled run returns at the first boundary
-// that sees it, where Boundary reports it, without polling StopEarly.
+// routes what it emitted. The party's poll checks cancellation before
+// StopEarly, so a cancelled run returns at the first boundary that sees
+// it, where Boundary reports it, without polling StopEarly.
 func (s quietManager) AdvanceQuiet(until, tsync uint64, stop func() bool) (uint64, bool, error) {
 	tm := (*TimeManager)(s.managerParty)
 	m := tm.eager[0]
@@ -417,7 +420,10 @@ func (s quietManager) AdvanceQuiet(until, tsync uint64, stop func() bool) (uint6
 			return 0, false, err
 		}
 	}
-	poll := func() bool { return tm.canceled.Load() || stop() }
+	poll := stop
+	if tm.canceled != nil {
+		poll = func() bool { return tm.isCanceled() || stop() }
+	}
 	r, err := m.quiet.StepQuiet(cosim.SimTime(until), tsync, poll)
 	if err != nil {
 		return 0, false, fmt.Errorf("federation: party %q step: %w", m.name, err)

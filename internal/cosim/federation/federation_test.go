@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cosim"
 	"repro/internal/hdlsim"
@@ -254,15 +252,13 @@ func TestSlowPartyCannotReorderEvents(t *testing.T) {
 // the device is stepped quantum by quantum or through the quiet stretch
 // in one call. The clock-driving party cancels mid-quantum; the run
 // fails with the cause at the next boundary, within one TSync of the
-// cancel. The manager learns of the cancellation from a context.AfterFunc
-// callback, which runs on its own goroutine, so the device's cancel waits
-// until the manager has seen it before it steps on.
+// cancel.
 func TestCancelStopsElongatedRun(t *testing.T) {
 	const tsync, cancelAt = 100, 12_345
 	for _, quiet := range []bool{false, true} {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		dev := &fakeParty{name: "dev", la: cosim.UnboundedLookahead, tsync: tsync, cancelAt: cancelAt}
+		dev := &fakeParty{name: "dev", la: cosim.UnboundedLookahead, tsync: tsync, cancel: cancel, cancelAt: cancelAt}
 		var fed cosim.Federate = dev
 		if quiet {
 			fed = quietFake{dev}
@@ -275,12 +271,6 @@ func TestCancelStopsElongatedRun(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		dev.cancel = func() {
-			cancel()
-			for !tm.canceled.Load() {
-				runtime.Gosched()
-			}
 		}
 		st, err := tm.Run(ctx)
 		if !errors.Is(err, context.Canceled) {
@@ -297,46 +287,6 @@ func TestCancelStopsElongatedRun(t *testing.T) {
 		}
 	}
 }
-
-// TestRunReleasesCancelWatch: the cancellation callback a run registers
-// on its context is unregistered when Run returns. On a context the
-// context package does not know, the registration costs a watcher
-// goroutine, which must be gone after the runs.
-func TestRunReleasesCancelWatch(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		dev := &fakeParty{name: "dev", tsync: 10}
-		brd := &fakeParty{name: "board", la: cosim.UnboundedLookahead}
-		tm, err := New(Config{
-			Parties:  []Party{{Name: dev.name, Fed: quietFake{dev}, Eager: true}, {Name: brd.name, Fed: brd}},
-			Links:    []Link{{From: 0, To: 1, Base: 0, Size: 0x10}},
-			Schedule: Schedule{TSync: 10, TotalCycles: 1000, Adaptive: true},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tm.Run(foreignCtx{Context: context.Background(), done: make(chan struct{})}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n := runtime.NumGoroutine()
-	for i := 0; i < 1000 && n > before; i++ {
-		time.Sleep(time.Millisecond)
-		n = runtime.NumGoroutine()
-	}
-	if n > before {
-		t.Fatalf("%d goroutines after 20 runs, %d before: the cancellation watch leaked", n, before)
-	}
-}
-
-// foreignCtx is a cancellable context of a type the context package does
-// not know.
-type foreignCtx struct {
-	context.Context
-	done chan struct{}
-}
-
-func (c foreignCtx) Done() <-chan struct{} { return c.done }
 
 // TestSeveralEagerPartiesKeepLockstep: a quiet stretch is stepped in one
 // call only for a lone eager party. With two, each steps every quantum
