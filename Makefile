@@ -47,14 +47,14 @@ fuzz-smoke:
 # session transport's write-through path.
 # FARM_SOAK_COUNT=10 is the nightly deep-soak sizing.
 farm-soak:
-	$(GO) test ./internal/farm/ ./internal/cosim/ -race -count=$(FARM_SOAK_COUNT) -run 'Farm|Mux|Session|PoolHammer'
+	$(GO) test ./internal/farm/ ./internal/cosim/ -race -count=$(FARM_SOAK_COUNT) -run 'Farm|Mux|Session|PoolHammer|TCP|MsgQueue'
 
 # transport-matrix proves every transport kind produces bit-identical
 # simulations: the root determinism matrix plus the per-transport
 # conformance, soak, and kind-reporting suites, under the race detector.
 transport-matrix:
 	$(GO) test -race -run 'TransportMatrix|TestCoSimEndToEnd|ReportedKind|MultiRunReports' . ./internal/router/
-	$(GO) test -race -run 'Shm|UDS' ./internal/cosim/ ./internal/farm/
+	$(GO) test -race -run 'Shm|UDS|TCP|MsgQueue|LinkSetup|SendAfterClose' ./internal/cosim/ ./internal/farm/
 
 # federation-matrix proves the time manager behind every run: router.Run
 # bit-identical to a test-local transcription of the pairwise loop across

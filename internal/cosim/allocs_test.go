@@ -3,6 +3,7 @@ package cosim
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -196,5 +197,78 @@ func TestPoolHammerConcurrentSessions(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestLinkSetupAllocatesLittle gates what opening a link costs: inboxes
+// grow with their traffic, so opening and closing a pair must not pay
+// for the 4096-deep bound up front (a preallocated bound is 3.75 MiB
+// per pair). The figure is the heap allocated per open+close, averaged.
+func TestLinkSetupAllocatesLittle(t *testing.T) {
+	const budget = 64 << 10
+	perOpen := func(n int, open func() (Transport, Transport)) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			a, b := open()
+			a.Close()
+			b.Close()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+	}
+	ln, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	kinds := []struct {
+		name string
+		open func() (Transport, Transport)
+	}{
+		{"inproc", func() (Transport, Transport) { return NewInProcPair(tcpInboxDepth) }},
+		{"tcp", func() (Transport, Transport) {
+			accepted := make(chan Transport, 1)
+			go func() {
+				hw, err := ln.Accept()
+				if err != nil {
+					t.Error(err)
+				}
+				accepted <- hw
+			}()
+			board, err := DialTCP(ln.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			hw := <-accepted
+			if hw == nil {
+				t.FailNow()
+			}
+			return hw, board
+		}},
+		{"session/inproc", func() (Transport, Transport) {
+			a, b := NewInProcPair(tcpInboxDepth)
+			return NewSessionTransport(a, SessionConfig{}), NewSessionTransport(b, SessionConfig{})
+		}},
+	}
+	if ShmSupported() {
+		kinds = append(kinds, struct {
+			name string
+			open func() (Transport, Transport)
+		}{"shm", func() (Transport, Transport) {
+			hw, board, err := NewShmPair(ShmConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return hw, board
+		}})
+	}
+	for _, k := range kinds {
+		perOpen(2, k.open) // warm pools and lazily built runtime state
+		if got := perOpen(20, k.open); got > budget {
+			t.Errorf("%s: %d KiB allocated per link open+close, budget %d KiB", k.name, got>>10, budget>>10)
+		} else {
+			t.Logf("%s: %.1f KiB per link open+close", k.name, float64(got)/1024)
+		}
 	}
 }

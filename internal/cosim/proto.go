@@ -404,16 +404,16 @@ func (m *Msg) appendBody(b []byte) []byte {
 
 // Decode reads one framed message from r.
 func Decode(r io.Reader) (Msg, error) {
-	var lenBuf [4]byte
+	var lenBuf [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return Msg{}, err
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
-	if n == 0 || n > maxFrameBody {
-		return Msg{}, fmt.Errorf("cosim: implausible frame length %d", n)
+	n, err := frameLen(lenBuf[:])
+	if err != nil {
+		return Msg{}, err
 	}
 	bp := getBuf()
-	if cap(*bp) < int(n) {
+	if cap(*bp) < n {
 		*bp = make([]byte, n)
 	}
 	body := (*bp)[:n]
@@ -425,6 +425,19 @@ func Decode(r io.Reader) (Msg, error) {
 	*bp = body
 	putBuf(bp)
 	return m, err
+}
+
+// frameHeaderLen is the length prefix in front of every frame body.
+const frameHeaderLen = 4
+
+// frameLen reads a frame's body length from its header, refusing one no
+// encoder produces.
+func frameLen(hdr []byte) (int, error) {
+	n := binary.LittleEndian.Uint32(hdr)
+	if n == 0 || n > maxFrameBody {
+		return 0, fmt.Errorf("cosim: implausible frame length %d", n)
+	}
+	return int(n), nil
 }
 
 func decodeBody(body []byte) (Msg, error) {

@@ -210,7 +210,7 @@ type SessionTransport struct {
 	hbOwed       uint64 // heartbeat sequence number due on CLOCK, 0 if none
 	injuredBase  uint64 // chaos injuries accumulated from replaced inners
 
-	inbox [numChannels]chan Msg
+	inbox [numChannels]*msgQueue
 	wake  chan struct{} // control work is owed (capacity 1)
 
 	done     chan struct{} // terminal failure or close
@@ -256,7 +256,7 @@ func NewSessionTransport(inner Transport, cfg SessionConfig) *SessionTransport {
 		failc: make(chan failEvent, 2*int(numChannels)),
 	}
 	for i := range s.inbox {
-		s.inbox[i] = make(chan Msg, tcpInboxDepth)
+		s.inbox[i] = newMsgQueue(tcpInboxDepth)
 	}
 	s.lastRecv.Store(time.Now().UnixNano()) //cosim:wallclock -- liveness stamp feeds the host-side heartbeat supervisor
 	for ch := Channel(0); ch < numChannels; ch++ {
@@ -267,14 +267,18 @@ func NewSessionTransport(inner Transport, cfg SessionConfig) *SessionTransport {
 	return s
 }
 
-// fail ends the session with err. It closes the inner transport, which
-// unblocks a Send stuck on a full link and ends the read loops, so no
-// session goroutine outlives a terminal failure. Only the first call has
-// effect; it returns the inner transport's Close error.
+// fail ends the session with err. It closes the inboxes and the inner
+// transport, which unblocks a Send stuck on a full link and ends the
+// read loops, so no session goroutine outlives a terminal failure. Only
+// the first call has effect; it returns the inner transport's Close
+// error.
 func (s *SessionTransport) fail(err error) (cerr error) {
 	s.failOnce.Do(func() {
 		s.err = err
 		close(s.done)
+		for _, q := range s.inbox {
+			q.close(err)
+		}
 		s.mu.Lock()
 		inner := s.inner
 		s.mu.Unlock()
@@ -508,9 +512,8 @@ func (s *SessionTransport) handleNack(ch Channel, from uint64) {
 }
 
 func (s *SessionTransport) deliver(ch Channel, m Msg) {
-	select {
-	case s.inbox[ch] <- m:
-	case <-s.done:
+	if s.inbox[ch].push(m) != nil {
+		m.Release() // the session ended under the push
 	}
 }
 
@@ -746,25 +749,13 @@ func (s *SessionTransport) recvTimeout(ch Channel, d time.Duration) (Msg, error)
 }
 
 // recv takes the next delivered message on ch, failing with ErrTimeout
-// when timeout fires (a nil timeout never does).
+// when timeout fires (a nil timeout never does). After a terminal
+// failure it drains already-delivered messages before reporting it.
 func (s *SessionTransport) recv(ch Channel, timeout <-chan time.Time) (Msg, error) {
 	if ch >= numChannels {
 		return Msg{}, fmt.Errorf("cosim: invalid channel %d", ch)
 	}
-	select {
-	case m := <-s.inbox[ch]:
-		return m, nil
-	case <-s.done:
-		// Drain already-delivered messages before reporting failure.
-		select {
-		case m := <-s.inbox[ch]:
-			return m, nil
-		default:
-			return Msg{}, s.err
-		}
-	case <-timeout:
-		return Msg{}, ErrTimeout
-	}
+	return s.inbox[ch].pop(timeout)
 }
 
 // TryRecv implements Transport.
@@ -772,17 +763,7 @@ func (s *SessionTransport) TryRecv(ch Channel) (Msg, bool, error) {
 	if ch >= numChannels {
 		return Msg{}, false, fmt.Errorf("cosim: invalid channel %d", ch)
 	}
-	select {
-	case m := <-s.inbox[ch]:
-		return m, true, nil
-	default:
-		select {
-		case <-s.done:
-			return Msg{}, false, s.err
-		default:
-			return Msg{}, false, nil
-		}
-	}
+	return s.inbox[ch].tryPop()
 }
 
 // Close implements Transport.

@@ -245,8 +245,9 @@ type ShmConfig struct {
 	// ShmDefaultRingBytes). A frame larger than half the ring is
 	// rejected at Send.
 	RingBytes int
-	// InboxDepth is the per-channel decoded-message buffer depth
-	// (default 4096, like the TCP transport).
+	// InboxDepth bounds each channel's queue of decoded messages
+	// (default 4096, like the TCP transport). Queue storage grows with
+	// use up to that bound.
 	InboxDepth int
 }
 
@@ -270,8 +271,9 @@ func (c ShmConfig) withDefaults() ShmConfig {
 }
 
 // ShmTransport is the Transport over one side of a shared-memory
-// segment: a reader goroutine pumps the inbound ring into per-channel
-// inboxes (so TryRecv is non-blocking and per-channel FIFO holds), and
+// segment: a reader goroutine pumps the inbound ring, which interleaves
+// all three channels, into one bounded queue per channel (so a receive
+// on one channel never waits behind another's records), and
 // Send encodes straight into the outbound ring. It satisfies the pooled
 // buffer ownership contract exactly like the TCP transport: Send is the
 // stack's terminal consumer and releases the message's payloads once
@@ -280,15 +282,12 @@ func (c ShmConfig) withDefaults() ShmConfig {
 type ShmTransport struct {
 	tx, rx *shmRing
 	wmu    sync.Mutex // serializes writers (session acks/heartbeats ride alongside endpoint sends)
-	inbox  [numChannels]chan Msg
+	inbox  [numChannels]*msgQueue
 
 	done     chan struct{} // local close signal: unblocks reader and Recv
 	once     sync.Once
 	readerWG sync.WaitGroup
 	closeErr error
-
-	emu     sync.Mutex
-	readErr error
 
 	// unmap tears the segment mapping down once every local user of it
 	// has closed (the in-process pair shares one mapping).
@@ -309,7 +308,7 @@ type ShmTransport struct {
 func newShmTransport(tx, rx *shmRing, inboxDepth int, unmap func() error) *ShmTransport {
 	t := &ShmTransport{tx: tx, rx: rx, done: make(chan struct{}), unmap: unmap}
 	for i := range t.inbox {
-		t.inbox[i] = make(chan Msg, inboxDepth)
+		t.inbox[i] = newMsgQueue(inboxDepth)
 	}
 	t.readerWG.Add(1)
 	go t.readLoop()
@@ -525,27 +524,27 @@ func (t *ShmTransport) sendLocked(ch Channel, m *Msg) error {
 // corrupt record poisons the ring.
 func (t *ShmTransport) readLoop() {
 	defer t.readerWG.Done()
-	defer func() {
-		for i := range t.inbox {
-			close(t.inbox[i])
-		}
-	}()
+	t.closeInboxes(t.pump())
+}
+
+// pump moves records from the ring into the inboxes until the link
+// closes (nil) or a corrupt record poisons the ring (its error).
+func (t *ShmTransport) pump() error {
 	spins := 0
 	for {
 		ch, body, newTail, err := t.rx.tryPop()
 		if err != nil {
 			if !errors.Is(err, errShmEmpty) {
-				t.setReadErr(err)
-				return
+				return err
 			}
 			if t.localDone() {
-				return
+				return nil
 			}
 			if t.rx.isClosed() {
 				// Peer closed: one final drain pass so a shutdown race
 				// cannot lose the last ack, then report closure.
 				if _, _, _, err := t.rx.tryPop(); errors.Is(err, errShmEmpty) {
-					return
+					return nil
 				}
 				continue
 			}
@@ -568,39 +567,26 @@ func (t *ShmTransport) readLoop() {
 		t.rx.hdr.tail.Store(newTail)
 		if derr != nil {
 			m.Release()
-			t.setReadErr(fmt.Errorf("cosim: shm decode: %w", derr))
-			return
+			return fmt.Errorf("cosim: shm decode: %w", derr)
 		}
 		if ch >= numChannels {
 			m.Release()
-			t.setReadErr(fmt.Errorf("cosim: shm record on invalid channel %d", ch))
-			return
+			return fmt.Errorf("cosim: shm record on invalid channel %d", ch)
 		}
 		t.framesRecv.Add(1)
-		select {
-		case t.inbox[ch] <- m:
-		case <-t.done:
-			m.Release()
-			return
+		if err := t.inbox[ch].push(m); err != nil {
+			m.Release() // closed under the push
+			return nil
 		}
 	}
 }
 
-func (t *ShmTransport) setReadErr(err error) {
-	t.emu.Lock()
-	if t.readErr == nil {
-		t.readErr = err
+// closeInboxes closes every inbox: receives drain what is queued, then
+// report err (ErrClosed when nil). The first close wins.
+func (t *ShmTransport) closeInboxes(err error) {
+	for _, q := range t.inbox {
+		q.close(err)
 	}
-	t.emu.Unlock()
-}
-
-func (t *ShmTransport) chanErr() error {
-	t.emu.Lock()
-	defer t.emu.Unlock()
-	if t.readErr != nil {
-		return t.readErr
-	}
-	return ErrClosed
 }
 
 // Recv implements Transport.
@@ -608,11 +594,7 @@ func (t *ShmTransport) Recv(ch Channel) (Msg, error) {
 	if ch >= numChannels {
 		return Msg{}, fmt.Errorf("cosim: invalid channel %d", ch)
 	}
-	m, ok := <-t.inbox[ch]
-	if !ok {
-		return Msg{}, t.chanErr()
-	}
-	return m, nil
+	return t.inbox[ch].pop(nil)
 }
 
 func (t *ShmTransport) recvTimeout(ch Channel, d time.Duration) (Msg, error) {
@@ -621,15 +603,7 @@ func (t *ShmTransport) recvTimeout(ch Channel, d time.Duration) (Msg, error) {
 	}
 	timer := time.NewTimer(d) //cosim:wallclock -- receive timeout bounds host I/O, not simulated time
 	defer timer.Stop()
-	select {
-	case m, ok := <-t.inbox[ch]:
-		if !ok {
-			return Msg{}, t.chanErr()
-		}
-		return m, nil
-	case <-timer.C:
-		return Msg{}, ErrTimeout
-	}
+	return t.inbox[ch].pop(timer.C)
 }
 
 // TryRecv implements Transport.
@@ -637,15 +611,7 @@ func (t *ShmTransport) TryRecv(ch Channel) (Msg, bool, error) {
 	if ch >= numChannels {
 		return Msg{}, false, fmt.Errorf("cosim: invalid channel %d", ch)
 	}
-	select {
-	case m, ok := <-t.inbox[ch]:
-		if !ok {
-			return Msg{}, false, t.chanErr()
-		}
-		return m, true, nil
-	default:
-		return Msg{}, false, nil
-	}
+	return t.inbox[ch].tryPop()
 }
 
 // Close implements Transport: both directions are marked down (the peer
@@ -658,6 +624,7 @@ func (t *ShmTransport) Close() error {
 		t.tx.close()
 		t.rx.close()
 		close(t.done)
+		t.closeInboxes(nil) // unblocks a reader waiting on a full inbox
 		t.readerWG.Wait()
 		// A sender already past its closed check may still be pushing;
 		// wmu waits it out, and later senders see done before they touch

@@ -2,8 +2,11 @@ package cosim
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
 	"sync"
 	"time"
 )
@@ -14,53 +17,60 @@ import (
 // byte each connection sends identifies which logical port it is. Each
 // channel then carries framed Msg records (see proto.go).
 
-// tcpTransport is a Transport over three TCP connections. A reader
-// goroutine per connection decodes frames into a buffered channel so that
-// TryRecv is non-blocking.
+// tcpTransport is a Transport over three connections, one per channel.
+//
+// CLOCK is read on the caller's goroutine: Recv, recvTimeout and TryRecv
+// decode its frames straight off the connection, so a grant or an ack
+// costs no goroutine hand-over. DATA and INT each keep one reader
+// goroutine feeding a bounded queue. They carry a whole quantum's
+// traffic ahead of the CLOCK frame that counts it, and one MaxWords
+// write (256 KiB) can exceed the kernel's socket buffers: a peer blocked
+// writing DATA or INT while this side waits on CLOCK must still be
+// drained by someone, or the two sides could deadlock. CLOCK never has more
+// than two frames in flight each way (a grant plus one pipelined grant,
+// or an ack), which the socket buffers always hold.
 type tcpTransport struct {
 	conns [numChannels]net.Conn
 	wmu   [numChannels]sync.Mutex
-	wbuf  [numChannels]*bufio.Writer
-	inbox [numChannels]chan Msg
-	errs  [numChannels]error
-	emu   sync.Mutex
-	once  sync.Once
+
+	// DATA and INT: filled by readLoop.
+	inbox [ChanClock]*msgQueue
+
+	// CLOCK: cmu serializes the callers reading the connection;
+	// deadline records whether a read deadline is set on it.
+	cmu      sync.Mutex
+	clock    frameReader
+	deadline bool
+
+	once sync.Once
 }
 
 const tcpInboxDepth = 4096
 
 func newTCPTransport(conns [numChannels]net.Conn) *tcpTransport {
 	t := &tcpTransport{conns: conns}
-	for i := range conns {
-		t.wbuf[i] = bufio.NewWriter(conns[i])
-		t.inbox[i] = make(chan Msg, tcpInboxDepth)
-		go t.readLoop(Channel(i))
+	for ch := range t.inbox {
+		t.inbox[ch] = newMsgQueue(tcpInboxDepth)
+		go t.readLoop(Channel(ch))
 	}
 	return t
 }
 
+// readLoop decodes DATA or INT frames into the channel's queue until the
+// connection fails or the transport closes.
 func (t *tcpTransport) readLoop(ch Channel) {
 	r := bufio.NewReader(t.conns[ch])
 	for {
 		m, err := Decode(r)
 		if err != nil {
-			t.emu.Lock()
-			t.errs[ch] = err
-			t.emu.Unlock()
-			close(t.inbox[ch])
+			t.inbox[ch].close(fmt.Errorf("cosim: %v channel: %w", ch, err))
 			return
 		}
-		t.inbox[ch] <- m
+		if err := t.inbox[ch].push(m); err != nil {
+			m.Release() // closed under the push
+			return
+		}
 	}
-}
-
-func (t *tcpTransport) chanErr(ch Channel) error {
-	t.emu.Lock()
-	defer t.emu.Unlock()
-	if t.errs[ch] != nil {
-		return fmt.Errorf("cosim: %v channel: %w", ch, t.errs[ch])
-	}
-	return ErrClosed
 }
 
 func (t *tcpTransport) Send(ch Channel, m Msg) error {
@@ -68,10 +78,7 @@ func (t *tcpTransport) Send(ch Channel, m Msg) error {
 		return fmt.Errorf("cosim: invalid channel %d", ch)
 	}
 	t.wmu[ch].Lock()
-	err := m.Encode(t.wbuf[ch])
-	if err == nil {
-		err = t.wbuf[ch].Flush()
-	}
+	err := m.Encode(t.conns[ch])
 	t.wmu[ch].Unlock()
 	// Encode copied the payloads onto the wire; as the stack's bottom this
 	// transport is the terminal consumer of any pooled message (a batch
@@ -81,46 +88,136 @@ func (t *tcpTransport) Send(ch Channel, m Msg) error {
 }
 
 func (t *tcpTransport) Recv(ch Channel) (Msg, error) {
-	if ch >= numChannels {
-		return Msg{}, fmt.Errorf("cosim: invalid channel %d", ch)
+	switch {
+	case ch == ChanClock:
+		t.cmu.Lock()
+		defer t.cmu.Unlock()
+		return t.readClock(time.Time{})
+	case ch < ChanClock:
+		return t.inbox[ch].pop(nil)
 	}
-	m, ok := <-t.inbox[ch]
-	if !ok {
-		return Msg{}, t.chanErr(ch)
-	}
-	return m, nil
+	return Msg{}, fmt.Errorf("cosim: invalid channel %d", ch)
 }
 
 func (t *tcpTransport) recvTimeout(ch Channel, d time.Duration) (Msg, error) {
-	if ch >= numChannels {
+	if ch == ChanClock {
+		t.cmu.Lock()
+		defer t.cmu.Unlock()
+		return t.readClock(time.Now().Add(d)) //cosim:wallclock -- receive timeout bounds host I/O, not simulated time
+	}
+	if ch > ChanClock {
 		return Msg{}, fmt.Errorf("cosim: invalid channel %d", ch)
 	}
 	timer := time.NewTimer(d) //cosim:wallclock -- receive timeout bounds host I/O, not simulated time
 	defer timer.Stop()
-	select {
-	case m, ok := <-t.inbox[ch]:
-		if !ok {
-			return Msg{}, t.chanErr(ch)
-		}
-		return m, nil
-	case <-timer.C:
-		return Msg{}, ErrTimeout
-	}
+	return t.inbox[ch].pop(timer.C)
 }
 
 func (t *tcpTransport) TryRecv(ch Channel) (Msg, bool, error) {
-	if ch >= numChannels {
-		return Msg{}, false, fmt.Errorf("cosim: invalid channel %d", ch)
-	}
-	select {
-	case m, ok := <-t.inbox[ch]:
-		if !ok {
-			return Msg{}, false, t.chanErr(ch)
+	switch {
+	case ch == ChanClock:
+		if !t.cmu.TryLock() {
+			return Msg{}, false, nil // another caller is reading CLOCK
 		}
-		return m, true, nil
-	default:
-		return Msg{}, false, nil
+		defer t.cmu.Unlock()
+		// A frame that is not complete within a millisecond counts as
+		// not there; its bytes so far stay buffered for the next read.
+		m, err := t.readClock(time.Now().Add(time.Millisecond)) //cosim:wallclock -- bounds a host-side poll, not simulated time
+		if err == ErrTimeout {
+			return Msg{}, false, nil
+		}
+		return m, err == nil, err
+	case ch < ChanClock:
+		return t.inbox[ch].tryPop()
 	}
+	return Msg{}, false, fmt.Errorf("cosim: invalid channel %d", ch)
+}
+
+// readClock reads the next CLOCK frame on the caller's goroutine (cmu
+// held), giving up with ErrTimeout at deadline (none when zero). A frame
+// cut short by the deadline stays buffered for the next call.
+func (t *tcpTransport) readClock(deadline time.Time) (Msg, error) {
+	if !deadline.IsZero() || t.deadline {
+		if err := t.conns[ChanClock].SetReadDeadline(deadline); err != nil {
+			return Msg{}, fmt.Errorf("cosim: %v channel: %w", ChanClock, err)
+		}
+		t.deadline = !deadline.IsZero()
+	}
+	m, err := t.clock.next(t.conns[ChanClock])
+	switch {
+	case err == nil:
+		return m, nil
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return Msg{}, ErrTimeout
+	}
+	return Msg{}, fmt.Errorf("cosim: %v channel: %w", ChanClock, err)
+}
+
+// frameReader decodes frames from a connection read in place, on the
+// caller's goroutine. Bytes read but not yet decoded stay in buf across
+// calls, so a read that times out mid-frame loses nothing; any other read error, and any decode error, is sticky.
+type frameReader struct {
+	buf  []byte
+	r, w int // buf[r:w] is read but not yet decoded
+	err  error
+}
+
+// next returns the next frame, reading from src until one is complete.
+// Complete bodies go to decodeBody after Decode's length check.
+func (f *frameReader) next(src io.Reader) (Msg, error) {
+	for f.err == nil {
+		need := frameHeaderLen
+		if f.w-f.r >= frameHeaderLen {
+			n, err := frameLen(f.buf[f.r:])
+			if err != nil {
+				f.err = err
+				break
+			}
+			need += n
+			if f.w-f.r >= need {
+				body := f.buf[f.r+frameHeaderLen : f.r+need]
+				f.r += need
+				m, err := decodeBody(body)
+				if err != nil {
+					f.err = err
+					m.Release()
+					break
+				}
+				return m, nil
+			}
+		}
+		f.reserve(need)
+		k, err := src.Read(f.buf[f.w:])
+		f.w += k
+		switch {
+		case err == nil:
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			return Msg{}, err
+		case err == io.EOF && f.r < f.w:
+			f.err = fmt.Errorf("cosim: truncated frame: %w", io.ErrUnexpectedEOF)
+		default:
+			f.err = err
+		}
+	}
+	return Msg{}, f.err
+}
+
+// reserve makes room after w for a frame of need bytes starting at r.
+func (f *frameReader) reserve(need int) {
+	if f.r == f.w {
+		f.r, f.w = 0, 0
+	}
+	if len(f.buf)-f.r >= need {
+		return // w < r+need: there is room to read into
+	}
+	if len(f.buf) >= need && f.r > 0 {
+		f.w = copy(f.buf, f.buf[f.r:f.w])
+		f.r = 0
+		return
+	}
+	buf := make([]byte, max(need, 2*len(f.buf), 512))
+	f.w = copy(buf, f.buf[f.r:f.w])
+	f.buf, f.r = buf, 0
 }
 
 func (t *tcpTransport) Close() error {
@@ -130,6 +227,10 @@ func (t *tcpTransport) Close() error {
 			if err := c.Close(); err != nil && first == nil {
 				first = err
 			}
+		}
+		// A reader blocked on a full queue must not outlive the link.
+		for _, q := range t.inbox {
+			q.close(nil)
 		}
 	})
 	return first

@@ -3,7 +3,6 @@ package cosim
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -122,74 +121,50 @@ func BaseTransportName(tr Transport) string {
 	}
 }
 
-// chanPair is one direction of an in-process link.
-type chanPair struct {
-	ch [numChannels]chan Msg
-}
-
-// inprocTransport is the in-process Transport: three buffered Go channels
-// per direction. It gives the same interface and message-granularity
-// semantics as the TCP transport with ~100ns per message instead of a
-// socket round trip, so deterministic experiments can sweep large
-// parameter grids quickly.
+// inprocTransport is the in-process Transport: one bounded message
+// queue per channel and direction. It gives the same interface and
+// message-granularity semantics as the TCP transport with ~100ns per
+// message instead of a socket round trip, so deterministic experiments
+// can sweep large parameter grids quickly.
 type inprocTransport struct {
-	send      *chanPair
-	recv      *chanPair
-	closeOnce *sync.Once
-	closed    chan struct{}
+	send, recv [numChannels]*msgQueue
 }
 
 // NewInProcPair creates a connected pair of in-process transports; hw is
 // handed to the hardware-simulator endpoint and board to the board
-// endpoint. cap is the per-channel buffer depth (≥1).
+// endpoint. capacity bounds each channel's queue (≥1): a Send on a full
+// channel blocks until the peer receives or either side closes. Queue
+// storage grows with use up to that bound.
 func NewInProcPair(capacity int) (hw, board Transport) {
-	if capacity < 1 {
-		capacity = 1
+	var h2b, b2h [numChannels]*msgQueue
+	for i := range h2b {
+		h2b[i] = newMsgQueue(capacity)
+		b2h[i] = newMsgQueue(capacity)
 	}
-	newPair := func() *chanPair {
-		p := &chanPair{}
-		for i := range p.ch {
-			p.ch[i] = make(chan Msg, capacity)
-		}
-		return p
-	}
-	h2b, b2h := newPair(), newPair()
-	once := &sync.Once{}
-	closed := make(chan struct{})
-	hwT := &inprocTransport{send: h2b, recv: b2h, closeOnce: once, closed: closed}
-	boardT := &inprocTransport{send: b2h, recv: h2b, closeOnce: once, closed: closed}
-	return hwT, boardT
+	return &inprocTransport{send: h2b, recv: b2h}, &inprocTransport{send: b2h, recv: h2b}
 }
 
+// Send implements Transport. After either side's Close it fails with
+// ErrClosed and releases m's payloads.
 func (t *inprocTransport) Send(ch Channel, m Msg) error {
 	if ch >= numChannels {
 		return fmt.Errorf("cosim: invalid channel %d", ch)
 	}
-	select {
-	case t.send.ch[ch] <- m:
-		return nil
-	case <-t.closed:
-		return ErrClosed
+	if err := t.send[ch].push(m); err != nil {
+		m.Release()
+		return err
 	}
+	return nil
 }
 
+// Recv implements Transport. After close it drains what is already
+// queued before reporting ErrClosed, so a shutdown race cannot lose the
+// final ack.
 func (t *inprocTransport) Recv(ch Channel) (Msg, error) {
 	if ch >= numChannels {
 		return Msg{}, fmt.Errorf("cosim: invalid channel %d", ch)
 	}
-	select {
-	case m := <-t.recv.ch[ch]:
-		return m, nil
-	case <-t.closed:
-		// Drain anything already buffered before reporting closure, so a
-		// shutdown race cannot lose the final ack.
-		select {
-		case m := <-t.recv.ch[ch]:
-			return m, nil
-		default:
-			return Msg{}, ErrClosed
-		}
-	}
+	return t.recv[ch].pop(nil)
 }
 
 func (t *inprocTransport) recvTimeout(ch Channel, d time.Duration) (Msg, error) {
@@ -198,39 +173,23 @@ func (t *inprocTransport) recvTimeout(ch Channel, d time.Duration) (Msg, error) 
 	}
 	timer := time.NewTimer(d) //cosim:wallclock -- receive timeout bounds host I/O, not simulated time
 	defer timer.Stop()
-	select {
-	case m := <-t.recv.ch[ch]:
-		return m, nil
-	case <-t.closed:
-		select {
-		case m := <-t.recv.ch[ch]:
-			return m, nil
-		default:
-			return Msg{}, ErrClosed
-		}
-	case <-timer.C:
-		return Msg{}, ErrTimeout
-	}
+	return t.recv[ch].pop(timer.C)
 }
 
+// TryRecv implements Transport.
 func (t *inprocTransport) TryRecv(ch Channel) (Msg, bool, error) {
 	if ch >= numChannels {
 		return Msg{}, false, fmt.Errorf("cosim: invalid channel %d", ch)
 	}
-	select {
-	case m := <-t.recv.ch[ch]:
-		return m, true, nil
-	default:
-		select {
-		case <-t.closed:
-			return Msg{}, false, ErrClosed
-		default:
-			return Msg{}, false, nil
-		}
-	}
+	return t.recv[ch].tryPop()
 }
 
+// Close implements Transport: it closes both directions, so it acts for
+// both sides.
 func (t *inprocTransport) Close() error {
-	t.closeOnce.Do(func() { close(t.closed) })
+	for ch := range t.send {
+		t.send[ch].close(nil)
+		t.recv[ch].close(nil)
+	}
 	return nil
 }

@@ -398,8 +398,11 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 		}
 		return res, fmt.Errorf("router: federation: %w", err)
 	}
-	closeAll()
+	// Every board has sent its finish ack, but its Send may still be
+	// pushing an injected duplicate or a delayed copy: let each Serve
+	// return before the links close under it.
 	boardLoops.Wait()
+	closeAll()
 	for i := range wires {
 		if err := wires[i].err; err != nil {
 			return res, fmt.Errorf("router: party \"board%d\": %w", i, err)

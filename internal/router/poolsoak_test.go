@@ -72,3 +72,24 @@ func TestChaosAdaptivePoolSoak(t *testing.T) {
 		t.Fatal("session retransmitted nothing: the recovery paths were not exercised")
 	}
 }
+
+// TestRunSurvivesLateDuplicateOfFinishAck: with every frame duplicated
+// and a link delay, the board's duplicate of its final ack is still
+// being sent when the simulator has the first copy. The run must
+// succeed: the board is done, and the link may only close under it
+// after it returns.
+func TestRunSurvivesLateDuplicateOfFinishAck(t *testing.T) {
+	rc := DefaultRunConfig()
+	rc.TB = smallTB()
+	rc.TSync = 500
+	sc := cosim.UniformScenario(7, cosim.FaultProfile{Duplicate: 1})
+	sess := cosim.DefaultSessionConfig()
+	rc.Chaos = &sc
+	rc.Resilience = &sess
+	rc.LinkDelay = 200 * time.Microsecond
+	for i := 0; i < 5; i++ {
+		if _, err := Run(context.Background(), Transports{}, WithConfig(rc)); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+}
