@@ -50,10 +50,12 @@ farm-soak:
 	$(GO) test ./internal/farm/ ./internal/cosim/ -race -count=$(FARM_SOAK_COUNT) -run 'Farm|Mux|Session|PoolHammer|TCP|MsgQueue'
 
 # transport-matrix proves every transport kind produces bit-identical
-# simulations: the root determinism matrix plus the per-transport
-# conformance, soak, and kind-reporting suites, under the race detector.
+# simulations: the seeded spec explorer (TestExplore, its full block) plus
+# the per-transport conformance, soak, and kind-reporting suites, under
+# the race detector.
 transport-matrix:
-	$(GO) test -race -run 'TransportMatrix|TestCoSimEndToEnd|ReportedKind|MultiRunReports' . ./internal/router/
+	$(GO) test -race -run 'TestExplore' .
+	$(GO) test -race -run 'TestCoSimEndToEnd|ReportedKind|MultiRunReports' ./internal/router/
 	$(GO) test -race -run 'Shm|UDS|TCP|MsgQueue|LinkSetup|SendAfterClose' ./internal/cosim/ ./internal/farm/
 
 # federation-matrix proves the time manager behind every run: router.Run
@@ -134,9 +136,11 @@ bench-gate:
 	$(GO) run ./cmd/cosim-bench -runs $(BENCH_RUNS) -v -out BENCH_cosim.json -baseline BENCH_baseline.json
 
 # bench-adaptive proves the adaptive-quantum speedup claim in isolation:
-# the determinism soak plus the Fig.5 adaptive sweep (quick sizing).
+# the spec explorer, whose adaptive draws and pinned adaptive soaks must
+# match plain stepping bit for bit, plus the Fig.5 adaptive sweep (quick
+# sizing).
 bench-adaptive:
-	$(GO) test -run 'TestAdaptive' -v .
+	$(GO) test -run 'TestExplore' -v .
 	$(GO) run ./cmd/cosim-experiments -fig 5a -quick
 
 # bench-selftest vets and tests the repository benchmark (bench/, its own

@@ -368,16 +368,3 @@ func DialSession(network, addr string, sessionID uint64) (Transport, error) {
 	}
 	return newTCPTransport(conns), nil
 }
-
-// SessionRedialer returns a redial function for SessionConfig.Redial on
-// the board side of a farm session: each call re-dials the mux listener
-// and re-attaches to the same session ID.
-func SessionRedialer(addr string, sessionID uint64) func() (Transport, error) {
-	return SessionRedialerNet("tcp", addr, sessionID)
-}
-
-// SessionRedialerNet is SessionRedialer over an arbitrary stream network
-// ("tcp", "unix").
-func SessionRedialerNet(network, addr string, sessionID uint64) func() (Transport, error) {
-	return func() (Transport, error) { return DialSession(network, addr, sessionID) }
-}

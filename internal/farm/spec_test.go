@@ -116,6 +116,19 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestSpecRejectsPipelinedInProcBoards: a pipelined spec with in-process
+// boards parses, and its lowering fails naming the pair, which would
+// otherwise run alternating while reporting pipelined.
+func TestSpecRejectsPipelinedInProcBoards(t *testing.T) {
+	s, err := ParseSpec([]byte(`{"mode":"pipelined","federation":{"boards":2,"inproc_boards":true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunConfig(); err == nil || !strings.Contains(err.Error(), "SyncPipelined with InProcBoards") {
+		t.Fatalf("lowering: %v, want the pipelined in-process pair rejected", err)
+	}
+}
+
 // TestSpecJSONRoundTrip: a spec survives the wire byte-exactly, and its
 // lowering on the far side matches the near side's — the property the
 // fleet control plane rests on.

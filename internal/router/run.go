@@ -203,6 +203,9 @@ func (rc RunConfig) Validate() error {
 	if rc.Adaptive && rc.Mode == cosim.SyncPipelined {
 		return fmt.Errorf("router: invalid RunConfig: Adaptive with SyncPipelined — the pipelined acknowledgement describes a quantum that is already granted, so its lookahead promise is stale; use SyncAlternating or drop Adaptive")
 	}
+	if rc.Mode == cosim.SyncPipelined && rc.Federation != nil && rc.Federation.InProcBoards {
+		return fmt.Errorf("router: invalid RunConfig: SyncPipelined with InProcBoards — an in-process board has no wire to hold a second grant in flight, so the run would step alternating while reporting pipelined; use SyncAlternating or wire boards")
+	}
 	if rc.MaxQuantum != 0 && !rc.Adaptive {
 		return fmt.Errorf("router: invalid RunConfig: MaxQuantum %d without Adaptive — only adaptive runs elongate quanta, so the cap would do nothing; set Adaptive or leave MaxQuantum 0", rc.MaxQuantum)
 	}

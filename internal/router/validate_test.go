@@ -33,6 +33,12 @@ func TestRunConfigValidate(t *testing.T) {
 			rc.Adaptive = true
 			rc.Mode = cosim.SyncPipelined
 		}, "Adaptive with SyncPipelined"},
+		// Without a wire no second grant is ever in flight: the pair
+		// ran alternating while its result read pipelined.
+		{"pipelined with in-process boards", func(rc *RunConfig) {
+			rc.Mode = cosim.SyncPipelined
+			rc.Federation = &FederationConfig{Boards: 1, InProcBoards: true}
+		}, "SyncPipelined with InProcBoards"},
 		// A cap without Adaptive did nothing, and one below TSync was
 		// quietly raised to TSync; both are now errors naming the field.
 		{"max quantum without adaptive", func(rc *RunConfig) { rc.MaxQuantum = 64 * rc.TSync }, "MaxQuantum"},

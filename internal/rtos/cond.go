@@ -28,7 +28,7 @@ func (cv *Cond) Wait(c *ThreadCtx) {
 // The mutex is re-acquired either way.
 func (cv *Cond) WaitTimeout(c *ThreadCtx, n uint64) bool {
 	cv.mu.Unlock(c)
-	ok := c.blockTimeout(&cv.wq, n)
+	ok := c.blockTimeout(&cv.wq, cv.k.swTick+n)
 	cv.mu.Lock(c)
 	return ok
 }

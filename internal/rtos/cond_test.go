@@ -101,3 +101,32 @@ func TestCondWaitTimeout(t *testing.T) {
 		t.Fatal("second wait missed the signal")
 	}
 }
+
+// TestCondWaitTimeoutAfterEarlySignal: a timed wait that a signal ends
+// early must take its alarm with it, so the next timed wait, which
+// nobody signals, times out at its own bound rather than waking at the
+// first wait's.
+func TestCondWaitTimeoutAfterEarlySignal(t *testing.T) {
+	k := NewKernel(testCfg())
+	mu := k.NewMutex("m")
+	cv := k.NewCond("cv", mu)
+	var first, second bool
+	var called, done uint64
+	k.CreateThread("w", 10, func(c *ThreadCtx) {
+		mu.Lock(c)
+		first = cv.WaitTimeout(c, 10)
+		called = k.SWTick()
+		second = cv.WaitTimeout(c, 100)
+		done = k.SWTick()
+		mu.Unlock(c)
+		c.Exit()
+	})
+	k.AlarmAfter(2, func() { cv.Signal() })
+	k.Advance(100 * 200)
+	if !first || called != 2 {
+		t.Fatalf("first wait: signalled=%v at tick %d, want the signal at tick 2", first, called)
+	}
+	if second || done != called+100 {
+		t.Fatalf("second wait: signalled=%v at tick %d, want a timeout at tick %d", second, done, called+100)
+	}
+}

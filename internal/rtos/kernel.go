@@ -124,8 +124,9 @@ type Kernel struct {
 	budgetLeft  uint64
 	needResched bool
 
-	irq    interruptController
-	alarms alarmQueue
+	irq interruptController
+	// alarms holds the SW-tick-keyed callbacks, FIFO among equal ticks.
+	alarms sim.Queue
 
 	tickHooks []func(hwTick uint64) // on-board devices observe HW ticks
 
@@ -260,6 +261,12 @@ func (k *Kernel) advanceCycles(n uint64, account *uint64) {
 	}
 }
 
+// AlarmAfter schedules fn to run in timer context after n SW ticks; the
+// public form used by board services and tests.
+func (k *Kernel) AlarmAfter(n uint64, fn func()) {
+	k.alarms.Schedule(sim.Time(k.swTick+n), fn)
+}
+
 // timerTick is the hardware timer interrupt service path: it increments
 // the HW tick, runs device tick hooks, and every HWTicksPerSWTick ticks
 // performs the SW-tick work (alarm expiry, timeslice accounting).
@@ -274,7 +281,10 @@ func (k *Kernel) timerTick() {
 	}
 	k.swTick++
 	k.stats.SWTicks++
-	k.alarms.expire(k, k.swTick)
+	for k.alarms.NextTime() <= sim.Time(k.swTick) {
+		_, fn, _ := k.alarms.Pop()
+		fn() // timer-ISR context: may ready threads, must not block
+	}
 	if k.cfg.TimesliceTicks > 0 && k.current != nil {
 		if k.current.slice > 0 {
 			k.current.slice--
@@ -461,7 +471,7 @@ func (k *Kernel) RunIdleComm(maxResumes int) {
 // DeadlockCheck reports an error when no thread can ever run again: all
 // threads blocked or exited with no pending interrupt and no alarm.
 func (k *Kernel) DeadlockCheck() error {
-	if k.interruptsPending() || k.alarms.len() > 0 {
+	if k.interruptsPending() || !k.alarms.Empty() {
 		return nil
 	}
 	live := 0

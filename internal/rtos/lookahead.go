@@ -1,6 +1,10 @@
 package rtos
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/sim"
+)
 
 // This file implements the kernel's half of the adaptive-synchronization
 // negotiation: a conservative bound on how far virtual time can advance
@@ -37,7 +41,7 @@ func (k *Kernel) NextEventBound() uint64 {
 		return 0
 	}
 	bound := uint64(WakeNever)
-	if at, ok := k.alarms.peek(); ok {
+	if at := uint64(k.alarms.NextTime()); at != uint64(sim.MaxTime) {
 		if at <= k.swTick {
 			return 0
 		}

@@ -167,10 +167,12 @@ func (mb *Mailbox) Get(c *ThreadCtx) []uint32 {
 	return msg
 }
 
-// GetTimeout is Get with a bound of n SW ticks; ok is false on timeout.
+// GetTimeout is Get with a bound of n SW ticks from the call; ok is false
+// on timeout.
 func (mb *Mailbox) GetTimeout(c *ThreadCtx, n uint64) ([]uint32, bool) {
+	deadline := mb.k.swTick + n
 	for len(mb.q) == 0 {
-		if !c.blockTimeout(&mb.notEmpty, n) {
+		if !c.blockTimeout(&mb.notEmpty, deadline) {
 			return nil, false
 		}
 	}

@@ -291,3 +291,32 @@ func (d *stubDriver) Read(c *ThreadCtx, off uint32, buf []uint32) (int, error) {
 func (d *stubDriver) Write(c *ThreadCtx, off uint32, buf []uint32) (int, error) {
 	return len(buf), nil
 }
+
+// TestMailboxGetTimeoutAfterEarlyMessage: a timed Get that a message
+// ends early must take its alarm with it. The next timed Get, on the same
+// mailbox with nobody posting, must time out n ticks after it was called
+// instead of being woken by the first call's alarm and re-armed forever.
+func TestMailboxGetTimeoutAfterEarlyMessage(t *testing.T) {
+	k := NewKernel(testCfg())
+	mb := k.NewMailbox("mb", 2)
+	var first, second, returned bool
+	var called, done uint64
+	k.CreateThread("c", 5, func(c *ThreadCtx) {
+		_, first = mb.GetTimeout(c, 10)
+		called = k.SWTick()
+		_, second = mb.GetTimeout(c, 10)
+		done, returned = k.SWTick(), true
+		c.Exit()
+	})
+	k.AlarmAfter(2, func() { mb.TryPut([]uint32{42}) })
+	k.Advance(5000 * 100)
+	if !first || called != 2 {
+		t.Fatalf("first GetTimeout: ok=%v at tick %d, want the message at tick 2", first, called)
+	}
+	if !returned {
+		t.Fatal("second GetTimeout never returned within 5000 ticks")
+	}
+	if second || done != called+10 {
+		t.Fatalf("second GetTimeout: ok=%v at tick %d, want a timeout at tick %d", second, done, called+10)
+	}
+}

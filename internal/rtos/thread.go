@@ -212,7 +212,11 @@ func (c *ThreadCtx) Sleep(n uint64) {
 	t := c.t
 	k := t.k
 	t.state = ThreadSleeping
-	k.alarms.addWake(k.swTick+n, t)
+	k.alarms.Schedule(sim.Time(k.swTick+n), func() {
+		if t.state == ThreadSleeping {
+			k.ready(t)
+		}
+	})
 	c.yield()
 }
 
@@ -223,21 +227,26 @@ func (c *ThreadCtx) block(q *waitQueue) {
 	c.yield()
 }
 
-// blockTimeout parks the thread on q for at most n SW ticks; reports true
-// if woken by the queue, false on timeout.
-func (c *ThreadCtx) blockTimeout(q *waitQueue, n uint64) bool {
+// blockTimeout parks the thread on q until it is woken or the SW tick
+// reaches deadline; reports true if woken by the queue, false on timeout.
+// A wake cancels the alarm, so it cannot fire into a later wait.
+func (c *ThreadCtx) blockTimeout(q *waitQueue, deadline uint64) bool {
 	t := c.t
 	k := t.k
+	if deadline <= k.swTick {
+		return false
+	}
 	t.state = ThreadBlocked
 	q.enqueue(t)
 	timedOut := false
-	k.alarms.add(k.swTick+n, func() {
+	h := k.alarms.Schedule(sim.Time(deadline), func() {
 		if t.state == ThreadBlocked && q.remove(t) {
 			timedOut = true
 			k.ready(t)
 		}
 	})
 	c.yield()
+	k.alarms.Cancel(h)
 	return !timedOut
 }
 
