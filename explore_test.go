@@ -389,3 +389,60 @@ func (c *exploreCoverage) check(t *testing.T) {
 		t.Errorf("the budget never exercised: %s", strings.Join(missing, "; "))
 	}
 }
+
+// TestCoSimDeterminismProperty is the headline property at fixed seeds,
+// beside TestExplore's search: eight configurations (seed, TSync
+// 50–4050, workload, error rate, mode) run over tcp must reproduce
+// themselves and their in-process reference bit for bit, under every
+// invariant of exploreSpec.
+func TestCoSimDeterminismProperty(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run property; skipped in -short")
+	}
+	rng := rand.New(rand.NewSource(20260705))
+	for trial := 0; trial < 8; trial++ {
+		s := farm.SessionSpec{Transport: "tcp", TB: &farm.TBSpec{
+			PacketsPerPort: 3 + rng.Intn(10),
+			Period:         uint64(200 + rng.Intn(1200)),
+			DataWords:      1 + rng.Intn(12),
+			ErrRate:        float64(rng.Intn(4)) * 0.1,
+			Seed:           rng.Int63(),
+		}}
+		s.TSync = uint64(50 + rng.Intn(4000))
+		if rng.Intn(2) == 0 {
+			s.Mode = "pipelined"
+		}
+		exploreSpec(t, fmt.Sprintf("trial %d", trial), s, &exploreCoverage{})
+	}
+}
+
+// TestTransportMatrixDeterminism is the transport matrix at fixed seeds:
+// every transport carries the same drawn configurations, and each run
+// must match the in-process reference bit for bit and in rendezvous
+// count, and report the kind that carried it.
+func TestTransportMatrixDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run matrix; skipped in -short")
+	}
+	kinds := []string{"inproc", "tcp", "uds"}
+	if cosim.ShmSupported() {
+		kinds = append(kinds, "shm")
+	}
+	rng := rand.New(rand.NewSource(20260808))
+	for trial := 0; trial < 4; trial++ {
+		s := farm.SessionSpec{TB: &farm.TBSpec{
+			PacketsPerPort: 3 + rng.Intn(8),
+			Period:         uint64(200 + rng.Intn(1200)),
+			DataWords:      1 + rng.Intn(12),
+			Seed:           rng.Int63(),
+		}}
+		s.TSync = uint64(50 + rng.Intn(2000))
+		if rng.Intn(2) == 0 {
+			s.Mode = "pipelined"
+		}
+		for _, k := range kinds {
+			s.Transport = k
+			exploreSpec(t, fmt.Sprintf("trial %d over %s", trial, k), s, &exploreCoverage{})
+		}
+	}
+}

@@ -312,6 +312,31 @@ func TestFederationCountsSyncReasons(t *testing.T) {
 	}
 }
 
+// TestFederationInProcBoardIdentity: hosting the board in-process as a
+// *board.Board party (no wire, no goroutine) must still match the pairwise
+// run's virtual-time results — the grant application order is the wire
+// contract, not a transport artifact.
+func TestFederationInProcBoardIdentity(t *testing.T) {
+	rc := DefaultRunConfig()
+	rc.TB = smallTB()
+	rc.TSync = 200
+
+	pair, err := Run(context.Background(), Transports{}, WithConfig(rc))
+	if err != nil {
+		t.Fatalf("pairwise: %v", err)
+	}
+	fed, err := RunFederation(context.Background(), FederationConfig{Boards: 1, InProcBoards: true}, WithConfig(rc))
+	if err != nil {
+		t.Fatalf("federation: %v", err)
+	}
+	if got, want := fingerprint(fed.RunResult), fingerprint(pair); got != want {
+		t.Errorf("virtual-time fingerprint diverged:\npair %+v\nfed  %+v", want, got)
+	}
+	if fed.TransportKind != TransportInProc {
+		t.Errorf("in-process federation reported transport %v", fed.TransportKind)
+	}
+}
+
 // TestFederationMultiBoardDeterminism covers the 1-device+K-board
 // topology: the run must verify every packet, keep the conservation
 // invariant, and produce the identical fingerprint on repeated runs (the
