@@ -65,16 +65,18 @@ transport-matrix:
 # submitted as specs through the farm and the fleet equal to their direct
 # runs, the manager's edge cases (cancellation of elongated runs
 # included), the two-party DriverSimulate wrapper, the quantum schedule
-# against its independent reference, the kernel's driver ports, and the
-# board's side of the seam (grant traffic, the board as the federate and
-# cosim.Serve running it over a wire, both modes agreeing, any party
-# served over a wire matching its in-process run) — all under -race.
+# against its independent reference, the kernel's driver ports, its
+# trace digest and wait tests (thread processes are goroutine-backed
+# coroutines), and the board's side of the seam (grant traffic, the board
+# as the federate and cosim.Serve running it over a wire, both modes
+# agreeing, any party served over a wire matching its in-process run) —
+# all under -race.
 federation-matrix:
 	$(GO) test -race -run 'TestFederation|TestRunDispatchesFederation|TestMultiBoard|TestMultiRunReports|TestRunContextCancellation' ./internal/router/
 	$(GO) test -race -run 'TestFarmRunsFederatedSessions|TestSpec' ./internal/farm/
 	$(GO) test -race -run 'TestFleetFederatedSpec' ./internal/fleet/
 	$(GO) test -race ./internal/cosim/federation/
-	$(GO) test -race -run 'Driver' ./internal/hdlsim/
+	$(GO) test -race -run 'Driver|Digest|Wait' ./internal/hdlsim/
 	$(GO) test -race ./internal/board/
 
 # fleet-matrix proves the multi-host control plane under the race

@@ -64,6 +64,12 @@ func kernelBenches() []kernelBench {
 		{"Kernel/hdlsim/MethodFanout/methods=4", 500_000, func(ops int) (time.Duration, error) {
 			return clockedKernel(ops, 4)
 		}},
+		// One clock cycle with four threads in staggered 1250-cycle counting
+		// waits, the router testbench's producers at the paper's packet
+		// period: almost every edge wakes none of them.
+		{"Kernel/hdlsim/CountingWaits/threads=4", 500_000, func(ops int) (time.Duration, error) {
+			return countingWaits(ops, 4)
+		}},
 		// One elided TSync=1 boundary of an adaptive two-party federation:
 		// a clock-only kernel and a board promising unbounded lookahead,
 		// so the whole run is one quiet stretch and one final grant.
@@ -137,6 +143,38 @@ func clockedKernel(ops, methods int) (time.Duration, error) {
 	wall := time.Since(start)
 	if ctr != ops*methods {
 		return 0, fmt.Errorf("%d method activations over %d cycles, want %d", ctr, ops, ops*methods)
+	}
+	return wall, nil
+}
+
+// countingWaits times ops cycles of a 10 ns clock with the given number
+// of threads each waking every 1250 cycles, their phases spread evenly.
+func countingWaits(ops, threads int) (time.Duration, error) {
+	const period = 1250
+	s := hdlsim.NewSimulator("bench")
+	defer s.Shutdown()
+	clk := s.NewClock("clk", sim.NS(10))
+	wakes := 0
+	for i := 0; i < threads; i++ {
+		phase := uint64(1 + i*period/threads)
+		s.Thread(fmt.Sprintf("t%d", i), func(c *hdlsim.Ctx) {
+			c.WaitCycles(clk, phase)
+			for {
+				c.WaitCycles(clk, period)
+				wakes++
+			}
+		})
+	}
+	if err := s.Elaborate(); err != nil {
+		return 0, err
+	}
+	start := time.Now()
+	if err := s.RunCycles(clk, uint64(ops)); err != nil {
+		return 0, err
+	}
+	wall := time.Since(start)
+	if want := threads * (ops/period - 1); wakes < want {
+		return 0, fmt.Errorf("%d counting-wait wakes over %d cycles, want at least %d", wakes, ops, want)
 	}
 	return wall, nil
 }

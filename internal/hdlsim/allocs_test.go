@@ -42,3 +42,43 @@ func TestAllocsKernelQuantum(t *testing.T) {
 	}
 	_ = ctr
 }
+
+// TestAllocsCountingWaits is TestAllocsKernelQuantum with threads in
+// counting waits on the clock beside a posedge method: the waits are
+// staggered so some edges wake a thread and most wake none, and neither
+// kind of edge may allocate once the waiter lists and the woken scratch
+// have grown to size.
+func TestAllocsCountingWaits(t *testing.T) {
+	s := NewSimulator("allocs")
+	defer s.Shutdown()
+	clk := s.NewClock("clk", sim.NS(10))
+	s.Method("m", func() {}, clk.Posedge()).DontInitialize()
+	wakes := 0
+	for i := 0; i < 4; i++ {
+		n := uint64(7 + 6*i)
+		s.Thread(fmt.Sprintf("t%d", i), func(c *Ctx) {
+			for {
+				c.WaitCycles(clk, n)
+				wakes++
+			}
+		})
+	}
+	if err := s.Elaborate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunCycles(clk, 200); err != nil {
+		t.Fatal(err)
+	}
+	const cycles = 100
+	quantum := func() {
+		if err := s.RunCycles(clk, cycles); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, quantum); avg != 0 {
+		t.Errorf("counting-wait quantum (%d cycles): %.2f allocs/run, want 0", cycles, avg)
+	}
+	if wakes == 0 {
+		t.Fatal("no counting wait woke")
+	}
+}

@@ -1,6 +1,8 @@
 package hdlsim
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -48,6 +50,26 @@ func TestWaitCyclesZeroIsNoop(t *testing.T) {
 	}
 	if !ran {
 		t.Fatal("WaitCycles(0) blocked")
+	}
+}
+
+func TestWaitCyclesMaxCountSleeps(t *testing.T) {
+	// The second wait starts after three triggers, so its wake number
+	// would wrap past the top of the counter if it were not capped.
+	s := NewSimulator("t")
+	clk := s.NewClock("clk", sim.NS(10))
+	wakes := 0
+	s.Thread("sleeper", func(c *Ctx) {
+		c.WaitCycles(clk, 3)
+		wakes++
+		c.WaitCycles(clk, math.MaxUint64)
+		wakes++
+	})
+	if err := s.RunCycles(clk, 10); err != nil {
+		t.Fatal(err)
+	}
+	if wakes != 1 {
+		t.Fatalf("%d wakes, want 1: a wait of MaxUint64 cycles ended", wakes)
 	}
 }
 
@@ -179,5 +201,76 @@ func TestUpdateOnListenerFreeEventCountsAndCancelsTimed(t *testing.T) {
 	}
 	if ev := sig.Changed(); ev.timedHandle.Valid() || ev.deltaPending {
 		t.Fatal("commit left a notification pending")
+	}
+}
+
+// TestCountingWaitsWakeOrder pins when, and in which order, threads in
+// counting waits wake when they share a clock with the other kinds of
+// dynamic waiter: a WaitTimeout that times out (its entry leaves the
+// posedge's waiter list between edges), a WaitAny woken by its other event
+// (same), and a method that notifies the posedge once between edges, a
+// trigger that counts toward every counting wait. The log is one entry per
+// wake, in execution order, so threads woken by one edge appear in their
+// wake order.
+func TestCountingWaitsWakeOrder(t *testing.T) {
+	s := NewSimulator("t")
+	clk := s.NewClock("clk", sim.NS(10))
+	ev := s.NewEvent("ev")
+	var log []string
+	at := func(name string, c *Ctx) {
+		log = append(log, fmt.Sprintf("%s@%d", name, uint64(c.Now()/sim.Nanosecond)))
+	}
+	counting := func(name string, n uint64, times int) {
+		s.Thread(name, func(c *Ctx) {
+			for i := 0; i < times; i++ {
+				c.WaitCycles(clk, n)
+				at(name, c)
+			}
+		})
+	}
+	counting("c3a", 3, 4)
+	counting("c1", 1, 10)
+	counting("c3b", 3, 4)
+	counting("c5", 5, 3)
+	s.Thread("tmo", func(c *Ctx) {
+		c.WaitTime(sim.NS(12))
+		at(fmt.Sprintf("tmo:%v", c.WaitTimeout(clk.Posedge(), sim.NS(3))), c)
+	})
+	s.Thread("any", func(c *Ctx) {
+		c.WaitTime(sim.NS(7))
+		ev.NotifyDelay(sim.NS(1))
+		at("any:"+c.WaitAny(clk.Posedge(), ev).Name(), c)
+		at("any:"+c.WaitAny(clk.Posedge(), ev).Name(), c)
+	})
+	negedges := 0
+	s.Method("kick", func() {
+		if negedges++; negedges == 3 {
+			clk.Posedge().Notify()
+		}
+	}, clk.Negedge()).DontInitialize()
+	if err := s.RunCycles(clk, 16); err != nil {
+		t.Fatal(err)
+	}
+	// c3a and c3b wake together in list order; the kick at 25 ns is the
+	// extra trigger that moves c5 from 40 to 30 and every later wake of
+	// c3a, c3b and c5 one edge earlier.
+	want := []string{
+		"c1@0",
+		"any:ev@8",
+		"c1@10", "any:clk.posedge@10",
+		"tmo:false@15",
+		"c3a@20", "c3b@20", "c1@20",
+		"c1@25",
+		"c5@30", "c1@30",
+		"c3a@40", "c3b@40", "c1@40",
+		"c1@50",
+		"c1@60",
+		"c3a@70", "c3b@70", "c1@70",
+		"c5@80", "c1@80",
+		"c3a@100", "c3b@100",
+		"c5@130",
+	}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("wakes\n got %v\nwant %v", log, want)
 	}
 }

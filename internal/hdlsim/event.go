@@ -1,6 +1,10 @@
 package hdlsim
 
-import "repro/internal/sim"
+import (
+	"math"
+
+	"repro/internal/sim"
+)
 
 // Event is a synchronization primitive equivalent to sc_event. Method
 // processes can be statically sensitive to it; thread processes wait on it
@@ -13,6 +17,12 @@ type Event struct {
 
 	static []*Process  // statically sensitive methods
 	dyn    []dynWaiter // threads currently waiting dynamically
+
+	// fired counts the triggers seen while dyn is non-empty, and due is a
+	// lower bound on the earliest dynWaiter.at, so a trigger that wakes no
+	// waiter skips the walk (see trigger).
+	fired uint64
+	due   uint64
 
 	deltaPending bool
 	timedHandle  sim.Handle
@@ -107,53 +117,73 @@ func (e *Event) cancelTimed() {
 	}
 }
 
-// dynWaiter is one dynamically waiting thread; remaining counts how many
-// further triggers it wants to sleep through (counting waits let a thread
-// skip n clock edges without n coroutine round trips).
+// dynWaiter is one dynamically waiting thread; at is the value of the
+// event's fired counter at which it wakes, so a counting wait (WaitCycles)
+// sleeps through at-fired-1 triggers without a coroutine round trip and
+// without the event touching its entry on each of them.
 type dynWaiter struct {
-	p         *Process
-	remaining uint64
+	p  *Process
+	at uint64
 }
 
-// trigger fires the event now: statically sensitive methods and dynamically
-// waiting threads become runnable (counting waiters just decrement).
+// trigger fires the event now: statically sensitive methods and the
+// dynamically waiting threads whose trigger number has come become
+// runnable. While fired is below due no waiter is due, so only the
+// static list is visited.
 func (e *Event) trigger() {
 	e.sim.stats.EventTriggers++
 	for _, p := range e.static {
 		e.sim.makeRunnable(p)
 	}
-	if len(e.dyn) > 0 {
-		kept := e.dyn[:0]
-		// Borrow the simulator's scratch for the woken list; taking it (and
-		// nil-ing the field) means a nested trigger falls back to a fresh
-		// slice instead of clobbering ours.
-		woken := e.sim.wokenSpare[:0]
-		e.sim.wokenSpare = nil
-		for _, w := range e.dyn {
-			if w.remaining > 1 {
-				w.remaining--
-				kept = append(kept, w)
-				continue
-			}
-			woken = append(woken, w.p)
-		}
-		e.dyn = kept
-		for _, p := range woken {
-			p.wakeFromWait(e)
-		}
-		for i := range woken {
-			woken[i] = nil
-		}
-		e.sim.wokenSpare = woken[:0]
+	if len(e.dyn) == 0 {
+		return
 	}
+	e.fired++
+	if e.fired < e.due {
+		return
+	}
+	kept := e.dyn[:0]
+	// Borrow the simulator's scratch for the woken list; taking it (and
+	// nil-ing the field) means a nested trigger falls back to a fresh
+	// slice instead of clobbering ours.
+	woken := e.sim.wokenSpare[:0]
+	e.sim.wokenSpare = nil
+	e.due = math.MaxUint64
+	for _, w := range e.dyn {
+		if w.at <= e.fired {
+			woken = append(woken, w.p)
+			continue
+		}
+		kept = append(kept, w)
+		e.due = min(e.due, w.at)
+	}
+	e.dyn = kept
+	for _, p := range woken {
+		p.wakeFromWait(e)
+	}
+	for i := range woken {
+		woken[i] = nil
+	}
+	e.sim.wokenSpare = woken[:0]
 }
 
 // addDynWaiter registers a thread blocked on this event until the count-th
-// future trigger.
+// future trigger. fired only counts triggers while some thread waits, and
+// this one waits from now on, so every trigger it sleeps through is
+// counted.
 func (e *Event) addDynWaiter(p *Process, count uint64) {
-	e.dyn = append(e.dyn, dynWaiter{p: p, remaining: count})
+	at := e.fired + count
+	if at < count { // a count near MaxUint64 sleeps for good
+		at = math.MaxUint64
+	}
+	if len(e.dyn) == 0 || at < e.due {
+		e.due = at
+	}
+	e.dyn = append(e.dyn, dynWaiter{p: p, at: at})
 }
 
+// removeDynWaiter drops p's entry. It leaves due as it is: a bound below
+// every remaining at is still a lower bound, and the next walk raises it.
 func (e *Event) removeDynWaiter(p *Process) {
 	for i := range e.dyn {
 		if e.dyn[i].p == p {
@@ -171,7 +201,10 @@ func (p *Process) wakeFromWait(cause *Event) {
 			e.removeDynWaiter(p)
 		}
 	}
-	p.waitEvents = nil
+	// Keep the backing array for the next wait: a thread in a loop of
+	// waits would otherwise allocate it again on every one.
+	clear(p.waitEvents)
+	p.waitEvents = p.waitEvents[:0]
 	if p.waitTimeout.Valid() {
 		p.sim.timed.Cancel(p.waitTimeout)
 		p.waitTimeout = sim.Handle{}

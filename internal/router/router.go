@@ -59,6 +59,10 @@ type Router struct {
 
 	engines []*chkEngine
 	nextSeq uint32
+	// unposted counts buffered entries not yet posted to their engine, so
+	// a cycle with none skips the post scan; entries wait in the FIFOs
+	// for up to a quantum after posting, until their verdict returns.
+	unposted int
 
 	stats Stats
 }
@@ -216,6 +220,7 @@ func (r *Router) onInput(i int) {
 	}
 	r.nextSeq++
 	r.fifos[i] = append(r.fifos[i], fifoEntry{seq: r.nextSeq, pkt: p})
+	r.unposted++
 }
 
 // mainCycle runs once per clock cycle: it posts newly buffered packets to
@@ -223,7 +228,7 @@ func (r *Router) onInput(i int) {
 // packets to the output ports, one per port per cycle.
 func (r *Router) mainCycle() {
 	// Post pending packets, round-robin across inputs.
-	for i := 0; i < r.ports; i++ {
+	for i := 0; i < r.ports && r.unposted > 0; i++ {
 		for j := range r.fifos[i] {
 			e := &r.fifos[i][j]
 			if e.posted {
@@ -267,6 +272,7 @@ func (r *Router) postPacket(eng *chkEngine, e *fifoEntry) {
 	r.sim.RaiseDriverInterrupt(EngineIRQ(eng.idx))
 	eng.outstanding[eseq] = outPkt{pkt: e.pkt}
 	e.posted = true
+	r.unposted--
 	e.engine = eng.idx
 	e.engineSeq = eseq
 	r.stats.PostedToBoard++

@@ -106,6 +106,75 @@ func TestFIFOOverflowDropsWhenCheckerStalls(t *testing.T) {
 	}
 }
 
+// TestBacklogPostsInArrivalOrder stalls the checker until the RX ring is
+// full and as many entries again wait in the input FIFOs for a slot, then
+// lets verdicts free slots.
+// After every cycle each FIFO's posted entries must be a prefix of it,
+// posted in arrival order, no slot may have stayed free while an entry
+// waited, and the router's count of unposted entries must match the
+// FIFOs; every packet is posted and forwarded in the end.
+func TestBacklogPostsInArrivalOrder(t *testing.T) {
+	cfg := smallTB()
+	cfg.FIFOCap = 16
+	cfg.PacketsPerPort = 16
+	cfg.Period = 10
+	tb := BuildTestbench(cfg)
+	ep := NewLoopbackEndpoint()
+	ep.ResponseDelay = 400 // every packet has arrived before the first verdict
+	d, err := tb.Sim.NewDriver(tb.Clk, ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := tb.Router
+	backlog := 0 // most entries seen waiting for a slot on a full ring
+	var room, waited, posted uint64
+	for cy := uint64(1); cy <= 2000 && !tb.Finished(); cy++ {
+		if _, _, err := d.Advance(cy); err != nil {
+			t.Fatal(err)
+		}
+		// A verdict only frees slots, so every entry that waited at the
+		// end of the last cycle gets one of the slots free then.
+		if got := r.Stats().PostedToBoard - posted; got < min(room, waited) {
+			t.Fatalf("cycle %d: posted %d with %d slots free and %d waiting", cy, got, room, waited)
+		}
+		posted = r.Stats().PostedToBoard
+		room = uint64(NumSlots - len(r.engines[0].outstanding))
+		waited = uint64(r.unposted)
+		unposted := 0
+		for i, f := range r.fifos {
+			var lastEngineSeq uint32
+			waiting := false
+			for j, e := range f {
+				if !e.posted {
+					unposted++
+					waiting = true
+					continue
+				}
+				if waiting || e.engineSeq <= lastEngineSeq {
+					t.Fatalf("cycle %d: port %d posted entry %d out of arrival order", cy, i, j)
+				}
+				lastEngineSeq = e.engineSeq
+			}
+		}
+		if unposted != r.unposted {
+			t.Fatalf("cycle %d: %d entries unposted, router counts %d", cy, unposted, r.unposted)
+		}
+		if len(r.engines[0].outstanding) == NumSlots {
+			backlog = max(backlog, unposted)
+		}
+	}
+	if backlog != NumSlots {
+		t.Fatalf("at most %d entries waited on a full ring, want %d", backlog, NumSlots)
+	}
+	rs := r.Stats()
+	if rs.DroppedFull != 0 || rs.PostedToBoard != tb.Generated() || rs.Forwarded != tb.Generated() {
+		t.Fatalf("generated %d, stats %+v", tb.Generated(), rs)
+	}
+	if err := tb.CheckConservation(0, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCoSimEndToEndInProc(t *testing.T) {
 	rc := DefaultRunConfig()
 	rc.TB = smallTB()

@@ -152,6 +152,10 @@ func (tb *Testbench) CheckConservation(boardOverruns, mboxDrops uint64) error {
 			}
 		}
 	}
+	if unposted := uint64(tb.Router.InFlight()) - posted; unposted != uint64(tb.Router.unposted) {
+		return fmt.Errorf("router: %d buffered entries await posting but the router counts %d",
+			unposted, tb.Router.unposted)
+	}
 	accounted -= posted
 	if gen != accounted {
 		return fmt.Errorf("router: conservation violated: generated %d, accounted %d (stats %+v, overruns %d, mboxDrops %d)",

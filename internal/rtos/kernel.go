@@ -109,6 +109,7 @@ type Kernel struct {
 	cfg Config
 
 	cycles uint64 // CPU cycles elapsed (virtual)
+	toTick uint64 // cycles left until the next HW tick, in 1..CyclesPerTick
 	hwTick uint64
 	swTick uint64
 
@@ -154,7 +155,7 @@ func NewKernel(cfg Config) *Kernel {
 	if cfg.HWTicksPerSWTick == 0 {
 		cfg.HWTicksPerSWTick = 1
 	}
-	k := &Kernel{cfg: cfg, state: StateIdle, drivers: make(map[string]Driver)}
+	k := &Kernel{cfg: cfg, toTick: cfg.CyclesPerTick, state: StateIdle, drivers: make(map[string]Driver)}
 	k.irq.init()
 	return k
 }
@@ -248,14 +249,15 @@ func (k *Kernel) pickNext() *Thread {
 // cycles advance.
 func (k *Kernel) advanceCycles(n uint64, account *uint64) {
 	for n > 0 {
-		toTick := k.cfg.CyclesPerTick - k.cycles%k.cfg.CyclesPerTick
-		step := min(n, toTick)
+		step := min(n, k.toTick)
 		k.cycles += step
+		k.toTick -= step
 		if account != nil {
 			*account += step
 		}
 		n -= step
-		if k.cycles%k.cfg.CyclesPerTick == 0 {
+		if k.toTick == 0 {
+			k.toTick = k.cfg.CyclesPerTick
 			k.timerTick()
 		}
 	}
@@ -363,8 +365,7 @@ func (k *Kernel) Advance(cycles uint64) {
 		if t == nil {
 			// Nothing runnable: burn idle time to the next tick boundary
 			// (the timer may expire an alarm) or to the end of the budget.
-			toTick := k.cfg.CyclesPerTick - k.cycles%k.cfg.CyclesPerTick
-			step := min(toTick, k.budgetLeft)
+			step := min(k.toTick, k.budgetLeft)
 			k.advanceCycles(step, &k.stats.IdleCycles)
 			k.consumeBudget(step)
 			continue
@@ -499,11 +500,4 @@ func (k *Kernel) Shutdown() {
 			t.coro.Kill()
 		}
 	}
-}
-
-func min(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -65,8 +65,7 @@ func (k *Kernel) NextEventBound() uint64 {
 // tick fires (n ≥ 1): the partial distance to the next tick boundary
 // plus n-1 whole tick periods.
 func (k *Kernel) cyclesToHWTicks(n uint64) uint64 {
-	toTick := k.cfg.CyclesPerTick - k.cycles%k.cfg.CyclesPerTick
-	return toTick + (n-1)*k.cfg.CyclesPerTick
+	return k.toTick + (n-1)*k.cfg.CyclesPerTick
 }
 
 // cyclesToSWTick returns the cycles from now until the SW tick counter

@@ -133,8 +133,7 @@ func (c *ThreadCtx) Charge(n uint64) {
 			c.yield()
 			continue
 		}
-		toTick := k.cfg.CyclesPerTick - k.cycles%k.cfg.CyclesPerTick
-		step := min(min(n, toTick), k.budgetLeft)
+		step := min(n, k.toTick, k.budgetLeft)
 		k.advanceCycles(step, &k.stats.BusyCycles)
 		k.consumeBudget(step)
 		t.cyclesUsed += step
