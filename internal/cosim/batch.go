@@ -10,8 +10,8 @@ import (
 )
 
 // maxBatchPayload bounds the concatenated inner bodies of one MTBatch so
-// the batch frame — plus a session envelope's 17-byte header on top —
-// still fits in maxFrameBody.
+// the batch frame — plus a session envelope's 17-byte header and 24-byte
+// ack vector on top — still fits in maxFrameBody.
 const maxBatchPayload = maxFrameBody - 64
 
 // BatchStats is a snapshot of a BatchTransport's coalescing counters.

@@ -48,7 +48,7 @@ func channelOf(k hdlsim.DataKind) Channel {
 	return ChanData
 }
 
-// endpoint is the half of the v3 wire protocol both sides share: the
+// endpoint is the half of the v4 wire protocol both sides share: the
 // transport, the counted DATA/INT send path, the drain of the frames a
 // CLOCK frame announces, and the link metrics. A side sends only the
 // kinds in sends and accepts only those its peer sends.

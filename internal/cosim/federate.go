@@ -13,7 +13,7 @@ type SimTime uint64
 // exchange events with the rest of the federation at quantum boundaries.
 // The three in-tree engines implement it — the HDL kernel
 // (SimFederate), the virtual board (*board.Board), and an external
-// process speaking the v3 wire protocol (HWEndpoint) — and the
+// process speaking the v4 wire protocol (HWEndpoint) — and the
 // hierarchical time manager (internal/cosim/federation) coordinates any
 // mix of them under one conservative quantum clock, naming each party
 // in its errors.

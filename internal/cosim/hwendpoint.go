@@ -37,7 +37,7 @@ func (m SyncMode) String() string {
 }
 
 // HWEndpoint is the hardware-simulator side of the link: the
-// grant-issuing end of the v3 wire protocol, over any transport kind. It
+// grant-issuing end of the v4 wire protocol, over any transport kind. It
 // implements hdlsim.DriverEndpoint (the DATA and INT ports, through the
 // Send and drain it shares with Serve's board side), so a kernel
 // can be stepped directly over it, and Federate, so the time manager sees

@@ -27,8 +27,10 @@ import (
 // the lookahead fields on clock grants and time acknowledgements and the
 // MTBatch coalescing frame. Version 3 turned the clock grant's lookahead
 // slot into the lead: a version-2 board would apply the grant's traffic
-// before the lead ticks instead of after them.
-const ProtocolVersion uint16 = 3
+// before the lead ticks instead of after them. Version 4 put the
+// sender's cumulative acks at the front of every session envelope's
+// body, so a version-3 session would read them as the inner message.
+const ProtocolVersion uint16 = 4
 
 // Channel identifies one of the three logical ports of the link.
 type Channel uint8
@@ -88,13 +90,16 @@ const (
 	// MTDataReadResp (DATA, HW→board): response to a read request.
 	MTDataReadResp
 	// MTSessionData (any channel, either direction): the resilient-session
-	// envelope (see session.go). Raw holds a complete inner message body
-	// (type byte + payload), Seq its per-channel sequence number and Crc a
-	// CRC-32 over sequence number and body so corruption is detected at
-	// the session layer instead of poisoning the endpoint.
+	// envelope (see session.go). Raw holds the sender's ack vector (its
+	// cumulative ack for each channel, see envAckLen) followed by a
+	// complete inner message body (type byte + payload), Seq its
+	// per-channel sequence number and Crc a CRC-32 over sequence number
+	// and Raw, so corruption of acks or body is detected at the session
+	// layer instead of poisoning the endpoint.
 	MTSessionData
 	// MTSessionAck (any channel, reverse direction): cumulative receipt —
 	// every envelope with sequence number ≤ Seq arrived on this channel.
+	// Sent only when no envelope carries the ack in time.
 	MTSessionAck
 	// MTSessionNack (any channel, reverse direction): a sequence gap was
 	// observed; retransmit every unacknowledged envelope from Seq up.
@@ -265,8 +270,8 @@ const (
 const MaxWords = 1 << 16
 
 // maxFrameBody bounds the body of one frame on the wire. It is sized so a
-// session envelope (17 bytes of header) can still carry the largest
-// unwrapped message body (a MaxWords data-write).
+// session envelope (17 bytes of header and a 24-byte ack vector) can
+// still carry the largest unwrapped message body (a MaxWords data-write).
 const maxFrameBody = 4*(MaxWords+8) + 32
 
 // maxBatchMsgs bounds the number of inner messages one MTBatch may carry

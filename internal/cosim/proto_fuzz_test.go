@@ -14,7 +14,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Type: MTClockGrant, Ticks: 1000, HWCycle: 42, DataCount: 2, IntCount: 1},
 		{Type: MTTimeAck, BoardCycle: 7, SWTick: 3, DataCount: 1},
 		{Type: MTDataWrite, Addr: 0x10, Words: []uint32{1, 2, 3}},
-		{Type: MTSessionData, Seq: 9, Crc: 0x1234, Raw: []byte{6, 5}},
+		envelope(9, [numChannels]uint64{8, 1, 4}, Msg{Type: MTDataWrite, Addr: 0x20, Words: []uint32{5}}),
+		// A valid CRC over an ack vector cut short: the codec passes it,
+		// and the session counts it in CrcDropped without delivering it.
+		{Type: MTSessionData, Seq: 9, Crc: sessionCRC(9, []byte{8, 0, 0}), Raw: []byte{8, 0, 0}},
 		{Type: MTHeartbeat, Seq: 77},
 	}
 	for _, m := range seedMsgs {
@@ -56,6 +59,8 @@ func FuzzMsgRoundTrip(f *testing.F) {
 	f.Add(uint8(2), uint32(3), uint32(1), uint64(1000), uint64(99), uint8(4), []byte{1, 2, 3, 4})
 	f.Add(uint8(7), uint32(0x40), uint32(2), uint64(0), uint64(0), uint8(0), []byte{9, 8, 7, 6, 5, 4, 3, 2})
 	f.Add(uint8(10), uint32(0xfeed), uint32(5), uint64(1<<40), uint64(12), uint8(1), []byte{7, 0, 1})
+	env := envelope(12, [numChannels]uint64{3, 0, 11}, Msg{Type: MTTimeAck, BoardCycle: 99, SWTick: 9})
+	f.Add(uint8(MTSessionData-MTHello), env.Crc, uint32(0), env.Seq, uint64(0), uint8(0), env.Raw)
 	f.Fuzz(func(t *testing.T, typ uint8, a, b uint32, u, v uint64, small uint8, blob []byte) {
 		if len(blob) > maxFrameBody {
 			blob = blob[:maxFrameBody]

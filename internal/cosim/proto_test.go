@@ -37,7 +37,7 @@ func TestProtoRoundTripAllTypes(t *testing.T) {
 		{Type: MTDataWrite, Addr: 0x200, Words: nil},
 		{Type: MTDataReadReq, Addr: 0x300, Count: 16},
 		{Type: MTDataReadResp, Addr: 0x300, Words: []uint32{0xdeadbeef}},
-		{Type: MTSessionData, Seq: 42, Crc: 0xfeedface, Raw: []byte{7, 1, 2, 3}},
+		envelope(42, [numChannels]uint64{40, 0, 41}, Msg{Type: MTInterrupt, IRQ: 3}),
 		{Type: MTSessionAck, Seq: 41},
 		{Type: MTSessionNack, Seq: 40},
 		{Type: MTHeartbeat, Seq: 1 << 33},

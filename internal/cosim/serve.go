@@ -9,7 +9,7 @@ import (
 )
 
 // Serve runs f as the granted party of the simulator at the other end of
-// tr, the slave side of the v3 wire protocol, until the simulator
+// tr, the slave side of the v4 wire protocol, until the simulator
 // finishes the run. Each clock grant takes the time manager's steps for
 // a granted party, in its order: the grant's lead (when f is a
 // LeadSink), Exchange with the grant's traffic, Step to the granted

@@ -1,6 +1,7 @@
 package cosim
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -17,8 +18,6 @@ var ErrPeerDead = errors.New("cosim: peer heartbeat lost")
 // selects the default from DefaultSessionConfig; heartbeats are opt-in
 // (HeartbeatInterval 0 disables them).
 type SessionConfig struct {
-	// AckEvery is the cumulative-ack cadence in delivered frames.
-	AckEvery int
 	// RetransmitTimeout is the Go-Back-N retransmission timeout: unacked
 	// envelopes older than this are re-sent.
 	RetransmitTimeout time.Duration
@@ -49,7 +48,6 @@ func (c SessionConfig) Validate() error {
 		negative bool
 		value    any
 	}{
-		{"AckEvery", c.AckEvery < 0, c.AckEvery},
 		{"RetransmitTimeout", c.RetransmitTimeout < 0, c.RetransmitTimeout},
 		{"HeartbeatInterval", c.HeartbeatInterval < 0, c.HeartbeatInterval},
 		{"HeartbeatMiss", c.HeartbeatMiss < 0, c.HeartbeatMiss},
@@ -67,7 +65,6 @@ func (c SessionConfig) Validate() error {
 // DefaultSessionConfig returns the default resilience tuning.
 func DefaultSessionConfig() SessionConfig {
 	return SessionConfig{
-		AckEvery:          1,
 		RetransmitTimeout: 100 * time.Millisecond,
 		HeartbeatMiss:     3,
 		MaxRedials:        8,
@@ -84,7 +81,7 @@ type LinkStats struct {
 	HeartbeatsSent   uint64
 	HeartbeatsMissed uint64 // silent heartbeat intervals observed
 	DupsDropped      uint64 // duplicate envelopes discarded
-	CrcDropped       uint64 // envelopes failing the CRC check
+	CrcDropped       uint64 // envelopes failing the CRC check or too short for an ack vector
 	GapsSeen         uint64 // out-of-order arrivals (nack triggers)
 	AliensDropped    uint64 // non-session frames discarded by the session
 	FramesInjured    uint64 // frames tampered with by a chaos layer below
@@ -115,6 +112,11 @@ func seqCRC(seq uint64) uint32 {
 func sessionCRC(seq uint64, body []byte) uint32 {
 	return crc32.Update(seqCRC(seq), crc32.IEEETable, body)
 }
+
+// envAckLen is the length of an envelope's ack vector: the sender's
+// cumulative ack for each channel, one u64 apiece in channel order, in
+// front of the inner body in Raw and covered by the CRC.
+const envAckLen = 8 * int(numChannels)
 
 // controlCRC is sessionCRC over the single-byte body {typ}, slice-free
 // for the same escape reason as seqCRC.
@@ -160,9 +162,11 @@ type sessionSendState struct {
 }
 
 type sessionRecvState struct {
-	lastDelivered uint64
-	sinceAck      int
-	ackOwed       uint64    // sequence number a cumulative ack is due for, 0 if none
+	lastDelivered uint64    // highest sequence number accepted in order
+	delivered     uint64    // highest one decoded and delivered: the most an ack may cover
+	advertised    uint64    // highest ack sent, explicit or riding an envelope
+	tickDelivered uint64    // delivered as of the control writer's previous tick
+	ackOwed       uint64    // sequence number an explicit ack is due for, 0 if none
 	nackOwed      uint64    // sequence number a nack is due for, 0 if none
 	lastNacked    uint64    // last sequence number a nack asked for
 	nackedAt      time.Time // when it was asked for (suppresses nack storms)
@@ -183,11 +187,13 @@ type failEvent struct {
 //
 // Send writes through: the envelope reaches the inner transport on the
 // caller's goroutine, so a blocking link (or a DelayTransport beneath)
-// is charged to the sender. Acks, nacks, heartbeats, retransmits and the
-// post-reconnect replay are written by one control-writer goroutine;
-// the read loops and the supervisor only record what they owe, so a full
-// link can never block them. A live session runs five goroutines: three
-// read loops, the supervisor and the control writer.
+// is charged to the sender; it carries this side's acks for all three
+// channels, so a message costs one frame. Explicit acks, nacks,
+// heartbeats, retransmits and the post-reconnect replay are written by
+// one control-writer goroutine; the read loops and the supervisor only
+// record what they owe, so a full link can never block them. A live
+// session runs five goroutines: three read loops, the supervisor and the
+// control writer.
 type SessionTransport struct {
 	cfg SessionConfig
 
@@ -230,9 +236,6 @@ type SessionTransport struct {
 // wrap their side: envelopes are not understood by plain endpoints.
 func NewSessionTransport(inner Transport, cfg SessionConfig) *SessionTransport {
 	def := DefaultSessionConfig()
-	if cfg.AckEvery <= 0 {
-		cfg.AckEvery = def.AckEvery
-	}
 	if cfg.RetransmitTimeout <= 0 {
 		cfg.RetransmitTimeout = def.RetransmitTimeout
 	}
@@ -316,7 +319,12 @@ func (s *SessionTransport) Send(ch Channel, m Msg) error {
 		// Miss (cold start, or a sender outrunning the ack pipeline):
 		// pre-size for a typical envelope so appendBody pays one
 		// allocation instead of a growth cascade.
-		body = make([]byte, 0, 64)
+		body = make([]byte, 0, envAckLen+64)
+	}
+	for c := range s.recvSt {
+		rs := &s.recvSt[c]
+		rs.advertised = rs.delivered
+		body = binary.LittleEndian.AppendUint64(body, rs.delivered)
 	}
 	body = m.appendBody(body)
 	st.nextSeq++
@@ -388,7 +396,9 @@ func (s *SessionTransport) readLoop(gen int, tr Transport, ch Channel) {
 			case !validControl(m):
 				s.crcDropped.Add(1) // loss is safe: the RTO re-sends
 			case m.Type == MTSessionAck:
+				s.mu.Lock()
 				s.handleAck(ch, m.Seq)
+				s.mu.Unlock()
 			default:
 				s.handleNack(ch, m.Seq)
 			}
@@ -429,24 +439,24 @@ func (s *SessionTransport) maybeNack(ch Channel) {
 // handleData processes one envelope; it reports false when the session
 // has failed terminally.
 func (s *SessionTransport) handleData(ch Channel, env Msg) bool {
-	if len(env.Raw) == 0 || sessionCRC(env.Seq, env.Raw) != env.Crc {
+	if len(env.Raw) <= envAckLen || sessionCRC(env.Seq, env.Raw) != env.Crc {
 		env.Release()
 		s.crcDropped.Add(1)
 		s.maybeNack(ch)
 		return true
 	}
 	s.mu.Lock()
+	// The acks are cumulative: a duplicate's or a gap's stale vector
+	// prunes nothing new.
+	for c := range s.send {
+		s.handleAck(Channel(c), binary.LittleEndian.Uint64(env.Raw[8*c:]))
+	}
 	rs := &s.recvSt[ch]
 	switch {
 	case env.Seq == rs.lastDelivered+1:
 		rs.lastDelivered = env.Seq
-		rs.sinceAck++
-		ackDue := rs.sinceAck >= s.cfg.AckEvery
-		if ackDue {
-			rs.sinceAck = 0
-		}
 		s.mu.Unlock()
-		inner, err := decodeBody(env.Raw)
+		inner, err := decodeBody(env.Raw[envAckLen:])
 		// decodeBody copied what it needed out of the envelope, so the
 		// session — the envelope's terminal consumer — releases it here.
 		// Over TCP this recycles one pooled frame body per message.
@@ -455,18 +465,16 @@ func (s *SessionTransport) handleData(ch Channel, env Msg) bool {
 			s.fail(fmt.Errorf("cosim: undecodable session payload on %v: %w", ch, err))
 			return false
 		}
+		// Only now may an ack cover this envelope, as it lets the peer
+		// recycle the body just read; and before the delivery, so the
+		// first envelope the user sends after receiving it carries it.
+		s.mu.Lock()
+		rs.delivered = max(rs.delivered, env.Seq)
+		s.mu.Unlock()
 		s.deliver(ch, inner)
-		if ackDue {
-			// Only now, and only up to this envelope: the ack lets the
-			// peer recycle the body just read.
-			s.mu.Lock()
-			rs.ackOwed = max(rs.ackOwed, env.Seq)
-			s.mu.Unlock()
-			s.wakeWriter()
-		}
 	case env.Seq <= rs.lastDelivered:
 		// Refresh the peer's ack state so it can prune its buffer.
-		rs.ackOwed = max(rs.ackOwed, rs.lastDelivered)
+		rs.ackOwed = max(rs.ackOwed, rs.delivered)
 		s.mu.Unlock()
 		env.Release()
 		s.dupsDropped.Add(1)
@@ -480,8 +488,8 @@ func (s *SessionTransport) handleData(ch Channel, env Msg) bool {
 	return true
 }
 
+// handleAck prunes channel ch's envelopes up to upTo (mu held).
 func (s *SessionTransport) handleAck(ch Channel, upTo uint64) {
-	s.mu.Lock()
 	st := &s.send[ch]
 	i := 0
 	for i < len(st.unacked) && st.unacked[i].env.Seq <= upTo {
@@ -497,7 +505,6 @@ func (s *SessionTransport) handleAck(ch Channel, upTo uint64) {
 		}
 		st.unacked = st.unacked[:tail]
 	}
-	s.mu.Unlock()
 }
 
 func (s *SessionTransport) handleNack(ch Channel, from uint64) {
@@ -521,16 +528,20 @@ func (s *SessionTransport) deliver(ch Channel, m Msg) {
 // transport. Each wake writes, per channel, what the read loops and the
 // supervisor owe — one heartbeat, one cumulative ack, one nack — then
 // any nack, replay or retransmission-timeout (Go-Back-N) re-sends. Its
-// ticker is the retransmission timer.
+// ticker is the retransmission timer, and an ack no envelope carried
+// since the previous tick goes out explicitly: an ack waits at most two
+// ticks, half the timeout, even when this side has nothing to send.
 func (s *SessionTransport) controlWriter() {
 	t := time.NewTicker(max(s.cfg.RetransmitTimeout/4, time.Millisecond)) //cosim:wallclock -- RTO scan ticker is host-side link recovery
 	defer t.Stop()
 	for {
+		tick := false
 		select {
 		case <-s.done:
 			return
 		case <-s.wake:
 		case <-t.C:
+			tick = true
 		}
 		now := time.Now() //cosim:wallclock -- RTO clock: retransmission timing is host-side link recovery
 		// Peek without the write locks: a Send blocked on one channel's
@@ -538,6 +549,13 @@ func (s *SessionTransport) controlWriter() {
 		var due [numChannels]bool
 		s.mu.Lock()
 		for ch := range due {
+			if tick {
+				rs := &s.recvSt[ch]
+				if rs.tickDelivered > rs.advertised {
+					rs.ackOwed = max(rs.ackOwed, rs.delivered)
+				}
+				rs.tickDelivered = rs.delivered
+			}
 			due[ch] = s.owes(Channel(ch), now)
 		}
 		s.mu.Unlock()
@@ -577,6 +595,7 @@ func (s *SessionTransport) writeControl(ch Channel, now time.Time) {
 	}
 	if rs.ackOwed != 0 {
 		out = append(out, controlMsg(MTSessionAck, rs.ackOwed))
+		rs.advertised = max(rs.advertised, rs.ackOwed)
 		rs.ackOwed = 0
 	}
 	if rs.nackOwed != 0 {

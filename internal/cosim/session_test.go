@@ -1,11 +1,13 @@
 package cosim
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -109,16 +111,43 @@ func TestSessionRecoversUnderChaos(t *testing.T) {
 	}
 }
 
+// envelope builds the session envelope seq of m carrying the ack vector
+// acks, as a peer's Send would: Raw is the acks, one u64 per channel,
+// then m's body, and the CRC covers seq and Raw.
+func envelope(seq uint64, acks [numChannels]uint64, m Msg) Msg {
+	var raw []byte
+	for _, a := range acks {
+		raw = binary.LittleEndian.AppendUint64(raw, a)
+	}
+	raw = m.appendBody(raw)
+	return Msg{Type: MTSessionData, Seq: seq, Crc: sessionCRC(seq, raw), Raw: raw}
+}
+
+// unacked counts s's envelopes awaiting an ack, over every channel.
+func unacked(s *SessionTransport) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for ch := range s.send {
+		n += len(s.send[ch].unacked)
+	}
+	return n
+}
+
 // TestSessionDedupCorruptionAndAliens exercises the receive paths against
 // a hand-driven raw peer: duplicate envelopes are dropped, CRC-failing
-// envelopes are nacked, and non-session frames never reach the inbox.
+// envelopes and one too short for its ack vector are nacked, non-session
+// frames never reach the inbox, and the ack vector of an envelope past a
+// gap still prunes the sender's window.
 func TestSessionDedupCorruptionAndAliens(t *testing.T) {
 	a, b := NewInProcPair(64)
 	s := NewSessionTransport(a, DefaultSessionConfig())
 	defer s.Close()
+	if err := s.Send(ChanClock, Msg{Type: MTTimeAck, BoardCycle: 5}); err != nil {
+		t.Fatal(err)
+	}
 
-	body := (&Msg{Type: MTDataWrite, Addr: 0x44, Words: []uint32{9}}).appendBody(nil)
-	env := Msg{Type: MTSessionData, Seq: 1, Crc: sessionCRC(1, body), Raw: body}
+	env := envelope(1, [numChannels]uint64{}, Msg{Type: MTDataWrite, Addr: 0x44, Words: []uint32{9}})
 	for i := 0; i < 3; i++ { // one delivery, two duplicates
 		if err := b.Send(ChanData, env); err != nil {
 			t.Fatal(err)
@@ -130,15 +159,34 @@ func TestSessionDedupCorruptionAndAliens(t *testing.T) {
 	if err := b.Send(ChanData, bad); err != nil {
 		t.Fatal(err)
 	}
+	// Intact CRC, but the ack vector is cut short and no body follows.
+	short := append([]byte(nil), env.Raw[:envAckLen-8]...)
+	if err := b.Send(ChanData, Msg{Type: MTSessionData, Seq: 2, Crc: sessionCRC(2, short), Raw: short}); err != nil {
+		t.Fatal(err)
+	}
 	if err := b.Send(ChanData, Msg{Type: MTDataWrite, Addr: 0x99}); err != nil {
 		t.Fatal(err) // alien: plain frame on a session link
+	}
+	// Past a gap: dropped, but its acks for s's CLOCK envelope apply.
+	gap := envelope(3, [numChannels]uint64{ChanClock: 1}, Msg{Type: MTDataWrite, Addr: 0x55})
+	if err := b.Send(ChanData, gap); err != nil {
+		t.Fatal(err)
 	}
 
 	if m := recvOne(t, s, ChanData); m.Addr != 0x44 {
 		t.Fatalf("delivered %+v", m)
 	}
 	if _, err := RecvTimeout(s, ChanData, 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("dup/corrupt/alien leaked into the inbox: %v", err)
+		t.Fatalf("dup/corrupt/short/alien/gap leaked into the inbox: %v", err)
+	}
+	// The gap is counted after its acks apply, as the read loop's last step.
+	for deadline := time.Now().Add(5 * time.Second); s.LinkStats().GapsSeen == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the envelope past the gap was never processed")
+		}
+	}
+	if n := unacked(s); n != 0 {
+		t.Fatalf("%d envelopes unacked after the gap envelope acked them", n)
 	}
 
 	// The peer must have received a valid ack for seq 1 and a nack for the
@@ -168,8 +216,96 @@ func TestSessionDedupCorruptionAndAliens(t *testing.T) {
 		t.Fatalf("peer control traffic incomplete: ack=%v nack=%v", sawAck, sawNack)
 	}
 	ls := s.LinkStats()
-	if ls.DupsDropped != 2 || ls.CrcDropped == 0 || ls.AliensDropped != 1 {
-		t.Fatalf("stats %+v, want DupsDropped=2 CrcDropped>0 AliensDropped=1", ls)
+	if ls.DupsDropped != 2 || ls.CrcDropped != 2 || ls.AliensDropped != 1 || ls.GapsSeen != 1 {
+		t.Fatalf("stats %+v, want DupsDropped=2 CrcDropped=2 AliensDropped=1 GapsSeen=1", ls)
+	}
+}
+
+// frameCounter counts the frames a session writes to the link beneath it.
+type frameCounter struct {
+	Transport
+	frames, acks atomic.Int64
+}
+
+func (c *frameCounter) Send(ch Channel, m Msg) error {
+	c.frames.Add(1)
+	if m.Type == MTSessionAck {
+		c.acks.Add(1)
+	}
+	return c.Transport.Send(ch, m)
+}
+
+// TestSessionAcksRideEnvelopes: in grant/ack-shaped round trips on
+// CLOCK, each behind a DATA burst, every message costs one frame: each
+// side's acks ride its next envelope, no session-ack frame crosses the
+// link, and a sender's window is empty once the peer has answered.
+func TestSessionAcksRideEnvelopes(t *testing.T) {
+	a, b := NewInProcPair(tcpInboxDepth)
+	ca, cb := &frameCounter{Transport: a}, &frameCounter{Transport: b}
+	cfg := DefaultSessionConfig()
+	// The ticker's explicit-ack pass is seconds away: every ack this
+	// test sees must have ridden an envelope.
+	cfg.RetransmitTimeout = 10 * time.Second
+	hw, board := NewSessionTransport(ca, cfg), NewSessionTransport(cb, cfg)
+	defer hw.Close()
+	defer board.Close()
+
+	const rounds, burst = 50, 4
+	exchange := func(from, to *SessionTransport, last Msg) {
+		t.Helper()
+		for i := 0; i < burst; i++ {
+			if err := from.Send(ChanData, Msg{Type: MTDataWrite, Addr: uint32(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := from.Send(ChanClock, last); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < burst; i++ {
+			m := recvOne(t, to, ChanData)
+			m.Release()
+		}
+		recvOne(t, to, ChanClock)
+		// The arrivals carried from's acks for everything to had sent.
+		if n := unacked(to); n != 0 {
+			t.Fatalf("%d envelopes unacked after the peer's answer", n)
+		}
+	}
+	for r := 1; r <= rounds; r++ {
+		exchange(hw, board, Msg{Type: MTClockGrant, Ticks: 1, HWCycle: uint64(r), DataCount: burst})
+		exchange(board, hw, Msg{Type: MTTimeAck, BoardCycle: uint64(r), DataCount: burst})
+	}
+	if n := ca.acks.Load() + cb.acks.Load(); n != 0 {
+		t.Errorf("%d session-ack frames crossed the link, want 0", n)
+	}
+	if n, want := ca.frames.Load()+cb.frames.Load(), int64(2*rounds*(burst+1)); n != want {
+		t.Errorf("%d frames for %d messages, want one each", n, want)
+	}
+}
+
+// TestSessionIdleAckBeforeRTO: a receiver that takes one envelope and
+// then sends nothing still acks it within half a retransmission timeout,
+// from the control writer's ticker, so the sender never re-sends it.
+func TestSessionIdleAckBeforeRTO(t *testing.T) {
+	cfg := DefaultSessionConfig()
+	sa, sb := sessionPair(cfg, nil)
+	defer sa.Close()
+	defer sb.Close()
+
+	start := time.Now()
+	if err := sa.Send(ChanClock, Msg{Type: MTClockGrant, Ticks: 1}); err != nil {
+		t.Fatal(err)
+	}
+	recvOne(t, sb, ChanClock)
+	for unacked(sa) != 0 {
+		if time.Since(start) > cfg.RetransmitTimeout {
+			t.Fatalf("envelope still unacked %v after it was sent", cfg.RetransmitTimeout)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(3 * cfg.RetransmitTimeout) // the receiver stays silent
+	if ls := sa.LinkStats(); ls.Retransmits != 0 {
+		t.Fatalf("%d retransmits of an envelope the idle receiver had taken", ls.Retransmits)
 	}
 }
 

@@ -89,7 +89,6 @@ type ChaosSpec struct {
 // cosim.DefaultSessionConfig value; negative ones fail lowering (see
 // cosim.SessionConfig.Validate).
 type ResilienceSpec struct {
-	AckEvery            int   `json:"ack_every,omitempty"`
 	RetransmitTimeoutMS int64 `json:"retransmit_timeout_ms,omitempty"`
 	HeartbeatIntervalMS int64 `json:"heartbeat_interval_ms,omitempty"`
 	HeartbeatMiss       int   `json:"heartbeat_miss,omitempty"`
@@ -192,9 +191,6 @@ func (s SessionSpec) RunConfig() (router.RunConfig, error) {
 	}
 	if r := s.Resilience; r != nil {
 		sess := cosim.DefaultSessionConfig()
-		if r.AckEvery != 0 {
-			sess.AckEvery = r.AckEvery
-		}
 		if r.RetransmitTimeoutMS != 0 {
 			sess.RetransmitTimeout = time.Duration(r.RetransmitTimeoutMS) * time.Millisecond
 		}

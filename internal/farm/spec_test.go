@@ -60,7 +60,7 @@ func TestSpecLowering(t *testing.T) {
 		t.Errorf("resilience lost: %+v", rc.Resilience)
 	}
 	// Zero resilience fields keep the defaults.
-	if rc.Resilience.AckEvery != 1 || rc.Resilience.MaxRedials != 8 {
+	if rc.Resilience.MaxRedials != 8 {
 		t.Errorf("resilience defaults not kept: %+v", rc.Resilience)
 	}
 	if rc.TB.PacketsPerPort != 3 || rc.TB.Period != 700 || rc.TB.Seed != 9 || rc.TB.ErrRate != 0.25 {
@@ -103,7 +103,6 @@ func TestSpecValidation(t *testing.T) {
 		{"federation past the engine IRQs", SessionSpec{Federation: &router.FederationConfig{Boards: 28}}, router.ErrIRQRange.Error()},
 		{"federation past the pulse IRQs", SessionSpec{Federation: &router.FederationConfig{Boards: 1, PulseDevices: 17}}, router.ErrIRQRange.Error()},
 		{"negative retransmit timeout", SessionSpec{Resilience: &ResilienceSpec{RetransmitTimeoutMS: -5}}, "RetransmitTimeout -5ms is negative"},
-		{"negative ack cadence", SessionSpec{Resilience: &ResilienceSpec{AckEvery: -1}}, "AckEvery -1 is negative"},
 		{"negative heartbeat interval", SessionSpec{Resilience: &ResilienceSpec{HeartbeatIntervalMS: -1}}, "HeartbeatInterval -1ms is negative"},
 		{"negative heartbeat miss", SessionSpec{Resilience: &ResilienceSpec{HeartbeatMiss: -1}}, "HeartbeatMiss -1 is negative"},
 		{"negative max redials", SessionSpec{Resilience: &ResilienceSpec{MaxRedials: -1}}, "MaxRedials -1 is negative"},
@@ -166,7 +165,6 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		t.Errorf("chaos diverged across the wire")
 	}
 	if rcA.Resilience.RetransmitTimeout != rcB.Resilience.RetransmitTimeout ||
-		rcA.Resilience.AckEvery != rcB.Resilience.AckEvery ||
 		rcA.Resilience.HeartbeatMiss != rcB.Resilience.HeartbeatMiss {
 		t.Errorf("resilience diverged across the wire")
 	}

@@ -45,7 +45,7 @@ type FederationConfig struct {
 	Boards int `json:"boards"`
 	// InProcBoards hosts the boards in-process, each *board.Board itself
 	// the party (no goroutines, no wire). When false each board runs
-	// behind a cosim.HWEndpoint speaking the v3 wire protocol over the
+	// behind a cosim.HWEndpoint speaking the v4 wire protocol over the
 	// RunConfig's TransportKind.
 	InProcBoards bool `json:"inproc_boards,omitempty"`
 	// PulseDevices adds that many auxiliary HDL kernels, each

@@ -67,7 +67,6 @@ func TestRunConfigValidate(t *testing.T) {
 		}, "interrupt line"},
 		// Negative session tuning used to be replaced by the defaults
 		// without a word; each is now an error naming the field.
-		{"negative ack cadence", func(rc *RunConfig) { rc.Resilience = &cosim.SessionConfig{AckEvery: -1} }, "AckEvery"},
 		{"negative retransmit timeout", func(rc *RunConfig) {
 			rc.Resilience = &cosim.SessionConfig{RetransmitTimeout: -5 * time.Millisecond}
 		}, "RetransmitTimeout -5ms"},
