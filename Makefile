@@ -66,8 +66,10 @@ transport-matrix:
 # runs, the manager's edge cases (cancellation of elongated runs
 # included), the two-party DriverSimulate wrapper, the quantum schedule
 # against its independent reference, the kernel's driver ports, its
-# trace digest and wait tests (thread processes are goroutine-backed
-# coroutines), and the board's side of the seam (grant traffic, the board
+# trace digest, silent-edge and wait tests (thread processes are
+# goroutine-backed coroutines), the RTOS's idle ticks counted in bulk
+# against the same programs stepped tick by tick and its zero-allocation
+# idle grants, and the board's side of the seam (grant traffic, the board
 # as the federate and cosim.Serve running it over a wire, both modes
 # agreeing, any party served over a wire matching its in-process run) —
 # all under -race.
@@ -76,7 +78,8 @@ federation-matrix:
 	$(GO) test -race -run 'TestFarmRunsFederatedSessions|TestSpec' ./internal/farm/
 	$(GO) test -race -run 'TestFleetFederatedSpec' ./internal/fleet/
 	$(GO) test -race ./internal/cosim/federation/
-	$(GO) test -race -run 'Driver|Digest|Wait' ./internal/hdlsim/
+	$(GO) test -race -run 'Driver|Digest|Wait|Silent' ./internal/hdlsim/
+	$(GO) test -race -run 'TestIdleTicks|TestAllocs' ./internal/rtos/
 	$(GO) test -race ./internal/board/
 
 # fleet-matrix proves the multi-host control plane under the race

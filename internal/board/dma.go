@@ -35,17 +35,26 @@ func (b *Board) NewDMA(irq, wordsPerTick int) *DMA {
 		panic("board: DMA wordsPerTick must be ≥ 1")
 	}
 	d := &DMA{b: b, irq: irq, wordsPerTick: wordsPerTick}
-	b.K.OnTick(func(uint64) { d.tick() })
-	// Adaptive-sync wake source: a busy engine raises its completion
-	// interrupt a computable number of ticks from now; an idle engine
-	// can only be started by a thread, which zeroes the lookahead by
-	// being runnable.
-	b.K.RegisterWakeSource(func() uint64 {
-		if !d.busy {
+	b.K.AddDevice(rtos.Device{
+		Tick: func(uint64) { d.tick() },
+		// An idle engine ignores every tick until a thread starts it.
+		Quiet: func() uint64 {
+			if d.busy {
+				return 0
+			}
 			return rtos.WakeNever
-		}
-		rem := len(d.dst) - d.pos
-		return uint64((rem + d.wordsPerTick - 1) / d.wordsPerTick)
+		},
+		// Adaptive-sync wake source: a busy engine raises its completion
+		// interrupt a computable number of ticks from now; an idle engine
+		// can only be started by a thread, which zeroes the lookahead by
+		// being runnable.
+		Wake: func() uint64 {
+			if !d.busy {
+				return rtos.WakeNever
+			}
+			rem := len(d.dst) - d.pos
+			return uint64((rem + d.wordsPerTick - 1) / d.wordsPerTick)
+		},
 	})
 	return d
 }

@@ -31,30 +31,48 @@ func (b *Board) NewWatchdog(timeoutTicks uint64, irq int) *Watchdog {
 		panic("board: watchdog timeout must be ≥ 1 tick")
 	}
 	w := &Watchdog{b: b, timeout: timeoutTicks, irq: irq}
-	b.K.OnTick(func(hwTick uint64) {
-		if hwTick-w.lastPet >= w.timeout {
-			w.barks++
-			w.lastPet = hwTick // rearm so a dead app barks once per timeout
-			if w.irq >= 0 {
-				b.K.PostIRQ(w.irq)
+	b.K.AddDevice(rtos.Device{
+		Tick: func(hwTick uint64) {
+			if hwTick-w.lastPet >= w.timeout {
+				w.barks++
+				w.lastPet = hwTick // rearm so a dead app barks once per timeout
+				if w.irq >= 0 {
+					b.K.PostIRQ(w.irq)
+				}
 			}
-		}
-	})
-	// Adaptive-sync wake source: the next bark is a scheduled interrupt
-	// the lookahead must not elongate over. Bark-only watchdogs never
-	// wake a thread, so they don't bound the lookahead (their bark
-	// counter advances identically however the quanta are partitioned).
-	b.K.RegisterWakeSource(func() uint64 {
-		if w.irq < 0 {
-			return rtos.WakeNever
-		}
-		due := w.lastPet + w.timeout
-		if h := w.b.K.HWTick(); due > h {
-			return due - h
-		}
-		return 0
+		},
+		// Every tick before the next bark only compares the tick number,
+		// so an idle kernel may count those ticks in bulk.
+		Quiet: func() uint64 {
+			if n := w.untilBark(); n > 1 {
+				return n - 1
+			}
+			return 0
+		},
+		// Adaptive-sync wake source: the next bark is a scheduled
+		// interrupt the lookahead must not elongate over. Bark-only
+		// watchdogs never wake a thread, so they don't bound the
+		// lookahead (their bark counter advances identically however the
+		// quanta are partitioned).
+		Wake: func() uint64 {
+			if w.irq < 0 {
+				return rtos.WakeNever
+			}
+			return w.untilBark()
+		},
 	})
 	return w
+}
+
+// untilBark returns the HW ticks from now to the tick that barks, or 0
+// when the next tick barks late (a watchdog installed after its timeout
+// had run out).
+func (w *Watchdog) untilBark() uint64 {
+	due := w.lastPet + w.timeout
+	if h := w.b.K.HWTick(); due > h {
+		return due - h
+	}
+	return 0
 }
 
 // Kick resets the watchdog countdown; call it from application threads.

@@ -74,6 +74,33 @@ func (c *Clock) commit() {
 	}
 }
 
+// silent reports whether the due edge, when quiet, is also silent: its
+// signal has no tracer and no interrupt watch, and its value-changed and
+// edge events have no listener and no pending timed notification. commit
+// would then change the level and move counters, nothing else.
+func (c *Clock) silent() bool {
+	b := c.sig
+	edge := b.neg
+	if c.nextHigh {
+		edge = b.pos
+	}
+	return edge.silent() && b.changed.silent() && len(b.tracers) == 0 && !b.watched
+}
+
+// commitSilent commits a quiet, silent edge by the counters commit would
+// move: the write, the delta, the signal update and, when the level
+// changes, the two listener-free triggers.
+func (c *Clock) commitSilent() {
+	b, s := c.sig, c.sig.sim
+	s.stats.Deltas++
+	s.stats.SignalUpdates++
+	b.writes++
+	if high := c.advance(); high != b.cur {
+		b.cur = high
+		s.stats.EventTriggers += 2
+	}
+}
+
 // advance moves the clock past its due edge, setting the following one,
 // and returns the level the due edge drives.
 func (c *Clock) advance() bool {

@@ -1,12 +1,14 @@
 package hdlsim
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -24,13 +26,54 @@ const kernelDigestDesigns = 320
 func TestKernelTraceDigest(t *testing.T) {
 	h := sha256.New()
 	for seed := int64(1); seed <= kernelDigestDesigns; seed++ {
-		if err := traceRandomDesign(h, seed); err != nil {
+		if _, err := traceRandomDesign(h, seed, traceHashed); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != kernelTraceDigest {
 		t.Fatalf("kernel trace digest = %s, want %s", got, kernelTraceDigest)
 	}
+}
+
+// TestSilentEdgesMatchFullPath runs every digest design under RunCycles
+// without a clock tracer, so stepCycle may commit a silent edge by its
+// counters alone, and again with a no-op tracer on every clock, which
+// commits every edge through a delta path. The activation hash, Stats and
+// clock cycle counts must agree.
+func TestSilentEdgesMatchFullPath(t *testing.T) {
+	for seed := int64(1); seed <= kernelDigestDesigns; seed++ {
+		silent, full := sha256.New(), sha256.New()
+		got, err := traceRandomDesign(silent, seed, traceNone)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want, err := traceRandomDesign(full, seed, traceNoop)
+		if err != nil {
+			t.Fatalf("seed %d, full path: %v", seed, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: end state %+v, full path %+v", seed, got, want)
+		}
+		if !bytes.Equal(silent.Sum(nil), full.Sum(nil)) {
+			t.Fatalf("seed %d: activation trace differs from the full path's", seed)
+		}
+	}
+}
+
+// clockTrace selects the tracer traceRandomDesign puts on every clock.
+type clockTrace int
+
+const (
+	traceHashed clockTrace = iota // hash every committed level (the pinned digest)
+	traceNone                     // no tracer: an edge may be silent
+	traceNoop                     // a tracer that does nothing: no edge is silent
+)
+
+// designEnd is where a digest design's run ended.
+type designEnd struct {
+	Now    sim.Time
+	Stats  Stats
+	Cycles []uint64
 }
 
 // digestDesign is one generated design and the hash its run feeds.
@@ -118,14 +161,20 @@ func (d *digestDesign) sum(upTo int) int {
 // signal, so value-change sensitivities form a DAG. Threads draw their
 // waits (time, timeout, counted cycles, any-of) and their notifications
 // (delta, delayed including 0, cancel, sometimes of a clock's events)
-// from their own seeded source. Every clock signal carries a tracer.
-func traceRandomDesign(h hash.Hash, seed int64) error {
+// from their own seeded source. ct picks each clock signal's tracer; the
+// pinned digest runs odd seeds under Run, every other run uses RunCycles.
+func traceRandomDesign(h hash.Hash, seed int64, ct clockTrace) (designEnd, error) {
 	rng := rand.New(rand.NewSource(seed))
 	s := NewSimulator(fmt.Sprintf("d%d", seed))
 	d := &digestDesign{h: h, seed: seed, s: s}
 	for i, n := 0, 1+rng.Intn(4); i < n; i++ {
 		c := s.NewClock(fmt.Sprintf("clk%d", i), sim.Time(2*(1+rng.Intn(5))))
-		c.Signal().Trace(func(at sim.Time, v bool) { d.traceClock(i, at, v) })
+		switch ct {
+		case traceHashed:
+			c.Signal().Trace(func(at sim.Time, v bool) { d.traceClock(i, at, v) })
+		case traceNoop:
+			c.Signal().Trace(func(sim.Time, bool) {})
+		}
 		d.clocks = append(d.clocks, c)
 	}
 	for i, n := 0, 2+rng.Intn(5); i < n; i++ {
@@ -211,22 +260,24 @@ func traceRandomDesign(h hash.Hash, seed int64) error {
 		}
 	}()
 	var err error
-	if seed%2 == 0 {
+	if seed%2 == 0 || ct != traceHashed { // only stepCycle has silent edges
 		err = s.RunCycles(d.clocks[0], uint64(20+rng.Intn(20)))
 	} else {
 		err = s.Run(sim.Time(40 + rng.Intn(60)))
 	}
 	if err != nil {
-		return err
+		return designEnd{}, err
 	}
-	st := s.Stats()
-	b := binary.LittleEndian.AppendUint64(nil, uint64(s.Now()))
+	end := designEnd{Now: s.Now(), Stats: s.Stats()}
+	st := end.Stats
+	b := binary.LittleEndian.AppendUint64(nil, uint64(end.Now))
 	for _, v := range []uint64{st.Deltas, st.TimeSteps, st.ProcessRuns, st.SignalUpdates, st.EventTriggers} {
 		b = binary.LittleEndian.AppendUint64(b, v)
 	}
 	for _, c := range d.clocks {
+		end.Cycles = append(end.Cycles, c.Cycles())
 		b = binary.LittleEndian.AppendUint64(b, c.Cycles())
 	}
 	h.Write(b)
-	return nil
+	return end, nil
 }

@@ -72,6 +72,12 @@ func (e *Event) fireUpdate() {
 	e.trigger()
 }
 
+// silent reports whether firing the event now would only count the
+// trigger: it has no listener and no pending timed notification to cancel.
+func (e *Event) silent() bool {
+	return len(e.static) == 0 && len(e.dyn) == 0 && !e.timedHandle.Valid()
+}
+
 // NotifyImmediate triggers the event within the current evaluation phase:
 // waiters run in the *same* delta. Use sparingly; like SystemC's
 // notify() with no arguments it can hide nondeterminism in careless models.

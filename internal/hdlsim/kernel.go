@@ -74,8 +74,9 @@ func (p *Process) DontInitialize() *Process {
 type updater interface{ update(now sim.Time) }
 
 // Stats aggregates kernel activity counters. A clock edge committed in
-// place (see advanceToNext) bumps them exactly as the full delta path
-// would, so the counters are identical on both paths.
+// place (see advanceToNext) or by counters alone (see stepCycle) bumps
+// them exactly as the full delta path would, so the counters are
+// identical on every path.
 type Stats struct {
 	Deltas        uint64 // delta cycles executed
 	TimeSteps     uint64 // distinct simulated instants visited
@@ -271,7 +272,7 @@ func (s *Simulator) deltaLoop(spent uint64) {
 		limit = 100000
 	}
 	deltasHere := spent
-	for len(s.runnable) > 0 || len(s.updates) > 0 || len(s.deltaNotified) > 0 {
+	for s.busy() {
 		if s.stopped {
 			return
 		}
@@ -349,7 +350,7 @@ func (s *Simulator) advanceToNext(limit sim.Time) (spent uint64, ok bool) {
 	}
 	s.now = next
 	s.stats.TimeSteps++
-	if alone && heapAt > next && len(s.runnable) == 0 && len(s.updates) == 0 && len(s.deltaNotified) == 0 {
+	if alone && heapAt > next && !s.busy() {
 		due.commit()
 		return 1, true
 	}
@@ -415,10 +416,25 @@ func (s *Simulator) RunCycles(clk *Clock, n uint64) error {
 }
 
 // stepCycle runs the elaborated design until clk's next rising edge has
-// settled (or the simulation stops).
+// settled (or the simulation stops). A quiet edge of clk (see quietEdge)
+// is committed here without advanceToNext's scan: in place with its
+// update delta, or, when it is also silent (see Clock.silent), by its
+// counters alone without a delta pass, which would find nothing to run.
+// Every other instant goes through advanceToNext.
 func (s *Simulator) stepCycle(clk *Clock) error {
 	target := clk.cycles + 1
 	for clk.cycles < target && !s.stopped {
+		if s.quietEdge(clk) {
+			s.now = clk.nextAt
+			s.stats.TimeSteps++
+			if clk.silent() {
+				clk.commitSilent()
+			} else {
+				clk.commit()
+				s.deltaLoop(1)
+			}
+			continue
+		}
 		spent, ok := s.advanceToNext(sim.MaxTime)
 		if !ok {
 			return fmt.Errorf("hdlsim: event starvation at %v waiting for clock %q", s.now, clk.Name())
@@ -426,4 +442,32 @@ func (s *Simulator) stepCycle(clk *Clock) error {
 		s.deltaLoop(spent)
 	}
 	return s.deltaOverflow
+}
+
+// quietEdge reports whether clk's due edge is quiet in advanceToNext's
+// sense: the earliest thing due, alone at its instant, with the heap's
+// head later and nothing runnable, pending update or pending delta
+// notification.
+func (s *Simulator) quietEdge(clk *Clock) bool {
+	if s.busy() {
+		return false
+	}
+	at := clk.nextAt
+	if s.timed.NextTime() <= at {
+		return false
+	}
+	own := false // a clock this kernel does not drive has no edges here
+	for _, c := range s.clocks {
+		if c == clk {
+			own = true
+		} else if c.nextAt <= at {
+			return false
+		}
+	}
+	return own
+}
+
+// busy reports whether the current instant has a delta left to run.
+func (s *Simulator) busy() bool {
+	return len(s.runnable) > 0 || len(s.updates) > 0 || len(s.deltaNotified) > 0
 }

@@ -129,11 +129,7 @@ type Kernel struct {
 	// alarms holds the SW-tick-keyed callbacks, FIFO among equal ticks.
 	alarms sim.Queue
 
-	tickHooks []func(hwTick uint64) // on-board devices observe HW ticks
-
-	// wakeSources bound when tick-driven devices can next post an IRQ;
-	// consulted by NextEventBound (see lookahead.go).
-	wakeSources []func() uint64
+	devices []Device // on-board hardware clocked by the HW timer (device.go)
 
 	drivers map[string]Driver
 
@@ -188,12 +184,6 @@ func (k *Kernel) Utilization() float64 {
 	return float64(k.stats.BusyCycles) / float64(k.cycles)
 }
 
-// OnTick registers a callback invoked at every HW tick; on-board hardware
-// (e.g. the watchdog ASIC) uses this to observe the free-running timer.
-func (k *Kernel) OnTick(fn func(hwTick uint64)) {
-	k.tickHooks = append(k.tickHooks, fn)
-}
-
 // ready puts a thread on its priority run queue. Readying a thread that
 // outranks the one currently executing requests preemption at the next
 // safe point (the kernel is fully preemptive, like eCos).
@@ -245,8 +235,9 @@ func (k *Kernel) pickNext() *Thread {
 }
 
 // advanceCycles moves virtual time forward by n cycles, firing the timer
-// interrupt path at every HW-tick boundary crossed. It is the only place
-// cycles advance.
+// interrupt path at every HW-tick boundary crossed. Cycles advance only
+// here and in skipTicks, the idle path that counts whole quiet ticks
+// without the timer path.
 func (k *Kernel) advanceCycles(n uint64, account *uint64) {
 	for n > 0 {
 		step := min(n, k.toTick)
@@ -270,13 +261,13 @@ func (k *Kernel) AlarmAfter(n uint64, fn func()) {
 }
 
 // timerTick is the hardware timer interrupt service path: it increments
-// the HW tick, runs device tick hooks, and every HWTicksPerSWTick ticks
-// performs the SW-tick work (alarm expiry, timeslice accounting).
+// the HW tick, ticks the on-board devices, and every HWTicksPerSWTick
+// ticks performs the SW-tick work (alarm expiry, timeslice accounting).
 func (k *Kernel) timerTick() {
 	k.hwTick++
 	k.stats.TimerTicks++
-	for _, fn := range k.tickHooks {
-		fn(k.hwTick)
+	for i := range k.devices {
+		k.devices[i].Tick(k.hwTick)
 	}
 	if k.hwTick%k.cfg.HWTicksPerSWTick != 0 {
 		return
@@ -363,8 +354,13 @@ func (k *Kernel) Advance(cycles uint64) {
 		}
 		t := k.pickNext()
 		if t == nil {
-			// Nothing runnable: burn idle time to the next tick boundary
-			// (the timer may expire an alarm) or to the end of the budget.
+			// Nothing runnable: count the ticks in which nothing can
+			// happen, then burn idle time to the next tick boundary (the
+			// timer may expire an alarm or a device may act) or to the
+			// end of the budget.
+			if n := k.idleTicks(); n > 0 {
+				k.skipTicks(n)
+			}
 			step := min(k.toTick, k.budgetLeft)
 			k.advanceCycles(step, &k.stats.IdleCycles)
 			k.consumeBudget(step)

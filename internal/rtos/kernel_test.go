@@ -436,7 +436,7 @@ func TestPostUnattachedIRQPanics(t *testing.T) {
 func TestTickHooks(t *testing.T) {
 	k := NewKernel(testCfg())
 	var ticks []uint64
-	k.OnTick(func(ht uint64) { ticks = append(ticks, ht) })
+	k.AddDevice(Device{Tick: func(ht uint64) { ticks = append(ticks, ht) }})
 	k.Advance(350)
 	if len(ticks) != 3 {
 		t.Fatalf("tick hook ran %d times for 3.5 ticks, want 3", len(ticks))

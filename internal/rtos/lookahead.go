@@ -12,19 +12,9 @@ import (
 // co-simulation slave reports to the hardware master in every time
 // acknowledgement so the master may elongate the next quantum.
 
-// WakeNever is returned by a wake source with no scheduled event.
+// WakeNever is returned by a device's Wake bound with no scheduled
+// interrupt, and by NextEventBound when nothing is scheduled at all.
 const WakeNever = math.MaxUint64
-
-// RegisterWakeSource registers an external tick-driven wake source — an
-// on-board device such as a watchdog or DMA engine that may post an
-// interrupt from a timer-tick hook. fn must return a lower bound, in HW
-// ticks from now, until the source can next post an interrupt (0 when
-// one may be imminent, WakeNever when nothing is scheduled). It is
-// consulted by NextEventBound between quanta, never concurrently with
-// Advance.
-func (k *Kernel) RegisterWakeSource(fn func() uint64) {
-	k.wakeSources = append(k.wakeSources, fn)
-}
 
 // NextEventBound returns a conservative bound, in CPU cycles from now,
 // before which no thread can become runnable without outside input: 0
@@ -32,8 +22,8 @@ func (k *Kernel) RegisterWakeSource(fn func() uint64) {
 // interrupt), WakeNever when nothing is scheduled at all, and otherwise
 // the exact cycle distance to the earliest alarm expiry or device wake.
 // Everything that can ready a thread spontaneously is either an alarm
-// (keyed on an absolute SW tick) or a registered wake source (keyed on
-// HW ticks); both fire at absolute cycle positions that are independent
+// (keyed on an absolute SW tick) or a device's Wake bound (keyed on HW
+// ticks); both fire at absolute cycle positions that are independent
 // of how the intervening virtual time is partitioned into quanta, which
 // is what makes the bound safe to elongate over.
 func (k *Kernel) NextEventBound() uint64 {
@@ -47,8 +37,12 @@ func (k *Kernel) NextEventBound() uint64 {
 		}
 		bound = k.cyclesToSWTick(at)
 	}
-	for _, fn := range k.wakeSources {
-		ticks := fn()
+	for i := range k.devices {
+		wake := k.devices[i].Wake
+		if wake == nil {
+			continue
+		}
+		ticks := wake()
 		if ticks == 0 {
 			return 0
 		}

@@ -65,7 +65,7 @@ func TestNextEventBoundWakeSources(t *testing.T) {
 	k := NewKernel(cfg)
 
 	// A source with nothing scheduled does not constrain the bound.
-	k.RegisterWakeSource(func() uint64 { return WakeNever })
+	k.AddDevice(Device{Tick: func(uint64) {}, Wake: func() uint64 { return WakeNever }})
 	if got := k.NextEventBound(); got != WakeNever {
 		t.Fatalf("WakeNever source: bound %d, want WakeNever", got)
 	}
@@ -73,7 +73,7 @@ func TestNextEventBoundWakeSources(t *testing.T) {
 	// A source n HW ticks out converts to cycles: the partial distance to
 	// the next tick boundary plus n-1 whole periods.
 	ticks := uint64(3)
-	k.RegisterWakeSource(func() uint64 { return ticks })
+	k.AddDevice(Device{Tick: func(uint64) {}, Wake: func() uint64 { return ticks }})
 	if got := k.NextEventBound(); got != 300 {
 		t.Fatalf("3-tick source at cycle 0: bound %d, want 300", got)
 	}
@@ -92,10 +92,12 @@ func TestNextEventBoundWakeSources(t *testing.T) {
 func TestNextEventBoundTakesEarliest(t *testing.T) {
 	cfg := testCfg()
 	k := NewKernel(cfg)
-	k.AlarmAfter(7, func() {})                       // SW tick 7 → cycle 700
-	k.RegisterWakeSource(func() uint64 { return 4 }) // HW tick 4 → cycle 400
+	// An alarm at SW tick 7 (cycle 700) and a device wake at HW tick 4
+	// (cycle 400).
+	k.AlarmAfter(7, func() {})
+	k.AddDevice(Device{Tick: func(uint64) {}, Wake: func() uint64 { return 4 }})
 	if got := k.NextEventBound(); got != 400 {
-		t.Fatalf("bound %d, want 400 (wake source earlier than alarm)", got)
+		t.Fatalf("bound %d, want 400 (device wake earlier than alarm)", got)
 	}
 }
 
