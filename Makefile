@@ -56,7 +56,7 @@ farm-soak:
 transport-matrix:
 	$(GO) test -race -run 'TestExplore' .
 	$(GO) test -race -run 'TestCoSimEndToEnd|ReportedKind|MultiRunReports' ./internal/router/
-	$(GO) test -race -run 'Shm|UDS|TCP|MsgQueue|LinkSetup|SendAfterClose' ./internal/cosim/ ./internal/farm/
+	$(GO) test -race -run 'Shm|UDS|TCP|MsgQueue|LinkSetup|SendAfterClose|HeldMessages' ./internal/cosim/ ./internal/farm/
 
 # federation-matrix proves the time manager behind every run: router.Run
 # bit-identical to a test-local transcription of the pairwise loop across

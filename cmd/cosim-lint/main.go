@@ -1,7 +1,7 @@
 // Command cosim-lint runs the repo's custom static analyzers over Go
 // packages and reports contract violations:
 //
-//	msgownership  pooled Msg Send/Recv/Release ownership contract
+//	msgownership  no Msg payload written after the message was sent
 //	determinism   no wall-clock/unseeded-rand/goroutines/map-order in simulated time
 //	obshandle     hoisted obs metric handles, Unwrap on wrapping transports
 //

@@ -2,6 +2,6 @@
 
 package cosim
 
-// Without the race detector the pools retain everything: budgets are
-// enforced as written.
+// Without the race detector the scratch pool keeps what it is given:
+// budgets are enforced as written.
 const raceAllocSlack = 1.0

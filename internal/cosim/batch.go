@@ -73,9 +73,6 @@ func NewBatchTransport(inner Transport) *BatchTransport {
 func (t *BatchTransport) Send(ch Channel, m Msg) error {
 	if ch == ChanClock {
 		if err := t.Flush(); err != nil {
-			// Send owns m; a failed flush means it never reaches the wire,
-			// so its payloads go back to the pool here.
-			m.Release()
 			return err
 		}
 		t.bypassed.Add(1)
@@ -86,7 +83,6 @@ func (t *BatchTransport) Send(ch Channel, m Msg) error {
 		// Too large to ever share a batch: flush what's pending on this
 		// channel (order!) and send it as its own frame.
 		if err := t.flushChan(ch); err != nil {
-			m.Release()
 			return err
 		}
 		t.bypassed.Add(1)
@@ -94,7 +90,6 @@ func (t *BatchTransport) Send(ch Channel, m Msg) error {
 	}
 	if t.pendBytes[ch]+sz > maxBatchPayload {
 		if err := t.flushChan(ch); err != nil {
-			m.Release()
 			return err
 		}
 	}
@@ -118,7 +113,7 @@ func (t *BatchTransport) Flush() error {
 // flushChan emits channel ch's buffer: nothing for an empty buffer, the
 // bare message for a single entry, one MTBatch frame otherwise.
 func (t *BatchTransport) flushChan(ch Channel) error {
-	pend := t.pend[ch]
+	pend, size := t.pend[ch], t.pendBytes[ch]
 	if len(pend) == 0 {
 		return nil
 	}
@@ -130,11 +125,9 @@ func (t *BatchTransport) flushChan(ch Channel) error {
 		pend[0] = Msg{} // drop the buffered copy's payload references
 		return t.inner.Send(ch, m)
 	}
-	// The flush body comes from the codec's raw pool; the batch message is
-	// marked pooled, so whichever layer consumes it — the session copying
-	// it into an envelope, the TCP writer encoding it, or the in-process
-	// peer splicing it open — releases the buffer.
-	raw, rawRef := getPooledRawCap(64 * len(pend))
+	// Each entry's length prefix is the size its frame prefix added to
+	// pendBytes, so the body is allocated at its exact size.
+	raw := make([]byte, 0, size)
 	for i := range pend {
 		lenAt := len(raw)
 		raw = append(raw, 0, 0, 0, 0)
@@ -144,7 +137,7 @@ func (t *BatchTransport) flushChan(ch Channel) error {
 	}
 	t.flushes.Add(1)
 	t.batched.Add(uint64(len(pend)))
-	return t.inner.Send(ch, Msg{Type: MTBatch, Count: uint32(len(pend)), Raw: raw, rawRef: rawRef})
+	return t.inner.Send(ch, Msg{Type: MTBatch, Count: uint32(len(pend)), Raw: raw})
 }
 
 // splitBatch validates and opens one MTBatch into its inner messages,
@@ -153,15 +146,9 @@ func (t *BatchTransport) flushChan(ch Channel) error {
 func splitBatch(m Msg, out []Msg) ([]Msg, error) {
 	p := m.Raw
 	start := len(out)
-	// A malformed batch aborts mid-decode: the entries already opened own
-	// pooled payloads and must be recycled, and the caller keeps the
-	// truncated slice so its scratch backing array survives.
-	fail := func(err error) ([]Msg, error) {
-		for i := start; i < len(out); i++ {
-			out[i].Release()
-		}
-		return out[:start], err
-	}
+	// A malformed batch aborts mid-decode; the caller keeps the truncated
+	// slice so its scratch backing array survives.
+	fail := func(err error) ([]Msg, error) { return out[:start], err }
 	for len(p) > 0 {
 		if len(p) < 4 {
 			return fail(fmt.Errorf("cosim: truncated batch entry header"))
@@ -175,7 +162,6 @@ func splitBatch(m Msg, out []Msg) ([]Msg, error) {
 			return fail(fmt.Errorf("cosim: batch entry: %w", err))
 		}
 		if inner.Type == MTBatch {
-			inner.Release()
 			return fail(fmt.Errorf("cosim: nested batch"))
 		}
 		out = append(out, inner)
@@ -194,9 +180,6 @@ func (t *BatchTransport) accept(ch Channel, m Msg) (Msg, error) {
 	}
 	inner, err := splitBatch(m, t.scratch[:0])
 	t.scratch = inner[:0]
-	// Every inner message copied its payload out, so the batch body — the
-	// layer's wrapper — is released here, its terminal consumption point.
-	m.Release()
 	if err != nil {
 		return Msg{}, err
 	}

@@ -1,6 +1,7 @@
 package cosim
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -194,15 +195,44 @@ func TestBatchRejectsMalformed(t *testing.T) {
 		{"truncated header", Msg{Type: MTBatch, Count: 1, Raw: []byte{1, 0}}},
 		{"overlong entry", Msg{Type: MTBatch, Count: 1, Raw: []byte{0xff, 0xff, 0xff, 0xff, 0x09}}},
 		{"zero-length entry", Msg{Type: MTBatch, Count: 1, Raw: []byte{0, 0, 0, 0}}},
+		{"valid entry then truncated header", Msg{Type: MTBatch, Count: 2, Raw: append(pack(inner), 0xff, 0xff)}},
 	}
 	for _, tc := range cases {
-		if _, err := splitBatch(tc.m, nil); err == nil {
+		// A batch that aborts mid-decode hands back none of the entries
+		// it already opened.
+		if got, err := splitBatch(tc.m, nil); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		} else if len(got) != 0 {
+			t.Errorf("%s: error path returned %d entries, want 0", tc.name, len(got))
 		}
 	}
 
 	if got, err := splitBatch(Msg{Type: MTBatch, Count: 2, Raw: pack(inner, inner)}, nil); err != nil || len(got) != 2 {
 		t.Fatalf("well-formed batch rejected: %v", err)
+	}
+}
+
+// errSendTransport fails every Send.
+type errSendTransport struct{ err error }
+
+func (e *errSendTransport) Send(Channel, Msg) error            { return e.err }
+func (e *errSendTransport) Recv(Channel) (Msg, error)          { return Msg{}, e.err }
+func (e *errSendTransport) TryRecv(Channel) (Msg, bool, error) { return Msg{}, false, e.err }
+func (e *errSendTransport) Close() error                       { return nil }
+
+// TestBatchSendFlushErrorFails: when the flush a CLOCK send triggers
+// fails, the CLOCK message never reaches the wire and Send reports the
+// flush error.
+func TestBatchSendFlushErrorFails(t *testing.T) {
+	wireDown := errors.New("wire down")
+	bt := NewBatchTransport(&errSendTransport{err: wireDown})
+	for i := 0; i < 2; i++ {
+		if err := bt.Send(ChanData, Msg{Type: MTDataWrite, Addr: uint32(i), Words: []uint32{1, 2, 3}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bt.Send(ChanClock, Msg{Type: MTClockGrant, Ticks: 1}); !errors.Is(err, wireDown) {
+		t.Fatalf("CLOCK send over a dead transport = %v, want the flush error", err)
 	}
 }
 
@@ -255,11 +285,10 @@ func FuzzBatchRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		// Pooled-reuse aliasing detector: the first received message is held
-		// live (not Released) while every later message is received and
-		// Released — recycling their buffers through the codec pools. If a
-		// recycled buffer aliases the held message's payload, the final check
-		// catches the corruption.
+		// Aliasing detector: the first received message is held live while
+		// every later message is received through the same layer and its
+		// reused scratch. If a later decode aliases the held message's
+		// payload, the final check catches the corruption.
 		rx := NewBatchTransport(wire)
 		var held Msg
 		var heldWords []uint32
@@ -284,15 +313,12 @@ func FuzzBatchRoundTrip(f *testing.F) {
 			if i == 0 {
 				held = got
 				heldWords = append([]uint32(nil), got.Words...)
-			} else {
-				got.Release()
 			}
 		}
 		if len(sent) > 0 {
 			if !wordsEqual(held.Words, heldWords) {
-				t.Fatalf("held message corrupted by pooled reuse: want %x got %x", heldWords, held.Words)
+				t.Fatalf("held message corrupted by buffer reuse: want %x got %x", heldWords, held.Words)
 			}
-			held.Release()
 		}
 	})
 }

@@ -160,24 +160,16 @@ func (c *ChaosTransport) Send(ch Channel, m Msg) error {
 			}
 			body[bit/8] ^= 1 << (bit % 8)
 		}
-		dm, err := decodeBody(body) //cosim:owns -- dm replaces m as the outbound frame; `out` aliases it and every path below queues, sends, or releases out
+		dm, err := decodeBody(body)
 		if err != nil {
 			lost = true // unparseable on the wire: the frame is gone
 		} else {
-			// The damaged copy owns fresh pooled payloads; the original's
-			// go back to the pool here.
-			m.Release()
-			out = dm
+			out = dm // the damaged copy owns fresh payloads
 		}
 	}
 	if drop {
 		c.dropped.Add(1)
 		lost = true
-	}
-	if lost {
-		// The frame vanishes on the simulated wire, so this layer is its
-		// terminal consumer: recycle the payloads instead of leaking them.
-		out.Release()
 	}
 
 	var queue []Msg
@@ -185,20 +177,18 @@ func (c *ChaosTransport) Send(ch Channel, m Msg) error {
 	if !lost {
 		if reorder && l.held == nil {
 			c.reordered.Add(1)
-			// Stash an independent copy: the original's payload buffers may
-			// be recycled (pooled release downstream, or a session body
-			// reused after a nack-healed ack) before the held frame is
-			// finally sent.
+			// Stash an independent copy: a session body may be reused
+			// after a nack-healed ack before the held frame is finally
+			// sent.
 			held := clonePayloads(out)
 			l.held = &held
-			out.Release()
 			stashed = true
 		} else {
 			queue = append(queue, out)
 			if dup {
 				c.duplicated.Add(1)
-				// The duplicate gets its own payload copy so the two sends
-				// can never double-release or alias one pooled buffer.
+				// The duplicate gets its own payload copy so the two
+				// receivers never share a backing array.
 				queue = append(queue, clonePayloads(out))
 			}
 		}
@@ -208,13 +198,8 @@ func (c *ChaosTransport) Send(ch Channel, m Msg) error {
 		queue = append(queue, *l.held)
 		l.held = nil
 	}
-	for i, q := range queue {
+	for _, q := range queue {
 		if err := c.inner.Send(ch, q); err != nil {
-			// Send consumed q; the frames still queued behind it are ours
-			// to recycle before the error propagates.
-			for _, rest := range queue[i+1:] {
-				rest.Release()
-			}
 			return err
 		}
 	}

@@ -138,15 +138,12 @@ func (ep *endpoint) sendFrame(ch Channel, m Msg) error {
 // kind the peer cannot send. Zero timeout blocks indefinitely.
 func (ep *endpoint) drain(dst []hdlsim.DataMsg, ch Channel, n uint32, timeout time.Duration) ([]hdlsim.DataMsg, error) {
 	for i := uint32(0); i < n; i++ {
-		m, err := RecvTimeout(ep.tr, ch, timeout) //cosim:owns -- m.Words travels on in the event; its consumer copies it within the quantum
+		m, err := RecvTimeout(ep.tr, ch, timeout)
 		if err != nil {
 			return dst, err
 		}
 		d, ok := event(m)
 		if !ok || channelOf(d.Kind) != ch || !ep.recvs.has(d.Kind) {
-			// A stray frame may carry pooled payloads; recycle them
-			// before surfacing the protocol error.
-			m.Release()
 			return dst, fmt.Errorf("cosim: unexpected %v on %v at the %s side", m.Type, ch, ep.side)
 		}
 		if ch == ChanInt {

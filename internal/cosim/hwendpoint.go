@@ -193,15 +193,11 @@ func (ep *HWEndpoint) consumeAck() error {
 		return fmt.Errorf("cosim: waiting for board acknowledgement: %w", err)
 	}
 	if ack.Type != MTTimeAck {
-		// A stray frame on CLOCK may carry pooled payloads; recycle them
-		// before surfacing the protocol error.
-		ack.Release()
 		return fmt.Errorf("cosim: expected time-ack on CLOCK, got %v", ack.Type)
 	}
 	ep.lastBoardCycle = ack.BoardCycle
 	ep.lastSWTick = ack.SWTick
 	ep.lastLookahead = ack.Lookahead
-	ack.Release() // ack frame carries only scalars
 	ep.outstanding--
 	ep.visible, err = ep.drain(ep.visible, ChanData, ack.DataCount, ep.AckTimeout)
 	return err
@@ -244,12 +240,10 @@ func (ep *HWEndpoint) Finish(at SimTime) error {
 		return err
 	}
 	if ack.Type != MTFinishAck {
-		ack.Release()
 		return fmt.Errorf("cosim: expected finish-ack, got %v", ack.Type)
 	}
 	ep.lastBoardCycle = ack.BoardCycle
 	ep.lastSWTick = ack.SWTick
-	ack.Release() // finish-ack carries only scalars
 	return nil
 }
 

@@ -158,22 +158,16 @@ func (l *MuxListener) handshake(c net.Conn) {
 		return
 	}
 	hello, err := Decode(c)
-	// Release on both arms: a well-formed hello carries only scalars, and
-	// a stray frame may carry pooled payloads.
 	if err != nil || hello.Type != MTHello || hello.Version != ProtocolVersion {
-		hello.Release()
 		l.reject(c)
 		return
 	}
-	hello.Release()
 	attach, err := Decode(c)
 	if err != nil || attach.Type != MTAttach || attach.Version != ProtocolVersion {
-		attach.Release()
 		l.reject(c)
 		return
 	}
 	sessionID := attach.Seq
-	attach.Release() // attach frame carries only scalars
 
 	l.mu.Lock()
 	p := l.pending[sessionID]
@@ -359,11 +353,9 @@ func DialSession(network, addr string, sessionID uint64) (Transport, error) {
 			return nil, fmt.Errorf("%w (session %d, %v channel)", ErrSessionRejected, sessionID, ch)
 		}
 		if ack.Type != MTHello || ack.Version != ProtocolVersion {
-			ack.Release() // a stray frame may carry pooled payloads
 			closeAll()
 			return nil, fmt.Errorf("cosim: bad accept-ack %v on %v channel", ack.Type, ch)
 		}
-		ack.Release() // accept-ack carries only scalars
 		_ = c.SetDeadline(time.Time{})
 	}
 	return newTCPTransport(conns), nil

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -198,59 +199,20 @@ type Msg struct {
 	Seq uint64 // per-channel sequence / cumulative ack / heartbeat counter
 	Crc uint32 // CRC-32 (IEEE): over Seq+Raw for envelopes, Seq+type for control frames
 	Raw []byte // complete inner message body (type byte + payload)
-
-	// Pool bookkeeping: when decodeBody (or a pooled producer such as the
-	// batch flusher) draws Words/Raw from the payload pools, these hold the
-	// pool wrappers so Release can return the buffers without allocating.
-	// They ride along when a Msg is copied by value; exactly one copy — the
-	// terminal consumer — may call Release. See the Transport ownership
-	// contract in transport.go.
-	wordsRef *[]uint32
-	rawRef   *[]byte
 }
 
-// Release returns the message's pooled payload buffers (if any) to the
-// codec pools and clears the payload fields. It must be called at most
-// once per decoded message, by whichever holder consumes it last; after
-// Release the Words/Raw contents may be overwritten by a later decode.
-// Calling Release on a message without pooled payloads is a no-op, so
-// terminal consumers can call it unconditionally.
-func (m *Msg) Release() {
-	if m.wordsRef != nil {
-		*m.wordsRef = m.Words[:0]
-		wordsPool.Put(m.wordsRef)
-		m.wordsRef = nil
-		m.Words = nil
-	}
-	if m.rawRef != nil {
-		*m.rawRef = m.Raw[:0]
-		rawPool.Put(m.rawRef)
-		m.rawRef = nil
-		m.Raw = nil
-	}
-}
+// Release does nothing: a message owns its payload slices by value (see
+// the ownership rule on Transport), so there is nothing to return. It is
+// kept only for the benchmark harness (bench/), which still calls it.
+func (m *Msg) Release() {}
 
-// disown severs the copy's claim on any pooled payloads without returning
-// them (they fall to the garbage collector instead). Used by layers that
-// duplicate a message (chaos fault injection) so two copies can never
-// double-release one buffer, and by tests comparing messages field-wise.
-func (m *Msg) disown() {
-	m.wordsRef = nil
-	m.rawRef = nil
-}
-
-// clonePayloads returns a copy of m that owns independent, unpooled payload
-// slices. Fault-injection layers use it when a frame is duplicated or
-// stashed for later, so no second copy aliases a pooled buffer (or a
-// session body that an ack may recycle) the first copy will release.
+// clonePayloads returns a copy of m with payload slices of its own.
+// Fault-injection layers use it when a frame is duplicated or stashed for
+// later, so no second copy aliases a buffer the sender may reuse (a
+// session body recycled after an ack).
 func clonePayloads(m Msg) Msg {
-	m.disown()
-	if m.Words != nil {
-		m.Words = append([]uint32(nil), m.Words...)
-	}
-	if m.Raw != nil {
-		m.Raw = append([]byte(nil), m.Raw...)
-	}
+	m.Words = slices.Clone(m.Words)
+	m.Raw = slices.Clone(m.Raw)
 	return m
 }
 
@@ -281,65 +243,15 @@ const maxBatchMsgs = 1 << 14
 // bufPool recycles codec scratch buffers: every Encode/WireSize body
 // build and every Decode frame read draws from it instead of allocating.
 // decodeBody copies variable-length payloads (Words, Raw) out of the
-// buffer into pooled payload buffers (see wordsPool/rawPool), so
-// returning it after use is safe. A buffer grown for a large frame stays
-// grown in the pool, so repeated large frames do not reallocate.
+// buffer into slices of their exact size, so returning it after use is
+// safe. A buffer grown for a large frame stays grown in the pool, so
+// repeated large frames do not reallocate.
 var bufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 512); return &b },
 }
 
 func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
 func putBuf(b *[]byte) { *b = (*b)[:0]; bufPool.Put(b) }
-
-// wordsPool / rawPool recycle variable-length message payloads: decodeBody
-// draws from them instead of allocating per message, and Msg.Release
-// returns them. Buffers grown for a large payload stay grown when
-// recycled, so steady-state traffic converges to zero payload allocation.
-var wordsPool = sync.Pool{
-	New: func() any { s := make([]uint32, 0, 64); return &s },
-}
-var rawPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 512); return &b },
-}
-
-// getPooledWords returns a length-n words buffer and the pool wrapper to
-// stash in Msg.wordsRef for release.
-func getPooledWords(n int) ([]uint32, *[]uint32) {
-	sp := wordsPool.Get().(*[]uint32)
-	s := (*sp)[:0]
-	if cap(s) < n {
-		s = make([]uint32, n)
-	} else {
-		s = s[:n]
-	}
-	*sp = s
-	return s, sp
-}
-
-// getPooledRaw returns a length-n byte buffer and its pool wrapper.
-func getPooledRaw(n int) ([]byte, *[]byte) {
-	bp := rawPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	if cap(b) < n {
-		b = make([]byte, n)
-	} else {
-		b = b[:n]
-	}
-	*bp = b
-	return b, bp
-}
-
-// getPooledRawCap returns an empty byte buffer with at least capHint
-// capacity for incremental building (the batch flusher), plus its wrapper.
-func getPooledRawCap(capHint int) ([]byte, *[]byte) {
-	bp := rawPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	if cap(b) < capHint {
-		b = make([]byte, 0, capHint)
-	}
-	*bp = b
-	return b, bp
-}
 
 // Encode writes the message in its framed wire format:
 //
@@ -407,29 +319,27 @@ func (m *Msg) appendBody(b []byte) []byte {
 	return b
 }
 
-// Decode reads one framed message from r.
+// Decode reads one framed message from r. The header and the body are
+// read into a pooled scratch buffer, so a frame without payloads costs no
+// allocation.
 func Decode(r io.Reader) (Msg, error) {
-	var lenBuf [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	bp := getBuf()
+	defer putBuf(bp)
+	if _, err := io.ReadFull(r, (*bp)[:frameHeaderLen]); err != nil {
 		return Msg{}, err
 	}
-	n, err := frameLen(lenBuf[:])
+	n, err := frameLen((*bp)[:frameHeaderLen])
 	if err != nil {
 		return Msg{}, err
 	}
-	bp := getBuf()
 	if cap(*bp) < n {
 		*bp = make([]byte, n)
 	}
 	body := (*bp)[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
-		putBuf(bp)
 		return Msg{}, fmt.Errorf("cosim: truncated frame: %w", err)
 	}
-	m, err := decodeBody(body)
-	*bp = body
-	putBuf(bp)
-	return m, err
+	return decodeBody(body)
 }
 
 // frameHeaderLen is the length prefix in front of every frame body.
@@ -500,7 +410,7 @@ func decodeBody(body []byte) (Msg, error) {
 		if err := need(8 + 4*int(count)); err != nil {
 			return m, err
 		}
-		m.Words, m.wordsRef = getPooledWords(int(count))
+		m.Words = make([]uint32, count)
 		for i := range m.Words {
 			m.Words[i] = le.Uint32(p[8+4*i:])
 		}
@@ -527,8 +437,8 @@ func decodeBody(body []byte) (Msg, error) {
 		if err := need(16 + int(rawLen)); err != nil {
 			return m, err
 		}
-		m.Raw, m.rawRef = getPooledRaw(int(rawLen))
-		copy(m.Raw, p[16:16+rawLen])
+		m.Raw = make([]byte, rawLen)
+		copy(m.Raw, p[16:])
 	case MTSessionAck, MTSessionNack, MTHeartbeat:
 		if err := need(12); err != nil {
 			return m, err
@@ -552,7 +462,7 @@ func decodeBody(body []byte) (Msg, error) {
 		// The inner framing is opaque here; splitBatch validates it when
 		// the batch is opened, so a corrupted batch fails loudly there
 		// instead of poisoning the codec's closure property.
-		m.Raw, m.rawRef = getPooledRaw(len(p) - 4)
+		m.Raw = make([]byte, len(p)-4)
 		copy(m.Raw, p[4:])
 	default:
 		return m, fmt.Errorf("cosim: unknown message type %d", body[0])

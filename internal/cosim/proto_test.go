@@ -21,7 +21,6 @@ func roundTrip(t *testing.T, m Msg) Msg {
 	if err != nil {
 		t.Fatalf("decode %v: %v", m.Type, err)
 	}
-	got.disown() // drop pool bookkeeping so field-wise compares see payloads only
 	return got
 }
 

@@ -65,9 +65,6 @@ func (ep *endpoint) grants(f Federate) (SimTime, error) {
 		if err != nil {
 			return cur, err
 		}
-		// Grant and finish frames carry only scalars; a stray frame on
-		// CLOCK may carry pooled payloads, recycled before the error.
-		g.Release()
 		switch g.Type {
 		case MTFinish:
 			return SimTime(g.HWCycle), nil

@@ -21,11 +21,11 @@ import (
 // (the frame bytes are written exactly once, in place — no intermediate
 // encode buffer, no write syscall) and a steady-state Recv decodes
 // directly out of it (no read syscall, no frame copy); payloads are
-// materialized into the codec's pooled buffers exactly as on every other
-// transport, which is what the Send/Recv/Release ownership contract
-// requires. Waiting is a futex-free busy/park hybrid: a bounded hot spin,
-// a few scheduler yields, then short sleeps, so a rendezvous that arrives
-// within microseconds never pays a syscall. See docs/TRANSPORTS.md.
+// copied into slices the received message owns, exactly as on every
+// other transport. Waiting is a futex-free busy/park hybrid: a bounded
+// hot spin, a few scheduler yields, then short sleeps, so a rendezvous
+// that arrives within microseconds never pays a syscall. See
+// docs/TRANSPORTS.md.
 
 // ErrShmUnsupported is returned by the shared-memory constructors on
 // platforms without mmap support (see shm_map_stub.go). Callers selecting
@@ -140,10 +140,9 @@ func shmRecordBytes(l int) uint64 { return (uint64(l) + 5 + 3) &^ 3 }
 // when the reader has not yet freed enough space, the frame's wire byte
 // count (body + length prefix, measured before publication — the moment
 // the head advances the peer may consume, ack, and recycle the
-// message's pooled body, so nothing may read m afterwards), and whether
-// the record wrapped past the end of the buffer. The message is encoded
-// directly into the mapped region; m's payloads are not released here
-// (the caller owns that, mirroring the layered-transport contract).
+// message's session envelope body, so nothing may read m afterwards),
+// and whether the record wrapped past the end of the buffer. The message
+// is encoded directly into the mapped region.
 func (r *shmRing) tryPush(ch Channel, m *Msg) (n int, wrapped bool, err error) {
 	bodyLen := m.WireSize() - 4
 	need := shmRecordBytes(bodyLen)
@@ -274,11 +273,9 @@ func (c ShmConfig) withDefaults() ShmConfig {
 // segment: a reader goroutine pumps the inbound ring, which interleaves
 // all three channels, into one bounded queue per channel (so a receive
 // on one channel never waits behind another's records), and
-// Send encodes straight into the outbound ring. It satisfies the pooled
-// buffer ownership contract exactly like the TCP transport: Send is the
-// stack's terminal consumer and releases the message's payloads once
-// they are in the ring; Recv grants ownership of pooled payloads to the
-// caller.
+// Send encodes straight into the outbound ring. Like the TCP
+// transport, it copies payloads on both sides: Send into the ring, Recv
+// out of it into slices the caller owns.
 type ShmTransport struct {
 	tx, rx *shmRing
 	wmu    sync.Mutex // serializes writers (session acks/heartbeats ride alongside endpoint sends)
@@ -465,9 +462,7 @@ func (t *ShmTransport) localDone() bool {
 }
 
 // Send implements Transport: the message is framed directly into the
-// outbound ring. As the stack's bottom layer this transport is the
-// terminal consumer of any pooled message (a batch flush or a session
-// re-encode), so it releases the buffers once they are encoded.
+// outbound ring.
 func (t *ShmTransport) Send(ch Channel, m Msg) error {
 	if ch >= numChannels {
 		return fmt.Errorf("cosim: invalid channel %d", ch)
@@ -475,7 +470,6 @@ func (t *ShmTransport) Send(ch Channel, m Msg) error {
 	t.wmu.Lock()
 	err := t.sendLocked(ch, &m)
 	t.wmu.Unlock()
-	m.Release()
 	return err
 }
 
@@ -495,7 +489,7 @@ func (t *ShmTransport) sendLocked(ch Channel, m *Msg) error {
 			t.framesSent.Add(1)
 			// The byte count comes from tryPush, measured before the record
 			// was published: once the head advances, the peer may consume,
-			// ack, and recycle this message's pooled body at any instant, so
+			// ack, and recycle this message's envelope body at any instant, so
 			// no send-side code may touch m's payloads after a successful
 			// push.
 			t.bytesSent.Add(uint64(n))
@@ -562,21 +556,18 @@ func (t *ShmTransport) pump() error {
 		}
 		spins = 0
 		m, derr := decodeBody(body)
-		// decodeBody copied the payloads into pooled buffers; the ring
-		// space can be recycled now.
+		// decodeBody copied the payloads out of the ring; its space can
+		// be recycled now.
 		t.rx.hdr.tail.Store(newTail)
 		if derr != nil {
-			m.Release()
 			return fmt.Errorf("cosim: shm decode: %w", derr)
 		}
 		if ch >= numChannels {
-			m.Release()
 			return fmt.Errorf("cosim: shm record on invalid channel %d", ch)
 		}
 		t.framesRecv.Add(1)
-		if err := t.inbox[ch].push(m); err != nil {
-			m.Release() // closed under the push
-			return nil
+		if t.inbox[ch].push(m) != nil {
+			return nil // closed under the push
 		}
 	}
 }

@@ -92,7 +92,6 @@ func FuzzShmRing(f *testing.F) {
 				m, derr := decodeBody(body)
 				r.hdr.tail.Store(newTail)
 				if derr != nil {
-					m.Release()
 					if !corrupted {
 						t.Fatalf("decode error on intact ring: %v", derr)
 					}
@@ -101,27 +100,22 @@ func FuzzShmRing(f *testing.F) {
 				}
 				if !corrupted {
 					if len(model) == 0 {
-						m.Release()
 						t.Fatal("pop succeeded with empty model")
 					}
 					want := model[0]
 					model = model[1:]
 					if ch != want.ch {
-						m.Release()
 						t.Fatalf("channel %d, want %d", ch, want.ch)
 					}
 					if want.words >= 0 {
 						if m.Type != MTDataWrite || m.Addr != want.addr || len(m.Words) != want.words {
-							m.Release()
 							t.Fatalf("got type=%d addr=%d words=%d, want addr=%d words=%d",
 								m.Type, m.Addr, len(m.Words), want.addr, want.words)
 						}
 					} else if m.Type != MTClockGrant || m.HWCycle != uint64(want.addr) {
-						m.Release()
 						t.Fatalf("got type=%d hwcycle=%d, want clock grant %d", m.Type, m.HWCycle, want.addr)
 					}
 				}
-				m.Release()
 			case 3: // corrupt one byte of the data region (torn prefix, stray marker)
 				off := shmDataOff + (int(arg)*131)%ringBytes
 				seg[off] ^= 0xFF
@@ -136,9 +130,7 @@ func FuzzShmRing(f *testing.F) {
 			if err != nil {
 				break
 			}
-			if m, derr := decodeBody(body); derr == nil {
-				m.Release()
-			}
+			_, _ = decodeBody(body)
 			r.hdr.tail.Store(newTail)
 		}
 	})

@@ -85,7 +85,6 @@ func TestShmWraparound(t *testing.T) {
 				t.Fatalf("frame %d word %d = %d, want %d", i, j, w, i+j)
 			}
 		}
-		m.Release()
 	}
 	if err := <-errc; err != nil {
 		t.Fatal(err)
@@ -121,7 +120,6 @@ func TestShmBackpressureBlocksThenDrains(t *testing.T) {
 		if m.Addr != uint32(i) {
 			t.Fatalf("recv %d: addr %d", i, m.Addr)
 		}
-		m.Release()
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -348,10 +346,8 @@ func TestShmRingFullEmptyBoundary(t *testing.T) {
 		if ch != ChanData {
 			t.Fatalf("pop %d: channel %d", i, ch)
 		}
-		if dm, derr := decodeBody(body); derr != nil {
+		if _, derr := decodeBody(body); derr != nil {
 			t.Fatalf("pop %d: decode: %v", i, derr)
-		} else {
-			dm.Release()
 		}
 		r.hdr.tail.Store(newTail)
 	}

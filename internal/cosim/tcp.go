@@ -1,7 +1,6 @@
 package cosim
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -59,16 +58,15 @@ func newTCPTransport(conns [numChannels]net.Conn) *tcpTransport {
 // readLoop decodes DATA or INT frames into the channel's queue until the
 // connection fails or the transport closes.
 func (t *tcpTransport) readLoop(ch Channel) {
-	r := bufio.NewReader(t.conns[ch])
+	var r frameReader
 	for {
-		m, err := Decode(r)
+		m, err := r.next(t.conns[ch])
 		if err != nil {
 			t.inbox[ch].close(fmt.Errorf("cosim: %v channel: %w", ch, err))
 			return
 		}
-		if err := t.inbox[ch].push(m); err != nil {
-			m.Release() // closed under the push
-			return
+		if t.inbox[ch].push(m) != nil {
+			return // closed under the push
 		}
 	}
 }
@@ -80,10 +78,6 @@ func (t *tcpTransport) Send(ch Channel, m Msg) error {
 	t.wmu[ch].Lock()
 	err := m.Encode(t.conns[ch])
 	t.wmu[ch].Unlock()
-	// Encode copied the payloads onto the wire; as the stack's bottom this
-	// transport is the terminal consumer of any pooled message (a batch
-	// flush or a chaos re-encode), so it releases the buffers.
-	m.Release()
 	return err
 }
 
@@ -153,9 +147,12 @@ func (t *tcpTransport) readClock(deadline time.Time) (Msg, error) {
 	return Msg{}, fmt.Errorf("cosim: %v channel: %w", ChanClock, err)
 }
 
-// frameReader decodes frames from a connection read in place, on the
-// caller's goroutine. Bytes read but not yet decoded stay in buf across
-// calls, so a read that times out mid-frame loses nothing; any other read error, and any decode error, is sticky.
+// frameReader decodes frames from a connection read in place: CLOCK on
+// the caller's goroutine, DATA and INT on their reader goroutines. Bytes
+// read but not yet decoded stay in buf across calls, so a read that times
+// out mid-frame loses nothing; any other read error, and any decode
+// error, is sticky. decodeBody copies every payload out of buf, so a
+// returned message never aliases it and buf is compacted and reused.
 type frameReader struct {
 	buf  []byte
 	r, w int // buf[r:w] is read but not yet decoded
@@ -180,7 +177,6 @@ func (f *frameReader) next(src io.Reader) (Msg, error) {
 				m, err := decodeBody(body)
 				if err != nil {
 					f.err = err
-					m.Release()
 					break
 				}
 				return m, nil
@@ -293,19 +289,14 @@ func (l *Listener) Accept() (Transport, error) {
 			return nil, fmt.Errorf("cosim: bad or duplicate channel tag %d", tag[0])
 		}
 		m, err := Decode(c)
-		// Release on every arm: a well-formed hello carries only scalars,
-		// and a stray frame may carry pooled payloads.
 		if err != nil || m.Type != MTHello {
-			m.Release()
 			c.Close()
 			return nil, fmt.Errorf("cosim: missing hello on %v channel: %v", ch, err)
 		}
 		if m.Version != ProtocolVersion {
-			m.Release()
 			c.Close()
 			return nil, fmt.Errorf("cosim: protocol version mismatch: board %d, simulator %d", m.Version, ProtocolVersion)
 		}
-		m.Release() // hello carries only scalars
 		conns[ch] = c
 		seen++
 	}

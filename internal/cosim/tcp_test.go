@@ -117,7 +117,6 @@ func TestTCPClockGrantBehindBulkTraffic(t *testing.T) {
 		if i < 2 && (len(m.Words) != MaxWords || m.Words[MaxWords-1] != MaxWords-1) {
 			t.Fatalf("bulk DATA frame %d arrived with %d words", i, len(m.Words))
 		}
-		m.Release()
 	}
 	for i := 0; i < small; i++ {
 		m, err := hw.Recv(ChanInt)

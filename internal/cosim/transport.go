@@ -56,19 +56,13 @@ func RecvTimeout(tr Transport, ch Channel, d time.Duration) (Msg, error) {
 //
 // # Buffer ownership
 //
-// Send transfers ownership of the message's payload slices (Words, Raw) to
-// the transport stack: the caller must not modify or reuse them afterwards
-// (an in-process transport hands the very same slices to the receiving
-// peer; a serializing transport may still be reading them while Send
-// returns). Conversely, a message returned by Recv/TryRecv owns its
-// payloads: the receiver may keep them indefinitely, or — on the hot path —
-// copy what it needs and call Msg.Release to return pooled buffers to the
-// codec pools. Release must be called at most once per received message
-// and only by its final consumer; a payload referenced after Release may
-// be overwritten by a later decode (this aliasing is exactly what the
-// pooled-reuse fuzz and allocation tests guard against). Layered
-// transports (session, batch) follow the same rule internally: each layer
-// releases a wrapper message once its contents are copied onward.
+// Payloads are owned by value. Send hands the message's payload slices
+// (Words, Raw) to the transport stack: the caller must not write them
+// afterwards, because an in-process transport gives the very same slices
+// to the receiving peer. A message returned by Recv/TryRecv owns its
+// payloads outright: the receiver may keep or modify them for as long as
+// it likes, and nothing is returned to any pool. A layer that duplicates
+// or stashes a frame (chaos fault injection) copies its payloads first.
 type Transport interface {
 	// Send enqueues m on channel ch.
 	Send(ch Channel, m Msg) error
@@ -145,16 +139,12 @@ func NewInProcPair(capacity int) (hw, board Transport) {
 }
 
 // Send implements Transport. After either side's Close it fails with
-// ErrClosed and releases m's payloads.
+// ErrClosed.
 func (t *inprocTransport) Send(ch Channel, m Msg) error {
 	if ch >= numChannels {
 		return fmt.Errorf("cosim: invalid channel %d", ch)
 	}
-	if err := t.send[ch].push(m); err != nil {
-		m.Release()
-		return err
-	}
-	return nil
+	return t.send[ch].push(m)
 }
 
 // Recv implements Transport. After close it drains what is already

@@ -131,7 +131,8 @@ func TestCleanPackageIsSilent(t *testing.T) {
 }
 
 // TestMalformedDirectivesReported: a wallclock directive without a
-// reason, and an ignore without an analyzer, are findings themselves.
+// reason, an ignore without an analyzer, and a directive of an unknown
+// kind are findings themselves.
 func TestMalformedDirectivesReported(t *testing.T) {
 	loaded, err := Load(".", []string{"./testdata/src/baddirective"})
 	if err != nil {
@@ -141,16 +142,21 @@ func TestMalformedDirectivesReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 2 {
+	if len(diags) != 3 {
 		for _, d := range diags {
 			t.Logf("got: %s", d)
 		}
-		t.Fatalf("want 2 malformed-directive findings, got %d", len(diags))
+		t.Fatalf("want 3 malformed-directive findings, got %d", len(diags))
 	}
+	unknown := false
 	for _, d := range diags {
 		if d.Analyzer != "directive" {
 			t.Errorf("finding attributed to %q, want \"directive\": %s", d.Analyzer, d)
 		}
+		unknown = unknown || d.Message == "unknown directive //cosim:owns (known: wallclock, ignore)"
+	}
+	if !unknown {
+		t.Error("no finding names the unknown //cosim:owns directive and the known kinds")
 	}
 }
 

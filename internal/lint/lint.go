@@ -15,13 +15,6 @@
 // Analyzers honour machine-readable comment directives, each carrying a
 // justification after " -- ":
 //
-//	//cosim:owns -- <why>       msgownership: the function (doc comment)
-//	                            or the message received on this line is
-//	                            an intentional retention / terminal
-//	                            consumer; the leak check is waived.
-//	//cosim:borrows -- <why>    msgownership: the function's Msg
-//	                            parameters remain owned by the caller;
-//	                            releasing or sending one is flagged.
 //	//cosim:wallclock -- <why>  determinism: this line (or function) is
 //	                            genuinely host-side code — heartbeat
 //	                            timers, RTO clocks, metrics — and may
@@ -31,8 +24,8 @@
 //
 // A directive trailing a statement applies to that line; a directive
 // alone on a line applies to the next line; a directive in a function's
-// doc comment applies to the whole function. wallclock and ignore
-// require a justification; a bare one is itself a diagnostic.
+// doc comment applies to the whole function. Both require a
+// justification; a bare one is itself a diagnostic.
 package lint
 
 import (
@@ -118,8 +111,6 @@ func (p *Pass) ignored(pos token.Pos) bool {
 type DirectiveKind string
 
 const (
-	DirOwns      DirectiveKind = "owns"
-	DirBorrows   DirectiveKind = "borrows"
 	DirWallclock DirectiveKind = "wallclock"
 	DirIgnore    DirectiveKind = "ignore"
 )
@@ -189,20 +180,6 @@ func (p *Pass) HasDirective(pos token.Pos, kind DirectiveKind) bool {
 	return false
 }
 
-// FuncHasDirective reports whether the function declaration's doc comment
-// carries a directive of the given kind.
-func (p *Pass) FuncHasDirective(fn *ast.FuncDecl, kind DirectiveKind) bool {
-	if fn.Body == nil {
-		return false
-	}
-	for _, d := range p.enclosingFuncDirectives(fn.Body.Pos()) {
-		if d.Kind == kind {
-			return true
-		}
-	}
-	return false
-}
-
 // parseDirective parses one comment's text; ok is false for comments that
 // are not //cosim: directives at all.
 func parseDirective(text string) (kind DirectiveKind, analyzer, reason string, ok bool) {
@@ -247,8 +224,8 @@ func buildDirectiveIndex(fset *token.FileSet, files []*ast.File, src map[string]
 					standalone: commentIsAlone(content, pos),
 				}
 				switch kind {
-				case DirOwns, DirBorrows, DirWallclock, DirIgnore:
-					if reason == "" && (kind == DirWallclock || kind == DirIgnore) {
+				case DirWallclock, DirIgnore:
+					if reason == "" {
 						idx.bad = append(idx.bad, Diagnostic{
 							Analyzer: "directive", File: pos.Filename, Line: pos.Line, Col: pos.Column,
 							Message: fmt.Sprintf("//cosim:%s requires a justification: //cosim:%s -- <why>", kind, kind),
@@ -263,7 +240,7 @@ func buildDirectiveIndex(fset *token.FileSet, files []*ast.File, src map[string]
 				default:
 					idx.bad = append(idx.bad, Diagnostic{
 						Analyzer: "directive", File: pos.Filename, Line: pos.Line, Col: pos.Column,
-						Message: fmt.Sprintf("unknown directive //cosim:%s (known: owns, borrows, wallclock, ignore)", kind),
+						Message: fmt.Sprintf("unknown directive //cosim:%s (known: wallclock, ignore)", kind),
 					})
 					continue
 				}
@@ -292,7 +269,7 @@ func buildDirectiveIndex(fset *token.FileSet, files []*ast.File, src map[string]
 					continue
 				}
 				switch kind {
-				case DirOwns, DirBorrows, DirWallclock, DirIgnore:
+				case DirWallclock, DirIgnore:
 					dirs = append(dirs, Directive{Kind: kind, Analyzer: analyzer, Reason: reason, Pos: c.Pos()})
 				}
 			}

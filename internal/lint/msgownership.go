@@ -6,32 +6,20 @@ import (
 	"go/types"
 )
 
-// MsgOwnership enforces the pooled-buffer ownership contract documented
-// on cosim.Transport (and in docs/PROTOCOL.md):
-//
-//   - Send transfers ownership of a message's payloads to the transport
-//     stack: Release after Send, or writing payload fields after Send,
-//     is flagged.
-//   - Release may be called at most once per message along any path.
-//   - A payload field (Words, Raw) read after Release may alias a later
-//     decode and is flagged, as is re-encoding a released message.
-//   - A message obtained from Recv/TryRecv/RecvTimeout/Decode owns its
-//     payloads and must, on every path, be Released, Sent, returned, or
-//     handed onward (a call, a channel, a field) before it goes out of
-//     scope; one dropped on the floor leaks its pooled buffers.
-//
-// Intentional retentions are annotated `//cosim:owns -- <why>` on the
-// receiving line or the function's doc comment. `//cosim:borrows` on a
-// function declares that its Msg parameters stay owned by the caller, so
-// releasing or sending one from inside is flagged.
+// MsgOwnership enforces the one rule of the message ownership contract
+// documented on cosim.Transport (and in docs/PROTOCOL.md) that the
+// compiler cannot: Send hands a message's payload slices (Words, Raw) to
+// the transport stack, and an in-process link gives the receiver those
+// very backing arrays, so writing a payload field, or an element of one,
+// after the message was sent is flagged. Payloads are otherwise owned by
+// value: a received message may be kept, modified or dropped.
 //
 // The analysis is intraprocedural and path-sensitive across if/else,
-// switch, and select arms (states merge at join points); a call that
-// takes a message as an argument is conservatively assumed to consume it
-// per the callee's own contract.
+// switch, and select arms (states merge at join points): a write is
+// flagged only when the message was sent on every path reaching it.
 var MsgOwnership = &Analyzer{
 	Name: "msgownership",
-	Doc:  "enforce the pooled Msg Send/Recv/Release ownership contract",
+	Doc:  "flag Msg payload writes after the message was sent",
 	Run:  runMsgOwnership,
 }
 
@@ -40,26 +28,16 @@ var MsgOwnership = &Analyzer{
 type mstate uint8
 
 const (
-	sOwned    mstate = 1 << iota // may hold pooled payloads; needs a terminal consumer
-	sReleased                    // Release was called
-	sSent                        // ownership handed to a transport Send
-	sConsumed                    // handed off: call argument, store, return, closure
-	sVoid                        // known zero value (error-guarded receive)
+	sUnsent mstate = 1 << iota // still the caller's to write
+	sSent                      // handed to a transport Send
 )
 
-// cell is the shared ownership state of one message value; aliased
-// variables (m2 := m) point at the same cell.
-type cell struct {
-	state       mstate
-	recvOrigin  bool // produced by Recv/TryRecv/RecvTimeout/Decode here
-	paramOrigin bool
-	originPos   token.Pos
-	declDepth   int
-	deferRel    bool
-	reported    bool
-}
+// cell is the shared state of one message value; aliased variables
+// (m2 := m) point at the same cell.
+type cell struct{ state mstate }
 
-// ownEnv maps variables to their state cells.
+// ownEnv maps variables to their state cells. A Msg-typed variable with
+// no cell yet is unsent.
 type ownEnv struct {
 	vars map[*types.Var]*cell
 }
@@ -85,38 +63,35 @@ func (e *ownEnv) clone() *ownEnv {
 // merge folds other into e by the product construction: each variable's
 // merged cell carries the union of its per-path states, and two
 // variables share a merged cell iff they were aliased by the SAME pair
-// of cells on both paths. Aliases formed before the branch stay shared;
-// an alias formed on only one path gets its own merged cell (its states
-// still union, so no spurious double-release arises from the split).
+// of cells on both paths. A variable tracked on one path only was unsent
+// on the other.
 func (e *ownEnv) merge(other *ownEnv) {
 	type pair struct{ a, b *cell }
 	memo := make(map[pair]*cell)
-	out := make(map[*types.Var]*cell, len(e.vars))
-	for v, c := range e.vars {
-		oc, ok := other.vars[v]
-		if !ok || oc == c {
-			out[v] = c
-			continue
+	unsent := &cell{state: sUnsent}
+	join := func(c, oc *cell) *cell {
+		if c == oc {
+			return c
 		}
 		key := pair{c, oc}
 		mc, ok := memo[key]
 		if !ok {
-			cc := *c
-			mc = &cc
-			mc.state |= oc.state
-			mc.deferRel = c.deferRel || oc.deferRel
-			mc.reported = c.reported || oc.reported
-			if oc.recvOrigin && !mc.recvOrigin {
-				mc.recvOrigin = true
-				mc.originPos = oc.originPos
-			}
+			mc = &cell{state: c.state | oc.state}
 			memo[key] = mc
 		}
-		out[v] = mc
+		return mc
+	}
+	out := make(map[*types.Var]*cell, len(e.vars))
+	for v, c := range e.vars {
+		oc, ok := other.vars[v]
+		if !ok {
+			oc = unsent
+		}
+		out[v] = join(c, oc)
 	}
 	for v, oc := range other.vars {
 		if _, ok := e.vars[v]; !ok {
-			out[v] = oc
+			out[v] = join(unsent, oc)
 		}
 	}
 	e.vars = out
@@ -131,46 +106,18 @@ const (
 )
 
 type ownAnalysis struct {
-	pass      *Pass
-	fn        *ast.FuncDecl
-	ownsFn    bool // //cosim:owns on the function: waive leak checks
-	borrowsFn bool // //cosim:borrows: parameters must not be released/sent
-	depth     int
-	// errGuard maps an error variable to the message variable whose
-	// receive produced it, for `if err != nil { ... }` void-tracking.
-	errGuard map[*types.Var]*types.Var
-	// okGuard does the same for comma-ok receives (TryRecv): on the
-	// `!ok` side the message is the zero value.
-	okGuard map[*types.Var]*types.Var
-	// reportedLeaks dedups leak reports by origin: each explored path
-	// clones the environment, so the same unreleased receive would
-	// otherwise be reported once per exit.
-	reportedLeaks map[token.Pos]bool
+	pass *Pass
 }
 
 func runMsgOwnership(pass *Pass) error {
 	if !pkgMentionsMsg(pass.Pkg) {
 		return nil
 	}
+	a := &ownAnalysis{pass: pass}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			a := &ownAnalysis{
-				pass:          pass,
-				fn:            fn,
-				ownsFn:        pass.FuncHasDirective(fn, DirOwns),
-				borrowsFn:     pass.FuncHasDirective(fn, DirBorrows),
-				errGuard:      make(map[*types.Var]*types.Var),
-				okGuard:       make(map[*types.Var]*types.Var),
-				reportedLeaks: make(map[token.Pos]bool),
-			}
-			env := newOwnEnv()
-			a.bindParams(env, fn)
-			if t := a.stmts(env, fn.Body.List); t == tFallthrough {
-				a.checkExit(env)
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				a.stmts(newOwnEnv(), fn.Body.List)
 			}
 		}
 	}
@@ -191,44 +138,37 @@ func pkgMentionsMsg(pkg *types.Package) bool {
 	return false
 }
 
-func (a *ownAnalysis) bindParams(env *ownEnv, fn *ast.FuncDecl) {
-	bind := func(fields *ast.FieldList) {
-		if fields == nil {
-			return
-		}
-		for _, f := range fields.List {
-			for _, name := range f.Names {
-				obj, ok := a.pass.Info.Defs[name].(*types.Var)
-				if !ok || !typeIsMsg(obj.Type()) {
-					continue
-				}
-				env.vars[obj] = &cell{state: sOwned, paramOrigin: true, originPos: name.Pos(), declDepth: 0}
-			}
-		}
-	}
-	bind(fn.Recv)
-	bind(fn.Type.Params)
-}
-
-// lookup resolves an expression to a tracked variable's cell, if the
-// expression is a plain identifier (possibly parenthesized or &x).
-func (a *ownAnalysis) lookup(env *ownEnv, e ast.Expr) (*types.Var, *cell) {
+// msgVar resolves an expression to a Msg-typed variable, if it is a plain
+// identifier (possibly parenthesized or &x).
+func (a *ownAnalysis) msgVar(e ast.Expr) *types.Var {
 	e = unparen(e)
 	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
 		e = unparen(u.X)
 	}
 	id, ok := e.(*ast.Ident)
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	obj, ok := a.pass.Info.Uses[id].(*types.Var)
 	if !ok {
 		if obj, ok = a.pass.Info.Defs[id].(*types.Var); !ok {
-			return nil, nil
+			return nil
 		}
 	}
-	c := env.vars[obj]
-	return obj, c
+	if !typeIsMsg(obj.Type()) {
+		return nil
+	}
+	return obj
+}
+
+// lookup returns v's cell, creating an unsent one on first use.
+func (env *ownEnv) lookup(v *types.Var) *cell {
+	c := env.vars[v]
+	if c == nil {
+		c = &cell{state: sUnsent}
+		env.vars[v] = c
+	}
+	return c
 }
 
 func unparen(e ast.Expr) ast.Expr {
@@ -241,67 +181,14 @@ func unparen(e ast.Expr) ast.Expr {
 	}
 }
 
-// stmts processes a statement list at the current depth, returning how
-// the list terminated. Vars declared at this depth are leak-checked and
-// dropped when the list falls through.
+// stmts processes a statement list, returning how it terminated.
 func (a *ownAnalysis) stmts(env *ownEnv, list []ast.Stmt) term {
-	a.depth++
-	defer func() { a.depth-- }()
 	for _, s := range list {
 		if t := a.stmt(env, s); t == tTerminated {
 			return tTerminated
 		}
 	}
-	a.closeDepth(env, a.depth)
 	return tFallthrough
-}
-
-// closeDepth leak-checks and removes variables declared at depth d.
-func (a *ownAnalysis) closeDepth(env *ownEnv, d int) {
-	refs := make(map[*cell]int)
-	for _, c := range env.vars {
-		refs[c]++
-	}
-	for v, c := range env.vars {
-		if c.declDepth < d {
-			continue
-		}
-		if refs[c] == 1 {
-			a.checkLeak(c)
-		}
-		refs[c]--
-		delete(env.vars, v)
-	}
-}
-
-// checkExit runs the leak check over everything still live (used at
-// returns and at the end of the function body).
-func (a *ownAnalysis) checkExit(env *ownEnv) {
-	seen := make(map[*cell]bool)
-	for _, c := range env.vars {
-		if !seen[c] {
-			seen[c] = true
-			a.checkLeak(c)
-		}
-	}
-}
-
-func (a *ownAnalysis) checkLeak(c *cell) {
-	if a.ownsFn || c.reported || c.deferRel || !c.recvOrigin {
-		return
-	}
-	if c.state&sOwned == 0 {
-		return
-	}
-	if a.reportedLeaks[c.originPos] {
-		return
-	}
-	if a.pass.HasDirective(c.originPos, DirOwns) {
-		return
-	}
-	c.reported = true
-	a.reportedLeaks[c.originPos] = true
-	a.pass.Reportf(c.originPos, "message received here is not released, sent, returned, or handed off on every path (pooled payload leak); annotate an intentional retention with //cosim:owns -- <why>")
 }
 
 func (a *ownAnalysis) stmt(env *ownEnv, s ast.Stmt) term {
@@ -309,53 +196,34 @@ func (a *ownAnalysis) stmt(env *ownEnv, s ast.Stmt) term {
 	case *ast.AssignStmt:
 		a.assign(env, s)
 	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for _, val := range vs.Values {
-					a.expr(env, val)
-				}
-				for _, name := range vs.Names {
-					if obj, ok := a.pass.Info.Defs[name].(*types.Var); ok && typeIsMsg(obj.Type()) {
-						env.vars[obj] = &cell{state: sOwned, originPos: name.Pos(), declDepth: a.depth}
-					}
-				}
-			}
-		}
+		a.expr(env, s)
 	case *ast.ExprStmt:
 		a.expr(env, s.X)
 	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			if _, c := a.lookup(env, r); c != nil {
-				c.state = sConsumed
-			} else {
-				a.expr(env, r)
-			}
-		}
-		a.checkExit(env)
 		return tTerminated
-	case *ast.DeferStmt:
-		a.deferStmt(env, s)
 	case *ast.GoStmt:
 		a.expr(env, s.Call)
 	case *ast.SendStmt:
-		a.expr(env, s.Chan)
-		if _, c := a.lookup(env, s.Value); c != nil {
-			c.state = sConsumed
-		} else {
-			a.expr(env, s.Value)
-		}
+		a.expr(env, s.Value)
+	case *ast.IncDecStmt:
+		a.expr(env, s.X)
+		a.checkWrite(env, s.X)
 	case *ast.IfStmt:
 		return a.ifStmt(env, s)
 	case *ast.SwitchStmt:
-		return a.switchStmt(env, s)
+		if s.Init != nil {
+			a.stmt(env, s.Init)
+		}
+		a.expr(env, s.Tag)
+		return a.mergeClauses(env, s.Body.List, true)
 	case *ast.TypeSwitchStmt:
-		return a.typeSwitchStmt(env, s)
+		if s.Init != nil {
+			a.stmt(env, s.Init)
+		}
+		a.stmt(env, s.Assign)
+		return a.mergeClauses(env, s.Body.List, true)
 	case *ast.SelectStmt:
-		return a.selectStmt(env, s)
+		return a.mergeClauses(env, s.Body.List, false)
 	case *ast.ForStmt:
 		a.forStmt(env, s)
 	case *ast.RangeStmt:
@@ -368,336 +236,88 @@ func (a *ownAnalysis) stmt(env *ownEnv, s ast.Stmt) term {
 		// break/continue/goto: drop the path (mildly under-reports at
 		// loop joins, never over-reports).
 		return tTerminated
-	case *ast.IncDecStmt:
-		a.expr(env, s.X)
-	case *ast.EmptyStmt:
 	}
+	// A deferred Send runs at return, after every write in the body, so
+	// DeferStmt is skipped.
 	return tFallthrough
 }
 
-// assign handles ownership transfer through assignments: receive-call
-// results become owned cells, copying a tracked variable aliases its
-// cell, and overwritten cells are left to scope-exit checks.
+// assign scans the right-hand sides for sends, checks the left-hand
+// sides for payload writes, then rebinds Msg-typed variables: copying a
+// tracked variable aliases its cell, any other value is a fresh unsent
+// message.
 func (a *ownAnalysis) assign(env *ownEnv, s *ast.AssignStmt) {
-	// Receive-shaped RHS: m, err := tr.Recv(ch) / RecvTimeout / Decode.
-	if len(s.Rhs) == 1 {
-		if call, ok := unparen(s.Rhs[0]).(*ast.CallExpr); ok && a.isRecvCall(call) {
-			a.expr(env, call)
-			if len(s.Lhs) >= 1 {
-				if obj := a.defOrUse(s.Lhs[0]); obj != nil && typeIsMsg(obj.Type()) {
-					env.vars[obj] = &cell{state: sOwned, recvOrigin: true, originPos: call.Pos(), declDepth: a.depth}
-					for _, lhs := range s.Lhs[1:] {
-						guard := a.defOrUse(lhs)
-						if guard == nil {
-							continue
-						}
-						switch {
-						case isErrorVar(guard):
-							a.errGuard[guard] = obj
-						case isBoolVar(guard):
-							a.okGuard[guard] = obj
-						}
-					}
-				}
-			}
-			return
-		}
+	for _, rhs := range s.Rhs {
+		a.expr(env, rhs)
 	}
-	// General case: scan RHS, then bind LHS.
-	for i, rhs := range s.Rhs {
-		var srcCell *cell
-		if _, c := a.lookup(env, rhs); c != nil {
-			srcCell = c
-		} else {
-			a.expr(env, rhs)
-		}
-		if i < len(s.Lhs) {
-			lhs := unparen(s.Lhs[i])
-			if obj := a.defOrUse(lhs); obj != nil && typeIsMsg(obj.Type()) {
-				if srcCell != nil {
-					env.vars[obj] = srcCell // alias
-				} else {
-					env.vars[obj] = &cell{state: sOwned, originPos: lhs.Pos(), declDepth: a.depth}
-				}
-				continue
-			}
-			// Storing a tracked value into a field/index/map hands it off.
-			if srcCell != nil {
-				srcCell.state = sConsumed
-			}
-			a.expr(env, lhs)
-			// Writing payload fields after Send violates the transfer.
-			if sel, ok := lhs.(*ast.SelectorExpr); ok && isPayloadField(sel.Sel.Name) {
-				if _, c := a.lookup(env, sel.X); c != nil && definitely(c, sSent) {
-					a.pass.Reportf(lhs.Pos(), "payload field %s written after the message was sent (ownership already transferred to the transport)", sel.Sel.Name)
-				}
-			}
-		}
-	}
-	if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
-		// Multi-value call: bind each Msg-typed LHS as an owned unknown.
-		for _, lhs := range s.Lhs {
-			if obj := a.defOrUse(lhs); obj != nil && typeIsMsg(obj.Type()) {
-				if _, exists := env.vars[obj]; !exists {
-					env.vars[obj] = &cell{state: sOwned, originPos: lhs.Pos(), declDepth: a.depth}
-				}
-			}
-		}
-	}
-}
-
-func (a *ownAnalysis) defOrUse(e ast.Expr) *types.Var {
-	id, ok := unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if obj, ok := a.pass.Info.Defs[id].(*types.Var); ok {
-		return obj
-	}
-	if obj, ok := a.pass.Info.Uses[id].(*types.Var); ok {
-		return obj
-	}
-	return nil
-}
-
-func isErrorVar(v *types.Var) bool {
-	named, ok := v.Type().(*types.Named)
-	if !ok {
-		return v.Type().String() == "error"
-	}
-	return named.Obj().Name() == "error" && named.Obj().Pkg() == nil
-}
-
-func isBoolVar(v *types.Var) bool {
-	basic, ok := v.Type().Underlying().(*types.Basic)
-	return ok && basic.Kind() == types.Bool
-}
-
-func isPayloadField(name string) bool { return name == "Words" || name == "Raw" }
-
-// isRecvCall recognizes producers of owned messages: Recv/TryRecv
-// methods, the RecvTimeout helper, and the Decode/decodeBody codec entry
-// points — anything whose first result is a cosim.Msg drawn from the
-// payload pools.
-func (a *ownAnalysis) isRecvCall(call *ast.CallExpr) bool {
-	var name string
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		name = fun.Sel.Name
-	case *ast.Ident:
-		name = fun.Name
-	default:
-		return false
-	}
-	switch name {
-	case "Recv", "TryRecv", "RecvTimeout", "recvTimeout", "Decode", "decodeBody":
-	default:
-		return false
-	}
-	tv, ok := a.pass.Info.Types[call]
-	if !ok {
-		return false
-	}
-	switch t := tv.Type.(type) {
-	case *types.Tuple:
-		return t.Len() > 0 && typeIsMsg(t.At(0).Type())
-	default:
-		return typeIsMsg(t)
-	}
-}
-
-// expr scans an expression for ownership-relevant operations.
-func (a *ownAnalysis) expr(env *ownEnv, e ast.Expr) {
-	switch e := e.(type) {
-	case nil:
-	case *ast.CallExpr:
-		a.call(env, e)
-	case *ast.SelectorExpr:
-		// Payload reads after Release alias a later decode.
-		if isPayloadField(e.Sel.Name) {
-			if _, c := a.lookup(env, e.X); c != nil && definitely(c, sReleased) {
-				a.pass.Reportf(e.Pos(), "payload field %s read after Release (the buffer may already be reused by a later decode)", e.Sel.Name)
-				return
-			}
-		}
-		a.expr(env, e.X)
-	case *ast.FuncLit:
-		// Captured tracked vars are handed to the closure.
-		ast.Inspect(e.Body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj, ok := a.pass.Info.Uses[id].(*types.Var); ok {
-					if c := env.vars[obj]; c != nil {
-						c.state = sConsumed
-					}
-				}
-			}
-			return true
-		})
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			if _, c := a.lookup(env, e.X); c != nil {
-				c.state = sConsumed // address escapes
-				return
-			}
-		}
-		a.expr(env, e.X)
-	case *ast.BinaryExpr:
-		a.expr(env, e.X)
-		a.expr(env, e.Y)
-	case *ast.ParenExpr:
-		a.expr(env, e.X)
-	case *ast.IndexExpr:
-		a.expr(env, e.X)
-		a.expr(env, e.Index)
-	case *ast.SliceExpr:
-		a.expr(env, e.X)
-		a.expr(env, e.Low)
-		a.expr(env, e.High)
-		a.expr(env, e.Max)
-	case *ast.StarExpr:
-		a.expr(env, e.X)
-	case *ast.TypeAssertExpr:
-		a.expr(env, e.X)
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				el = kv.Value
-			}
-			if _, c := a.lookup(env, el); c != nil {
-				c.state = sConsumed // stored in a composite
-				continue
-			}
-			a.expr(env, el)
-		}
-	case *ast.KeyValueExpr:
-		a.expr(env, e.Value)
-	}
-}
-
-// call classifies one call expression.
-func (a *ownAnalysis) call(env *ownEnv, call *ast.CallExpr) {
-	fun := unparen(call.Fun)
-	if sel, ok := fun.(*ast.SelectorExpr); ok {
-		if _, c := a.lookup(env, sel.X); c != nil {
-			// Method call on a tracked message value.
-			switch sel.Sel.Name {
-			case "Release":
-				a.release(c, call.Pos())
-				return
-			case "disown":
-				c.state = sConsumed
-				return
-			case "Encode", "WireSize", "appendBody":
-				if definitely(c, sReleased) {
-					a.pass.Reportf(call.Pos(), "%s called on a released message (its payload may alias a later decode)", sel.Sel.Name)
-				}
-				for _, arg := range call.Args {
-					a.expr(env, arg)
-				}
-				return
-			}
-		}
-		// Transport-style Send: every Msg-typed argument changes owner.
-		if sel.Sel.Name == "Send" {
-			a.expr(env, sel.X)
-			for _, arg := range call.Args {
-				if _, c := a.lookup(env, arg); c != nil && typeIsMsg(a.argType(arg)) {
-					if definitely(c, sReleased) {
-						a.pass.Reportf(call.Pos(), "message sent after Release (a released payload may alias a later decode)")
-					}
-					if a.borrowsFn && c.paramOrigin {
-						a.pass.Reportf(call.Pos(), "function is annotated //cosim:borrows but sends its message parameter (ownership is the caller's)")
-					}
-					c.state = sSent
-					continue
-				}
-				a.expr(env, arg)
-			}
-			return
-		}
-	}
-	// Ordinary call: tracked arguments are handed off to the callee.
-	a.expr(env, fun)
-	for _, arg := range call.Args {
-		if _, c := a.lookup(env, arg); c != nil && typeIsMsg(a.argType(arg)) {
-			c.state = sConsumed
+	for i, lhs := range s.Lhs {
+		a.checkWrite(env, lhs)
+		v := a.msgVar(lhs)
+		if v == nil {
 			continue
 		}
-		a.expr(env, arg)
-	}
-}
-
-func (a *ownAnalysis) argType(arg ast.Expr) types.Type {
-	if tv, ok := a.pass.Info.Types[arg]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
-// definitely reports whether the cell is in state s on EVERY merged
-// path: the bit is set and no path still owns the value. A merged
-// released|owned cell means "released on one branch only", which is
-// normal branching code, not a double release.
-func definitely(c *cell, s mstate) bool {
-	return c.state&s != 0 && c.state&sOwned == 0
-}
-
-func (a *ownAnalysis) release(c *cell, pos token.Pos) {
-	if definitely(c, sReleased) || c.deferRel {
-		a.pass.Reportf(pos, "double Release of the same message on one path (the pooled buffer would be recycled twice)")
-	}
-	if definitely(c, sSent) {
-		a.pass.Reportf(pos, "Release after Send: ownership was already transferred to the transport stack")
-	}
-	if a.borrowsFn && c.paramOrigin {
-		a.pass.Reportf(pos, "function is annotated //cosim:borrows but releases its message parameter (ownership is the caller's)")
-	}
-	c.state = sReleased
-}
-
-func (a *ownAnalysis) deferStmt(env *ownEnv, s *ast.DeferStmt) {
-	if sel, ok := unparen(s.Call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Release" {
-		if _, c := a.lookup(env, sel.X); c != nil {
-			if c.deferRel {
-				a.pass.Reportf(s.Pos(), "double Release of the same message on one path (the pooled buffer would be recycled twice)")
+		if len(s.Rhs) == len(s.Lhs) {
+			if src := a.msgVar(s.Rhs[i]); src != nil {
+				env.vars[v] = env.lookup(src)
+				continue
 			}
-			c.deferRel = true
-			return
 		}
+		env.vars[v] = &cell{state: sUnsent}
 	}
-	a.expr(env, s.Call)
+}
+
+// checkWrite reports a write to a sent message's payload field (m.Words
+// = ...) or to an element of one (m.Words[i] = ...).
+func (a *ownAnalysis) checkWrite(env *ownEnv, lhs ast.Expr) {
+	lhs = unparen(lhs)
+	for {
+		ix, ok := lhs.(*ast.IndexExpr)
+		if !ok {
+			break
+		}
+		lhs = unparen(ix.X)
+	}
+	sel, ok := lhs.(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "Words" && sel.Sel.Name != "Raw") {
+		return
+	}
+	if v := a.msgVar(sel.X); v != nil && env.lookup(v).state == sSent {
+		a.pass.Reportf(lhs.Pos(), "payload field %s written after the message was sent (an in-process link hands the receiver these backing arrays)", sel.Sel.Name)
+	}
+}
+
+// expr marks every Msg variable passed to a Send call inside n as sent.
+// Function literals are not entered: their bodies run at another time.
+func (a *ownAnalysis) expr(env *ownEnv, n ast.Node) {
+	if n == nil {
+		return
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			if sel, ok := unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Send" {
+				for _, arg := range n.Args {
+					if v := a.msgVar(arg); v != nil {
+						env.lookup(v).state = sSent
+					}
+				}
+			}
+		}
+		return true
+	})
 }
 
 // ifStmt analyzes both branches on cloned environments and merges the
-// survivors; `if err != nil` guards mark the guarded message void on the
-// failing side (a failed receive returns the zero Msg).
+// survivors.
 func (a *ownAnalysis) ifStmt(env *ownEnv, s *ast.IfStmt) term {
 	if s.Init != nil {
 		a.stmt(env, s.Init)
 	}
 	a.expr(env, s.Cond)
-
 	thenEnv := env.clone()
 	elseEnv := env.clone()
-	if errObj, eq := errNilCond(a.pass.Info, s.Cond); errObj != nil {
-		if msgObj, ok := a.errGuard[errObj]; ok {
-			if eq { // err == nil: failing side is the else branch
-				markVoid(elseEnv, msgObj)
-			} else { // err != nil: failing side is the then branch
-				markVoid(thenEnv, msgObj)
-			}
-		}
-	}
-	if okObj, positive := okCond(a.pass.Info, s.Cond); okObj != nil {
-		if msgObj, ok := a.okGuard[okObj]; ok {
-			if positive { // if ok: the message is void on the else side
-				markVoid(elseEnv, msgObj)
-			} else { // if !ok: the message is void on the then side
-				markVoid(thenEnv, msgObj)
-			}
-		}
-	}
-
 	tThen := a.stmts(thenEnv, s.Body.List)
 	tElse := tFallthrough
 	switch e := s.Else.(type) {
@@ -705,9 +325,7 @@ func (a *ownAnalysis) ifStmt(env *ownEnv, s *ast.IfStmt) term {
 		tElse = a.stmts(elseEnv, e.List)
 	case *ast.IfStmt:
 		tElse = a.ifStmt(elseEnv, e)
-	case nil:
 	}
-
 	switch {
 	case tThen == tFallthrough && tElse == tFallthrough:
 		*env = *thenEnv
@@ -720,86 +338,6 @@ func (a *ownAnalysis) ifStmt(env *ownEnv, s *ast.IfStmt) term {
 		return tTerminated
 	}
 	return tFallthrough
-}
-
-// markVoid clears ownership of msgObj's cell: the guarded path saw a
-// failed receive, which returns the zero Msg.
-func markVoid(env *ownEnv, msgObj *types.Var) {
-	if c := env.vars[msgObj]; c != nil {
-		cc := *c
-		cc.state = sVoid
-		env.vars[msgObj] = &cc
-	}
-}
-
-// errNilCond recognizes `err == nil` / `err != nil`, returning the error
-// variable and whether the operator was ==.
-func errNilCond(info *types.Info, cond ast.Expr) (*types.Var, bool) {
-	be, ok := unparen(cond).(*ast.BinaryExpr)
-	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-		return nil, false
-	}
-	x, y := unparen(be.X), unparen(be.Y)
-	if isNilIdent(y) {
-	} else if isNilIdent(x) {
-		x = y
-	} else {
-		return nil, false
-	}
-	id, ok := x.(*ast.Ident)
-	if !ok {
-		return nil, false
-	}
-	obj, ok := info.Uses[id].(*types.Var)
-	if !ok || !isErrorVar(obj) {
-		return nil, false
-	}
-	return obj, be.Op == token.EQL
-}
-
-// okCond recognizes `ok` / `!ok` conditions on a comma-ok receive,
-// returning the bool variable and whether the test is positive.
-func okCond(info *types.Info, cond ast.Expr) (*types.Var, bool) {
-	positive := true
-	e := unparen(cond)
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.NOT {
-		positive = false
-		e = unparen(u.X)
-	}
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil, false
-	}
-	obj, ok := info.Uses[id].(*types.Var)
-	if !ok || !isBoolVar(obj) {
-		return nil, false
-	}
-	return obj, positive
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-func (a *ownAnalysis) switchStmt(env *ownEnv, s *ast.SwitchStmt) term {
-	if s.Init != nil {
-		a.stmt(env, s.Init)
-	}
-	a.expr(env, s.Tag)
-	return a.mergeClauses(env, s.Body.List, true)
-}
-
-func (a *ownAnalysis) typeSwitchStmt(env *ownEnv, s *ast.TypeSwitchStmt) term {
-	if s.Init != nil {
-		a.stmt(env, s.Init)
-	}
-	a.stmt(env, s.Assign)
-	return a.mergeClauses(env, s.Body.List, true)
-}
-
-func (a *ownAnalysis) selectStmt(env *ownEnv, s *ast.SelectStmt) term {
-	return a.mergeClauses(env, s.Body.List, false)
 }
 
 // mergeClauses analyzes each case/comm clause on a cloned environment
@@ -849,51 +387,37 @@ func (a *ownAnalysis) mergeClauses(env *ownEnv, clauses []ast.Stmt, withoutDefau
 	return tFallthrough
 }
 
-// forStmt analyzes the loop body twice: once from the entry state and
-// once from the merged entry∪exit state, so releases that survive a
-// back edge surface as cross-iteration double releases.
+// forStmt analyzes the loop body once from the entry state and merges
+// the result with it, since the body may run zero times. A second pass
+// is not needed: merging only widens states, so it could report nothing
+// new.
 func (a *ownAnalysis) forStmt(env *ownEnv, s *ast.ForStmt) {
 	if s.Init != nil {
 		a.stmt(env, s.Init)
 	}
 	a.expr(env, s.Cond)
-	first := env.clone()
-	if t := a.stmts(first, s.Body.List); t == tFallthrough {
+	body := env.clone()
+	if a.stmts(body, s.Body.List) == tFallthrough {
 		if s.Post != nil {
-			a.stmt(first, s.Post)
+			a.stmt(body, s.Post)
 		}
-		env.merge(first)
-		second := env.clone()
-		a.stmts(second, s.Body.List)
-		env.merge(second)
+		env.merge(body)
 	}
 }
 
+// rangeStmt is forStmt for range loops; the loop variables are fresh,
+// unsent messages each iteration.
 func (a *ownAnalysis) rangeStmt(env *ownEnv, s *ast.RangeStmt) {
 	a.expr(env, s.X)
-	// Each iteration binds fresh loop variables, so rebind before every
-	// body pass: a Release in pass one must not read as a double release
-	// of the "same" value in pass two.
-	bindLoopVars := func(e *ownEnv) {
-		if s.Tok != token.DEFINE && s.Tok != token.ASSIGN {
-			return
-		}
+	body := env.clone()
+	if s.Tok == token.DEFINE || s.Tok == token.ASSIGN {
 		for _, x := range []ast.Expr{s.Key, s.Value} {
-			if x == nil {
-				continue
-			}
-			if obj := a.defOrUse(x); obj != nil && typeIsMsg(obj.Type()) {
-				e.vars[obj] = &cell{state: sOwned, originPos: x.Pos(), declDepth: a.depth}
+			if v := a.msgVar(x); v != nil {
+				body.vars[v] = &cell{state: sUnsent}
 			}
 		}
 	}
-	first := env.clone()
-	bindLoopVars(first)
-	if t := a.stmts(first, s.Body.List); t == tFallthrough {
-		env.merge(first)
-		second := env.clone()
-		bindLoopVars(second)
-		a.stmts(second, s.Body.List)
-		env.merge(second)
+	if a.stmts(body, s.Body.List) == tFallthrough {
+		env.merge(body)
 	}
 }

@@ -31,7 +31,6 @@ func (p *pump) drain(budget int) (uint32, error) {
 		}
 		last = m.Addr
 		p.frames.Inc()
-		m.Release()
 	}
 	return last, nil
 }

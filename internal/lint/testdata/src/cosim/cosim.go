@@ -1,6 +1,6 @@
 // Package cosim is a miniature stand-in for repro/internal/cosim: just
-// enough surface (Msg, Transport, the pooled-payload verbs) for the
-// analyzer golden tests, which match these types by package name.
+// enough surface (Msg, Transport, the codec) for the analyzer golden
+// tests, which match these types by package name.
 package cosim
 
 import "io"
@@ -15,7 +15,7 @@ const (
 	ChanInt
 )
 
-// Msg mirrors the real message: scalars plus pooled payload slices.
+// Msg mirrors the real message: scalars plus payload slices it owns.
 type Msg struct {
 	Type  uint8
 	Addr  uint32
@@ -23,9 +23,6 @@ type Msg struct {
 	Words []uint32
 	Raw   []byte
 }
-
-// Release returns pooled payloads; at most once per received message.
-func (m *Msg) Release() {}
 
 // Encode writes the framed wire format.
 func (m *Msg) Encode(w io.Writer) error { return nil }

@@ -6,35 +6,6 @@ import (
 	"repro/internal/lint/testdata/src/cosim"
 )
 
-func useAfterRelease(tr cosim.Transport) {
-	m, err := tr.Recv(cosim.ChanData)
-	if err != nil {
-		return
-	}
-	m.Release()
-	_ = m.Words // want "payload field Words read after Release"
-}
-
-func doubleRelease(tr cosim.Transport) {
-	m, err := tr.Recv(cosim.ChanData)
-	if err != nil {
-		return
-	}
-	m.Release()
-	m.Release() // want "double Release of the same message on one path"
-}
-
-func releaseAfterSend(tr cosim.Transport) {
-	m, err := tr.Recv(cosim.ChanData)
-	if err != nil {
-		return
-	}
-	if err := tr.Send(cosim.ChanInt, m); err != nil {
-		return
-	}
-	m.Release() // want "Release after Send"
-}
-
 func writeAfterSend(tr cosim.Transport) {
 	m, err := tr.Recv(cosim.ChanData)
 	if err != nil {
@@ -46,94 +17,71 @@ func writeAfterSend(tr cosim.Transport) {
 	m.Words = nil // want "payload field Words written after the message was sent"
 }
 
-func leak(tr cosim.Transport) {
-	m, err := tr.Recv(cosim.ChanData) // want "not released, sent, returned"
-	if err != nil {
-		return
-	}
-	_ = m.Addr
+func elementWriteAfterSend(tr cosim.Transport, m cosim.Msg) error {
+	err := tr.Send(cosim.ChanData, m)
+	m.Raw[0] = 0xff // want "payload field Raw written after the message was sent"
+	m.Words[1]++    // want "payload field Words written after the message was sent"
+	return err
 }
 
-//cosim:borrows
-func borrowerReleases(m cosim.Msg) {
-	m.Release() // want "annotated //cosim:borrows but releases"
+func aliasWriteAfterSend(tr cosim.Transport, m cosim.Msg) {
+	alias := m
+	_ = tr.Send(cosim.ChanData, alias)
+	m.Words[0] = 1 // want "payload field Words written after the message was sent"
+}
+
+func sentOnEveryArm(tr cosim.Transport, m cosim.Msg, k int) {
+	switch k {
+	case 0:
+		_ = tr.Send(cosim.ChanData, m)
+	default:
+		_ = tr.Send(cosim.ChanInt, m)
+	}
+	m.Words = append(m.Words, 1) // want "payload field Words written after the message was sent"
 }
 
 // ---- negative cases: correct code the analyzer must accept ----
 
-func releasedOK(tr cosim.Transport) {
+func writeBeforeSendOK(tr cosim.Transport, words []uint32) error {
+	m := cosim.Msg{Addr: 4}
+	m.Words = words
+	m.Words[0] = 7
+	return tr.Send(cosim.ChanData, m)
+}
+
+func receivedIsOwnedOK(tr cosim.Transport) []uint32 {
 	m, err := tr.Recv(cosim.ChanData)
 	if err != nil {
-		return
+		return nil
 	}
-	_ = m.Words
-	m.Release()
+	m.Words[0] = 0 // a received message owns its payload outright
+	return m.Words
 }
 
-func deferredReleaseOK(tr cosim.Transport) uint32 {
-	m, err := tr.Recv(cosim.ChanData)
-	if err != nil {
-		return 0
-	}
-	defer m.Release()
-	return m.Addr
+func reassignedOK(tr cosim.Transport, m cosim.Msg) {
+	_ = tr.Send(cosim.ChanData, m)
+	m = cosim.Msg{}
+	m.Words = []uint32{1}
 }
 
-func sentOK(tr cosim.Transport) error {
-	m, err := tr.Recv(cosim.ChanData)
-	if err != nil {
-		return err
-	}
-	return tr.Send(cosim.ChanInt, m)
-}
-
-func returnedOK(tr cosim.Transport) (cosim.Msg, error) {
-	return tr.Recv(cosim.ChanData)
-}
-
-func scalarAfterReleaseOK(tr cosim.Transport) uint32 {
-	m, err := tr.Recv(cosim.ChanData)
-	if err != nil {
-		return 0
-	}
-	m.Release()
-	// Release clears only the payload slices; scalar fields survive.
-	return m.Addr
-}
-
-func okGuardOK(tr cosim.Transport) {
-	m, ok, err := tr.TryRecv(cosim.ChanData)
-	if err != nil {
-		return
-	}
-	if !ok {
-		return
-	}
-	m.Release()
-}
-
-//cosim:borrows
-func borrowerPeeksOK(m cosim.Msg) uint32 {
-	return m.Addr
-}
-
-//cosim:owns -- the golden corpus's stand-in for a layer that retains the payload
-func ownsDirectiveOK(tr cosim.Transport) {
-	m, err := tr.Recv(cosim.ChanData)
-	if err != nil {
-		return
-	}
-	_ = m.Addr
-}
-
-func branchesMergeOK(tr cosim.Transport, fwd bool) error {
-	m, err := tr.Recv(cosim.ChanData)
-	if err != nil {
-		return err
-	}
+func sentOnOneBranchOK(tr cosim.Transport, m cosim.Msg, fwd bool) {
 	if fwd {
-		return tr.Send(cosim.ChanInt, m)
+		_ = tr.Send(cosim.ChanData, m)
 	}
-	m.Release()
-	return nil
+	m.Words = nil
+}
+
+func sentThenReturnedOK(tr cosim.Transport, m cosim.Msg, fwd bool) {
+	if fwd {
+		_ = tr.Send(cosim.ChanData, m)
+		return
+	}
+	m.Raw = nil
+}
+
+func rangeVarsFreshOK(tr cosim.Transport, msgs []cosim.Msg) {
+	for _, m := range msgs {
+		m.Words[0] = 1
+		_ = tr.Send(cosim.ChanData, m)
+	}
 }

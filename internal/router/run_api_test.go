@@ -62,7 +62,6 @@ var errInjectedSend = errors.New("injected send failure")
 
 func (f *failingSend) Send(ch cosim.Channel, m cosim.Msg) error {
 	if f.n--; f.n == 0 {
-		m.Release()
 		return errInjectedSend
 	}
 	return f.Transport.Send(ch, m)
