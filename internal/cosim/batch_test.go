@@ -195,7 +195,6 @@ func TestBatchRejectsMalformed(t *testing.T) {
 		{"truncated header", Msg{Type: MTBatch, Count: 1, Raw: []byte{1, 0}}},
 		{"overlong entry", Msg{Type: MTBatch, Count: 1, Raw: []byte{0xff, 0xff, 0xff, 0xff, 0x09}}},
 		{"zero-length entry", Msg{Type: MTBatch, Count: 1, Raw: []byte{0, 0, 0, 0}}},
-		{"valid entry then truncated header", Msg{Type: MTBatch, Count: 2, Raw: append(pack(inner), 0xff, 0xff)}},
 	}
 	for _, tc := range cases {
 		// A batch that aborts mid-decode hands back none of the entries
@@ -209,6 +208,37 @@ func TestBatchRejectsMalformed(t *testing.T) {
 
 	if got, err := splitBatch(Msg{Type: MTBatch, Count: 2, Raw: pack(inner, inner)}, nil); err != nil || len(got) != 2 {
 		t.Fatalf("well-formed batch rejected: %v", err)
+	}
+}
+
+// TestSplitBatchErrorReleasesDecodedPrefix: a batch that aborts
+// mid-decode drops the entries it already opened and leaves what the
+// caller's slice held before the call untouched.
+func TestSplitBatchErrorReleasesDecodedPrefix(t *testing.T) {
+	// One valid entry followed by a truncated header.
+	src := Msg{Type: MTDataWrite, Addr: 4, Words: []uint32{7, 8}}
+	raw := []byte{0, 0, 0, 0}
+	raw = src.appendBody(raw)
+	n := len(raw) - 4
+	raw[0], raw[1], raw[2], raw[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
+	raw = append(raw, 0xff, 0xff) // next entry's header cut short
+	batch := Msg{Type: MTBatch, Count: 2, Raw: raw}
+
+	out, err := splitBatch(batch, nil)
+	if err == nil {
+		t.Fatal("malformed batch decoded without error")
+	}
+	if len(out) != 0 {
+		t.Fatalf("error path returned %d entries, want 0", len(out))
+	}
+
+	held := Msg{Type: MTInterrupt, IRQ: 9}
+	out, err = splitBatch(batch, append(make([]Msg, 0, 4), held))
+	if err == nil {
+		t.Fatal("malformed batch decoded without error")
+	}
+	if len(out) != 1 || out[0].Type != MTInterrupt || out[0].IRQ != 9 {
+		t.Fatalf("error path left %+v, want only the caller's entry", out)
 	}
 }
 
