@@ -44,13 +44,27 @@ func main() {
 		fmt.Printf("cosim-hw: debug server on http://%s (/metrics /metrics.json /healthz /debug/pprof)\n", dbg.Addr())
 	}
 
-	tbc := router.DefaultTBConfig()
-	tbc.PacketsPerPort = *n / tbc.Ports
-	tbc.Period = *period
-	tbc.FIFOCap = *fifo
-	tbc.ErrRate = *errRate
-	tbc.Seed = *seed
-	tb := router.BuildTestbench(tbc)
+	rc := router.DefaultRunConfig()
+	rc.TB.PacketsPerPort = *n / rc.TB.Ports
+	rc.TB.Period = *period
+	rc.TB.FIFOCap = *fifo
+	rc.TB.ErrRate = *errRate
+	rc.TB.Seed = *seed
+	rc.TSync = *tsync
+	if *pipelined {
+		rc.Mode = cosim.SyncPipelined
+	}
+	rc.Transport = router.TransportTCP
+	if *shmPath != "" {
+		rc.Transport = router.TransportShm
+	}
+	// Reject an incoherent run (say, a TSync that wraps the cycle
+	// budget) before a board is kept waiting on the link.
+	if err := rc.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "cosim-hw: %v\n", err)
+		os.Exit(1)
+	}
+	tb := router.BuildTestbench(rc.TB)
 
 	var tr cosim.Transport
 	if *shmPath != "" {
@@ -92,17 +106,13 @@ func main() {
 		fmt.Println("cosim-hw: board connected; starting driver_simulate")
 	}
 
-	mode := cosim.SyncAlternating
-	if *pipelined {
-		mode = cosim.SyncPipelined
-	}
-	ep := cosim.NewHWEndpoint(tr, mode)
+	ep := cosim.NewHWEndpoint(tr, rc.Mode)
 	if reg != nil {
 		ep.Observe(reg)
 	}
 	stats, err := federation.DriverSimulate(tb.Sim, tb.Clk, ep, federation.Schedule{
-		TSync:       *tsync,
-		TotalCycles: tbc.WorkCycles() + 8**tsync + 20000,
+		TSync:       rc.TSync,
+		TotalCycles: rc.Budget(),
 		StopEarly:   tb.Finished,
 	})
 	if err != nil {

@@ -16,8 +16,8 @@ type Metrics struct {
 	WallStart    time.Time     // set by Start
 	Wall         time.Duration // set by StopClock
 
-	// Link holds the resilience counters (retransmits, reconnects,
-	// heartbeats missed, frames injured by chaos, …) harvested from the
+	// Link holds the resilience counters (retransmits, heartbeats
+	// missed, frames injured by chaos, …) harvested from the
 	// endpoint's transport when it is session- or chaos-wrapped.
 	Link LinkStats
 }

@@ -145,7 +145,6 @@ func (s *SessionTransport) Observe(reg *obs.Registry) {
 	}
 	name := func(base string) string { return obs.Name(base, "side", side) }
 	reg.CounterFunc(name("cosim_session_retransmits_total"), s.retransmits.Load)
-	reg.CounterFunc(name("cosim_session_reconnects_total"), s.reconnects.Load)
 	reg.CounterFunc(name("cosim_session_heartbeats_sent_total"), s.hbSent.Load)
 	reg.CounterFunc(name("cosim_session_heartbeats_missed_total"), s.hbMissed.Load)
 	reg.CounterFunc(name("cosim_session_dups_dropped_total"), s.dupsDropped.Load)
@@ -163,13 +162,5 @@ func (s *SessionTransport) Observe(reg *obs.Registry) {
 			n += len(s.send[ch].unacked)
 		}
 		return float64(n)
-	})
-	reg.GaugeFunc(name("cosim_session_reconnecting"), func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.reconnecting {
-			return 1
-		}
-		return 0
 	})
 }

@@ -27,17 +27,6 @@ type SessionConfig struct {
 	// HeartbeatMiss is the number of silent intervals after which the peer
 	// is declared dead.
 	HeartbeatMiss int
-	// Redial, when set, re-establishes the underlying transport after a
-	// failure (board side: DialTCP; simulator side: Listener.Accept).
-	// Unacked envelopes are replayed on the new link. When nil, an inner
-	// failure is fatal to the session.
-	Redial func() (Transport, error)
-	// MaxRedials bounds consecutive failed redial attempts per outage.
-	MaxRedials int
-	// RedialBackoff is the initial redial backoff; it doubles per failed
-	// attempt up to RedialBackoffMax.
-	RedialBackoff    time.Duration
-	RedialBackoffMax time.Duration
 }
 
 // Validate rejects a negative tuning field, naming it. Zero is not an
@@ -51,8 +40,6 @@ func (c SessionConfig) Validate() error {
 		{"RetransmitTimeout", c.RetransmitTimeout < 0, c.RetransmitTimeout},
 		{"HeartbeatInterval", c.HeartbeatInterval < 0, c.HeartbeatInterval},
 		{"HeartbeatMiss", c.HeartbeatMiss < 0, c.HeartbeatMiss},
-		{"MaxRedials", c.MaxRedials < 0, c.MaxRedials},
-		{"RedialBackoff", c.RedialBackoff < 0, c.RedialBackoff},
 	}
 	for _, f := range fields {
 		if f.negative {
@@ -67,17 +54,13 @@ func DefaultSessionConfig() SessionConfig {
 	return SessionConfig{
 		RetransmitTimeout: 100 * time.Millisecond,
 		HeartbeatMiss:     3,
-		MaxRedials:        8,
-		RedialBackoff:     5 * time.Millisecond,
-		RedialBackoffMax:  time.Second,
 	}
 }
 
 // LinkStats aggregates the resilience-layer counters of one session (and
 // the fault-injection counters of a ChaosTransport beneath it, if any).
 type LinkStats struct {
-	Retransmits      uint64 // envelopes re-sent (RTO, nack, or replay)
-	Reconnects       uint64 // successful redials
+	Retransmits      uint64 // envelopes re-sent (RTO or nack)
 	HeartbeatsSent   uint64
 	HeartbeatsMissed uint64 // silent heartbeat intervals observed
 	DupsDropped      uint64 // duplicate envelopes discarded
@@ -152,17 +135,15 @@ type sessionSendState struct {
 	// transmission may alias the buffer (an in-process peer reads it), but
 	// the ack that triggers recycling can only arrive after the peer has
 	// finished reading it, so reuse cannot race that reader; retransmits
-	// and replays send their own snapshots (see writeControl). The
-	// freelist pays for itself: an envelope body is the one buffer every
-	// session Send fills, and without it the bytes allocated by 150
+	// send their own snapshots (see writeControl). The freelist pays for
+	// itself: an envelope body is the one buffer every session Send
+	// fills, and without it the bytes allocated by 150
 	// adaptive-stack-tcp-shaped router.Runs rose from 25.3 to 36.4 MB
 	// (+44%).
 	bodyFree [][]byte
 	// resendFrom, when nonzero, is the lowest sequence number a nack
-	// asked to have re-sent; replay marks every unacked envelope for
-	// re-sending on a new link. Both wait for the control writer.
+	// asked to have re-sent; it waits for the control writer.
 	resendFrom uint64
-	replay     bool
 }
 
 type sessionRecvState struct {
@@ -176,28 +157,25 @@ type sessionRecvState struct {
 	nackedAt      time.Time // when it was asked for (suppresses nack storms)
 }
 
-type failEvent struct {
-	gen int
-	err error
-}
-
 // SessionTransport decorates a Transport with per-channel sequence
 // numbers, cumulative acks, Go-Back-N retransmission, duplicate
-// suppression, CRC corruption detection, an optional CLOCK-channel
-// heartbeat, and optional redial-with-backoff reconnection. Endpoints on
-// top of it observe an unbroken FIFO stream per channel even when the
-// link beneath drops, duplicates, reorders, or corrupts frames — which
-// is what keeps the virtual-tick protocol deterministic across faults.
+// suppression, CRC corruption detection and an optional CLOCK-channel
+// heartbeat. Endpoints on top of it observe an unbroken FIFO stream per
+// channel even when the link beneath drops, duplicates, reorders, or
+// corrupts frames — which is what keeps the virtual-tick protocol
+// deterministic across faults. The inner link is fixed for the session's
+// life: its first read or write error ends the session, naming the
+// channel, and recovery is left to whoever runs the session.
 //
 // Send writes through: the envelope reaches the inner transport on the
 // caller's goroutine, so a blocking link (or a DelayTransport beneath)
 // is charged to the sender; it carries this side's acks for all three
 // channels, so a message costs one frame. Explicit acks, nacks,
-// heartbeats, retransmits and the post-reconnect replay are written by
-// one control-writer goroutine; the read loops and the supervisor only
-// record what they owe, so a full link can never block them. A live
-// session runs five goroutines: three read loops, the supervisor and the
-// control writer.
+// heartbeats and retransmits are written by one control-writer
+// goroutine; the read loops and the heartbeat watchdog only record what
+// they owe, so a full link can never block them. A live session runs
+// four goroutines — three read loops and the control writer — and a
+// fifth, the watchdog, when heartbeats are on.
 type SessionTransport struct {
 	cfg SessionConfig
 
@@ -211,14 +189,12 @@ type SessionTransport struct {
 	// before a retransmit can copy it. Lock order: wmu before mu.
 	wmu [numChannels]sync.Mutex
 
-	mu           sync.Mutex
-	inner        Transport
-	gen          int
-	reconnecting bool
-	send         [numChannels]sessionSendState
-	recvSt       [numChannels]sessionRecvState
-	hbOwed       uint64 // heartbeat sequence number due on CLOCK, 0 if none
-	injuredBase  uint64 // chaos injuries accumulated from replaced inners
+	inner Transport // fixed for the session's life
+
+	mu     sync.Mutex
+	send   [numChannels]sessionSendState
+	recvSt [numChannels]sessionRecvState
+	hbOwed uint64 // heartbeat sequence number due on CLOCK, 0 if none
 
 	inbox [numChannels]*msgQueue
 	wake  chan struct{} // control work is owed (capacity 1)
@@ -227,10 +203,9 @@ type SessionTransport struct {
 	failOnce sync.Once
 	err      error // the terminal error: written once, before done closes
 
-	failc    chan failEvent
 	lastRecv atomic.Int64 // unix nanos of last frame from the peer
 
-	retransmits, reconnects           atomic.Uint64
+	retransmits                       atomic.Uint64
 	hbSent, hbMissed                  atomic.Uint64
 	dupsDropped, crcDropped, gapsSeen atomic.Uint64
 	aliensDropped                     atomic.Uint64
@@ -246,31 +221,23 @@ func NewSessionTransport(inner Transport, cfg SessionConfig) *SessionTransport {
 	if cfg.HeartbeatMiss <= 0 {
 		cfg.HeartbeatMiss = def.HeartbeatMiss
 	}
-	if cfg.MaxRedials <= 0 {
-		cfg.MaxRedials = def.MaxRedials
-	}
-	if cfg.RedialBackoff <= 0 {
-		cfg.RedialBackoff = def.RedialBackoff
-	}
-	if cfg.RedialBackoffMax < cfg.RedialBackoff {
-		cfg.RedialBackoffMax = max(def.RedialBackoffMax, cfg.RedialBackoff)
-	}
 	s := &SessionTransport{
 		cfg:   cfg,
 		inner: inner,
 		wake:  make(chan struct{}, 1),
 		done:  make(chan struct{}),
-		failc: make(chan failEvent, 2*int(numChannels)),
 	}
 	for i := range s.inbox {
 		s.inbox[i] = newMsgQueue(tcpInboxDepth)
 	}
-	s.lastRecv.Store(time.Now().UnixNano()) //cosim:wallclock -- liveness stamp feeds the host-side heartbeat supervisor
+	s.lastRecv.Store(time.Now().UnixNano()) //cosim:wallclock -- liveness stamp feeds the host-side heartbeat watchdog
 	for ch := Channel(0); ch < numChannels; ch++ {
-		go s.readLoop(0, inner, ch)
+		go s.readLoop(ch)
 	}
-	go s.supervise()
 	go s.controlWriter()
+	if cfg.HeartbeatInterval > 0 {
+		go s.watchdog()
+	}
 	return s
 }
 
@@ -286,21 +253,24 @@ func (s *SessionTransport) fail(err error) (cerr error) {
 		for _, q := range s.inbox {
 			q.close(err)
 		}
-		s.mu.Lock()
-		inner := s.inner
-		s.mu.Unlock()
-		cerr = inner.Close()
+		cerr = s.inner.Close()
 	})
 	return cerr
 }
 
+// linkFailed ends the session on an inner read or write error on ch and
+// returns the session error: the first failure's, which may predate err
+// when the session ended (and closed the link) under the call.
+func (s *SessionTransport) linkFailed(ch Channel, err error) error {
+	s.fail(fmt.Errorf("cosim: %v channel: %w", ch, err))
+	return s.err
+}
+
 // Send implements Transport: it wraps m in a sequenced, CRC-protected
-// envelope, buffers it for retransmission, and writes it to the current
-// inner link on the caller's goroutine. While the link is down and a
-// Redial is configured, Send succeeds without writing — the frame is
-// replayed after reconnection. A write error without a Redial fails the
-// session, and a terminal failure while Send is blocked on a full link
-// makes it return the session error.
+// envelope, buffers it for retransmission, and writes it to the inner
+// link on the caller's goroutine. A write error fails the session, and a
+// terminal failure while Send is blocked on a full link makes it return
+// the session error.
 func (s *SessionTransport) Send(ch Channel, m Msg) error {
 	if ch >= numChannels {
 		return fmt.Errorf("cosim: invalid channel %d", ch)
@@ -334,40 +304,11 @@ func (s *SessionTransport) Send(ch Channel, m Msg) error {
 	st.nextSeq++
 	env := Msg{Type: MTSessionData, Seq: st.nextSeq, Crc: sessionCRC(st.nextSeq, body), Raw: body}
 	st.unacked = append(st.unacked, pendingEnv{env: env, sentAt: time.Now()}) //cosim:wallclock -- RTO clock: retransmission timing is host-side link recovery
-	inner, gen := s.inner, s.gen
-	down := s.reconnecting || st.replay
 	s.mu.Unlock()
-	if down {
-		return nil // the replay on the new link carries it
-	}
-	if err := inner.Send(ch, env); err != nil {
-		return s.writeFailed(gen, err)
+	if err := s.inner.Send(ch, env); err != nil {
+		return s.linkFailed(ch, err)
 	}
 	return nil
-}
-
-// writeFailed handles an inner write error on link generation gen and
-// returns what Send reports: the session error once the session has
-// ended, nil when the supervisor will redial and replay.
-func (s *SessionTransport) writeFailed(gen int, err error) error {
-	select {
-	case <-s.done:
-		return s.err // the session ended (and closed the link) under the write
-	default:
-	}
-	if s.cfg.Redial == nil {
-		s.fail(err)
-		return s.err
-	}
-	s.notifyFail(gen, err)
-	return nil
-}
-
-func (s *SessionTransport) notifyFail(gen int, err error) {
-	select {
-	case s.failc <- failEvent{gen: gen, err: err}:
-	default:
-	}
 }
 
 // wakeWriter tells the control writer that control work is owed.
@@ -378,14 +319,14 @@ func (s *SessionTransport) wakeWriter() {
 	}
 }
 
-func (s *SessionTransport) readLoop(gen int, tr Transport, ch Channel) {
+func (s *SessionTransport) readLoop(ch Channel) {
 	for {
-		m, err := tr.Recv(ch)
+		m, err := s.inner.Recv(ch)
 		if err != nil {
-			s.notifyFail(gen, fmt.Errorf("cosim: %v channel: %w", ch, err))
+			s.linkFailed(ch, err)
 			return
 		}
-		s.lastRecv.Store(time.Now().UnixNano()) //cosim:wallclock -- liveness stamp feeds the host-side heartbeat supervisor
+		s.lastRecv.Store(time.Now().UnixNano()) //cosim:wallclock -- liveness stamp feeds the host-side heartbeat watchdog
 		switch m.Type {
 		case MTSessionData:
 			if !s.handleData(ch, m) {
@@ -510,11 +451,11 @@ func (s *SessionTransport) handleNack(ch Channel, from uint64) {
 
 // controlWriter is the only session goroutine that writes the inner
 // transport. Each wake writes, per channel, what the read loops and the
-// supervisor owe — one heartbeat, one cumulative ack, one nack — then
-// any nack, replay or retransmission-timeout (Go-Back-N) re-sends. Its
-// ticker is the retransmission timer, and an ack no envelope carried
-// since the previous tick goes out explicitly: an ack waits at most two
-// ticks, half the timeout, even when this side has nothing to send.
+// watchdog owe — one heartbeat, one cumulative ack, one nack — then any
+// nack or retransmission-timeout (Go-Back-N) re-sends. Its ticker is the
+// retransmission timer, and an ack no envelope carried since the
+// previous tick goes out explicitly: an ack waits at most two ticks,
+// half the timeout, even when this side has nothing to send.
 func (s *SessionTransport) controlWriter() {
 	t := time.NewTicker(max(s.cfg.RetransmitTimeout/4, time.Millisecond)) //cosim:wallclock -- RTO scan ticker is host-side link recovery
 	defer t.Stop()
@@ -554,9 +495,9 @@ func (s *SessionTransport) controlWriter() {
 // owes reports whether channel ch has control work due (mu held).
 func (s *SessionTransport) owes(ch Channel, now time.Time) bool {
 	st, rs := &s.send[ch], &s.recvSt[ch]
-	return !s.reconnecting && (rs.ackOwed != 0 || rs.nackOwed != 0 || st.replay || st.resendFrom != 0 ||
+	return rs.ackOwed != 0 || rs.nackOwed != 0 || st.resendFrom != 0 ||
 		(ch == ChanClock && s.hbOwed != 0) ||
-		(len(st.unacked) > 0 && now.Sub(st.unacked[0].sentAt) >= s.cfg.RetransmitTimeout))
+		(len(st.unacked) > 0 && now.Sub(st.unacked[0].sentAt) >= s.cfg.RetransmitTimeout)
 }
 
 // writeControl writes channel ch's owed control frames and re-sends
@@ -565,11 +506,6 @@ func (s *SessionTransport) writeControl(ch Channel, now time.Time) {
 	s.wmu[ch].Lock()
 	defer s.wmu[ch].Unlock()
 	s.mu.Lock()
-	if s.reconnecting {
-		s.mu.Unlock()
-		return // owed work waits for the new link
-	}
-	inner, gen := s.inner, s.gen
 	st, rs := &s.send[ch], &s.recvSt[ch]
 	var buf [3]Msg
 	out := buf[:0]
@@ -587,10 +523,10 @@ func (s *SessionTransport) writeControl(ch Channel, now time.Time) {
 		rs.nackOwed = 0
 	}
 	from := st.resendFrom // re-send unacked envelopes from this sequence on
-	if st.replay || (len(st.unacked) > 0 && now.Sub(st.unacked[0].sentAt) >= s.cfg.RetransmitTimeout) {
+	if len(st.unacked) > 0 && now.Sub(st.unacked[0].sentAt) >= s.cfg.RetransmitTimeout {
 		from = 1
 	}
-	st.resendFrom, st.replay = 0, false
+	st.resendFrom = 0
 	for i := 0; from != 0 && i < len(st.unacked); i++ {
 		if st.unacked[i].env.Seq >= from {
 			st.unacked[i].sentAt = now
@@ -605,8 +541,8 @@ func (s *SessionTransport) writeControl(ch Channel, now time.Time) {
 	}
 	s.mu.Unlock()
 	for _, m := range out {
-		if err := inner.Send(ch, m); err != nil {
-			s.writeFailed(gen, err)
+		if err := s.inner.Send(ch, m); err != nil {
+			s.linkFailed(ch, err)
 			return
 		}
 		switch m.Type {
@@ -618,46 +554,27 @@ func (s *SessionTransport) writeControl(ch Channel, now time.Time) {
 	}
 }
 
-// supervise owns failure handling and liveness. Without a Redial the
-// first inner failure is terminal; with one it reconnects. With
-// heartbeats on, each interval it owes the peer a heartbeat and declares
-// the peer dead after HeartbeatMiss silent intervals.
-func (s *SessionTransport) supervise() {
-	var beat <-chan time.Time
-	if iv := s.cfg.HeartbeatInterval; iv > 0 {
-		t := time.NewTicker(iv) //cosim:wallclock -- heartbeat ticker is host-side liveness detection
-		defer t.Stop()
-		beat = t.C
-	}
+// watchdog runs only with heartbeats on: each interval it owes the peer
+// a heartbeat and declares the peer dead after HeartbeatMiss silent
+// intervals. It is not the control writer, so a writer blocked on a full
+// link cannot stop it from declaring a silent peer dead.
+func (s *SessionTransport) watchdog() {
+	t := time.NewTicker(s.cfg.HeartbeatInterval) //cosim:wallclock -- heartbeat ticker is host-side liveness detection
+	defer t.Stop()
 	var beats uint64
 	for {
-		var err error
 		select {
 		case <-s.done:
 			return
-		case ev := <-s.failc:
-			s.mu.Lock()
-			stale := ev.gen != s.gen
-			s.mu.Unlock()
-			if stale {
-				continue // report from a replaced transport
-			}
-			err = ev.err
-		case <-beat:
-			beats++
-			s.mu.Lock()
-			s.hbOwed = beats
-			s.mu.Unlock()
-			s.wakeWriter()
-			if err = s.peerSilence(); err == nil {
-				continue
-			}
+		case <-t.C:
 		}
-		if s.cfg.Redial == nil {
+		beats++
+		s.mu.Lock()
+		s.hbOwed = beats
+		s.mu.Unlock()
+		s.wakeWriter()
+		if err := s.peerSilence(); err != nil {
 			s.fail(err)
-			return
-		}
-		if !s.reconnect() {
 			return
 		}
 	}
@@ -676,70 +593,6 @@ func (s *SessionTransport) peerSilence() error {
 		return nil
 	}
 	return ErrPeerDead
-}
-
-// reconnect closes the dead link, redials with capped exponential
-// backoff, restarts the read loops on the new link and has the control
-// writer replay every unacked envelope there. It reports false when the
-// session has ended.
-func (s *SessionTransport) reconnect() bool {
-	s.mu.Lock()
-	s.gen++
-	gen := s.gen
-	s.reconnecting = true
-	old := s.inner
-	if cs, ok := old.(chaosStatser); ok {
-		s.injuredBase += cs.ChaosStats().Injured()
-	}
-	s.mu.Unlock()
-	old.Close()
-
-	backoff := s.cfg.RedialBackoff
-	var tr Transport
-	for attempts := 1; tr == nil; attempts++ {
-		select {
-		case <-s.done:
-			return false
-		default:
-		}
-		t2, err := s.cfg.Redial()
-		if err == nil {
-			tr = t2
-			break
-		}
-		if attempts >= s.cfg.MaxRedials {
-			s.fail(fmt.Errorf("cosim: redial failed after %d attempts: %w", attempts, err))
-			return false
-		}
-		select {
-		case <-s.done:
-			return false
-		case <-time.After(backoff): //cosim:wallclock -- redial backoff paces host reconnection attempts
-		}
-		backoff = min(2*backoff, s.cfg.RedialBackoffMax)
-	}
-
-	s.mu.Lock()
-	select {
-	case <-s.done:
-		s.mu.Unlock()
-		tr.Close()
-		return false
-	default:
-	}
-	s.inner = tr
-	s.reconnecting = false
-	for ch := range s.send {
-		s.send[ch].replay = true
-	}
-	s.mu.Unlock()
-	s.lastRecv.Store(time.Now().UnixNano()) //cosim:wallclock -- liveness stamp feeds the host-side heartbeat supervisor
-	s.reconnects.Add(1)
-	for ch := Channel(0); ch < numChannels; ch++ {
-		go s.readLoop(gen, tr, ch)
-	}
-	s.wakeWriter()
-	return true
 }
 
 // Recv implements Transport.
@@ -777,7 +630,6 @@ func (s *SessionTransport) Close() error { return s.fail(ErrClosed) }
 func (s *SessionTransport) LinkStats() LinkStats {
 	ls := LinkStats{
 		Retransmits:      s.retransmits.Load(),
-		Reconnects:       s.reconnects.Load(),
 		HeartbeatsSent:   s.hbSent.Load(),
 		HeartbeatsMissed: s.hbMissed.Load(),
 		DupsDropped:      s.dupsDropped.Load(),
@@ -785,23 +637,14 @@ func (s *SessionTransport) LinkStats() LinkStats {
 		GapsSeen:         s.gapsSeen.Load(),
 		AliensDropped:    s.aliensDropped.Load(),
 	}
-	s.mu.Lock()
-	injured := s.injuredBase
 	if cs, ok := s.inner.(chaosStatser); ok {
-		injured += cs.ChaosStats().Injured()
+		ls.FramesInjured = cs.ChaosStats().Injured()
 	}
-	s.mu.Unlock()
-	ls.FramesInjured = injured
 	return ls
 }
 
-// Unwrap implements Unwrapper, returning the current inner transport
-// (which changes across reconnects).
-func (s *SessionTransport) Unwrap() Transport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inner
-}
+// Unwrap implements Unwrapper, returning the inner transport.
+func (s *SessionTransport) Unwrap() Transport { return s.inner }
 
 var _ Transport = (*SessionTransport)(nil)
 var _ recvTimeouter = (*SessionTransport)(nil)

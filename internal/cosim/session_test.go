@@ -328,33 +328,13 @@ func TestSessionHeartbeatDetectsDeadPeer(t *testing.T) {
 	}
 }
 
-// TestSessionRedialGivesUp: when every redial attempt fails, the session
-// reports a terminal error instead of hanging.
-func TestSessionRedialGivesUp(t *testing.T) {
-	a, _ := NewInProcPair(8)
-	cfg := DefaultSessionConfig()
-	cfg.Redial = func() (Transport, error) { return nil, errors.New("cable cut") }
-	cfg.MaxRedials = 2
-	cfg.RedialBackoff = time.Millisecond
-	s := NewSessionTransport(a, cfg)
-	defer s.Close()
-
-	a.Close() // sever the inner link; the supervisor must give up redialing
-	_, err := RecvTimeout(s, ChanData, 5*time.Second)
-	if err == nil || errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want terminal redial failure", err)
-	}
-	if !strings.Contains(err.Error(), "redial failed") {
-		t.Fatalf("err = %v, want redial-failure cause", err)
-	}
-}
-
-// TestSessionTCPReconnectMidRun is the acceptance scenario: a full
-// HW/board rendezvous over TCP survives a forced mid-run disconnect. The
-// sessions redial (simulator side re-accepts, board side re-dials),
-// replay unacked frames, and the run completes with identical semantics;
-// the reconnect is visible in the endpoint metrics.
-func TestSessionTCPReconnectMidRun(t *testing.T) {
+// TestSessionSeveredLinkFailsFast: a full HW/board rendezvous over TCP
+// whose board-side link is cut mid-run fails fast instead of hanging.
+// The session never re-dials: its first inner error is terminal, so the
+// simulator's Step returns an error naming the channel well before the
+// endpoint's ack timeout, the board loop fails too, and no session
+// goroutine outlives the failure, with no Close called.
+func TestSessionSeveredLinkFailsFast(t *testing.T) {
 	ln, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -380,56 +360,47 @@ func TestSessionTCPReconnectMidRun(t *testing.T) {
 
 	cfg := DefaultSessionConfig()
 	cfg.RetransmitTimeout = 20 * time.Millisecond
-	hwCfg := cfg
-	hwCfg.Redial = ln.Reaccept()
-	boardCfg := cfg
-	boardCfg.Redial = Redialer(ln.Addr())
-	hwS := NewSessionTransport(hwRaw, hwCfg)
-	boardS := NewSessionTransport(boardRaw, boardCfg)
-	defer hwS.Close()
-	defer boardS.Close()
+	hwS := NewSessionTransport(hwRaw, cfg)
+	boardS := NewSessionTransport(boardRaw, cfg)
 
 	hw := NewHWEndpoint(hwS, SyncAlternating)
-	hw.AckTimeout = 10 * time.Second // fail instead of hanging if recovery breaks
+	hw.AckTimeout = 10 * time.Second // a hang shows as ErrTimeout, not as a stuck test
 	_, result := scriptedBoard(t, boardS, echo)
 
 	const quanta = 20
-	var echoes int
-	for q := 1; q <= quanta; q++ {
+	// The bound is well under AckTimeout and leaves room for a loaded
+	// race-detector run.
+	const bound = 2 * time.Second
+	var cut time.Time
+	var stepErr error
+	for q := 1; q <= quanta && stepErr == nil; q++ {
 		if q == quanta/2 {
 			boardRaw.Close() // sever all three TCP channels mid-run
+			cut = time.Now()
 		}
-		if _, err := hw.Step(SimTime(10 * q)); err != nil {
-			t.Fatalf("quantum %d: %v", q, err)
+		_, stepErr = hw.Step(SimTime(10 * q))
+		if stepErr != nil && q < quanta/2 {
+			t.Fatalf("quantum %d failed before the cut: %v", q, stepErr)
 		}
-		echoes += len(hw.PollData())
 	}
-	if err := hw.Finish(10 * quanta); err != nil {
-		t.Fatal(err)
+	if stepErr == nil {
+		t.Fatal("run completed over a severed link")
 	}
-	echoes += len(hw.PollData())
-
-	r := <-result
-	if r.err != nil {
-		t.Fatalf("board loop: %v", r.err)
+	if waited := time.Since(cut); waited > bound {
+		t.Fatalf("Step failed %v after the cut, want within %v: %v", waited, bound, stepErr)
 	}
-	if len(r.grants) != quanta {
-		t.Fatalf("board saw %d grants, want %d", len(r.grants), quanta)
+	if errors.Is(stepErr, ErrTimeout) || !strings.Contains(stepErr.Error(), " channel: ") {
+		t.Fatalf("Step error %q does not name the failed channel", stepErr)
 	}
-	if echoes != quanta {
-		t.Fatalf("HW saw %d board echoes, want %d", echoes, quanta)
+	select {
+	case r := <-result:
+		if r.err == nil {
+			t.Fatal("board loop completed over a severed link")
+		}
+	case <-time.After(bound):
+		t.Fatalf("board loop still running %v after the cut", bound)
 	}
-	cycle, tick := hw.BoardTime()
-	if cycle != uint64(10*quanta) || tick != quanta {
-		t.Fatalf("board time %d/%d, want %d/%d", cycle, tick, 10*quanta, quanta)
-	}
-	link := hw.Metrics().Link
-	if hwS.LinkStats().Reconnects+boardS.LinkStats().Reconnects == 0 {
-		t.Fatal("disconnect was not observed by either session")
-	}
-	if link.Retransmits+boardS.LinkStats().Retransmits == 0 {
-		t.Fatal("reconnect replayed nothing")
-	}
+	waitSessionGoroutines(t, 0, "after the severed link")
 }
 
 // TestSessionBidirectionalBulk: sessions on both sides of a four-deep
@@ -593,13 +564,17 @@ func waitSessionGoroutines(t *testing.T, want int, when string) {
 	}
 }
 
-// TestSessionGoroutineAccounting: a live session side runs exactly five
-// goroutines — three read loops, the supervisor and the control writer —
-// whether heartbeats are on or off, and none survives Close or a
+// TestSessionGoroutineAccounting: a live session side runs exactly four
+// goroutines — three read loops and the control writer — and a fifth, the
+// heartbeat watchdog, when heartbeats are on; none survives Close or a
 // terminal failure (which needs no Close).
 func TestSessionGoroutineAccounting(t *testing.T) {
 	waitSessionGoroutines(t, 0, "before the test")
-	for _, hb := range []time.Duration{0, 5 * time.Millisecond} {
+	for _, c := range []struct {
+		hb   time.Duration
+		want int
+	}{{0, 4}, {5 * time.Millisecond, 5}} {
+		hb, want := c.hb, 2*c.want
 		cfg := DefaultSessionConfig()
 		cfg.HeartbeatInterval = hb
 		cfg.HeartbeatMiss = 1000 // a scheduling stall must not kill the live pair
@@ -608,10 +583,10 @@ func TestSessionGoroutineAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		recvOne(t, sb, ChanData)
-		waitSessionGoroutines(t, 2*5, fmt.Sprintf("live pair, heartbeat %v", hb))
+		waitSessionGoroutines(t, want, fmt.Sprintf("live pair, heartbeat %v", hb))
 		time.Sleep(20 * time.Millisecond) // several heartbeat intervals
-		if got := sessionGoroutines(); got != 2*5 {
-			t.Fatalf("heartbeat %v: %d session goroutines after running a while, want %d", hb, got, 2*5)
+		if got := sessionGoroutines(); got != want {
+			t.Fatalf("heartbeat %v: %d session goroutines after running a while, want %d", hb, got, want)
 		}
 		sa.Close()
 		sb.Close()

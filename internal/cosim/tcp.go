@@ -306,24 +306,6 @@ func (l *Listener) Accept() (Transport, error) {
 // Close stops the listener (already-accepted transports stay open).
 func (l *Listener) Close() error { return l.ln.Close() }
 
-// Reaccept returns a redial function for SessionConfig.Redial on the
-// simulator side: each call waits for the board to re-open all three
-// channels on the same listener. The listener must stay open for the
-// lifetime of the session.
-func (l *Listener) Reaccept() func() (Transport, error) { return l.Accept }
-
-// Redialer returns a redial function for SessionConfig.Redial on the
-// board side: each call re-dials the simulator's listener, re-running
-// the channel-tag and hello handshakes.
-func Redialer(addr string) func() (Transport, error) {
-	return func() (Transport, error) { return DialTCP(addr) }
-}
-
-// UDSRedialer is Redialer over a Unix-domain socket path.
-func UDSRedialer(path string) func() (Transport, error) {
-	return func() (Transport, error) { return DialUDS(path) }
-}
-
 // DialTCP connects the board side to a listening simulator, opening the
 // three channel connections and performing the hello handshake.
 func DialTCP(addr string) (Transport, error) { return DialNet("tcp", addr) }

@@ -94,38 +94,3 @@ func TestUDSMuxRejectsUnknownSession(t *testing.T) {
 		t.Fatal("attach to unregistered session succeeded")
 	}
 }
-
-// TestUDSRedialer exercises the session layer's redial hook over UDS.
-func TestUDSRedialer(t *testing.T) {
-	ln, err := ListenUDS(udsPath(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan Transport, 1)
-	go func() {
-		tr, err := ln.Accept()
-		if err != nil {
-			t.Error(err)
-			accepted <- nil
-			return
-		}
-		accepted <- tr
-	}()
-	board, err := UDSRedialer(ln.Addr())()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hw := <-accepted
-	if hw == nil {
-		t.FailNow()
-	}
-	defer hw.Close()
-	defer board.Close()
-	if err := board.Send(ChanClock, Msg{Type: MTTimeAck, SWTick: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := hw.Recv(ChanClock); err != nil || m.SWTick != 3 {
-		t.Fatalf("recv: %+v %v", m, err)
-	}
-}

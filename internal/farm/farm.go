@@ -497,63 +497,53 @@ func (f *Farm) runSession(s *Session) {
 	s.finish(res, err)
 }
 
-// execute establishes the session's base transports and hands them to
-// the shared run entry point.
+// execute runs the session through the shared run entry point, first
+// joining its link on the farm's mux listener when the session uses it.
 func (f *Farm) execute(s *Session) (router.RunResult, error) {
-	if fc := s.cfg.Federation; fc != nil && (fc.InProcBoards || fc.Boards != 1) {
-		// A federated session with several boards (or in-process board
-		// hosting) establishes its own link per board; the farm's single
-		// mux link cannot carry it, so hand the run a zero Transports
-		// value and let the time manager wire the topology itself.
+	fc := s.cfg.Federation
+	federated := fc != nil && (fc.InProcBoards || fc.Boards != 1)
+	if federated || (s.cfg.Transport != router.TransportTCP && s.cfg.Transport != router.TransportUDS) {
+		// Only a single-board TCP or UDS session rides the farm's mux
+		// listener. Every other session — inproc, shm, or a federation
+		// with several boards (or in-process board hosting), which
+		// establishes its own link per board — gets a zero Transports
+		// value, and router.Run opens its links itself.
 		return router.Run(s.ctx, router.Transports{}, router.WithConfig(s.cfg))
 	}
-	var hwB, boardB cosim.Transport
-	switch s.cfg.Transport {
-	case router.TransportTCP, router.TransportUDS:
-		// The hw side registers the session ID on the shared listener
-		// first, then the board dials in and is routed back to it — the
-		// same rendezvous an external board would perform against
-		// cmd/cosim-farm. The front door's network (tcp or unix) decides
-		// what actually carries the frames; the handshake is identical.
-		pend, err := f.ln.Expect(s.id)
-		if err != nil {
-			return router.RunResult{}, err
+	// The hw side registers the session ID on the shared listener first,
+	// then the board dials in and is routed back to it — the same
+	// rendezvous an external board would perform against cmd/cosim-farm.
+	// The front door's network (tcp or unix) decides what actually
+	// carries the frames; the handshake is identical.
+	pend, err := f.ln.Expect(s.id)
+	if err != nil {
+		return router.RunResult{}, err
+	}
+	type dialed struct {
+		tr  cosim.Transport
+		err error
+	}
+	dc := make(chan dialed, 1)
+	go func() {
+		tr, derr := cosim.DialSession(f.ln.Network(), f.ln.Addr(), s.id)
+		dc <- dialed{tr, derr}
+	}()
+	hwB, err := pend.Accept(s.ctx)
+	d := <-dc
+	if err != nil {
+		if d.tr != nil {
+			d.tr.Close()
 		}
-		type dialed struct {
-			tr  cosim.Transport
-			err error
-		}
-		dc := make(chan dialed, 1)
-		go func() {
-			tr, derr := cosim.DialSession(f.ln.Network(), f.ln.Addr(), s.id)
-			dc <- dialed{tr, derr}
-		}()
-		hwB, err = pend.Accept(s.ctx)
-		d := <-dc
-		if err != nil {
-			if d.tr != nil {
-				d.tr.Close()
-			}
-			return router.RunResult{}, err
-		}
-		if d.err != nil {
-			hwB.Close()
-			return router.RunResult{}, d.err
-		}
-		boardB = d.tr
-	case router.TransportShm:
-		var err error
-		hwB, boardB, err = cosim.NewShmPair(cosim.ShmConfig{})
-		if err != nil {
-			return router.RunResult{}, err
-		}
-	default:
-		hwB, boardB = cosim.NewInProcPair(4096)
+		return router.RunResult{}, err
+	}
+	if d.err != nil {
+		hwB.Close()
+		return router.RunResult{}, d.err
 	}
 
 	// Cancellation is router.Run's job: it watches s.ctx and tears the
 	// transport stacks down, aborting both sides promptly.
-	return router.Run(s.ctx, router.Transports{HW: hwB, Board: boardB}, router.WithConfig(s.cfg))
+	return router.Run(s.ctx, router.Transports{HW: hwB, Board: d.tr}, router.WithConfig(s.cfg))
 }
 
 // observeSession records one finished session in the registry.

@@ -92,8 +92,6 @@ type ResilienceSpec struct {
 	RetransmitTimeoutMS int64 `json:"retransmit_timeout_ms,omitempty"`
 	HeartbeatIntervalMS int64 `json:"heartbeat_interval_ms,omitempty"`
 	HeartbeatMiss       int   `json:"heartbeat_miss,omitempty"`
-	MaxRedials          int   `json:"max_redials,omitempty"`
-	RedialBackoffMS     int64 `json:"redial_backoff_ms,omitempty"`
 }
 
 // TBSpec tunes the router testbench workload. Zero fields keep the
@@ -199,12 +197,6 @@ func (s SessionSpec) RunConfig() (router.RunConfig, error) {
 		}
 		if r.HeartbeatMiss != 0 {
 			sess.HeartbeatMiss = r.HeartbeatMiss
-		}
-		if r.MaxRedials != 0 {
-			sess.MaxRedials = r.MaxRedials
-		}
-		if r.RedialBackoffMS != 0 {
-			sess.RedialBackoff = time.Duration(r.RedialBackoffMS) * time.Millisecond
 		}
 		rc.Resilience = &sess
 	}

@@ -60,8 +60,9 @@ func TestSpecLowering(t *testing.T) {
 		t.Errorf("resilience lost: %+v", rc.Resilience)
 	}
 	// Zero resilience fields keep the defaults.
-	if rc.Resilience.MaxRedials != 8 {
-		t.Errorf("resilience defaults not kept: %+v", rc.Resilience)
+	if rc, err := (SessionSpec{Resilience: &ResilienceSpec{}}).RunConfig(); err != nil ||
+		rc.Resilience == nil || rc.Resilience.RetransmitTimeout != 100*time.Millisecond {
+		t.Errorf("resilience defaults not kept: %+v (%v)", rc.Resilience, err)
 	}
 	if rc.TB.PacketsPerPort != 3 || rc.TB.Period != 700 || rc.TB.Seed != 9 || rc.TB.ErrRate != 0.25 {
 		t.Errorf("tb lost: %+v", rc.TB)
@@ -105,8 +106,6 @@ func TestSpecValidation(t *testing.T) {
 		{"negative retransmit timeout", SessionSpec{Resilience: &ResilienceSpec{RetransmitTimeoutMS: -5}}, "RetransmitTimeout -5ms is negative"},
 		{"negative heartbeat interval", SessionSpec{Resilience: &ResilienceSpec{HeartbeatIntervalMS: -1}}, "HeartbeatInterval -1ms is negative"},
 		{"negative heartbeat miss", SessionSpec{Resilience: &ResilienceSpec{HeartbeatMiss: -1}}, "HeartbeatMiss -1 is negative"},
-		{"negative max redials", SessionSpec{Resilience: &ResilienceSpec{MaxRedials: -1}}, "MaxRedials -1 is negative"},
-		{"negative redial backoff", SessionSpec{Resilience: &ResilienceSpec{RedialBackoffMS: -1}}, "RedialBackoff -1ms is negative"},
 	}
 	for _, tc := range cases {
 		if _, err := tc.spec.RunConfig(); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -184,6 +183,10 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"tysnc": 100}`)); err == nil {
 		t.Fatal("misspelled field accepted")
+	}
+	// A knob the session layer no longer has fails loudly, not silently.
+	if _, err := ParseSpec([]byte(`{"resilience":{"max_redials":3}}`)); err == nil || !strings.Contains(err.Error(), "max_redials") {
+		t.Fatalf("removed resilience knob: got %v, want an unknown-field error naming max_redials", err)
 	}
 }
 

@@ -216,8 +216,7 @@ func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 }
 
 // CounterFunc registers fn as a scrape-time counter. Re-registering a
-// name replaces the function (the session layer re-registers after a
-// reconnect-driven transport swap).
+// name replaces the function.
 func (r *Registry) CounterFunc(name string, fn func() uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

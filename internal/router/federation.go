@@ -347,7 +347,7 @@ func run(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult
 		Links:   links,
 		Schedule: federation.Schedule{
 			TSync:       rc.TSync,
-			TotalCycles: rc.budget(),
+			TotalCycles: rc.Budget(),
 			Adaptive:    rc.Adaptive,
 			MaxQuantum:  rc.MaxQuantum,
 			StopEarly:   tb.Finished,

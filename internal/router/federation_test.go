@@ -87,7 +87,7 @@ func pairwiseLoop(tb *Testbench, hw *cosim.HWEndpoint, rc RunConfig) (hdlsim.Dri
 	if err != nil {
 		return hdlsim.DriverStats{}, err
 	}
-	tsync, total := rc.TSync, rc.budget()
+	tsync, total := rc.TSync, rc.Budget()
 	maxQ := rc.MaxQuantum
 	if maxQ == 0 {
 		maxQ = cosim.UnboundedLookahead

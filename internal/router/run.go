@@ -133,8 +133,10 @@ func DefaultRunConfig() RunConfig {
 	}
 }
 
-// budget returns the cycle bound for the run.
-func (rc RunConfig) budget() uint64 {
+// Budget returns the cycle bound for the run: MaxCycles, or when that is
+// 0 the workload's cycles plus 8×TSync+20000 of slack. Validate rejects
+// a TSync whose derived budget would wrap.
+func (rc RunConfig) Budget() uint64 {
 	if rc.MaxCycles != 0 {
 		return rc.MaxCycles
 	}
@@ -223,8 +225,8 @@ func (rc RunConfig) Validate() error {
 			return fmt.Errorf("router: invalid RunConfig: TSync %d overflows the derived cycle budget (WorkCycles %d + 8×TSync + %d wraps uint64); lower TSync below %d or set MaxCycles explicitly", rc.TSync, work, budgetSlack, (math.MaxUint64-budgetSlack-work)/8)
 		}
 	}
-	if cpt := rc.BoardCfg.CyclesPerGrantTick; cpt > 1 && rc.budget() > math.MaxUint64/cpt {
-		return fmt.Errorf("router: invalid RunConfig: cycle budget %d × CyclesPerGrantTick %d overflows the board's cycle accounting; lower TSync/MaxCycles or CyclesPerGrantTick", rc.budget(), cpt)
+	if cpt := rc.BoardCfg.CyclesPerGrantTick; cpt > 1 && rc.Budget() > math.MaxUint64/cpt {
+		return fmt.Errorf("router: invalid RunConfig: cycle budget %d × CyclesPerGrantTick %d overflows the board's cycle accounting; lower TSync/MaxCycles or CyclesPerGrantTick", rc.Budget(), cpt)
 	}
 	switch rc.Transport {
 	case TransportInProc, TransportTCP, TransportUDS:

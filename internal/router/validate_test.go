@@ -74,10 +74,6 @@ func TestRunConfigValidate(t *testing.T) {
 			rc.Resilience = &cosim.SessionConfig{HeartbeatInterval: -time.Millisecond}
 		}, "HeartbeatInterval"},
 		{"negative heartbeat miss", func(rc *RunConfig) { rc.Resilience = &cosim.SessionConfig{HeartbeatMiss: -3} }, "HeartbeatMiss"},
-		{"negative max redials", func(rc *RunConfig) { rc.Resilience = &cosim.SessionConfig{MaxRedials: -1} }, "MaxRedials"},
-		{"negative redial backoff", func(rc *RunConfig) {
-			rc.Resilience = &cosim.SessionConfig{RedialBackoff: -time.Millisecond}
-		}, "RedialBackoff"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -137,8 +133,8 @@ func TestRunClosesTransportsOnInvalidConfig(t *testing.T) {
 
 // TestRunConfigValidateChaosProbabilities: every fault probability must
 // lie in [0,1] — NaN included — and the error names the channel and the
-// field, so a bad spec fails up front instead of after the session layer
-// has spent its redials.
+// field, so a bad spec fails up front instead of mid-run, on a link the
+// session layer cannot heal.
 func TestRunConfigValidateChaosProbabilities(t *testing.T) {
 	fields := []struct {
 		name string
